@@ -40,5 +40,5 @@ class ConvergenceError(NophaseError):
 
 
 class NumericalError(NophaseError):
-    """A numerical procedure (quadrature, root finding, ODE step control)
+    """A numerical procedure (series fitting, root finding, ODE step control)
     broke down."""

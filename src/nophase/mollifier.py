@@ -6,15 +6,14 @@ infinitely differentiable.  It is the single primitive shared by the
 frequency-domain cutoff (solver module) and the coefficient extension
 (problem module).
 
-The step is the normalized antiderivative of the mollifier.  It is computed
-once by adaptive quadrature on a Chebyshev grid and evaluated thereafter
-through the resulting series; the quadrature itself remains available as
-smooth_step_quad for cross-checks.
+The step is the normalized antiderivative of the mollifier: a Chebyshev
+series of the mollifier on [-1, 1], fitted once at import, integrated term
+by term and divided by its value at 1.
 """
 
 import numpy as np
 
-from .quadrature import adaptive_gauss
+from .chebseries import ChebSeries
 
 __all__ = [
     "mollifier",
@@ -22,7 +21,6 @@ __all__ = [
     "smooth_step",
     "smooth_step_deriv",
     "smooth_step_deriv2",
-    "smooth_step_quad",
     "NORMALIZATION",
 ]
 
@@ -48,47 +46,10 @@ def mollifier_deriv(u):
     return out
 
 
-NORMALIZATION = adaptive_gauss(mollifier, -1.0, 1.0, tol=1e-15)
-
-
-def smooth_step_quad(u):
-    """Scalar smooth step evaluated directly by adaptive quadrature."""
-    if u <= -1.0:
-        return 0.0
-    if u >= 1.0:
-        return 1.0
-    return adaptive_gauss(mollifier, -1.0, float(u), tol=1e-15) / NORMALIZATION
-
-
-def _build_series(tol=5e-15, max_n=8192):
-    n = 256
-    while True:
-        k = np.arange(n + 1)
-        pts = np.cos(np.pi * k / n)  # descending 1 .. -1
-        # cumulative quadrature between consecutive nodes, integrating
-        # upward from -1
-        asc = pts[::-1]
-        vals = np.empty(n + 1)
-        vals[0] = 0.0
-        for j in range(n):
-            vals[j + 1] = vals[j] + adaptive_gauss(
-                mollifier, asc[j], asc[j + 1], tol=1e-15
-            )
-        vals /= NORMALIZATION
-        v_desc = vals[::-1]
-        # DCT-I to Chebyshev coefficients
-        from scipy.fft import dct
-
-        c = dct(v_desc, type=1) / n
-        c[0] *= 0.5
-        c[-1] *= 0.5
-        tail = np.max(np.abs(c[-n // 8:]))
-        if tail <= tol or n >= max_n:
-            return c
-        n *= 2
-
-
-_STEP_COEF = _build_series()
+_INTEGRAL = ChebSeries.adaptive_fit(mollifier, -1.0, 1.0,
+                                    tol=1e-15).antideriv()
+NORMALIZATION = float(_INTEGRAL(1.0))
+_STEP = ChebSeries(-1.0, 1.0, _INTEGRAL.coef / NORMALIZATION)
 
 
 def smooth_step(u):
@@ -103,7 +64,7 @@ def smooth_step(u):
     out[lo] = 0.0
     out[hi] = 1.0
     if np.any(mid):
-        out[mid] = np.clip(np.polynomial.chebyshev.chebval(u[mid], _STEP_COEF), 0.0, 1.0)
+        out[mid] = np.clip(_STEP(u[mid]), 0.0, 1.0)
     return float(out[0]) if scalar else out
 
 

@@ -9,13 +9,15 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .chebseries import PiecewiseCheb
 from .errors import ConfigurationError, DomainError, FitError, NumericalError
 from .expr import compile_expression
 from .grid import RealSample, SpectralGrid, SpectralSample, forward, l1_norm
 from .mollifier import smooth_step, smooth_step_deriv, smooth_step_deriv2
-from .quadrature import _NODES, _WEIGHTS
 
 P_EDGE_REL = 1e-14      # required smallness of p at the grid boundary
+MAP_TOL = 1e-13         # coefficient-tail tolerance of the coordinate map
+NEWTON_STEPS = 50       # cap on Newton steps when inverting the map
 FIT_THRESHOLD = 1e-12   # relative cutoff for decay-fit nodes
 CLEAN_REL = 3e-15       # hard floor below which p-hat values are zeroed
 
@@ -152,126 +154,76 @@ class ExtendedCoefficient:
 @dataclass(frozen=True)
 class CoordinateMap:
     """The monotone change of variables x(t) = int_a^t sqrt(q) and its
-    inverse, built on the extended coefficient."""
+    inverse, built on the extended coefficient.
+
+    Both directions are piecewise Chebyshev series on [t_lo, t_hi] and
+    [x_lo, x_hi] = [x(t_lo), x(t_hi)]; beyond those ends q is constant
+    and both are continued linearly."""
 
     ext: ExtendedCoefficient
-    t_edges: np.ndarray
-    x_edges: np.ndarray
+    x_series: PiecewiseCheb
+    t_series: PiecewiseCheb
     x_b: float
-    tol: float
 
     @property
     def t_lo(self):
-        return float(self.t_edges[0])
+        return float(self.x_series.edges[0])
 
     @property
     def t_hi(self):
-        return float(self.t_edges[-1])
+        return float(self.x_series.edges[-1])
 
     @property
     def x_lo(self):
-        return float(self.x_edges[0])
+        return float(self.t_series.edges[0])
 
     @property
     def x_hi(self):
-        return float(self.x_edges[-1])
+        return float(self.t_series.edges[-1])
 
     def x_of_t(self, t):
         t = np.asarray(t, dtype=float)
-        scalar = t.ndim == 0
-        t = np.atleast_1d(t)
-        out = np.empty_like(t)
         lo, hi = self.t_lo, self.t_hi
-        sqa, sqb = np.sqrt(self.ext.qa), np.sqrt(self.ext.qb)
-        left = t <= lo
-        right = t >= hi
-        mid = ~(left | right)
-        out[left] = self.x_lo + sqa * (t[left] - lo)
-        out[right] = self.x_hi + sqb * (t[right] - hi)
-        if np.any(mid):
-            tm = t[mid]
-            idx = np.searchsorted(self.t_edges, tm, side="right") - 1
-            idx = np.clip(idx, 0, len(self.t_edges) - 2)
-            t0 = self.t_edges[idx]
-            # partial-panel 16-point Gauss rule from the panel edge
-            half = 0.5 * (tm - t0)
-            nodes = t0[:, None] + half[:, None] * (_NODES[None, :] + 1.0)
-            vals = self.ext.sqrt_q(nodes.ravel()).reshape(nodes.shape)
-            out[mid] = self.x_edges[idx] + half * (vals @ _WEIGHTS)
-        return float(out[0]) if scalar else out
+        return (self.x_series(np.clip(t, lo, hi))
+                + np.sqrt(self.ext.qa) * np.minimum(t - lo, 0.0)
+                + np.sqrt(self.ext.qb) * np.maximum(t - hi, 0.0))
 
-    def t_of_x(self, x, max_iter=100):
+    def t_of_x(self, x):
         x = np.asarray(x, dtype=float)
-        scalar = x.ndim == 0
-        x = np.atleast_1d(x)
-        out = np.empty_like(x)
-        sqa, sqb = np.sqrt(self.ext.qa), np.sqrt(self.ext.qb)
-        left = x <= self.x_lo
-        right = x >= self.x_hi
-        mid = ~(left | right)
-        out[left] = self.t_lo + (x[left] - self.x_lo) / sqa
-        out[right] = self.t_hi + (x[right] - self.x_hi) / sqb
-        if np.any(mid):
-            xm = x[mid]
-            t = np.interp(xm, self.x_edges, self.t_edges)
-            tol = 1e-13 * max(1.0, float(np.max(np.abs(xm))))
-            for _ in range(max_iter):
-                resid = self.x_of_t(t) - xm
-                if np.max(np.abs(resid)) <= tol:
-                    break
-                t = np.clip(t - resid / self.ext.sqrt_q(t), self.t_lo, self.t_hi)
-            else:
-                raise NumericalError("coordinate inversion did not converge")
-            out[mid] = t
-        return float(out[0]) if scalar else out
+        lo, hi = self.x_lo, self.x_hi
+        return (self.t_series(np.clip(x, lo, hi))
+                + np.minimum(x - lo, 0.0) / np.sqrt(self.ext.qa)
+                + np.maximum(x - hi, 0.0) / np.sqrt(self.ext.qb))
 
 
-def build_map(coeff, tol=1e-13):
-    """Build the coordinate map by adaptive Gauss-Legendre panel
-    quadrature of sqrt(q) over the extended interval, anchored x(a) = 0."""
+def build_map(coeff):
+    """Build the coordinate map on the extended coefficient.
+
+    x(t) is the antiderivative, anchored at x(a) = 0, of a piecewise
+    Chebyshev fit of sqrt(q) that starts from the blend breaks
+    a-3w, a-w, b+w, b+3w and bisects pieces until each is resolved to
+    MAP_TOL.  t(x) is fitted the same way, starting from the x-images of
+    the pieces of x(t) so that it inherits their resolution of any kinks
+    in q, from values found by Newton's method at its Lobatto nodes."""
     ext = coeff if isinstance(coeff, ExtendedCoefficient) else ExtendedCoefficient(coeff)
-    a = ext.base.interval_a
-    lo, hi = ext.lo, ext.hi
+    a, b, w = ext.base.interval_a, ext.base.interval_b, ext.w
+    breaks = np.array([ext.lo, a - w, b + w, ext.hi])
+    speed = PiecewiseCheb.adaptive_fit(ext.sqrt_q, breaks, tol=MAP_TOL)
+    x_series = speed.antideriv(anchor=a, value=0.0)
+    x_at = x_series(x_series.edges)
 
-    def panel_value(t0, t1):
-        mid = 0.5 * (t0 + t1)
-        half = 0.5 * (t1 - t0)
-        return half * float(np.sum(_WEIGHTS * ext.sqrt_q(mid + half * _NODES)))
+    def invert(x):
+        t = np.interp(x, x_at, x_series.edges)
+        for _ in range(NEWTON_STEPS):
+            step = (x_series(t) - x) / speed(t)
+            t -= step
+            if np.max(np.abs(step)) <= MAP_TOL * max(1.0, np.max(np.abs(t))):
+                return t
+        raise NumericalError("coordinate inversion did not converge")
 
-    # adaptive panel refinement over [lo, hi]
-    n0 = max(16, int(np.ceil((hi - lo) / 0.25)))
-    edges = list(np.linspace(lo, hi, n0 + 1))
-    if a not in edges:
-        edges = sorted(set(edges) | {a})
-    for _ in range(40):
-        new_edges = [edges[0]]
-        refined = False
-        for t0, t1 in zip(edges[:-1], edges[1:]):
-            whole = panel_value(t0, t1)
-            m = 0.5 * (t0 + t1)
-            split = panel_value(t0, m) + panel_value(m, t1)
-            if abs(whole - split) > tol * max(1.0, abs(split)):
-                new_edges.extend([m, t1])
-                refined = True
-            else:
-                new_edges.append(t1)
-        edges = new_edges
-        if not refined:
-            break
-    else:
-        raise NumericalError("coordinate-map quadrature did not converge")
-
-    t_edges = np.asarray(edges)
-    increments = np.array([panel_value(t0, t1)
-                           for t0, t1 in zip(t_edges[:-1], t_edges[1:])])
-    x_edges = np.concatenate([[0.0], np.cumsum(increments)])
-    # anchor x(a) = 0
-    ia = int(np.searchsorted(t_edges, a))
-    x_edges = x_edges - x_edges[ia]
-    cmap = CoordinateMap(ext=ext, t_edges=t_edges, x_edges=x_edges,
-                         x_b=0.0, tol=tol)
-    object.__setattr__(cmap, "x_b", float(cmap.x_of_t(ext.base.interval_b)))
-    return cmap
+    t_series = PiecewiseCheb.adaptive_fit(invert, x_at, tol=MAP_TOL)
+    return CoordinateMap(ext=ext, x_series=x_series, t_series=t_series,
+                         x_b=float(x_series(b)))
 
 
 def schwarzian_p(coeff, cmap, grid, x_shift=0.0):
@@ -407,14 +359,14 @@ def choose_grid(cmap, lam, L=None, N=None):
     return grid
 
 
-def build_problem(coefficient, lam, L=None, N=None, quad_tol=1e-13):
+def build_problem(coefficient, lam, L=None, N=None):
     """Assemble a CoefficientProblem: extension, map, grid, forcing,
     transform, and decay fit.  Values of p_hat below the round-off floor
     are zeroed so the decay certificate is meaningful at every node."""
     if lam <= 0:
         raise DomainError("lambda must be positive")
     ext = ExtendedCoefficient(coefficient)
-    cmap = build_map(ext, tol=quad_tol)
+    cmap = build_map(ext)
     grid = choose_grid(cmap, lam, L=L, N=N)
     x_shift = 0.5 * (cmap.x_lo + cmap.x_hi)
     p_x = schwarzian_p(ext, cmap, grid, x_shift=x_shift)

@@ -45,16 +45,9 @@ class Bump:
     alpha: float
 
 
-_BUMP_CACHE = {}
-
-
 def make_bump(grid, lam):
-    """Evaluate the cutoff at the frequency nodes.  Cached per
-    (grid, lambda); requires xi_max >= 2 sqrt(2) lambda."""
-    key = (grid.half_width, grid.n_points, float(lam))
-    cached = _BUMP_CACHE.get(key)
-    if cached is not None:
-        return cached
+    """Evaluate the cutoff at the frequency nodes; requires
+    xi_max >= 2 sqrt(2) lambda."""
     if grid.xi_max < 2.0 * _SQRT2 * lam:
         raise ConfigurationError(
             "xi_max must be at least 2*sqrt(2)*lambda to resolve the cutoff"
@@ -63,11 +56,9 @@ def make_bump(grid, lam):
     alpha = 0.25 * (_SQRT2 * lam - lam)
     xi = grid.xi
     vals = smooth_step((xi + c) / alpha) - smooth_step((xi - c) / alpha)
-    bump = Bump(grid=grid, lam=float(lam),
+    return Bump(grid=grid, lam=float(lam),
                 b_hat=SpectralSample(grid, vals.astype(complex)),
                 c=c, alpha=alpha)
-    _BUMP_CACHE[key] = bump
-    return bump
 
 
 def _band_multiplier(bump):

@@ -3,13 +3,13 @@ as CSV and JSON."""
 
 import csv
 import json
+import os
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, asdict
 
 import numpy as np
 
-from .errors import NophaseError
+from .errors import ConfigurationError, NophaseError
 from .grid import linf_norm
 from .oracle import basis_error
 from .phase import build_phase, interior_nodes, kummer_residual
@@ -96,11 +96,17 @@ def sweep_point(coefficient, lam, L=None, N=None, tol=1e-14,
     )
 
 
-def run_sweep(problem_file, lambdas, out, tol=1e-14, oracle_tol=1e-13,
-              max_workers=4):
-    """Per-lambda solve + validation over a list of lambdas, run in
-    parallel; per-lambda failures are recorded as NaN rows and the sweep
-    continues.  Writes CSV to `out` and JSON alongside it."""
+def run_sweep(problem_file, lambdas, out, tol=1e-14, oracle_tol=1e-13):
+    """Per-lambda solve + validation over a list of lambdas; per-lambda
+    failures are recorded as NaN rows and the sweep continues.  Writes CSV
+    to `out` and JSON alongside it, and refuses, before any solve, when
+    either path is the problem file."""
+    out = str(out)
+    json_path = out[:-4] + ".json" if out.endswith(".csv") else out + ".json"
+    for path in (out, json_path):
+        if os.path.exists(path) and os.path.samefile(path, problem_file):
+            raise ConfigurationError(
+                f"sweep output {path} would overwrite the problem file")
     config = load_problem_file(problem_file)
     report = SweepReport(problem=str(problem_file))
 
@@ -112,11 +118,8 @@ def run_sweep(problem_file, lambdas, out, tol=1e-14, oracle_tol=1e-13,
         except (NophaseError, ValueError) as exc:
             return SweepRow(lam=float(lam), error=str(exc))
 
-    with ThreadPoolExecutor(max_workers=max_workers) as pool:
-        report.rows = list(pool.map(one, lambdas))
-    out = str(out)
+    report.rows = [one(lam) for lam in lambdas]
     report.write_csv(out)
-    json_path = out[:-4] + ".json" if out.endswith(".csv") else out + ".json"
     report.write_json(json_path)
     return report
 

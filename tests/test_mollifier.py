@@ -1,26 +1,10 @@
 import numpy as np
 import pytest
+from scipy.integrate import quad
 
 from nophase.mollifier import (NORMALIZATION, mollifier, mollifier_deriv,
                                smooth_step, smooth_step_deriv,
-                               smooth_step_deriv2, smooth_step_quad)
-from nophase.quadrature import adaptive_gauss, gauss_panel
-
-
-class TestQuadrature:
-    def test_polynomial_exact(self):
-        # 16-point Gauss is exact through degree 31
-        val = gauss_panel(lambda t: t ** 8 - 3 * t ** 2 + 1, -1.0, 2.0)
-        exact = (2.0 ** 9 + 1) / 9.0 - (2.0 ** 3 + 1) + 3.0
-        assert val == pytest.approx(exact, rel=1e-14)
-
-    def test_adaptive_smooth(self):
-        val = adaptive_gauss(np.exp, 0.0, 1.0)
-        assert val == pytest.approx(np.e - 1.0, rel=1e-14)
-
-    def test_adaptive_kinked(self):
-        val = adaptive_gauss(lambda t: np.abs(t), -1.0, 2.0, tol=1e-13)
-        assert val == pytest.approx(2.5, abs=1e-12)
+                               smooth_step_deriv2)
 
 
 class TestMollifier:
@@ -54,9 +38,11 @@ class TestSmoothStep:
         assert smooth_step(0.0) == pytest.approx(0.5, abs=1e-13)
 
     def test_matches_direct_quadrature(self):
+        tol = dict(epsabs=1e-15, epsrel=1e-13)
+        norm = quad(mollifier, -1.0, 1.0, **tol)[0]
         for u in np.linspace(-0.97, 0.97, 17):
-            assert smooth_step(u) == pytest.approx(smooth_step_quad(u),
-                                                   abs=5e-14)
+            ref = quad(mollifier, -1.0, u, **tol)[0] / norm
+            assert smooth_step(u) == pytest.approx(ref, abs=5e-14)
 
     def test_monotone_and_bounded(self):
         u = np.linspace(-1.2, 1.2, 2001)

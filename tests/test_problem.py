@@ -2,6 +2,8 @@ import json
 
 import numpy as np
 import pytest
+from scipy.integrate import quad
+from scipy.interpolate import CubicSpline
 
 from conftest import (d2sech2, dsech2, make_constant_coefficient,
                       make_sech_coefficient, sech2)
@@ -91,6 +93,22 @@ class TestCoordinateMap:
     def test_x_b(self, sech_coefficient):
         cmap = build_map(sech_coefficient)
         assert cmap.x_b == pytest.approx(cmap.x_of_t(3.0))
+
+    def test_cubic_spline_table(self, rng):
+        # q'' of a cubic spline jumps at every knot
+        knots = np.linspace(-15.0, 15.0, 141)
+        spline = CubicSpline(knots, sech2(knots))
+        c = Coefficient.make(spline, -3.0, 3.0, dq=spline.derivative(1),
+                             d2q=spline.derivative(2), extension_width=4.0)
+        cmap = build_map(c)
+        t = np.linspace(-15.0, 15.0, 31)
+        ref = [quad(cmap.ext.sqrt_q, -3.0, s, epsabs=1e-15, epsrel=1e-13,
+                    limit=500,
+                    points=knots[(knots - s) * (knots + 3.0) < 0.0])[0]
+               for s in t]
+        assert np.max(np.abs(cmap.x_of_t(t) - ref)) <= 1e-13
+        t = rng.uniform(-15.0, 15.0, 500)
+        assert np.max(np.abs(cmap.t_of_x(cmap.x_of_t(t)) - t)) <= 1e-12
 
 
 class TestSchwarzianP:

@@ -1,6 +1,7 @@
 import csv
 import json
 import os
+import pathlib
 
 import numpy as np
 import pytest
@@ -175,6 +176,18 @@ class TestCliSweep:
         code = main(["sweep", str(path), "--lambdas", "1,500",
                      "--out", str(out)])
         assert code == EXIT_NUMERICAL
+
+    def test_json_mirror_never_overwrites_problem(self, constant_problem,
+                                                  capsys):
+        problem = pathlib.Path(constant_problem)
+        before = problem.read_bytes()
+        out = str(problem.with_suffix(".csv"))
+        code = main(["sweep", constant_problem, "--lambdas", "10",
+                     "--out", out])
+        assert code == EXIT_NUMERICAL
+        assert problem.read_bytes() == before
+        assert not os.path.exists(out)
+        assert len(capsys.readouterr().err.strip().splitlines()) == 1
 
 
 class TestCliPlumbing:
