@@ -6,23 +6,23 @@ Subcommands:
   sweep    run a list of lambdas and write per-lambda metrics as CSV
   selftest run the packaged invariant test suite
 
-Exit codes: 0 success, 1 certification failure, 2 numerical failure.
+Exit codes: 0 success; 1 certification failure (the solve finished but a
+certificate flag or a verify gate failed); 2 numerical failure or bad
+input, reported as one `error:` line without a traceback.  Numerical
+failures are non-convergence, an unresolvable grid, a decay fit that
+fails, and an overflowing or asymmetric sample; bad input is a missing or
+unreadable file, malformed JSON, a missing q, a or b, an unknown name in
+an expression, and a q that is not strictly positive.
 """
 
 import argparse
 import json
 import sys
 
-import numpy as np
-
-from .errors import (ConfigurationError, ConvergenceError, NophaseError,
-                     NumericalError)
-from .grid import linf_norm
-from .oracle import basis_error
-from .phase import build_phase, interior_nodes, kummer_residual
+from .errors import NophaseError, NumericalError
 from .problem import build_problem, load_problem_file
 from .solver import solve_problem
-from .sweep import run_sweep
+from .sweep import run_sweep, sweep_point
 
 EXIT_OK = 0
 EXIT_CERTIFICATION = 1
@@ -39,19 +39,13 @@ def _resolve_lambda(config, args):
     return float(lam)
 
 
-def _solve(config, lam, grid_L=None, grid_N=None, tol=1e-14):
-    L = grid_L if grid_L is not None else config.grid_L
-    N = grid_N if grid_N is not None else config.grid_N
-    prob = build_problem(config.coefficient, lam, L=L, N=N)
-    result, state = solve_problem(prob, tol=tol)
-    return prob, result, state
-
-
 def cmd_solve(args):
     config = load_problem_file(args.problem)
     lam = _resolve_lambda(config, args)
-    prob, result, _ = _solve(config, lam, grid_L=args.grid_L,
-                             grid_N=args.grid_N, tol=args.tol)
+    L = args.grid_L if args.grid_L is not None else config.grid_L
+    N = args.grid_N if args.grid_N is not None else config.grid_N
+    prob = build_problem(config.coefficient, lam, L=L, N=N)
+    result, _ = solve_problem(prob, tol=args.tol)
     report = result.bounds_report
     payload = report.as_dict()
     if args.out:
@@ -71,26 +65,21 @@ def cmd_solve(args):
 def cmd_verify(args):
     config = load_problem_file(args.problem)
     lam = _resolve_lambda(config, args)
-    prob, result, _ = _solve(config, lam)
-    phase = build_phase(result, prob)
-    nodes = interior_nodes(phase.a, phase.b)
-    res = float(np.max(np.abs(
-        kummer_residual(phase, prob.coefficient.q, nodes))))
-    err_u, err_v = basis_error(phase, prob, tol=args.oracle_tol)
-    nu_inf = linf_norm(result.nu)
+    row = sweep_point(config.coefficient, lam, L=config.grid_L,
+                      N=config.grid_N, oracle_tol=args.oracle_tol)
 
     res_tol = 1e-8 * lam ** 2
     err_tol = max(1e4 * args.oracle_tol, 1e-9)
-    res_ok = res <= res_tol
-    err_ok = err_u <= err_tol and err_v <= err_tol
+    res_ok = row.res_kummer <= res_tol
+    err_ok = row.err_u <= err_tol and row.err_v <= err_tol
     print(f"verify: lambda={lam:g}")
-    print(f"  phase-equation residual  {res:.3e}  "
+    print(f"  phase-equation residual  {row.res_kummer:.3e}  "
           f"(tol {res_tol:.1e}) {'ok' if res_ok else 'FAIL'}")
-    print(f"  basis error u            {err_u:.3e}  "
-          f"(tol {err_tol:.1e}) {'ok' if err_u <= err_tol else 'FAIL'}")
-    print(f"  basis error v            {err_v:.3e}  "
-          f"(tol {err_tol:.1e}) {'ok' if err_v <= err_tol else 'FAIL'}")
-    print(f"  nu_inf                   {nu_inf:.3e}")
+    print(f"  basis error u            {row.err_u:.3e}  "
+          f"(tol {err_tol:.1e}) {'ok' if row.err_u <= err_tol else 'FAIL'}")
+    print(f"  basis error v            {row.err_v:.3e}  "
+          f"(tol {err_tol:.1e}) {'ok' if row.err_v <= err_tol else 'FAIL'}")
+    print(f"  nu_inf                   {row.nu_inf:.3e}")
     return EXIT_OK if (res_ok and err_ok) else EXIT_CERTIFICATION
 
 
@@ -168,12 +157,9 @@ def main(argv=None):
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (ConfigurationError, ConvergenceError, NumericalError) as exc:
+    except (NophaseError, OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL
-    except NophaseError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_CERTIFICATION
 
 
 if __name__ == "__main__":

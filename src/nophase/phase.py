@@ -3,12 +3,14 @@ of the (u, v) solution basis.
 
 r(t) = log q(t) + delta(x(t)) and alpha(t) = lambda int_a^t exp(r/2); the
 basis is u = cos(alpha)/sqrt(alpha'), v = sin(alpha)/sqrt(alpha').  The
-band-limited correction delta is evaluated by its trigonometric sum
-(exact for band-limited data); r and alpha live on Chebyshev series over
-[a, b] because alpha grows linearly and is not periodic.
+band-limited correction delta is summed from its trigonometric series
+(exact for band-limited data) once, at the Lobatto nodes of a single
+adaptive Chebyshev fit of delta(x(t)) over [a, b]; r, its derivatives and
+alpha are built from that series, because alpha grows linearly and is not
+periodic.
 """
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -81,41 +83,24 @@ class PhaseFunction:
 def build_phase(result, prob, tail_tol=1e-13):
     """Assemble the phase function for a solved problem.
 
-    delta is band-limited interpolation of the Helmholtz-inverted density;
-    r is fitted as a Chebyshev series over [a, b]; alpha integrates
-    lambda exp(r/2) anchored at alpha(a) = 0."""
-    lam = prob.lam
+    delta's trigonometric series (the transform `result.delta_hat`) is
+    summed once, at the nodes of one adaptive Chebyshev fit of
+    delta(x(t)) over [a, b]; r = log q + delta is fitted from that series
+    and the exact q, and alpha integrates lambda exp(r/2) anchored at
+    alpha(a) = 0 (`PhaseFunction.from_log_derivative`)."""
     a, b = prob.coefficient.interval_a, prob.coefficient.interval_b
-    xi = prob.grid.xi
-    sig = result.sigma_hat
-    dvals = np.zeros_like(sig.values)
-    on = np.abs(sig.values) > 0.0
-    dvals[on] = sig.values[on] / (4.0 * lam ** 2 - xi[on] ** 2)
-    delta_on_grid = band_limited_evaluator(SpectralSample(prob.grid, dvals))
-    x_of_t = prob.map.x_of_t
-    shift = prob.x_shift
-
-    def delta_of_x(x):
-        return delta_on_grid(np.asarray(x) - shift)
-
-    def r_func(t):
-        return np.log(prob.coefficient.q(np.asarray(t, dtype=float))) \
-            + delta_of_x(x_of_t(t))
-
-    r_series = ChebSeries.adaptive_fit(r_func, a, b, tol=tail_tol)
-    delta_series = ChebSeries.adaptive_fit(
-        lambda t: delta_of_x(x_of_t(t)), a, b, tol=tail_tol)
-    dr = r_series.deriv()
-    d2r = dr.deriv()
-    speed = ChebSeries.adaptive_fit(
-        lambda t: lam * np.exp(0.5 * r_series(t)), a, b, tol=tail_tol)
-    alpha = speed.antideriv(anchor=a, value=0.0)
-    return PhaseFunction(
-        lam=lam, a=a, b=b,
-        r_t=r_series, dr_t=dr, d2r_t=d2r, alpha_t=alpha,
-        delta_degree=delta_series.degree_for_tail(1e-12),
-        r_degree=r_series.degree_for_tail(1e-12),
-    )
+    delta_on_grid = band_limited_evaluator(result.delta_hat)
+    x_of_t, shift = prob.map.x_of_t, prob.x_shift
+    delta = ChebSeries.adaptive_fit(
+        lambda t: delta_on_grid(x_of_t(t) - shift), a, b, tol=tail_tol)
+    r = ChebSeries.adaptive_fit(
+        lambda t: np.log(prob.coefficient.q(t)) + delta(t), a, b,
+        tol=tail_tol)
+    dr = r.deriv()
+    phase = PhaseFunction.from_log_derivative(r, dr, dr.deriv(), prob.lam,
+                                              a, b, tail_tol=tail_tol)
+    return replace(phase, delta_degree=delta.degree_for_tail(1e-12),
+                   r_degree=r.degree_for_tail(1e-12))
 
 
 def eval_basis(phase, t):

@@ -36,13 +36,17 @@ _SQRT2 = np.sqrt(2.0)
 @dataclass(frozen=True)
 class Bump:
     """The frequency cutoff bhat with its geometry constants
-    c = (sqrt(2)+1) lambda / 2 and alpha = (sqrt(2)-1) lambda / 4."""
+    c = (sqrt(2)+1) lambda / 2 and alpha = (sqrt(2)-1) lambda / 4, and the
+    band multiplier bhat/(4 lambda^2 - xi^2), exactly zero off the cutoff
+    support so the vanishing denominator at |xi| = 2 lambda is never
+    touched."""
 
     grid: object
     lam: float
     b_hat: SpectralSample
     c: float
     alpha: float
+    multiplier: np.ndarray
 
 
 def make_bump(grid, lam):
@@ -56,35 +60,23 @@ def make_bump(grid, lam):
     alpha = 0.25 * (_SQRT2 * lam - lam)
     xi = grid.xi
     vals = smooth_step((xi + c) / alpha) - smooth_step((xi - c) / alpha)
-    return Bump(grid=grid, lam=float(lam),
-                b_hat=SpectralSample(grid, vals.astype(complex)),
-                c=c, alpha=alpha)
-
-
-def _band_multiplier(bump):
-    """bhat/(4 lambda^2 - xi^2); exactly zero off the cutoff support, so
-    the vanishing denominator at |xi| = 2 lambda is never touched."""
-    xi = bump.grid.xi
-    b = bump.b_hat.values.real
-    denom = 4.0 * bump.lam ** 2 - xi * xi
-    out = np.zeros_like(b)
-    on = b > 0.0
-    out[on] = b[on] / denom[on]
-    return out
+    b_hat = SpectralSample(grid, vals.astype(complex))
+    return Bump(grid=grid, lam=float(lam), b_hat=b_hat, c=c, alpha=alpha,
+                multiplier=invert_helmholtz(b_hat, float(lam)).values.real)
 
 
 def apply_Wb(f, bump):
     """Multiply by bhat(xi)/(4 lambda^2 - xi^2)."""
     if f.grid != bump.grid:
         raise ConfigurationError("sample and bump live on different grids")
-    return SpectralSample(f.grid, f.values * _band_multiplier(bump))
+    return SpectralSample(f.grid, f.values * bump.multiplier)
 
 
 def apply_Wb_tilde(f, bump):
     """Multiply by -i xi bhat(xi)/(4 lambda^2 - xi^2)."""
     if f.grid != bump.grid:
         raise ConfigurationError("sample and bump live on different grids")
-    mult = -1j * f.grid.xi * _band_multiplier(bump)
+    mult = -1j * f.grid.xi * bump.multiplier
     return SpectralSample(f.grid, f.values * mult)
 
 
@@ -141,20 +133,31 @@ def fixed_point_solve(w_hat, lam, tol=1e-14, max_iter=100, bump=None):
     )
 
 
+def invert_helmholtz(f_hat, lam):
+    """The Helmholtz inverse on the frequency side: f-hat/(4l^2-xi^2) on
+    the support of f-hat and exactly zero off it.  The band multiplier is
+    this applied to bhat, and delta-hat this applied to sigma-hat.
+
+    Requires the support of f-hat to lie strictly inside
+    (-2 lambda, 2 lambda), away from the multiplier's zeros."""
+    if f_hat.support_radius >= 2.0 * lam:
+        raise ConfigurationError(
+            "sample support reaches the Helmholtz multiplier's zeros"
+        )
+    xi = f_hat.grid.xi
+    vals = np.zeros_like(f_hat.values)
+    on = np.abs(f_hat.values) > 0.0
+    vals[on] = f_hat.values[on] / (4.0 * lam ** 2 - xi[on] ** 2)
+    return SpectralSample(f_hat.grid, vals)
+
+
 def apply_T(sigma_hat, lam):
-    """Invert the Helmholtz multiplier: delta-hat = sigma-hat/(4l^2-xi^2).
+    """Invert the Helmholtz multiplier: delta = inverse transform of
+    sigma-hat/(4l^2-xi^2).
 
     Requires the support of sigma-hat to lie strictly inside
     (-2 lambda, 2 lambda)."""
-    if sigma_hat.support_radius >= 2.0 * lam:
-        raise ConfigurationError(
-            "sigma-hat support reaches the Helmholtz multiplier's zeros"
-        )
-    xi = sigma_hat.grid.xi
-    vals = np.zeros_like(sigma_hat.values)
-    on = np.abs(sigma_hat.values) > 0.0
-    vals[on] = sigma_hat.values[on] / (4.0 * lam ** 2 - xi[on] ** 2)
-    return inverse(SpectralSample(sigma_hat.grid, vals))
+    return inverse(invert_helmholtz(sigma_hat, lam))
 
 
 @dataclass
@@ -191,14 +194,18 @@ class SolveResult:
     psi: SpectralSample          # transform of the band-limited density
     sigma_hat: SpectralSample    # psi * bhat, compactly supported
     nu: RealSample               # sigma - sigma_b, the residual forcing
-    delta: RealSample            # Helmholtz-inverted phase correction
+    delta_hat: SpectralSample    # Helmholtz-inverted phase correction
     bounds_report: BoundsReport
-    iterations: int
+
+    @property
+    def delta(self):
+        """The phase correction sampled on the space grid."""
+        return inverse(self.delta_hat)
 
 
 def extract_solution(state, bump, prob):
-    """Form sigma-hat = psi * bhat, the residual nu, the phase correction
-    delta, and the checked bounds."""
+    """Form sigma-hat = psi * bhat, the residual nu, the transform of the
+    phase correction delta, and the checked bounds."""
     lam = bump.lam
     psi = state.psi
     grid = psi.grid
@@ -209,7 +216,7 @@ def extract_solution(state, bump, prob):
     # sigma - psi is Hermitian by construction but its round-off asymmetry
     # scales with |psi|, which can dwarf the difference itself
     nu = inverse(symmetrize(SpectralSample(grid, sigma_vals - psi.values)))
-    delta = apply_T(sigma_hat, lam)
+    delta_hat = invert_helmholtz(sigma_hat, lam)
 
     hyp = check_hypotheses(prob)
     gamma, mu = prob.gamma_fit, prob.mu_fit
@@ -256,8 +263,8 @@ def extract_solution(state, bump, prob):
         nu_bound_ok=nu_ok,
         nu_floor_limited=bool(nu_floor_limited),
     )
-    return SolveResult(psi=psi, sigma_hat=sigma_hat, nu=nu, delta=delta,
-                       bounds_report=report, iterations=state.iteration)
+    return SolveResult(psi=psi, sigma_hat=sigma_hat, nu=nu,
+                       delta_hat=delta_hat, bounds_report=report)
 
 
 def solve_problem(prob, tol=1e-14, max_iter=100):

@@ -10,7 +10,6 @@ from dataclasses import dataclass, field, asdict
 import numpy as np
 
 from .errors import ConfigurationError, NophaseError
-from .grid import linf_norm
 from .oracle import basis_error
 from .phase import build_phase, interior_nodes, kummer_residual
 from .problem import build_problem, load_problem_file
@@ -73,26 +72,26 @@ def sweep_point(coefficient, lam, L=None, N=None, tol=1e-14,
     """One sweep item: solve, assemble the phase, and validate."""
     start = time.perf_counter()
     prob = build_problem(coefficient, lam, L=L, N=N)
-    result, state = solve_problem(prob, tol=tol)
+    result, _ = solve_problem(prob, tol=tol)
     phase = build_phase(result, prob)
     nodes = interior_nodes(phase.a, phase.b)
     res = float(np.max(np.abs(
         kummer_residual(phase, prob.coefficient.q, nodes))))
     err_u, err_v = basis_error(phase, prob, tol=oracle_tol)
-    nu_inf = linf_norm(result.nu)
+    report = result.bounds_report
     wall_ms = 1000.0 * (time.perf_counter() - start)
     return SweepRow(
         lam=lam,
-        iterations=result.iterations,
+        iterations=report.iterations,
         gamma=prob.gamma_fit,
-        mu=prob.mu_fit if np.isfinite(prob.mu_fit) else np.inf,
-        nu_inf=nu_inf,
+        mu=prob.mu_fit,
+        nu_inf=report.nu_inf,
         res_kummer=res,
         err_u=err_u,
         err_v=err_v,
         cheb_degree=phase.delta_degree,
         wall_ms=wall_ms,
-        floor_limited=nu_inf < NU_FLOOR,
+        floor_limited=report.nu_inf < NU_FLOOR,
     )
 
 

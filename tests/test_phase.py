@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+import nophase.phase
 from conftest import make_constant_coefficient
 from nophase.errors import DomainError, MagnitudeError
 from nophase.grid import RealSample, SpectralGrid, linf_norm
@@ -82,6 +83,26 @@ class TestBuildPhase:
         t = np.linspace(-1.0, 1.0, 17)
         ref = 8.0 * prob.map.x_of_t(t)
         assert np.max(np.abs(phase.alpha_t(t) - ref)) <= 1e-11 * np.max(ref)
+
+    def test_delta_series_summed_once(self, sech_coefficient, monkeypatch):
+        # one doubling fit of delta(x(t)): Lobatto nodes 17 + 33 + 65 + 129
+        prob = build_problem(sech_coefficient, 80.0)
+        result, _ = solve_problem(prob)
+        points = []
+        wrapped = nophase.phase.band_limited_evaluator
+
+        def counting(F):
+            evaluate = wrapped(F)
+
+            def count(x):
+                points.append(np.size(x))
+                return evaluate(x)
+
+            return count
+
+        monkeypatch.setattr(nophase.phase, "band_limited_evaluator", counting)
+        build_phase(result, prob)
+        assert sum(points) == 17 + 33 + 65 + 129
 
 
 class TestEvalBasis:

@@ -145,6 +145,23 @@ class TestCliSolve:
                      "--grid-L", "4", "--grid-N", "64"])
         assert code == EXIT_NUMERICAL
 
+    @pytest.mark.parametrize("text", [
+        None,
+        '{"q": "1", "a": 0.0,',
+        '{"q": "1 + foo(t)", "a": 0.0, "b": 1.0}',
+        '{"q": "1", "a": 0.0}',
+        '{"q": "-1", "a": 0.0, "b": 1.0}',
+    ], ids=["missing-file", "malformed-json", "unknown-function",
+            "missing-key", "nonpositive-q"])
+    def test_bad_input_exits_2_with_one_line(self, tmp_path, capsys, text):
+        path = tmp_path / "bad.json"
+        if text is not None:
+            path.write_text(text)
+        code = main(["solve", str(path), "--lambda", "10"])
+        assert code == EXIT_NUMERICAL
+        err = capsys.readouterr().err.strip().splitlines()
+        assert len(err) == 1 and err[0].startswith("error: ")
+
 
 class TestCliVerify:
     def test_constant_coefficient_passes(self, constant_problem, capsys):
