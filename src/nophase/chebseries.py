@@ -47,15 +47,20 @@ class ChebSeries:
     @classmethod
     def adaptive_fit(cls, f, a, b, tol=1e-13, min_n=16, max_n=4096):
         """Double the node count until the coefficient tail drops below
-        tol relative to the largest coefficient."""
+        tol relative to the largest coefficient; raises NumericalError
+        when n reaches max_n without passing that test."""
         n = min_n
         while True:
             series = cls.fit(f, a, b, n)
             c = np.abs(series.coef)
             cmax = float(np.max(c))
             tail = float(np.max(c[-max(2, n // 8):]))
-            if cmax == 0.0 or tail <= tol * cmax or n >= max_n:
+            if cmax == 0.0 or tail <= tol * cmax:
                 return series
+            if n >= max_n:
+                raise NumericalError(
+                    f"Chebyshev fit did not resolve the function with "
+                    f"{max_n} nodes")
             n *= 2
 
     def _s(self, t):

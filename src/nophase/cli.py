@@ -10,7 +10,8 @@ Exit codes: 0 success; 1 certification failure (the solve finished but a
 certificate flag or a verify gate failed); 2 numerical failure or bad
 input, reported as one `error:` line without a traceback.  Numerical
 failures are non-convergence, an unresolvable grid, a decay fit that
-fails, and an overflowing or asymmetric sample; bad input is a missing or
+fails, a Chebyshev fit that does not resolve its function, and an
+overflowing or asymmetric sample; bad input is a missing or
 unreadable file, malformed JSON, a missing q, a or b, an unknown name in
 an expression, and a q that is not strictly positive.
 """

@@ -5,46 +5,50 @@ solutions, and basis-error measurement against the phase function."""
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.integrate import solve_ivp
 
-from .errors import NumericalError
+from .errors import DomainError, NumericalError
 from .phase import basis_derivatives
 
 _MIN_RTOL = 2.5e-14  # DOP853's floor is 100 * machine epsilon
 
 
-@dataclass(frozen=True)
-class OracleSolution:
-    """Dense-output reference solution of y'' + lambda^2 q y = 0."""
+def ode_oracle(prob, y0, dy0, t, tol=1e-13):
+    """Adaptive 8th-order Runge-Kutta (DOP853) solutions over [a, b],
+    sampled at the ascending nodes t.  Uses the original coefficient, not
+    its extension.
 
-    dense: object        # t -> array([y, y'])
-    order: int
-    tol: float
+    y0 and dy0 may be length-m arrays: the m solutions are integrated as
+    one 2m-dimensional system, with one q evaluation per stage and one
+    step control for all of them.  Returns (y, dy) of shape (m, len(t)),
+    or (len(t),) for scalar initial data.  Nodes within round-off of
+    [a, b] are clipped onto it."""
+    from scipy.integrate import solve_ivp
 
-    def __call__(self, t):
-        out = self.dense(np.atleast_1d(np.asarray(t, dtype=float)))
-        return out[0], out[1]
-
-
-def ode_oracle(prob, y0, dy0, tol=1e-13):
-    """Adaptive 8th-order Runge-Kutta (DOP853) solution over [a, b] with
-    dense output.  Uses the original coefficient, not its extension."""
     if tol < 1e-14:
         raise ValueError("tol must be >= 1e-14")
     a = prob.coefficient.interval_a
     b = prob.coefficient.interval_b
-    lam = prob.lam
+    t = np.asarray(t, dtype=float)
+    slack = 1e-12 * (b - a)
+    if np.any(t < a - slack) or np.any(t > b + slack):
+        raise DomainError("oracle node outside [a, b]")
+    neg_lam2 = -prob.lam ** 2
     q = prob.coefficient.q
+    start = np.concatenate((np.atleast_1d(y0), np.atleast_1d(dy0)))
+    m = start.size // 2
 
-    def rhs(t, y):
-        return [y[1], -lam ** 2 * float(np.asarray(q(t))) * y[0]]
+    def rhs(s, y):
+        return np.concatenate((y[m:], neg_lam2 * float(q(s)) * y[:m]))
 
-    sol = solve_ivp(rhs, (a, b), [y0, dy0], method="DOP853",
+    sol = solve_ivp(rhs, (a, b), start, method="DOP853",
                     rtol=max(tol, _MIN_RTOL), atol=tol,
-                    dense_output=True)
+                    t_eval=np.clip(t, a, b))
     if not sol.success:
         raise NumericalError(f"reference integrator failed: {sol.message}")
-    return OracleSolution(dense=sol.sol, order=8, tol=tol)
+    y, dy = sol.y[:m], sol.y[m:]
+    if np.ndim(y0) == 0:
+        return y[0], dy[0]
+    return y, dy
 
 
 @dataclass(frozen=True)
@@ -57,13 +61,14 @@ class TransformedSolution:
     residual_rel: float
 
 
-def liouville_green(prob, oracle, n_nodes=3001):
-    """Apply the transform to an oracle solution and measure the residual
-    of the constant-coefficient equation by 6th-order finite differences."""
+def liouville_green(prob, y0, dy0, n_nodes=3001):
+    """Transform the oracle solution with initial data (y0, dy0) at t = a
+    and measure the residual of the constant-coefficient equation by
+    6th-order finite differences."""
     x_b = prob.map.x_b
     x = np.linspace(0.0, x_b, n_nodes)
     t = prob.map.t_of_x(x)
-    y, _ = oracle(t)
+    y, _ = ode_oracle(prob, y0, dy0, t)
     qv = np.asarray(prob.coefficient.q(t))
     phi = qv ** 0.25 * y
 
@@ -92,14 +97,12 @@ def undo_liouville_green(prob, transformed):
 
 def basis_error(phase, prob, tol=1e-13, n_samples=400):
     """Max-norm differences between the phase-function basis (u, v) and
-    reference solutions with the same initial data at t = a."""
+    reference solutions with the same initial data at t = a, both
+    integrated in one pass."""
     a, b = phase.a, phase.b
-    u0, du0, v0, dv0 = (float(z[0]) if np.ndim(z) else float(z)
-                        for z in basis_derivatives(phase, np.array([a])))
-    ou = ode_oracle(prob, u0, du0, tol=tol)
-    ov = ode_oracle(prob, v0, dv0, tol=tol)
+    u0, du0, v0, dv0 = basis_derivatives(phase, np.array([a]))
     t = np.linspace(a, b, n_samples)
     u, _, v, _ = basis_derivatives(phase, t)
-    yu, _ = ou(t)
-    yv, _ = ov(t)
-    return float(np.max(np.abs(u - yu))), float(np.max(np.abs(v - yv)))
+    y, _ = ode_oracle(prob, np.concatenate((u0, v0)),
+                      np.concatenate((du0, dv0)), t, tol=tol)
+    return float(np.max(np.abs(u - y[0]))), float(np.max(np.abs(v - y[1])))

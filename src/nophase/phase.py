@@ -35,10 +35,19 @@ def apply_S(f, lam):
 
 def band_limited_evaluator(F):
     """Callable x -> f(x) = (dxi/2pi) Re sum_k F_k exp(i x xi_k), summing
-    only over the support nodes.  Exact for band-limited samples."""
-    on = np.abs(F.values) > 0.0
-    xi = F.grid.xi[on]
-    coef = F.values[on] * (F.grid.dxi / (2.0 * np.pi))
+    only over the support nodes.  Exact for band-limited samples.
+
+    Each xi > 0 is paired with -xi, since Re F_{-k} e^{-i x xi_k} =
+    Re conj(F_{-k}) e^{i x xi_k}; the unpaired node -N/2 dxi is summed as
+    +N/2 dxi with coefficient conj(F_{-N/2}).  So only xi >= 0 is summed."""
+    v, half = F.values, F.grid.n_points // 2
+    folded = np.empty(half + 1, dtype=complex)
+    folded[0] = v[half]
+    folded[1:half] = v[half + 1:] + np.conj(v[half - 1:0:-1])
+    folded[half] = np.conj(v[0])
+    on = np.abs(folded) > 0.0
+    xi = np.arange(half + 1)[on] * F.grid.dxi
+    coef = folded[on] * (F.grid.dxi / (2.0 * np.pi))
 
     def evaluate(x):
         x = np.atleast_1d(np.asarray(x, dtype=float))

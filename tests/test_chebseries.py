@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from nophase.chebseries import PiecewiseCheb
+from nophase.chebseries import ChebSeries, PiecewiseCheb
 from nophase.errors import NumericalError
 
 
@@ -29,3 +29,10 @@ class TestPiecewiseCheb:
     def test_unresolvable_input_raises(self):
         with pytest.raises(NumericalError):
             PiecewiseCheb.adaptive_fit(np.sign, [-1.0, 2.0])
+
+
+class TestChebSeries:
+    def test_unresolved_fit_raises(self):
+        # the kink at 0 keeps the tail near 1/n^2 at every n up to max_n
+        with pytest.raises(NumericalError):
+            ChebSeries.adaptive_fit(np.abs, -1.0, 1.0)

@@ -4,7 +4,8 @@ import pytest
 import nophase.phase
 from conftest import make_constant_coefficient
 from nophase.errors import DomainError, MagnitudeError
-from nophase.grid import RealSample, SpectralGrid, linf_norm
+from nophase.grid import (RealSample, SpectralGrid, SpectralSample, forward,
+                          linf_norm)
 from nophase.phase import (PhaseFunction, apply_S, band_limited_evaluator,
                            basis_derivatives, build_phase, eval_basis,
                            interior_nodes, kummer_residual)
@@ -56,6 +57,21 @@ class TestBandLimitedEvaluator:
         sub = slice(0, prob.grid.n_points, 64)
         assert np.max(np.abs(evaluate(prob.grid.x[sub]) - back.values[sub])) \
             <= 1e-12 * max(1.0, np.max(np.abs(back.values)))
+
+    def test_paired_sum_matches_full_sum(self):
+        # a real sample that is not symmetric, plus a value at the
+        # unpaired node -N/2 dxi, which has no +xi partner
+        grid = SpectralGrid(half_width=8.0, n_points=64)
+        x = grid.x
+        F = forward(RealSample(grid, x * np.exp(-x * x)
+                               + np.exp(-(x - 1.0) ** 2)))
+        values = F.values.copy()
+        values[0] = 0.3 - 0.7j
+        F = SpectralSample(grid, values)
+        t = np.linspace(-9.0, 9.0, 701)
+        full = (grid.dxi / (2.0 * np.pi)) * np.real(
+            np.exp(1j * np.outer(t, grid.xi)) @ F.values)
+        assert np.max(np.abs(band_limited_evaluator(F)(t) - full)) <= 1e-15
 
 
 class TestBuildPhase:
