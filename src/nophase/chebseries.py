@@ -6,7 +6,6 @@ from dataclasses import dataclass
 
 import numpy as np
 from numpy.polynomial import chebyshev as C
-from scipy.fft import dct
 
 from .errors import NumericalError
 
@@ -26,7 +25,9 @@ def values_to_coeffs(values_ascending):
     (along the last axis)."""
     v = np.asarray(values_ascending, dtype=float)[..., ::-1]  # descending in s
     n = v.shape[-1] - 1
-    c = dct(v, type=1, axis=-1) / n
+    # the type-1 DCT, as the FFT of the even extension
+    even = np.concatenate((v, v[..., -2:0:-1]), axis=-1)
+    c = np.fft.rfft(even, axis=-1).real / n
     c[..., 0] *= 0.5
     c[..., -1] *= 0.5
     return c

@@ -13,7 +13,7 @@ the way back), so grid samples approximate the continuous integrals
 directly and the round trip is exact to round-off.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
@@ -88,17 +88,18 @@ class SpectralSample:
 
     grid: SpectralGrid
     values: np.ndarray
-    support_radius: float = field(default=None)
 
     def __post_init__(self):
         v = np.asarray(self.values, dtype=complex)
         if v.shape != (self.grid.n_points,):
             raise ValueError("values length must equal n_points")
         object.__setattr__(self, "values", v)
-        if self.support_radius is None:
-            nz = np.abs(v) > 0.0
-            radius = float(np.max(np.abs(self.grid.xi[nz]))) if np.any(nz) else 0.0
-            object.__setattr__(self, "support_radius", radius)
+
+    @cached_property
+    def support_radius(self):
+        """Largest |xi| at a nonzero value, 0 for the zero sample."""
+        nz = np.abs(self.values) > 0.0
+        return float(np.max(np.abs(self.grid.xi[nz]))) if np.any(nz) else 0.0
 
 
 def zeros_spectral(grid):

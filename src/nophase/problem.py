@@ -5,7 +5,7 @@ forcing p, and the fitted decay certificate (Gamma, mu) for p-hat.
 
 import json
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -19,7 +19,8 @@ P_EDGE_REL = 1e-14      # required smallness of p at the grid boundary
 MAP_TOL = 1e-13         # coefficient-tail tolerance of the coordinate map
 NEWTON_STEPS = 50       # cap on Newton steps when inverting the map
 FIT_THRESHOLD = 1e-12   # relative cutoff for decay-fit nodes
-CLEAN_REL = 3e-15       # hard floor below which p-hat values are zeroed
+CLEAN_REL = 3e-15       # relative floor that zeroes p-hat and delta-hat
+BASE_N = 1024           # points of the first grid p is sampled on
 
 # 8th-order centered finite-difference weights
 _FD1 = np.array([4.0 / 5.0, -1.0 / 5.0, 4.0 / 105.0, -1.0 / 280.0])
@@ -97,52 +98,48 @@ class ExtendedCoefficient:
         ur = (t - self._ur_center) / self.w
         return ul, ur
 
-    def q(self, t):
-        t = np.asarray(t, dtype=float)
-        tc = np.clip(t, self.lo, self.hi)
-        qv = self.base.q(tc)
+    def _blend(self, t):
+        """The base q at t clipped into [lo, hi], and the left and right
+        smooth steps at t."""
         ul, ur = self._steps(t)
-        sl = smooth_step(ul)
-        sr = smooth_step(ur)
+        return (self.base.q(np.clip(t, self.lo, self.hi)),
+                smooth_step(ul), smooth_step(ur))
+
+    def q(self, t):
+        qv, sl, sr = self._blend(np.asarray(t, dtype=float))
         return qv + (self.qa - qv) * sl + (self.qb - qv) * sr
 
-    def dq(self, t):
-        t = np.asarray(t, dtype=float)
-        out = np.zeros_like(t)
+    def jet(self, t):
+        """q, q' and q'' at the points t, from one evaluation of each
+        smooth step and of the base q, q', q''; a scalar t is taken as a
+        single point."""
+        t = np.atleast_1d(np.asarray(t, dtype=float))
+        qv, sl, sr = self._blend(t)
+        q = qv + (self.qa - qv) * sl + (self.qb - qv) * sr
+        dq = np.zeros_like(t)
+        d2q = np.zeros_like(t)
         inside = (t > self.lo) & (t < self.hi)
         if np.any(inside):
-            ti = t[inside]
-            qv = self.base.q(ti)
-            dqv = self.base.dq(ti)
-            ul, ur = self._steps(ti)
-            sl = smooth_step(ul)
-            sr = smooth_step(ur)
-            dsl = -smooth_step_deriv(ul) / self.w
-            dsr = smooth_step_deriv(ur) / self.w
-            out[inside] = (dqv * (1.0 - sl - sr)
-                           + (self.qa - qv) * dsl + (self.qb - qv) * dsr)
-        return out
-
-    def d2q(self, t):
-        t = np.asarray(t, dtype=float)
-        out = np.zeros_like(t)
-        inside = (t > self.lo) & (t < self.hi)
-        if np.any(inside):
-            ti = t[inside]
-            qv = self.base.q(ti)
+            ti, qv, sl, sr = t[inside], qv[inside], sl[inside], sr[inside]
             dqv = self.base.dq(ti)
             d2qv = self.base.d2q(ti)
             ul, ur = self._steps(ti)
-            sl = smooth_step(ul)
-            sr = smooth_step(ur)
             dsl = -smooth_step_deriv(ul) / self.w
             dsr = smooth_step_deriv(ur) / self.w
             d2sl = smooth_step_deriv2(ul) / self.w ** 2
             d2sr = smooth_step_deriv2(ur) / self.w ** 2
-            out[inside] = (d2qv * (1.0 - sl - sr)
+            dq[inside] = (dqv * (1.0 - sl - sr)
+                          + (self.qa - qv) * dsl + (self.qb - qv) * dsr)
+            d2q[inside] = (d2qv * (1.0 - sl - sr)
                            - 2.0 * dqv * (dsl + dsr)
                            + (self.qa - qv) * d2sl + (self.qb - qv) * d2sr)
-        return out
+        return q, dq, d2q
+
+    def dq(self, t):
+        return self.jet(t)[1]
+
+    def d2q(self, t):
+        return self.jet(t)[2]
 
     def sqrt_q(self, t):
         qv = self.q(t)
@@ -226,16 +223,18 @@ def build_map(coeff):
                          x_b=float(x_series(b)))
 
 
-def schwarzian_p(coeff, cmap, grid, x_shift=0.0):
-    """The forcing p as a function of x at the grid's space nodes:
-    p(x_j) = (1/q)(5/4 (q'/q)^2 - q''/q) evaluated at t(x_j + x_shift)."""
-    ext = coeff if isinstance(coeff, ExtendedCoefficient) else cmap.ext
-    t = cmap.t_of_x(grid.x + x_shift)
-    qv = ext.q(t)
+def _forcing(ext, cmap, x):
+    """p = (1/q)(5/4 (q'/q)^2 - q''/q) evaluated at t(x)."""
+    qv, dqv, d2qv = ext.jet(cmap.t_of_x(x))
     if np.any(qv <= 0.0):
         raise DomainError("coefficient is not strictly positive on the grid")
-    ratio = ext.dq(t) / qv
-    p = (1.25 * ratio * ratio - ext.d2q(t) / qv) / qv
+    ratio = dqv / qv
+    return (1.25 * ratio * ratio - d2qv / qv) / qv
+
+
+def _require_vanishing_edges(p, cmap):
+    """p at the first and last grid nodes must be below P_EDGE_REL times
+    its largest value, or the periodic grid cuts its support."""
     pmax = float(np.max(np.abs(p)))
     if pmax > 0.0:
         edge = max(abs(p[0]), abs(p[-1]))
@@ -245,7 +244,54 @@ def schwarzian_p(coeff, cmap, grid, x_shift=0.0):
                 f"grid half-width too small: p does not vanish at the "
                 f"boundary; use L >= {suggested:.2f}"
             )
+
+
+def schwarzian_p(coeff, cmap, grid, x_shift=0.0):
+    """The forcing p as a function of x at the grid's space nodes:
+    p(x_j) = (1/q)(5/4 (q'/q)^2 - q''/q) evaluated at t(x_j + x_shift)."""
+    ext = coeff if isinstance(coeff, ExtendedCoefficient) else cmap.ext
+    p = _forcing(ext, cmap, grid.x + x_shift)
+    _require_vanishing_edges(p, cmap)
     return RealSample(grid, p)
+
+
+def below_floor(vals):
+    """Mask of the values below CLEAN_REL times the largest; no value is
+    below the floor of an all-zero array."""
+    absv = np.abs(vals)
+    return absv < CLEAN_REL * np.max(absv)
+
+
+def forcing_transform(ext, cmap, grid, x_shift):
+    """p-hat on the grid, from p on the coarsest grid over the same
+    [-L, L) that resolves it.
+
+    Starting from BASE_N points, the point count doubles until p-hat,
+    floored at CLEAN_REL, vanishes on the outer half of its frequency
+    range, or until it reaches the grid's own N.  The grids are nested,
+    so each doubling evaluates p only at the new midpoints, and p is
+    evaluated at no more than N points.  The floored p-hat is then
+    zero-padded onto the grid."""
+    L, n = grid.half_width, min(BASE_N, grid.n_points)
+    level = SpectralGrid(L, n)
+    p = schwarzian_p(ext, cmap, level, x_shift).values
+    while True:
+        p_hat = forward(RealSample(level, p)).values
+        p_hat[below_floor(p_hat)] = 0.0
+        outer = np.abs(np.arange(n) - n // 2) >= n // 4
+        if n == grid.n_points or not np.any(p_hat[outer]):
+            break
+        n *= 2
+        level = SpectralGrid(L, n)
+        # the finer grid's own odd nodes, not the coarse nodes + dx/2, so
+        # that every node rounds as on the full grid
+        mid = _forcing(ext, cmap, level.x[1::2] + x_shift)
+        p = np.stack((p, mid), axis=1).ravel()
+    _require_vanishing_edges(p, cmap)  # at the final level's end nodes
+    vals = np.zeros(grid.n_points, dtype=complex)
+    start = (grid.n_points - n) // 2
+    vals[start:start + n] = p_hat
+    return SpectralSample(grid, vals)
 
 
 def fit_decay(p_hat):
@@ -307,7 +353,6 @@ class CoefficientProblem:
     lam: float
     map: CoordinateMap
     grid: SpectralGrid
-    p_x: RealSample
     p_hat: SpectralSample
     gamma_fit: float
     mu_fit: float
@@ -369,18 +414,12 @@ def build_problem(coefficient, lam, L=None, N=None):
     cmap = build_map(ext)
     grid = choose_grid(cmap, lam, L=L, N=N)
     x_shift = 0.5 * (cmap.x_lo + cmap.x_hi)
-    p_x = schwarzian_p(ext, cmap, grid, x_shift=x_shift)
-    p_hat_raw = forward(p_x)
-    vals = p_hat_raw.values.copy()
-    vmax = float(np.max(np.abs(vals)))
-    if vmax > 0.0:
-        vals[np.abs(vals) < CLEAN_REL * vmax] = 0.0
-    p_hat = SpectralSample(grid, vals)
-    gamma, mu = fit_decay(p_hat) if vmax > 0.0 else (0.0, np.inf)
+    p_hat = forcing_transform(ext, cmap, grid, x_shift)
+    gamma, mu = fit_decay(p_hat)
     prob = CoefficientProblem(coefficient=coefficient, extended=ext,
                               lam=float(lam), map=cmap, grid=grid,
-                              p_x=p_x, p_hat=p_hat,
-                              gamma_fit=gamma, mu_fit=mu, x_shift=x_shift)
+                              p_hat=p_hat, gamma_fit=gamma, mu_fit=mu,
+                              x_shift=x_shift)
     hyp = check_hypotheses(prob)
     if not hyp.certified:
         warnings.warn(

@@ -22,7 +22,7 @@ from .errors import ConfigurationError, ConvergenceError
 from .grid import (RealSample, SpectralSample, convolve, inverse, l1_norm,
                    linf_norm, symmetrize)
 from .mollifier import smooth_step
-from .problem import check_hypotheses, decay_bound
+from .problem import below_floor, check_hypotheses, decay_bound
 
 # absolute floor, relative to the largest magnitude in play, below which
 # a theoretical bound is unmeasurable in double precision
@@ -182,6 +182,7 @@ class BoundsReport:
     nu_bound: float
     nu_bound_ok: bool
     nu_floor_limited: bool
+    delta_tail: float     # mass of delta-hat cut below its floor
 
     def as_dict(self):
         return asdict(self)
@@ -205,7 +206,12 @@ class SolveResult:
 
 def extract_solution(state, bump, prob):
     """Form sigma-hat = psi * bhat, the residual nu, the transform of the
-    phase correction delta, and the checked bounds."""
+    phase correction delta, and the checked bounds.
+
+    delta-hat is cut to its floor support: values below the floor p-hat
+    has (CLEAN_REL times the largest) are zeroed.  The report's
+    delta_tail is the mass cut, (dxi/2pi) sum |delta-hat_cut|, which
+    bounds the change in delta at every x."""
     lam = bump.lam
     psi = state.psi
     grid = psi.grid
@@ -216,7 +222,12 @@ def extract_solution(state, bump, prob):
     # sigma - psi is Hermitian by construction but its round-off asymmetry
     # scales with |psi|, which can dwarf the difference itself
     nu = inverse(symmetrize(SpectralSample(grid, sigma_vals - psi.values)))
-    delta_hat = invert_helmholtz(sigma_hat, lam)
+    delta_vals = invert_helmholtz(sigma_hat, lam).values
+    cut = below_floor(delta_vals)
+    delta_tail = grid.dxi / (2.0 * np.pi) \
+        * float(np.sum(np.abs(delta_vals[cut])))
+    delta_vals[cut] = 0.0
+    delta_hat = SpectralSample(grid, delta_vals)
 
     hyp = check_hypotheses(prob)
     gamma, mu = prob.gamma_fit, prob.mu_fit
@@ -262,6 +273,7 @@ def extract_solution(state, bump, prob):
         nu_bound=float(nu_bound),
         nu_bound_ok=nu_ok,
         nu_floor_limited=bool(nu_floor_limited),
+        delta_tail=delta_tail,
     )
     return SolveResult(psi=psi, sigma_hat=sigma_hat, nu=nu,
                        delta_hat=delta_hat, bounds_report=report)

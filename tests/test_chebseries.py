@@ -1,8 +1,32 @@
+import os
+import subprocess
+import sys
+
 import numpy as np
 import pytest
+from scipy.fft import dct
 
-from nophase.chebseries import ChebSeries, PiecewiseCheb
+import nophase
+from nophase.chebseries import ChebSeries, PiecewiseCheb, values_to_coeffs
 from nophase.errors import NumericalError
+
+
+def test_values_to_coeffs_is_the_type1_dct(rng):
+    values = rng.standard_normal((3, 33))
+    ref = dct(values[:, ::-1], type=1, axis=-1) / 32
+    ref[:, 0] *= 0.5
+    ref[:, -1] *= 0.5
+    np.testing.assert_array_equal(values_to_coeffs(values), ref)
+
+
+def test_import_loads_no_scipy():
+    src = os.path.dirname(os.path.dirname(nophase.__file__))
+    code = ("import sys, nophase; print(sorted(m for m in sys.modules "
+            "if m.split('.')[0] == 'scipy'))")
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                         text=True, check=True,
+                         env={**os.environ, "PYTHONPATH": src})
+    assert out.stdout.strip() == "[]"
 
 
 class TestPiecewiseCheb:

@@ -8,11 +8,13 @@ from scipy.interpolate import CubicSpline
 from conftest import (d2sech2, dsech2, make_constant_coefficient,
                       make_sech_coefficient, sech2)
 from nophase.errors import ConfigurationError, DomainError, FitError
-from nophase.grid import SpectralGrid, SpectralSample
-from nophase.problem import (Coefficient, ExtendedCoefficient, build_map,
-                             build_problem, check_hypotheses, choose_grid,
-                             decay_bound, fit_decay, load_problem_file,
-                             problem_config_from_dict, schwarzian_p)
+from nophase.expr import compile_expression
+from nophase.grid import SpectralGrid, SpectralSample, forward
+from nophase.problem import (CLEAN_REL, Coefficient, ExtendedCoefficient,
+                             build_map, build_problem, check_hypotheses,
+                             choose_grid, decay_bound, fit_decay,
+                             load_problem_file, problem_config_from_dict,
+                             schwarzian_p)
 
 
 class TestCoefficient:
@@ -165,6 +167,57 @@ class TestSchwarzianP:
         grid = SpectralGrid(6.0, 1024)  # too narrow: p nonzero at the edge
         with pytest.raises(ConfigurationError):
             schwarzian_p(cmap.ext, cmap, grid)
+
+
+def full_grid_transform(prob):
+    """p-hat from p at every node of the problem's own grid, floored."""
+    p = schwarzian_p(prob.extended, prob.map, prob.grid, prob.x_shift)
+    vals = forward(p).values
+    vals[np.abs(vals) < CLEAN_REL * np.max(np.abs(vals))] = 0.0
+    return vals
+
+
+class TestForcingTransform:
+    def test_p_sampled_on_a_lambda_independent_grid(self):
+        seen = []
+
+        def q(t):
+            seen.append(np.array(t, dtype=float).ravel())
+            return sech2(t)
+
+        coeff = Coefficient.make(q, -3.0, 3.0, dq=dsech2, d2q=d2sech2,
+                                 extension_width=4.0)
+        build_map(coeff)
+        map_points = np.unique(np.concatenate(seen)).size
+        seen.clear()
+        prob = build_problem(coeff, 1280.0)
+        assert prob.grid.n_points == 65536
+        points = np.unique(np.concatenate(seen)).size
+        assert points <= 8192 + map_points
+
+    def test_same_transform_at_every_large_lambda(self, sech_coefficient):
+        mid = build_problem(sech_coefficient, 320.0)
+        big = build_problem(sech_coefficient, 1280.0)
+        assert (mid.gamma_fit, mid.mu_fit) == (big.gamma_fit, big.mu_fit)
+        on_mid = mid.p_hat.values != 0.0
+        on_big = big.p_hat.values != 0.0
+        np.testing.assert_array_equal(mid.grid.xi[on_mid], big.grid.xi[on_big])
+        np.testing.assert_array_equal(mid.p_hat.values[on_mid],
+                                      big.p_hat.values[on_big])
+        direct = full_grid_transform(big)
+        assert np.max(np.abs(big.p_hat.values - direct)) \
+            <= 1e-14 * np.max(np.abs(direct))
+
+    def test_noisy_forcing_uses_the_full_grid(self):
+        # finite-difference derivatives leave noise at every p-hat node, so
+        # p is sampled at every node of the problem's grid, as a direct
+        # transform would
+        coeff = Coefficient.make(compile_expression("1 + sech(t)**2"),
+                                 -3.0, 3.0, extension_width=4.0)
+        prob = build_problem(coeff, 40.0)
+        assert prob.grid.n_points == 2048
+        np.testing.assert_array_equal(prob.p_hat.values,
+                                      full_grid_transform(prob))
 
 
 class TestFitDecay:

@@ -2,14 +2,16 @@ import numpy as np
 import pytest
 
 from conftest import make_constant_coefficient
+from nophase.phase import (band_limited_evaluator, build_phase,
+                           interior_nodes, kummer_residual)
 from nophase.convexp import exp2_star_series
 from nophase.errors import ConfigurationError, ConvergenceError
 from nophase.grid import (RealSample, SpectralGrid, SpectralSample, convolve,
                           forward, l1_norm, linf_norm, zeros_spectral)
 from nophase.problem import build_problem
 from nophase.solver import (apply_R, apply_T, apply_Wb, apply_Wb_tilde,
-                            extract_solution, fixed_point_solve, make_bump,
-                            solve_problem)
+                            extract_solution, fixed_point_solve,
+                            invert_helmholtz, make_bump, solve_problem)
 
 SQRT2 = np.sqrt(2.0)
 
@@ -262,3 +264,32 @@ class TestExtractSolution:
         assert report.nu_bound_ok
         assert report.nu_inf <= 1.05 * report.nu_bound \
             or report.nu_floor_limited
+
+    def test_delta_cut_to_its_floor_support(self, sech_coefficient):
+        prob = build_problem(sech_coefficient, 1280.0)
+        result, _ = solve_problem(prob)
+        report = result.bounds_report
+        full = invert_helmholtz(result.sigma_hat, prob.lam)
+        kept = result.delta_hat.values != 0.0
+        assert np.count_nonzero(full.values) > 4 * np.count_nonzero(kept)
+        np.testing.assert_array_equal(result.delta_hat.values[kept],
+                                      full.values[kept])
+        cut = full.values[~kept]
+        assert report.delta_tail == pytest.approx(
+            prob.grid.dxi / (2.0 * np.pi) * np.sum(np.abs(cut)), rel=1e-12)
+        assert report.delta_tail <= 1e-15 * linf_norm(result.delta)
+        t = interior_nodes(-3.0, 3.0)
+        x = prob.map.x_of_t(t) - prob.x_shift
+        gap = band_limited_evaluator(result.delta_hat)(x) \
+            - band_limited_evaluator(full)(x)
+        # plus the rounding of the two sums, one ulp of their scale
+        mass = prob.grid.dxi / (2.0 * np.pi) * np.sum(np.abs(full.values))
+        assert np.max(np.abs(gap)) <= report.delta_tail \
+            + np.finfo(float).eps * mass
+        assert report.nu_inf <= 1.05 * report.nu_bound \
+            or report.nu_floor_limited
+        phase = build_phase(result, prob)
+        res = np.max(np.abs(kummer_residual(phase, prob.coefficient.q, t)))
+        q_inf = float(np.max(prob.coefficient.q(t)))
+        assert res <= q_inf * report.nu_inf / 4.0 \
+            + 1e-10 * prob.lam ** 2 * q_inf
