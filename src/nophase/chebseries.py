@@ -49,10 +49,27 @@ class ChebSeries:
     def adaptive_fit(cls, f, a, b, tol=1e-13, min_n=16, max_n=4096):
         """Double the node count until the coefficient tail drops below
         tol relative to the largest coefficient; raises NumericalError
-        when n reaches max_n without passing that test."""
+        when n reaches max_n without passing that test.
+
+        The n-point Lobatto nodes are the even nodes of the 2n-point set,
+        bit for bit, so each doubling calls f only at the new odd nodes
+        and f sees every node of the final fit exactly once."""
+        known = None
+
+        def nested(t):
+            nonlocal known
+            if known is None:
+                known = np.asarray(f(t), dtype=float)
+            else:
+                finer = np.empty(len(t))
+                finer[0::2] = known
+                finer[1::2] = f(t[1::2])
+                known = finer
+            return known
+
         n = min_n
         while True:
-            series = cls.fit(f, a, b, n)
+            series = cls.fit(nested, a, b, n)
             c = np.abs(series.coef)
             cmax = float(np.max(c))
             tail = float(np.max(c[-max(2, n // 8):]))

@@ -5,7 +5,8 @@ forcing p, and the fitted decay certificate (Gamma, mu) for p-hat.
 
 import json
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -72,6 +73,13 @@ class Coefficient:
             d2q = d2q if d2q is not None else fd_d2q
         return cls(q=q, dq=dq, d2q=d2q, interval_a=a, interval_b=b,
                    extension_width=w)
+
+    @cached_property
+    def prepared(self):
+        """The lambda-independent setup of every solve for this
+        coefficient (`prepare`), built on first use and kept as long as
+        the coefficient is."""
+        return prepare(self)
 
 
 class ExtendedCoefficient:
@@ -262,36 +270,77 @@ def below_floor(vals):
     return absv < CLEAN_REL * np.max(absv)
 
 
-def forcing_transform(ext, cmap, grid, x_shift):
-    """p-hat on the grid, from p on the coarsest grid over the same
-    [-L, L) that resolves it.
+def default_half_width(cmap):
+    """The grid half-width L that covers the support of p with margin."""
+    span = 0.5 * (cmap.x_hi - cmap.x_lo)
+    return 1.3 * span + 1.0
 
-    Starting from BASE_N points, the point count doubles until p-hat,
-    floored at CLEAN_REL, vanishes on the outer half of its frequency
-    range, or until it reaches the grid's own N.  The grids are nested,
-    so each doubling evaluates p only at the new midpoints, and p is
-    evaluated at no more than N points.  The floored p-hat is then
-    zero-padded onto the grid."""
+
+@dataclass(frozen=True, eq=False)
+class PreparedCoefficient:
+    """The lambda-independent part of every solve for one coefficient:
+    the extension, the coordinate map, the default grid half-width, the
+    shift that centers the grid on the support of p, and p on the nested
+    grids of `forcing_transform`, kept per (L, n) and extended on
+    demand."""
+
+    extended: ExtendedCoefficient
+    map: CoordinateMap
+    half_width: float
+    x_shift: float
+    levels: dict = field(default_factory=dict)
+
+    def level(self, L, n):
+        """p and its transform, floored at CLEAN_REL, on SpectralGrid(L, n).
+        When the level with n/2 points exists, p is evaluated only at the
+        new midpoints."""
+        if (L, n) not in self.levels:
+            grid = SpectralGrid(L, n)
+            coarse = self.levels.get((L, n // 2))
+            if coarse is None:
+                p = schwarzian_p(self.extended, self.map, grid,
+                                 self.x_shift).values
+            else:
+                # the finer grid's own odd nodes, not the coarse nodes +
+                # dx/2, so that every node rounds as on the full grid
+                mid = _forcing(self.extended, self.map,
+                               grid.x[1::2] + self.x_shift)
+                p = np.stack((coarse[0], mid), axis=1).ravel()
+            p_hat = forward(RealSample(grid, p)).values
+            p_hat[below_floor(p_hat)] = 0.0
+            p.flags.writeable = p_hat.flags.writeable = False
+            self.levels[(L, n)] = (p, p_hat)
+        return self.levels[(L, n)]
+
+
+def prepare(coefficient):
+    """Build the lambda-independent setup of a coefficient; p is sampled
+    later, level by level, as solves ask for it."""
+    ext = ExtendedCoefficient(coefficient)
+    cmap = build_map(ext)
+    return PreparedCoefficient(extended=ext, map=cmap,
+                               half_width=default_half_width(cmap),
+                               x_shift=0.5 * (cmap.x_lo + cmap.x_hi))
+
+
+def forcing_transform(prep, grid):
+    """p-hat on the coarsest grid over the grid's [-L, L) that resolves it.
+
+    Starting from BASE_N points (or the grid's N, if smaller), the point
+    count doubles until p-hat, floored at CLEAN_REL, vanishes on the outer
+    half of its frequency range, or until it reaches the grid's own N.
+    The grids are nested (`PreparedCoefficient.level`), so p is evaluated
+    at no more than N points, and only once per coefficient.  Returns that
+    level's grid and its floored p-hat values."""
     L, n = grid.half_width, min(BASE_N, grid.n_points)
-    level = SpectralGrid(L, n)
-    p = schwarzian_p(ext, cmap, level, x_shift).values
     while True:
-        p_hat = forward(RealSample(level, p)).values
-        p_hat[below_floor(p_hat)] = 0.0
+        p, p_hat = prep.level(L, n)
         outer = np.abs(np.arange(n) - n // 2) >= n // 4
         if n == grid.n_points or not np.any(p_hat[outer]):
             break
         n *= 2
-        level = SpectralGrid(L, n)
-        # the finer grid's own odd nodes, not the coarse nodes + dx/2, so
-        # that every node rounds as on the full grid
-        mid = _forcing(ext, cmap, level.x[1::2] + x_shift)
-        p = np.stack((p, mid), axis=1).ravel()
-    _require_vanishing_edges(p, cmap)  # at the final level's end nodes
-    vals = np.zeros(grid.n_points, dtype=complex)
-    start = (grid.n_points - n) // 2
-    vals[start:start + n] = p_hat
-    return SpectralSample(grid, vals)
+    _require_vanishing_edges(p, prep.map)  # at the final level's end nodes
+    return SpectralGrid(L, n), p_hat
 
 
 def fit_decay(p_hat):
@@ -390,8 +439,7 @@ def choose_grid(cmap, lam, L=None, N=None):
     xi_max comfortably above 2 sqrt(2) lambda so quadratic terms of the
     iteration stay resolved."""
     if L is None:
-        span = 0.5 * (cmap.x_hi - cmap.x_lo)
-        L = 1.3 * span + 1.0
+        L = default_half_width(cmap)
     if N is None:
         need = 2.0 * L * 2.0 * np.sqrt(2.0) * 1.15 * lam / np.pi
         N = _next_pow2(int(np.ceil(max(need, 1024))))
@@ -405,21 +453,37 @@ def choose_grid(cmap, lam, L=None, N=None):
 
 
 def build_problem(coefficient, lam, L=None, N=None):
-    """Assemble a CoefficientProblem: extension, map, grid, forcing,
-    transform, and decay fit.  Values of p_hat below the round-off floor
-    are zeroed so the decay certificate is meaningful at every node."""
+    """Assemble a CoefficientProblem: grid, forcing transform and decay
+    fit, on the coefficient's prepared lambda-independent setup
+    (`Coefficient.prepared`: extension, map, and p on nested grids).
+
+    The grid is `choose_grid`'s, with xi_max above 2 sqrt(2) lambda,
+    except in one regime: when N is not given, p-hat's base level is
+    resolved, and lambda >= that level's xi_max, the problem lives on the
+    base level itself.  The cutoff is then 1 at every node, and
+    `solve_problem` solves with `make_unit_bump`.  Values of p_hat below
+    the round-off floor are zeroed so the decay certificate is meaningful
+    at every node."""
     if lam <= 0:
         raise DomainError("lambda must be positive")
-    ext = ExtendedCoefficient(coefficient)
-    cmap = build_map(ext)
-    grid = choose_grid(cmap, lam, L=L, N=N)
-    x_shift = 0.5 * (cmap.x_lo + cmap.x_hi)
-    p_hat = forcing_transform(ext, cmap, grid, x_shift)
+    prep = coefficient.prepared
+    grid = choose_grid(prep.map, lam,
+                       L=prep.half_width if L is None else L, N=N)
+    level, level_hat = forcing_transform(prep, grid)
+    # a level that stopped at N without resolving p-hat is choose_grid's
+    # own grid, whose xi_max exceeds 2 sqrt(2) lambda, so it never passes
+    if N is None and lam >= level.xi_max:
+        grid = level
+    vals = np.zeros(grid.n_points, dtype=complex)
+    start = (grid.n_points - level.n_points) // 2
+    vals[start:start + level.n_points] = level_hat
+    p_hat = SpectralSample(grid, vals)
     gamma, mu = fit_decay(p_hat)
-    prob = CoefficientProblem(coefficient=coefficient, extended=ext,
-                              lam=float(lam), map=cmap, grid=grid,
-                              p_hat=p_hat, gamma_fit=gamma, mu_fit=mu,
-                              x_shift=x_shift)
+    prob = CoefficientProblem(coefficient=coefficient,
+                              extended=prep.extended, lam=float(lam),
+                              map=prep.map, grid=grid, p_hat=p_hat,
+                              gamma_fit=gamma, mu_fit=mu,
+                              x_shift=prep.x_shift)
     hyp = check_hypotheses(prob)
     if not hyp.certified:
         warnings.warn(

@@ -49,13 +49,7 @@ class Bump:
     multiplier: np.ndarray
 
 
-def make_bump(grid, lam):
-    """Evaluate the cutoff at the frequency nodes; requires
-    xi_max >= 2 sqrt(2) lambda."""
-    if grid.xi_max < 2.0 * _SQRT2 * lam:
-        raise ConfigurationError(
-            "xi_max must be at least 2*sqrt(2)*lambda to resolve the cutoff"
-        )
+def _cutoff(grid, lam):
     c = 0.5 * (_SQRT2 * lam + lam)
     alpha = 0.25 * (_SQRT2 * lam - lam)
     xi = grid.xi
@@ -63,6 +57,27 @@ def make_bump(grid, lam):
     b_hat = SpectralSample(grid, vals.astype(complex))
     return Bump(grid=grid, lam=float(lam), b_hat=b_hat, c=c, alpha=alpha,
                 multiplier=invert_helmholtz(b_hat, float(lam)).values.real)
+
+
+def make_bump(grid, lam):
+    """Evaluate the cutoff at the frequency nodes; requires
+    xi_max >= 2 sqrt(2) lambda."""
+    if grid.xi_max < 2.0 * _SQRT2 * lam:
+        raise ConfigurationError(
+            "xi_max must be at least 2*sqrt(2)*lambda to resolve the cutoff"
+        )
+    return _cutoff(grid, lam)
+
+
+def make_unit_bump(grid, lam):
+    """The same cutoff on a grid inside its plateau, where bhat is exactly
+    1 at every node and the band multiplier is 1/(4 lambda^2 - xi^2);
+    requires xi_max <= lambda."""
+    if grid.xi_max > lam:
+        raise ConfigurationError(
+            "xi_max must be at most lambda for the cutoff to be 1 on the grid"
+        )
+    return _cutoff(grid, lam)
 
 
 def apply_Wb(f, bump):
@@ -183,6 +198,7 @@ class BoundsReport:
     nu_bound_ok: bool
     nu_floor_limited: bool
     delta_tail: float     # mass of delta-hat cut below its floor
+    band_tail: float      # bound on the mass of sigma-hat beyond xi_max
 
     def as_dict(self):
         return asdict(self)
@@ -211,7 +227,15 @@ def extract_solution(state, bump, prob):
     delta-hat is cut to its floor support: values below the floor p-hat
     has (CLEAN_REL times the largest) are zeroed.  The report's
     delta_tail is the mass cut, (dxi/2pi) sum |delta-hat_cut|, which
-    bounds the change in delta at every x."""
+    bounds the change in delta at every x.
+
+    When bhat is 1 at every node (`make_unit_bump`), sigma-hat is psi and
+    nu is zero by construction: the report marks nu as not measured
+    (nu_floor_limited) and keeps nu_bound.  The grid then ends inside the
+    cutoff's support, and band_tail is the mass beyond xi_max of the
+    sigma-hat decay bound that the report checks,
+    (1/2pi) int_{|xi| > xi_max} (1 + 2 Gamma/lambda) Gamma e^{-mu |xi|};
+    it is 0 on a grid that holds the whole support."""
     lam = bump.lam
     psi = state.psi
     grid = psi.grid
@@ -256,8 +280,13 @@ def extract_solution(state, bump, prob):
         nu_bound = (gamma / (2.0 * mu)) * (1.0 + 4.0 * gamma / lam) \
             * np.exp(-mu * lam)
     nu_floor = BOUND_FLOOR_REL * max(float(np.max(np.abs(psi.values))), 1e-300)
-    nu_floor_limited = nu_bound < nu_floor
+    nu_floor_limited = nu_bound < nu_floor or bool(np.all(b == 1.0))
     nu_ok = bool(nu_inf <= NU_SLACK * nu_bound or nu_inf <= nu_floor)
+    if grid.xi_max < _SQRT2 * lam and not prob.degenerate:
+        band_tail = (1.0 + 2.0 * gamma / lam) * gamma / (np.pi * mu) \
+            * np.exp(-mu * grid.xi_max)
+    else:
+        band_tail = 0.0
 
     report = BoundsReport(
         lam=lam, gamma=gamma, mu=mu, w_l1=hyp.w_l1,
@@ -274,14 +303,22 @@ def extract_solution(state, bump, prob):
         nu_bound_ok=nu_ok,
         nu_floor_limited=bool(nu_floor_limited),
         delta_tail=delta_tail,
+        band_tail=float(band_tail),
     )
     return SolveResult(psi=psi, sigma_hat=sigma_hat, nu=nu,
                        delta_hat=delta_hat, bounds_report=report)
 
 
 def solve_problem(prob, tol=1e-14, max_iter=100):
-    """Convenience wrapper: bump, iteration, extraction."""
-    bump = make_bump(prob.grid, prob.lam)
+    """Convenience wrapper: bump, iteration, extraction.
+
+    On a grid with xi_max <= lambda (the regime `build_problem` picks
+    once lambda passes p-hat's base band) the cutoff is 1 at every node,
+    and the bump is `make_unit_bump`'s; otherwise it is `make_bump`'s."""
+    if prob.grid.xi_max <= prob.lam:
+        bump = make_unit_bump(prob.grid, prob.lam)
+    else:
+        bump = make_bump(prob.grid, prob.lam)
     state = fixed_point_solve(prob.p_hat, prob.lam, tol=tol,
                               max_iter=max_iter, bump=bump)
     return extract_solution(state, bump, prob), state

@@ -7,7 +7,8 @@ import pytest
 from scipy.fft import dct
 
 import nophase
-from nophase.chebseries import ChebSeries, PiecewiseCheb, values_to_coeffs
+from nophase.chebseries import (ChebSeries, PiecewiseCheb, lobatto_nodes,
+                                values_to_coeffs)
 from nophase.errors import NumericalError
 
 
@@ -60,3 +61,19 @@ class TestChebSeries:
         # the kink at 0 keeps the tail near 1/n^2 at every n up to max_n
         with pytest.raises(NumericalError):
             ChebSeries.adaptive_fit(np.abs, -1.0, 1.0)
+
+    def test_each_final_node_evaluated_once(self):
+        seen = []
+
+        def f(t):
+            seen.append(np.array(t))
+            return 1.0 / (1.0 + 25.0 * t * t)
+
+        series = ChebSeries.adaptive_fit(f, -1.0, 2.0)
+        n = len(series.coef) - 1
+        assert len(seen) > 2
+        np.testing.assert_array_equal(np.sort(np.concatenate(seen)),
+                                      lobatto_nodes(n, -1.0, 2.0))
+        # and the fit is the one-shot fit at the final nodes
+        np.testing.assert_array_equal(series.coef,
+                                      ChebSeries.fit(f, -1.0, 2.0, n).coef)

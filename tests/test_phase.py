@@ -101,7 +101,8 @@ class TestBuildPhase:
         assert np.max(np.abs(phase.alpha_t(t) - ref)) <= 1e-11 * np.max(ref)
 
     def test_delta_series_summed_once(self, sech_coefficient, monkeypatch):
-        # one doubling fit of delta(x(t)): Lobatto nodes 17 + 33 + 65 + 129
+        # one doubling fit of delta(x(t)) to 129 Lobatto nodes, each
+        # doubling summing only at its new odd nodes
         prob = build_problem(sech_coefficient, 80.0)
         result, _ = solve_problem(prob)
         points = []
@@ -118,7 +119,7 @@ class TestBuildPhase:
 
         monkeypatch.setattr(nophase.phase, "band_limited_evaluator", counting)
         build_phase(result, prob)
-        assert sum(points) == 17 + 33 + 65 + 129
+        assert sum(points) == 129
 
 
 class TestEvalBasis:

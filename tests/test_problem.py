@@ -5,6 +5,7 @@ import pytest
 from scipy.integrate import quad
 from scipy.interpolate import CubicSpline
 
+import nophase.problem
 from conftest import (d2sech2, dsech2, make_constant_coefficient,
                       make_sech_coefficient, sech2)
 from nophase.errors import ConfigurationError, DomainError, FitError
@@ -190,7 +191,7 @@ class TestForcingTransform:
         build_map(coeff)
         map_points = np.unique(np.concatenate(seen)).size
         seen.clear()
-        prob = build_problem(coeff, 1280.0)
+        prob = build_problem(coeff, 1280.0, N=65536)
         assert prob.grid.n_points == 65536
         points = np.unique(np.concatenate(seen)).size
         assert points <= 8192 + map_points
@@ -218,6 +219,40 @@ class TestForcingTransform:
         assert prob.grid.n_points == 2048
         np.testing.assert_array_equal(prob.p_hat.values,
                                       full_grid_transform(prob))
+
+    def test_setup_prepared_once_per_coefficient(self, monkeypatch):
+        seen = []
+
+        def counted(f):
+            def call(t):
+                seen.append(np.size(t))
+                return f(t)
+            return call
+
+        maps = []
+        original = nophase.problem.build_map
+        monkeypatch.setattr(nophase.problem, "build_map",
+                            lambda c: maps.append(c) or original(c))
+        coeff = Coefficient.make(counted(sech2), -3.0, 3.0,
+                                 dq=counted(dsech2), d2q=counted(d2sech2),
+                                 extension_width=4.0)
+        build_problem(coeff, 1280.0)
+        seen.clear()
+        prob = build_problem(coeff, 320.0)
+        assert prob.grid.n_points == 16384
+        assert seen == []
+        assert len(maps) == 1
+
+    # the finite-difference route is uncertified at this lambda
+    @pytest.mark.filterwarnings("ignore:solvability hypotheses")
+    def test_noisy_forcing_keeps_the_lambda_grid(self):
+        # finite-difference noise never lets p-hat's base level resolve,
+        # so a large lambda keeps the 2 sqrt(2) lambda grid
+        coeff = Coefficient.make(compile_expression("1 + sech(t)**2"),
+                                 -3.0, 3.0, extension_width=4.0)
+        prob = build_problem(coeff, 1280.0)
+        assert prob.grid == choose_grid(prob.map, 1280.0)
+        assert prob.grid.n_points == 65536
 
 
 class TestFitDecay:

@@ -1,5 +1,8 @@
+import dataclasses
+
 import numpy as np
 import pytest
+from scipy.integrate import quad
 
 from conftest import make_constant_coefficient
 from nophase.phase import (band_limited_evaluator, build_phase,
@@ -8,10 +11,11 @@ from nophase.convexp import exp2_star_series
 from nophase.errors import ConfigurationError, ConvergenceError
 from nophase.grid import (RealSample, SpectralGrid, SpectralSample, convolve,
                           forward, l1_norm, linf_norm, zeros_spectral)
-from nophase.problem import build_problem
+from nophase.problem import build_problem, decay_bound
 from nophase.solver import (apply_R, apply_T, apply_Wb, apply_Wb_tilde,
                             extract_solution, fixed_point_solve,
-                            invert_helmholtz, make_bump, solve_problem)
+                            invert_helmholtz, make_bump, make_unit_bump,
+                            solve_problem)
 
 SQRT2 = np.sqrt(2.0)
 
@@ -62,6 +66,24 @@ class TestBump:
     def test_resolution_guard(self):
         with pytest.raises(ConfigurationError):
             make_bump(SpectralGrid(8.0, 64), 50.0)
+
+
+class TestUnitBump:
+    def test_same_cutoff_on_its_plateau(self):
+        # a grid inside [-lam, lam] over the same [-L, L) as a full one
+        lam = 10.0
+        full = make_bump(band_grid(lam), lam)
+        grid = SpectralGrid(8.0, 32)
+        assert grid.xi_max <= lam
+        unit = make_unit_bump(grid, lam)
+        assert np.all(unit.b_hat.values == 1.0)
+        on = np.isin(full.grid.xi, grid.xi)
+        np.testing.assert_array_equal(unit.multiplier, full.multiplier[on])
+        assert (unit.c, unit.alpha) == (full.c, full.alpha)
+
+    def test_plateau_guard(self):
+        with pytest.raises(ConfigurationError):
+            make_unit_bump(SpectralGrid(8.0, 64), 5.0)
 
 
 class TestBandOperators:
@@ -266,7 +288,7 @@ class TestExtractSolution:
             or report.nu_floor_limited
 
     def test_delta_cut_to_its_floor_support(self, sech_coefficient):
-        prob = build_problem(sech_coefficient, 1280.0)
+        prob = build_problem(sech_coefficient, 1280.0, N=65536)
         result, _ = solve_problem(prob)
         report = result.bounds_report
         full = invert_helmholtz(result.sigma_hat, prob.lam)
@@ -293,3 +315,46 @@ class TestExtractSolution:
         q_inf = float(np.max(prob.coefficient.q(t)))
         assert res <= q_inf * report.nu_inf / 4.0 \
             + 1e-10 * prob.lam ** 2 * q_inf
+
+
+class TestBaseBandGrid:
+    FLAGS = ("certified", "lambda_hypothesis_ok", "w_l1_hypothesis_ok",
+             "sigma_support_ok", "sigma_decay_ok", "nu_bound_ok")
+
+    def test_matches_the_full_grid(self, sech_coefficient):
+        # once lambda passes p-hat's base band the default grid is that
+        # band's, where the cutoff is 1 at every node
+        t = interior_nodes(-3.0, 3.0)
+        solved = []
+        for N in (None, 65536):
+            prob = build_problem(sech_coefficient, 1280.0, N=N)
+            result, _ = solve_problem(prob)
+            solved.append((prob, result, build_phase(result, prob)))
+        (base, result, phase), (full, full_result, full_phase) = solved
+        assert base.grid.n_points == 8192 and base.grid.xi_max <= base.lam
+        assert full.grid.n_points == 65536
+        np.testing.assert_array_equal(phase.r_t(t), full_phase.r_t(t))
+        assert phase.delta_degree == full_phase.delta_degree
+        for res in (result, full_result):
+            assert all(getattr(res.bounds_report, f) for f in self.FLAGS)
+        report = result.bounds_report
+        assert report.nu_inf == 0.0 and report.nu_floor_limited
+        assert report.nu_bound == full_result.bounds_report.nu_bound
+        assert 0.0 < report.band_tail <= 1e-15 * linf_norm(result.delta)
+        assert full_result.bounds_report.band_tail == 0.0
+
+    def test_nu_not_measured_on_the_unit_grid(self, sech_coefficient):
+        # a weaker decay fit puts nu_bound and band_tail far above
+        # round-off; on the unit grid nu is still zero by construction
+        prob = dataclasses.replace(build_problem(sech_coefficient, 1280.0),
+                                   mu_fit=0.01)
+        result, _ = solve_problem(prob)
+        report = result.bounds_report
+        assert report.nu_bound > 1e-6
+        assert report.nu_inf == 0.0 and report.nu_floor_limited
+        gamma, lam = prob.gamma_fit, prob.lam
+        tail = quad(lambda xi: (1.0 + 2.0 * gamma / lam)
+                    * decay_bound(xi, gamma, 0.01),
+                    prob.grid.xi_max, np.inf, epsabs=0.0, epsrel=1e-12)[0]
+        assert report.band_tail == pytest.approx(2.0 * tail / (2.0 * np.pi),
+                                                 rel=1e-10)
