@@ -5,9 +5,11 @@ derivatives) at lambda = 20, 80, 320, 1280 on one fresh Coefficient per
 pass, as perfbench's solve-ladder workload does, and prints one JSON
 object.  Per lambda it gives the median over the timed passes (one
 untimed warm-up pass first) of the ms spent in `build_problem`, the bump,
-the fixed point, the extraction and `build_phase`, with the grid N, the
-points at which q, q' and q'' are evaluated in `build_problem`, and the
-points at which delta's trigonometric series is summed.
+the fixed point, the extraction, `build_phase`, and the checks
+(`kummer_residual` and `eval_basis` at the 400 interior nodes, as
+solve-ladder runs them), with the grid N, the points at which q, q' and
+q'' are evaluated in `build_problem`, and the points at which delta's
+trigonometric series is summed.
 
 The bump is timed as `solve_problem` minus its fixed point and its
 extraction, so the script runs unchanged on trees that choose the bump
@@ -24,7 +26,9 @@ import numpy as np
 
 import nophase.phase
 import nophase.solver
-from nophase import Coefficient, build_phase, build_problem, solve_problem
+from nophase import (Coefficient, build_phase, build_problem, eval_basis,
+                     kummer_residual, solve_problem)
+from nophase.phase import interior_nodes
 
 LAMBDAS = (20.0, 80.0, 320.0, 1280.0)
 
@@ -82,6 +86,7 @@ def one_pass(stages):
                              dq=stages.counted(dsech2, "q_points"),
                              d2q=stages.counted(d2sech2, "q_points"),
                              extension_width=4.0)
+    nodes = interior_nodes(-3.0, 3.0)
     rows = {}
     for lam in LAMBDAS:
         for key in stages.points:
@@ -94,6 +99,9 @@ def one_pass(stages):
         t2 = time.perf_counter()
         phase = build_phase(result, prob)
         t3 = time.perf_counter()
+        np.max(np.abs(kummer_residual(phase, coeff.q, nodes)))
+        eval_basis(phase, nodes)
+        t4 = time.perf_counter()
         solve_ms = 1e3 * (t2 - t1)
         rows[lam] = {
             "build_problem_ms": 1e3 * (t1 - t0),
@@ -102,6 +110,7 @@ def one_pass(stages):
             "fixed_point_ms": stages.ms["fixed_point_solve"],
             "extract_ms": stages.ms["extract_solution"],
             "build_phase_ms": 1e3 * (t3 - t2),
+            "checks_ms": 1e3 * (t4 - t3),
             "grid_n": prob.grid.n_points,
             "q_points": q_points,
             "evaluator_points": stages.points["evaluator_points"],

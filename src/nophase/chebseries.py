@@ -2,7 +2,7 @@
 fitting at Lobatto nodes, evaluation, differentiation, and
 antidifferentiation (Clenshaw-Curtis style)."""
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 from numpy.polynomial import chebyshev as C
@@ -35,15 +35,19 @@ def values_to_coeffs(values_ascending):
 
 @dataclass(frozen=True)
 class ChebSeries:
+    """A Chebyshev series on [a, b].  A fitted series keeps the values at
+    its ascending Lobatto nodes that it was fitted from (`values`)."""
+
     a: float
     b: float
     coef: np.ndarray
+    values: np.ndarray = field(default=None, repr=False, compare=False)
 
     @classmethod
     def fit(cls, f, a, b, n):
         """Interpolate f at n+1 Lobatto nodes."""
-        t = lobatto_nodes(n, a, b)
-        return cls(a=a, b=b, coef=values_to_coeffs(f(t)))
+        values = np.asarray(f(lobatto_nodes(n, a, b)), dtype=float)
+        return cls(a=a, b=b, coef=values_to_coeffs(values), values=values)
 
     @classmethod
     def adaptive_fit(cls, f, a, b, tol=1e-13, min_n=16, max_n=4096):
@@ -87,19 +91,38 @@ class ChebSeries:
     def __call__(self, t):
         return C.chebval(self._s(t), self.coef)
 
+    def sampled(self, t):
+        """The series at t, read from the fitted values where t is one of
+        the fit's Lobatto nodes and summed elsewhere.  The nodes of every
+        coarser doubling level on [a, b] are fit nodes, bit for bit."""
+        t = np.asarray(t, dtype=float)
+        if self.values is None:
+            return self(t)
+        nodes = lobatto_nodes(len(self.values) - 1, self.a, self.b)
+        idx = np.minimum(np.searchsorted(nodes, t), len(nodes) - 1)
+        hit = nodes[idx] == t
+        out = np.where(hit, self.values[idx], 0.0)
+        if not np.all(hit):
+            out[~hit] = self(t[~hit])
+        return out
+
     def deriv(self):
         return ChebSeries(self.a, self.b,
                           C.chebder(self.coef) * (2.0 / (self.b - self.a)))
 
     def antideriv(self, anchor=None, value=0.0):
         """Antiderivative; anchored so that it equals `value` at `anchor`
-        (defaults to the left endpoint)."""
+        (defaults to the left endpoint).  At an endpoint the value is
+        sum_k c_k T_k(+-1) = sum_k c_k (+-1)^k."""
         coef = C.chebint(self.coef) * (0.5 * (self.b - self.a))
-        out = ChebSeries(self.a, self.b, coef)
         t0 = self.a if anchor is None else anchor
-        shift = value - out(t0)
-        coef = coef.copy()
-        coef[0] += shift
+        if t0 == self.a:
+            at = np.sum(coef[0::2]) - np.sum(coef[1::2])
+        elif t0 == self.b:
+            at = np.sum(coef)
+        else:
+            at = ChebSeries(self.a, self.b, coef)(t0)
+        coef[0] += value - at
         return ChebSeries(self.a, self.b, coef)
 
     def degree_for_tail(self, rel=1e-12):

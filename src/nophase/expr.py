@@ -52,6 +52,8 @@ def _validate(node, var):
 def compile_expression(source, var="t"):
     """Compile an expression string into a vectorized callable of one
     variable.  Raises DomainError for anything outside the whitelist."""
+    if not isinstance(source, str):
+        raise DomainError(f"an expression must be a string, not {source!r}")
     try:
         tree = ast.parse(source, mode="eval")
     except SyntaxError as exc:

@@ -7,9 +7,11 @@ band-limited correction delta is summed from its trigonometric series
 (exact for band-limited data) once, at the Lobatto nodes of a single
 adaptive Chebyshev fit of delta(x(t)) over [a, b]; r, its derivatives and
 alpha are built from that series, because alpha grows linearly and is not
-periodic.
+periodic.  The fits of r and of alpha' read delta and r from the values
+those were fitted from, at the nodes they share.
 """
 
+import math
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -17,8 +19,6 @@ import numpy as np
 from .chebseries import ChebSeries
 from .errors import DomainError, MagnitudeError
 from .grid import RealSample, SpectralSample, forward, inverse
-
-_CHUNK = 512
 
 
 def apply_S(f, lam):
@@ -35,27 +35,41 @@ def apply_S(f, lam):
 
 def band_limited_evaluator(F):
     """Callable x -> f(x) = (dxi/2pi) Re sum_k F_k exp(i x xi_k), summing
-    only over the support nodes.  Exact for band-limited samples.
+    only up to the last support node.  Exact for band-limited samples.
 
     Each xi > 0 is paired with -xi, since Re F_{-k} e^{-i x xi_k} =
     Re conj(F_{-k}) e^{i x xi_k}; the unpaired node -N/2 dxi is summed as
-    +N/2 dxi with coefficient conj(F_{-N/2}).  So only xi >= 0 is summed."""
+    +N/2 dxi with coefficient conj(F_{-N/2}).  So only k = 0 .. top-1 is
+    summed, where c_k = 0 beyond top.  It is summed in blocks of
+    B = ceil(sqrt(N/2 + 1)) nodes,
+
+        sum_k c_k e^{i x k dxi}
+            = sum_q e^{i x qB dxi} (sum_r c_{qB+r} e^{i x r dxi}),
+
+    from two tables of exponentials (points x B and points x Q, with
+    Q = ceil(top/B)) and one matrix product, instead of one exponential
+    per point and node.  B depends on the grid alone, so evaluators of
+    two samples on one grid build the same tables."""
     v, half = F.values, F.grid.n_points // 2
     folded = np.empty(half + 1, dtype=complex)
     folded[0] = v[half]
     folded[1:half] = v[half + 1:] + np.conj(v[half - 1:0:-1])
     folded[half] = np.conj(v[0])
-    on = np.abs(folded) > 0.0
-    xi = np.arange(half + 1)[on] * F.grid.dxi
-    coef = folded[on] * (F.grid.dxi / (2.0 * np.pi))
+    support = np.flatnonzero(folded)
+    top = int(support[-1]) + 1 if support.size else 0
+    block = math.isqrt(half) + 1  # ceil(sqrt(half + 1))
+    blocks = -(-top // block)
+    coef = np.zeros(blocks * block, dtype=complex)
+    coef[:top] = folded[:top] * (F.grid.dxi / (2.0 * np.pi))
+    coef = coef.reshape(blocks, block).T
+    fine = np.arange(block) * F.grid.dxi
+    coarse = np.arange(0, blocks * block, block) * F.grid.dxi
 
     def evaluate(x):
         x = np.atleast_1d(np.asarray(x, dtype=float))
-        out = np.empty_like(x)
-        for start in range(0, len(x), _CHUNK):
-            xs = x[start:start + _CHUNK]
-            out[start:start + _CHUNK] = np.exp(1j * np.outer(xs, xi)).dot(coef).real
-        return out
+        inner = np.exp(1j * np.outer(x, fine)).dot(coef)
+        return np.einsum("pq,pq->p", np.exp(1j * np.outer(x, coarse)),
+                         inner).real
 
     return evaluate
 
@@ -81,9 +95,13 @@ class PhaseFunction:
     @classmethod
     def from_log_derivative(cls, r, dr, d2r, lam, a, b, tail_tol=1e-13):
         """Build from analytic callables for r and its derivatives; alpha
-        is obtained by Clenshaw-Curtis antidifferentiation."""
+        is obtained by Clenshaw-Curtis antidifferentiation.  A fitted
+        `ChebSeries` r is read from its own samples at the speed fit's
+        nodes (`ChebSeries.sampled`)."""
+        r_at = r.sampled if isinstance(r, ChebSeries) else r
         speed = ChebSeries.adaptive_fit(
-            lambda t: lam * np.exp(0.5 * np.asarray(r(t))), a, b, tol=tail_tol)
+            lambda t: lam * np.exp(0.5 * np.asarray(r_at(t))), a, b,
+            tol=tail_tol)
         alpha = speed.antideriv(anchor=a, value=0.0)
         return cls(lam=lam, a=a, b=b, r_t=r, dr_t=dr, d2r_t=d2r,
                    alpha_t=alpha)
@@ -103,7 +121,7 @@ def build_phase(result, prob, tail_tol=1e-13):
     delta = ChebSeries.adaptive_fit(
         lambda t: delta_on_grid(x_of_t(t) - shift), a, b, tol=tail_tol)
     r = ChebSeries.adaptive_fit(
-        lambda t: np.log(prob.coefficient.q(t)) + delta(t), a, b,
+        lambda t: np.log(prob.coefficient.q(t)) + delta.sampled(t), a, b,
         tol=tail_tol)
     dr = r.deriv()
     phase = PhaseFunction.from_log_derivative(r, dr, dr.deriv(), prob.lam,

@@ -4,6 +4,8 @@ forcing p, and the fitted decay certificate (Gamma, mu) for p-hat.
 """
 
 import json
+import math
+import numbers
 import warnings
 from dataclasses import dataclass, field
 from functools import cached_property
@@ -27,6 +29,14 @@ BASE_N = 1024           # points of the first grid p is sampled on
 _FD1 = np.array([4.0 / 5.0, -1.0 / 5.0, 4.0 / 105.0, -1.0 / 280.0])
 _FD2 = np.array([8.0 / 5.0, -1.0 / 5.0, 8.0 / 315.0, -1.0 / 560.0])
 _FD2_CENTER = -205.0 / 72.0
+
+
+def _finite(value, name):
+    """value as a float; DomainError unless it is a finite real number."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Real) \
+            or not math.isfinite(value):
+        raise DomainError(f"{name} must be a finite number, not {value!r}")
+    return float(value)
 
 
 def _fd_derivatives(q, h):
@@ -64,9 +74,15 @@ class Coefficient:
 
     @classmethod
     def make(cls, q, a, b, dq=None, d2q=None, extension_width=None):
+        a, b = _finite(a, "a"), _finite(b, "b")
         if not (a < b):
             raise DomainError("interval must satisfy a < b")
-        w = extension_width if extension_width is not None else 0.5 * (b - a)
+        if extension_width is None:
+            w = 0.5 * (b - a)
+        else:
+            w = _finite(extension_width, "extension_width")
+            if w <= 0.0:
+                raise DomainError("extension_width must be positive")
         if dq is None or d2q is None:
             fd_dq, fd_d2q = _fd_derivatives(q, 1e-3 * (b - a))
             dq = dq if dq is not None else fd_dq
@@ -517,10 +533,11 @@ def load_problem_file(path):
 
 
 def problem_config_from_dict(data):
+    if not isinstance(data, dict):
+        raise DomainError("problem definition must be a JSON object")
     for key in ("q", "a", "b"):
         if key not in data:
             raise DomainError(f"problem definition is missing {key!r}")
-    a, b = float(data["a"]), float(data["b"])
     qdef = data["q"]
     dq = d2q = None
     if isinstance(qdef, str):
@@ -541,12 +558,20 @@ def problem_config_from_dict(data):
         d2q = spline.derivative(2)
     else:
         raise DomainError("q must be an expression string or a sample table")
-    coeff = Coefficient.make(q, a, b, dq=dq, d2q=d2q,
+    coeff = Coefficient.make(q, data["a"], data["b"], dq=dq, d2q=d2q,
                              extension_width=data.get("extension_width"))
     gridspec = data.get("grid", {})
+    if not isinstance(gridspec, dict):
+        raise DomainError("grid must be an object with keys L and N")
+    grid_N = None
+    if "N" in gridspec:
+        grid_N = _finite(gridspec["N"], "grid N")
+        if not grid_N.is_integer():
+            raise DomainError(f"grid N must be an integer, not {grid_N!r}")
+        grid_N = int(grid_N)
     return ProblemConfig(
         coefficient=coeff,
-        lam=float(data["lambda"]) if "lambda" in data else None,
-        grid_L=float(gridspec["L"]) if "L" in gridspec else None,
-        grid_N=int(gridspec["N"]) if "N" in gridspec else None,
+        lam=_finite(data["lambda"], "lambda") if "lambda" in data else None,
+        grid_L=_finite(gridspec["L"], "grid L") if "L" in gridspec else None,
+        grid_N=grid_N,
     )

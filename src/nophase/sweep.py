@@ -9,7 +9,7 @@ from dataclasses import dataclass, field, asdict
 
 import numpy as np
 
-from .errors import ConfigurationError, NophaseError
+from .errors import ConfigurationError, DomainError, NophaseError
 from .oracle import basis_error
 from .phase import build_phase, interior_nodes, kummer_residual
 from .problem import build_problem, load_problem_file
@@ -99,7 +99,10 @@ def run_sweep(problem_file, lambdas, out, tol=1e-14, oracle_tol=1e-13):
     """Per-lambda solve + validation over a list of lambdas; per-lambda
     failures are recorded as NaN rows and the sweep continues.  Writes CSV
     to `out` and JSON alongside it, and refuses, before any solve, when
-    either path is the problem file."""
+    either path is the problem file or there is no lambda."""
+    lambdas = list(lambdas)
+    if not lambdas:
+        raise DomainError("no lambda to sweep")
     out = str(out)
     json_path = out[:-4] + ".json" if out.endswith(".csv") else out + ".json"
     for path in (out, json_path):

@@ -77,3 +77,25 @@ class TestChebSeries:
         # and the fit is the one-shot fit at the final nodes
         np.testing.assert_array_equal(series.coef,
                                       ChebSeries.fit(f, -1.0, 2.0, n).coef)
+
+    def test_sampled_reads_fit_values_at_nested_nodes(self):
+        f = lambda t: np.exp(np.sin(3.0 * t))
+        series = ChebSeries.adaptive_fit(f, -1.0, 2.0)
+        n = len(series.coef) - 1
+        for level in (n, n // 4):
+            t = lobatto_nodes(level, -1.0, 2.0)[1::2]
+            np.testing.assert_array_equal(series.sampled(t), f(t))
+        # a finer level's new nodes are summed
+        t = lobatto_nodes(2 * n, -1.0, 2.0)
+        expect = series(t)
+        expect[0::2] = f(t[0::2])
+        np.testing.assert_array_equal(series.sampled(t), expect)
+
+    @pytest.mark.parametrize("anchor, s", [(-1.0, -1.0), (2.0, 1.0)])
+    def test_antiderivative_anchored_at_an_end(self, anchor, s):
+        series = ChebSeries.adaptive_fit(lambda t: 1.0 / (1.0 + 25.0 * t * t),
+                                         -1.0, 2.0)
+        anti = series.antideriv(anchor=anchor, value=0.75)
+        at = np.polynomial.chebyshev.chebval(s, anti.coef)
+        assert abs(at - 0.75) \
+            <= 4.0 * np.finfo(float).eps * np.sum(np.abs(anti.coef))

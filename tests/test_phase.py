@@ -1,4 +1,7 @@
+import math
+
 import numpy as np
+import numpy.polynomial.chebyshev
 import pytest
 
 import nophase.phase
@@ -73,6 +76,29 @@ class TestBandLimitedEvaluator:
             np.exp(1j * np.outer(t, grid.xi)) @ F.values)
         assert np.max(np.abs(band_limited_evaluator(F)(t) - full)) <= 1e-15
 
+    @pytest.mark.parametrize("n", [64, 65536])
+    @pytest.mark.parametrize("top", ["1", "B-1", "B", "B+1", "N/2+1"])
+    def test_blocked_sum_matches_direct_sum(self, rng, n, top):
+        # dxi = 1/8 exactly and the points are dyadic, so every argument
+        # x k dxi is exact in both sums; points straddle +-L = +-8 pi and
+        # go beyond it
+        grid = SpectralGrid(half_width=8.0 * np.pi, n_points=n)
+        half, block = n // 2, math.isqrt(n // 2) + 1
+        top = {"1": 1, "B-1": block - 1, "B": block, "B+1": block + 1,
+               "N/2+1": half + 1}[top]
+        k = np.arange(-half, half)
+        on = np.abs(k) < top if top <= half else np.ones(n, dtype=bool)
+        values = np.zeros(n, dtype=complex)
+        values[on] = [1, 1j] @ rng.standard_normal((2, np.count_nonzero(on)))
+        F = SpectralSample(grid, values)
+        x = np.array([0.0, -25.125, 25.125, -25.25, 25.25, 50.25, -75.5,
+                      100.5])
+        direct = (grid.dxi / (2.0 * np.pi)) * np.real(
+            np.exp(1j * np.outer(x, grid.xi)) @ values)
+        mass = grid.dxi / (2.0 * np.pi) * np.sum(np.abs(values))
+        assert np.max(np.abs(band_limited_evaluator(F)(x) - direct)) \
+            <= 4.0 * np.finfo(float).eps * mass
+
 
 class TestBuildPhase:
     def test_unit_coefficient_linear_phase(self):
@@ -120,6 +146,24 @@ class TestBuildPhase:
         monkeypatch.setattr(nophase.phase, "band_limited_evaluator", counting)
         build_phase(result, prob)
         assert sum(points) == 129
+
+    def test_no_clenshaw_sums_at_fit_nodes(self, sech_coefficient,
+                                           monkeypatch):
+        # r reads delta, and the speed fit reads r, from the values they
+        # were fitted from; the only sum left is chebint's own one-point
+        # value at its lower bound
+        prob = build_problem(sech_coefficient, 80.0)
+        result, _ = solve_problem(prob)
+        points = []
+        chebval = numpy.polynomial.chebyshev.chebval
+
+        def counting(x, c, tensor=True):
+            points.append(np.size(x))
+            return chebval(x, c, tensor)
+
+        monkeypatch.setattr(numpy.polynomial.chebyshev, "chebval", counting)
+        build_phase(result, prob)
+        assert points == [1]
 
 
 class TestEvalBasis:

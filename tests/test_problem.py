@@ -27,6 +27,14 @@ class TestCoefficient:
         c = Coefficient.make(np.exp, 0.0, 2.0)
         assert c.extension_width == 1.0
 
+    @pytest.mark.parametrize("a, width, name", [
+        (0.0, 0, "extension_width"), (0.0, -2.0, "extension_width"),
+        (0.0, np.inf, "extension_width"), (0.0, "4", "extension_width"),
+        (None, 1.0, "a"), (True, 1.0, "a")])
+    def test_numeric_fields_checked(self, a, width, name):
+        with pytest.raises(DomainError, match=f"^{name} "):
+            Coefficient.make(np.exp, a, 1.0, extension_width=width)
+
     def test_finite_difference_derivatives(self):
         c = Coefficient.make(np.exp, 0.0, 1.0)
         t = np.linspace(0.2, 0.8, 7)

@@ -2,6 +2,7 @@ import csv
 import json
 import os
 import pathlib
+import warnings
 
 import numpy as np
 import pytest
@@ -151,13 +152,26 @@ class TestCliSolve:
         '{"q": "1 + foo(t)", "a": 0.0, "b": 1.0}',
         '{"q": "1", "a": 0.0}',
         '{"q": "-1", "a": 0.0, "b": 1.0}',
+        '{"q": "1", "a": null, "b": 1.0}',
+        '{"q": "1", "a": 0.0, "b": 1.0, "extension_width": "4"}',
+        '{"q": "1", "a": 0.0, "b": 1.0, "extension_width": 0}',
+        '{"q": "1", "a": 0.0, "b": 1.0, "extension_width": -2}',
+        '{"q": "1", "a": 0.0, "b": 1.0, "grid": {"L": [1]}}',
+        '{"q": "1", "a": 0.0, "b": 1.0, "grid": 5}',
+        '{"q": "1", "a": 0.0, "b": 1.0, "lambda": null}',
+        '{"q": "1", "dq": 5, "a": 0.0, "b": 1.0}',
+        '5',
     ], ids=["missing-file", "malformed-json", "unknown-function",
-            "missing-key", "nonpositive-q"])
+            "missing-key", "nonpositive-q", "null-a", "string-width",
+            "zero-width", "negative-width", "list-grid-L", "number-grid",
+            "null-lambda", "number-dq", "not-an-object"])
     def test_bad_input_exits_2_with_one_line(self, tmp_path, capsys, text):
         path = tmp_path / "bad.json"
         if text is not None:
             path.write_text(text)
-        code = main(["solve", str(path), "--lambda", "10"])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code = main(["solve", str(path), "--lambda", "10"])
         assert code == EXIT_NUMERICAL
         err = capsys.readouterr().err.strip().splitlines()
         assert len(err) == 1 and err[0].startswith("error: ")
@@ -205,6 +219,17 @@ class TestCliSweep:
         assert problem.read_bytes() == before
         assert not os.path.exists(out)
         assert len(capsys.readouterr().err.strip().splitlines()) == 1
+
+    @pytest.mark.parametrize("lambdas", ["", ","])
+    def test_empty_lambda_list_is_bad_input(self, constant_problem,
+                                            tmp_path, capsys, lambdas):
+        out = tmp_path / "rows.csv"
+        code = main(["sweep", constant_problem, "--lambdas", lambdas,
+                     "--out", str(out)])
+        assert code == EXIT_NUMERICAL
+        assert list(tmp_path.iterdir()) == [pathlib.Path(constant_problem)]
+        err = capsys.readouterr().err.strip().splitlines()
+        assert len(err) == 1 and err[0].startswith("error: ")
 
 
 class TestCliPlumbing:
