@@ -7,9 +7,11 @@ object.  Per lambda it gives the median over the timed passes (one
 untimed warm-up pass first) of the ms spent in `build_problem`, the bump,
 the fixed point, the extraction, `build_phase`, and the checks
 (`kummer_residual` and `eval_basis` at the 400 interior nodes, as
-solve-ladder runs them), with the grid N, the points at which q, q' and
-q'' are evaluated in `build_problem`, and the points at which delta's
-trigonometric series is summed.
+solve-ladder runs them) and the DOP853 oracle (one `basis_error` at
+oracle_tol = 1e-13, as `verify` and `sweep` run it), with the grid N, the
+points at which q, q' and q'' are evaluated in `build_problem`, the q
+calls of the oracle, and the points at which delta's trigonometric series
+is summed.
 
 The bump is timed as `solve_problem` minus its fixed point and its
 extraction, so the script runs unchanged on trees that choose the bump
@@ -26,8 +28,8 @@ import numpy as np
 
 import nophase.phase
 import nophase.solver
-from nophase import (Coefficient, build_phase, build_problem, eval_basis,
-                     kummer_residual, solve_problem)
+from nophase import (Coefficient, basis_error, build_phase, build_problem,
+                     eval_basis, kummer_residual, solve_problem)
 from nophase.phase import interior_nodes
 
 LAMBDAS = (20.0, 80.0, 320.0, 1280.0)
@@ -69,7 +71,9 @@ class Stages:
 
     def counted(self, f, key):
         def call(t):
-            self.points[key] += np.size(t)
+            # getattr, not np.size: the oracle calls q per scalar, and
+            # np.size would cost as much as q itself
+            self.points[key] += getattr(t, "size", 1)
             return f(t)
         return call
 
@@ -102,6 +106,9 @@ def one_pass(stages):
         np.max(np.abs(kummer_residual(phase, coeff.q, nodes)))
         eval_basis(phase, nodes)
         t4 = time.perf_counter()
+        q_points_before = stages.points["q_points"]
+        basis_error(phase, prob, tol=1e-13)
+        t5 = time.perf_counter()
         solve_ms = 1e3 * (t2 - t1)
         rows[lam] = {
             "build_problem_ms": 1e3 * (t1 - t0),
@@ -111,8 +118,10 @@ def one_pass(stages):
             "extract_ms": stages.ms["extract_solution"],
             "build_phase_ms": 1e3 * (t3 - t2),
             "checks_ms": 1e3 * (t4 - t3),
+            "oracle_ms": 1e3 * (t5 - t4),
             "grid_n": prob.grid.n_points,
             "q_points": q_points,
+            "oracle_q_calls": stages.points["q_points"] - q_points_before,
             "evaluator_points": stages.points["evaluator_points"],
             "delta_degree": phase.delta_degree,
         }

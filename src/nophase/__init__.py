@@ -12,7 +12,7 @@ from .errors import (ConfigurationError, ConvergenceError, DomainError,
                      NophaseError, NumericalError, SymmetryError)
 from .grid import (RealSample, SpectralGrid, SpectralSample, convolve,
                    forward, inverse, l1_norm, linf_norm)
-from .oracle import basis_error, liouville_green, ode_oracle
+from .oracle import basis_error, ode_oracle
 from .phase import (PhaseFunction, apply_S, band_limited_evaluator,
                     basis_derivatives, build_phase, eval_basis,
                     kummer_residual)

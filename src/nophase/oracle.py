@@ -1,8 +1,8 @@
 """Independent validation oracles: a high-order adaptive ODE integrator
-for y'' + lambda^2 q y = 0, the Liouville-Green transform of its
-solutions, and basis-error measurement against the phase function."""
+for y'' + lambda^2 q y = 0 and basis-error measurement against the phase
+function."""
 
-from dataclasses import dataclass
+import warnings
 
 import numpy as np
 
@@ -10,19 +10,29 @@ from .errors import DomainError, NumericalError
 from .phase import basis_derivatives
 
 _MIN_RTOL = 2.5e-14  # DOP853's floor is 100 * machine epsilon
+_NSTEPS = 2 ** 31 - 1  # no step cap per node, as solve_ivp has none
+# DOP853 stops with "step size becomes too small" on an interval below
+# about 10 * 2.3e-16 * |t|; nodes closer than this to the last one are
+# reached by one Euler step from it
+_MIN_GAP = 1e-14
+_FAILURES = {-1: "input is not consistent",
+             -2: "larger nsteps is needed",
+             -3: "step size becomes too small",
+             -4: "problem is probably stiff"}
 
 
 def ode_oracle(prob, y0, dy0, t, tol=1e-13):
-    """Adaptive 8th-order Runge-Kutta (DOP853) solutions over [a, b],
-    sampled at the ascending nodes t.  Uses the original coefficient, not
-    its extension.
+    """Adaptive 8th-order Runge-Kutta (DOP853, scipy's compiled code)
+    solutions over [a, b], integrated from node to node over the
+    ascending nodes t.  Uses the original coefficient, not its extension.
 
     y0 and dy0 may be length-m arrays: the m solutions are integrated as
     one 2m-dimensional system, with one q evaluation per stage and one
     step control for all of them.  Returns (y, dy) of shape (m, len(t)),
     or (len(t),) for scalar initial data.  Nodes within round-off of
-    [a, b] are clipped onto it."""
-    from scipy.integrate import solve_ivp
+    [a, b] are clipped onto it.  An exception raised by q propagates
+    unchanged; any other integrator failure is a NumericalError."""
+    from scipy.integrate import ode
 
     if tol < 1e-14:
         raise ValueError("tol must be >= 1e-14")
@@ -32,67 +42,53 @@ def ode_oracle(prob, y0, dy0, t, tol=1e-13):
     slack = 1e-12 * (b - a)
     if np.any(t < a - slack) or np.any(t > b + slack):
         raise DomainError("oracle node outside [a, b]")
+    t = np.clip(t, a, b)
+    if np.any(np.diff(t) < 0):
+        raise ValueError("oracle nodes must be ascending")
     neg_lam2 = -prob.lam ** 2
     q = prob.coefficient.q
     start = np.concatenate((np.atleast_1d(y0), np.atleast_1d(dy0)))
     m = start.size // 2
+    nans = np.full(start.size, np.nan)
+    raised = []
 
+    # the compiled integrator swallows exceptions from its right-hand
+    # side and keeps stepping; keep the first one and return NaNs, which
+    # make it stop with a failure code within a few thousand calls
     def rhs(s, y):
-        return np.concatenate((y[m:], neg_lam2 * float(q(s)) * y[:m]))
+        if not raised:
+            try:
+                return np.concatenate((y[m:], neg_lam2 * float(q(s)) * y[:m]))
+            except BaseException as exc:
+                raised.append(exc)
+        return nans
 
-    sol = solve_ivp(rhs, (a, b), start, method="DOP853",
-                    rtol=max(tol, _MIN_RTOL), atol=tol,
-                    t_eval=np.clip(t, a, b))
-    if not sol.success:
-        raise NumericalError(f"reference integrator failed: {sol.message}")
-    y, dy = sol.y[:m], sol.y[m:]
+    solver = ode(rhs).set_integrator("dop853", rtol=max(tol, _MIN_RTOL),
+                                     atol=tol, nsteps=_NSTEPS)
+    solver.set_initial_value(start, a)
+    out = np.empty((start.size, t.size))
+    y, t_done, code = start, a, 1
+    with warnings.catch_warnings():
+        # a failure is reported below by its code, not as a scipy warning
+        warnings.filterwarnings("ignore", message="dop853: ",
+                                category=UserWarning)
+        for k, tk in enumerate(t):
+            if tk - t_done > _MIN_GAP * abs(t_done):
+                y, t_done = solver.integrate(tk), tk
+                code = solver.get_return_code()
+                out[:, k] = y
+            else:
+                out[:, k] = (y if tk == t_done
+                             else y + (tk - t_done) * rhs(t_done, y))
+            if raised:
+                raise raised[0]
+            if code < 0:
+                raise NumericalError("reference integrator failed: "
+                                     + _FAILURES.get(code, f"code {code}"))
+    y, dy = out[:m], out[m:]
     if np.ndim(y0) == 0:
         return y[0], dy[0]
     return y, dy
-
-
-@dataclass(frozen=True)
-class TransformedSolution:
-    """phi(x) = q(t(x))^(1/4) y(t(x)) on [0, x(b)] with its residual in
-    the constant-coefficient form phi'' + lambda^2 phi + (1/4) p phi = 0."""
-
-    x: np.ndarray
-    phi: np.ndarray
-    residual_rel: float
-
-
-def liouville_green(prob, y0, dy0, n_nodes=3001):
-    """Transform the oracle solution with initial data (y0, dy0) at t = a
-    and measure the residual of the constant-coefficient equation by
-    6th-order finite differences."""
-    x_b = prob.map.x_b
-    x = np.linspace(0.0, x_b, n_nodes)
-    t = prob.map.t_of_x(x)
-    y, _ = ode_oracle(prob, y0, dy0, t)
-    qv = np.asarray(prob.coefficient.q(t))
-    phi = qv ** 0.25 * y
-
-    # p as a function of x on these nodes
-    ratio = np.asarray(prob.coefficient.dq(t)) / qv
-    p = (1.25 * ratio * ratio - np.asarray(prob.coefficient.d2q(t)) / qv) / qv
-
-    h = x[1] - x[0]
-    i = np.arange(3, n_nodes - 3)
-    d2phi = (2.0 * (phi[i - 3] + phi[i + 3])
-             - 27.0 * (phi[i - 2] + phi[i + 2])
-             + 270.0 * (phi[i - 1] + phi[i + 1])
-             - 490.0 * phi[i]) / (180.0 * h * h)
-    resid = d2phi + prob.lam ** 2 * phi[i] + 0.25 * p[i] * phi[i]
-    scale = float(np.max(np.abs(phi)))
-    residual_rel = float(np.max(np.abs(resid))) / scale if scale > 0 else 0.0
-    return TransformedSolution(x=x, phi=phi, residual_rel=residual_rel)
-
-
-def undo_liouville_green(prob, transformed):
-    """Recover y(t) = q(t)^(-1/4) phi(x(t)) on the transform's nodes."""
-    t = prob.map.t_of_x(transformed.x)
-    qv = np.asarray(prob.coefficient.q(t))
-    return t, transformed.phi / qv ** 0.25
 
 
 def basis_error(phase, prob, tol=1e-13, n_samples=400):

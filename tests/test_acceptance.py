@@ -12,7 +12,8 @@ from conftest import make_constant_coefficient, make_sech_coefficient
 from nophase.convexp import exp2_star, exp2_star_series
 from nophase.grid import (RealSample, SpectralGrid, convolve, forward,
                           inverse, l1_norm, linf_norm)
-from nophase.oracle import basis_error, liouville_green
+from liouville import liouville_green
+from nophase.oracle import basis_error
 from nophase.phase import (PhaseFunction, apply_S, build_phase,
                            interior_nodes, kummer_residual)
 from nophase.problem import build_map, build_problem, choose_grid

@@ -2,15 +2,16 @@ import dataclasses
 import os
 import subprocess
 import sys
+import warnings
 
 import numpy as np
 import pytest
 
 import nophase
 from conftest import make_constant_coefficient
-from nophase.errors import DomainError
-from nophase.oracle import (basis_error, liouville_green, ode_oracle,
-                            undo_liouville_green)
+from liouville import liouville_green, undo_liouville_green
+from nophase.errors import DomainError, NumericalError
+from nophase.oracle import basis_error, ode_oracle
 from nophase.phase import basis_derivatives, build_phase
 from nophase.problem import Coefficient, build_problem
 from nophase.solver import solve_problem
@@ -68,6 +69,88 @@ class TestOdeOracle:
         prob = build_problem(make_constant_coefficient(1.0, 0.0, 1.0), 5.0)
         with pytest.raises(ValueError):
             ode_oracle(prob, 1.0, 0.0, [0.0, 1.0], tol=1e-15)
+
+    def test_repeated_and_adjacent_nodes(self):
+        # DOP853 cannot step to the node it stands on, nor to one a few
+        # ulps away; such nodes still get the solution there
+        prob = build_problem(make_constant_coefficient(1.0, 0.0, 1.0), 10.0)
+        t = np.array([0.0, 0.0, 0.5, 0.5, np.nextafter(0.5, 1.0), 1.0])
+        y, dy = ode_oracle(prob, 0.0, 10.0, t)
+        assert y[0] == y[1] == 0.0 and dy[0] == dy[1] == 10.0
+        assert np.max(np.abs(y - np.sin(10.0 * t))) <= 1e-11
+        assert np.max(np.abs(dy - 10.0 * np.cos(10.0 * t))) <= 1e-10
+        with pytest.raises(ValueError):
+            ode_oracle(prob, 0.0, 10.0, [0.5, 0.2])
+
+
+def _with_q(prob, q):
+    return dataclasses.replace(
+        prob, coefficient=dataclasses.replace(prob.coefficient, q=q))
+
+
+class TestCompiledIntegrator:
+    @pytest.mark.parametrize("error", [DomainError("q undefined past 0.5"),
+                                       KeyboardInterrupt()],
+                             ids=["domain-error", "interrupt"])
+    def test_exception_from_q_propagates(self, sech_coefficient, error):
+        # the compiled DOP853 swallows exceptions from its right-hand side
+        # and would keep calling q until its step budget runs out
+        prob = build_problem(sech_coefficient, 40.0)
+        t = np.linspace(-3.0, 3.0, 400)
+        clean, _ = ode_oracle(prob, [1.0, 0.0], [0.0, 1.0], t)
+        calls = []  # the q calls from the first raise on
+
+        def q(s):
+            if calls or s > 0.5:
+                calls.append(s)
+                raise error
+            return sech_coefficient.q(s)
+
+        with pytest.raises(type(error)) as info:
+            ode_oracle(_with_q(prob, q), [1.0, 0.0], [0.0, 1.0], t)
+        assert info.value is error
+        assert len(calls) < 5000
+        again, _ = ode_oracle(prob, [1.0, 0.0], [0.0, 1.0], t)
+        assert np.array_equal(again, clean)
+
+    def test_integrator_failure_is_numerical_error(self, sech_coefficient):
+        prob = build_problem(sech_coefficient, 40.0)
+
+        def q(s):
+            return np.nan if s > 0.5 else sech_coefficient.q(s)
+
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(NumericalError,
+                               match=r"^reference integrator failed: [a-z ]+$"):
+                ode_oracle(_with_q(prob, q), [1.0, 0.0], [0.0, 1.0],
+                           np.linspace(-3.0, 3.0, 400))
+
+    @pytest.mark.parametrize("lam", [40.0, 320.0])
+    def test_matches_solve_ivp(self, sech_coefficient, lam):
+        # scipy's Python DOP853 at the same tolerances, on both basis
+        # solutions at basis_error's nodes
+        from scipy.integrate import solve_ivp
+
+        prob = build_problem(sech_coefficient, lam)
+        result, _ = solve_problem(prob)
+        phase = build_phase(result, prob)
+        u0, du0, v0, dv0 = basis_derivatives(phase, np.array([phase.a]))
+        y0 = np.concatenate((u0, v0))
+        dy0 = np.concatenate((du0, dv0))
+        t = np.linspace(phase.a, phase.b, 400)
+        tol = 1e-13
+
+        def rhs(s, y):
+            return np.concatenate(
+                (y[2:], -lam ** 2 * float(sech_coefficient.q(s)) * y[:2]))
+
+        ref = solve_ivp(rhs, (phase.a, phase.b), np.concatenate((y0, dy0)),
+                        method="DOP853", rtol=2.5e-14, atol=tol, t_eval=t)
+        assert ref.success
+        y, dy = ode_oracle(prob, y0, dy0, t, tol=tol)
+        assert np.max(np.abs(y - ref.y[:2])) <= 1e-11
+        assert np.max(np.abs(dy - ref.y[2:])) <= 1e-11 * lam
 
 
 class TestLiouvilleGreen:

@@ -1,4 +1,5 @@
 import csv
+import dataclasses
 import json
 import os
 import pathlib
@@ -7,6 +8,7 @@ import warnings
 import numpy as np
 import pytest
 
+import nophase.sweep
 from conftest import make_constant_coefficient
 from nophase.cli import (EXIT_CERTIFICATION, EXIT_NUMERICAL, EXIT_OK,
                          _tests_dir, build_parser, main)
@@ -187,6 +189,30 @@ class TestCliVerify:
     def test_sech_passes(self, sech_problem):
         code = main(["verify", sech_problem, "--lambda", "40"])
         assert code == EXIT_OK
+
+    def test_oracle_failure_exits_2_with_one_line(self, sech_problem,
+                                                  monkeypatch, capsys):
+        # the oracle alone sees a q that is NaN past t = 0.5; a problem
+        # file with such a q would fail in setup instead
+        basis_error = nophase.sweep.basis_error
+
+        def nan_past_half(s):
+            return np.nan if s > 0.5 else 1.0 + 1.0 / np.cosh(s) ** 2
+
+        def failing(phase, prob, tol):
+            coeff = dataclasses.replace(prob.coefficient, q=nan_past_half)
+            return basis_error(phase, dataclasses.replace(prob,
+                                                          coefficient=coeff),
+                               tol=tol)
+
+        monkeypatch.setattr(nophase.sweep, "basis_error", failing)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code = main(["verify", sech_problem, "--lambda", "40"])
+        assert code == EXIT_NUMERICAL
+        err = capsys.readouterr().err.strip().splitlines()
+        assert err == ["error: reference integrator failed: "
+                       "step size becomes too small"]
 
 
 class TestCliSweep:
