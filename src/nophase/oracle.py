@@ -2,7 +2,10 @@
 for y'' + lambda^2 q y = 0 and basis-error measurement against the phase
 function."""
 
+import signal
+import threading
 import warnings
+from contextlib import contextmanager
 
 import numpy as np
 
@@ -15,10 +18,6 @@ _NSTEPS = 2 ** 31 - 1  # no step cap per node, as solve_ivp has none
 # about 10 * 2.3e-16 * |t|; nodes closer than this to the last one are
 # reached by one Euler step from it
 _MIN_GAP = 1e-14
-_FAILURES = {-1: "input is not consistent",
-             -2: "larger nsteps is needed",
-             -3: "step size becomes too small",
-             -4: "problem is probably stiff"}
 
 
 def ode_oracle(prob, y0, dy0, t, tol=1e-13):
@@ -67,28 +66,57 @@ def ode_oracle(prob, y0, dy0, t, tol=1e-13):
                                      atol=tol, nsteps=_NSTEPS)
     solver.set_initial_value(start, a)
     out = np.empty((start.size, t.size))
-    y, t_done, code = start, a, 1
-    with warnings.catch_warnings():
-        # a failure is reported below by its code, not as a scipy warning
-        warnings.filterwarnings("ignore", message="dop853: ",
+    y, t_done, failure = start, a, None
+    with _interrupts_kept(raised), warnings.catch_warnings():
+        # scipy reports a failure code as a warning; raise it here instead
+        warnings.filterwarnings("error", message="dop853: ",
                                 category=UserWarning)
-        for k, tk in enumerate(t):
-            if tk - t_done > _MIN_GAP * abs(t_done):
-                y, t_done = solver.integrate(tk), tk
-                code = solver.get_return_code()
-                out[:, k] = y
-            else:
-                out[:, k] = (y if tk == t_done
-                             else y + (tk - t_done) * rhs(t_done, y))
-            if raised:
-                raise raised[0]
-            if code < 0:
-                raise NumericalError("reference integrator failed: "
-                                     + _FAILURES.get(code, f"code {code}"))
+        try:
+            for k, tk in enumerate(t):
+                if tk - t_done > _MIN_GAP * abs(t_done):
+                    y, t_done = solver.integrate(tk), tk
+                    out[:, k] = y
+                else:
+                    out[:, k] = (y if tk == t_done
+                                 else y + (tk - t_done) * rhs(t_done, y))
+                if raised:
+                    break
+        except UserWarning as warning:
+            failure = str(warning).removeprefix("dop853: ")
+    if raised:
+        raise raised[0]
+    if failure is not None:
+        raise NumericalError("reference integrator failed: " + failure)
     y, dy = out[:m], out[m:]
     if np.ndim(y0) == 0:
         return y[0], dy[0]
     return y, dy
+
+
+@contextmanager
+def _interrupts_kept(raised):
+    """Run the Python SIGINT (Ctrl-C) handler through a wrapper that
+    appends what it raises to `raised`.  Python runs a handler at its next
+    check between bytecodes, which may fall before the right-hand side's
+    try, and the compiled integrator swallows an exception raised there.
+    Only the main thread sets and runs signal handlers."""
+    handler = signal.getsignal(signal.SIGINT)
+    if (not callable(handler)
+            or threading.current_thread() is not threading.main_thread()):
+        yield
+        return
+
+    def keep(signum, frame):
+        try:
+            handler(signum, frame)
+        except BaseException as exc:
+            raised.append(exc)
+
+    signal.signal(signal.SIGINT, keep)
+    try:
+        yield
+    finally:
+        signal.signal(signal.SIGINT, handler)
 
 
 def basis_error(phase, prob, tol=1e-13, n_samples=400):

@@ -1,7 +1,9 @@
 import dataclasses
 import os
+import signal
 import subprocess
 import sys
+import time
 import warnings
 
 import numpy as np
@@ -112,6 +114,41 @@ class TestCompiledIntegrator:
         assert len(calls) < 5000
         again, _ = ode_oracle(prob, [1.0, 0.0], [0.0, 1.0], t)
         assert np.array_equal(again, clean)
+
+    @pytest.mark.skipif(os.name != "posix", reason="sends SIGINT")
+    def test_interrupt_while_integrating(self, sech_coefficient):
+        # a Ctrl-C from outside, arriving while the compiled code steps:
+        # Python runs its handler at the next check between bytecodes,
+        # which need not fall inside the right-hand side's try
+        prob = build_problem(sech_coefficient, 320.0)
+        sender = subprocess.Popen(
+            [sys.executable, "-c",
+             "import os, signal, sys, time\n"
+             "if sys.stdin.buffer.read(1):\n"
+             "    time.sleep(0.05)\n"
+             f"    os.kill({os.getpid()}, signal.SIGINT)\n"],
+            stdin=subprocess.PIPE)
+        calls = []
+        sent = []
+
+        def q(s):
+            calls.append(s)
+            if len(calls) == 1000:  # the integration has begun
+                sent.append(time.perf_counter())
+                sender.stdin.write(b"x")
+                sender.stdin.flush()
+            return sech_coefficient.q(s)
+
+        handler = signal.getsignal(signal.SIGINT)
+        with pytest.raises(KeyboardInterrupt):
+            try:
+                ode_oracle(_with_q(prob, q), [1.0, 0.0], [0.0, 1.0],
+                           np.linspace(-3.0, 3.0, 400))
+            finally:
+                sender.stdin.close()
+                sender.wait()
+        assert time.perf_counter() - sent[0] < 1.0
+        assert signal.getsignal(signal.SIGINT) is handler
 
     def test_integrator_failure_is_numerical_error(self, sech_coefficient):
         prob = build_problem(sech_coefficient, 40.0)
