@@ -6,14 +6,14 @@ space, by solving a band-limited nonlinear integral equation in the
 frequency domain with a fixed-point iteration."""
 
 from .chebseries import ChebSeries
-from .convexp import exp1_star, exp2_star, exp2_star_series
+from .convexp import exp2_star
 from .errors import (ConfigurationError, ConvergenceError, DomainError,
                      FitError, GridMismatchError, MagnitudeError,
                      NophaseError, NumericalError, SymmetryError)
 from .grid import (RealSample, SpectralGrid, SpectralSample, convolve,
                    forward, inverse, l1_norm, linf_norm)
 from .oracle import basis_error, ode_oracle
-from .phase import (PhaseFunction, apply_S, band_limited_evaluator,
+from .phase import (PhaseFunction, band_limited_evaluator,
                     basis_derivatives, build_phase, eval_basis,
                     kummer_residual)
 from .problem import (Coefficient, CoefficientProblem, build_problem,

@@ -9,6 +9,10 @@ from numpy.polynomial import chebyshev as C
 
 from .errors import NumericalError
 
+TAIL_TOL = 1e-13      # coefficient-tail tolerance of ChebSeries.adaptive_fit
+MIN_N = 16            # its first node count
+MAX_N = 4096          # and its last
+DEGREE_REL = 1e-12    # relative coefficient floor of degree_for_tail
 PIECE_DEGREE = 32     # degree of every piece of a PiecewiseCheb
 MAX_ROUNDS = 40       # bisection rounds of PiecewiseCheb.adaptive_fit
 MAX_PIECES = 1 << 14  # cap on its piece count
@@ -50,10 +54,10 @@ class ChebSeries:
         return cls(a=a, b=b, coef=values_to_coeffs(values), values=values)
 
     @classmethod
-    def adaptive_fit(cls, f, a, b, tol=1e-13, min_n=16, max_n=4096):
-        """Double the node count until the coefficient tail drops below
-        tol relative to the largest coefficient; raises NumericalError
-        when n reaches max_n without passing that test.
+    def adaptive_fit(cls, f, a, b):
+        """Double the node count from MIN_N until the coefficient tail
+        drops below TAIL_TOL relative to the largest coefficient; raises
+        NumericalError when n reaches MAX_N without passing that test.
 
         The n-point Lobatto nodes are the even nodes of the 2n-point set,
         bit for bit, so each doubling calls f only at the new odd nodes
@@ -71,18 +75,18 @@ class ChebSeries:
                 known = finer
             return known
 
-        n = min_n
+        n = MIN_N
         while True:
             series = cls.fit(nested, a, b, n)
             c = np.abs(series.coef)
             cmax = float(np.max(c))
             tail = float(np.max(c[-max(2, n // 8):]))
-            if cmax == 0.0 or tail <= tol * cmax:
+            if cmax == 0.0 or tail <= TAIL_TOL * cmax:
                 return series
-            if n >= max_n:
+            if n >= MAX_N:
                 raise NumericalError(
                     f"Chebyshev fit did not resolve the function with "
-                    f"{max_n} nodes")
+                    f"{MAX_N} nodes")
             n *= 2
 
     def _s(self, t):
@@ -125,14 +129,14 @@ class ChebSeries:
         coef[0] += value - at
         return ChebSeries(self.a, self.b, coef)
 
-    def degree_for_tail(self, rel=1e-12):
+    def degree_for_tail(self):
         """Smallest degree beyond which all coefficients are below
-        rel * max|coef|."""
+        DEGREE_REL * max|coef|."""
         c = np.abs(self.coef)
         cmax = float(np.max(c))
         if cmax == 0.0:
             return 0
-        significant = np.nonzero(c > rel * cmax)[0]
+        significant = np.nonzero(c > DEGREE_REL * cmax)[0]
         return int(significant[-1]) if significant.size else 0
 
 

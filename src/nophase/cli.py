@@ -4,7 +4,7 @@ Subcommands:
   solve    build and solve a problem, write a bounds report as JSON
   verify   solve and cross-check against an independent ODE integrator
   sweep    run a list of lambdas and write per-lambda metrics as CSV
-  selftest run the packaged invariant test suite
+  selftest run the invariant test suite of a source checkout
 
 Exit codes: 0 success; 1 certification failure (the solve finished but a
 certificate flag or a verify gate failed); 2 numerical failure or bad

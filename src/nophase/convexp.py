@@ -7,16 +7,14 @@ Both are the sums of convolution-power series
     exp1[Psi] = Psi + Psi*Psi/(2! 2pi) + Psi*Psi*Psi/(3! (2pi)^2) + ...
     exp2[Psi] = exp1[Psi] - Psi,
 
-but the fast path computes them space-side in O(N log N); the series is
-retained only as a desk-scale test oracle.
+but exp2 is computed space-side, in O(N log N).  The series partial sum
+is the tests' reference oracle (`tests/helpers.py`).
 """
-
-from math import factorial
 
 import numpy as np
 
 from .errors import MagnitudeError
-from .grid import SpectralSample, convolve, forward, inverse, RealSample, linf_norm
+from .grid import forward, inverse, RealSample, linf_norm
 
 OVERFLOW_LIMIT = 700.0  # exp overflows double precision near 709
 
@@ -28,30 +26,8 @@ def _space_side(Psi):
     return f
 
 
-def exp1_star(Psi):
-    """Transform of exp(f) - 1 for f = inverse(Psi)."""
-    f = _space_side(Psi)
-    return forward(RealSample(Psi.grid, np.expm1(f.values)))
-
-
 def exp2_star(Psi):
-    """Transform of exp(f) - f - 1 for f = inverse(Psi).
-
-    Equals exp1_star(Psi) - Psi up to round-off."""
+    """Transform of exp(f) - f - 1 for f = inverse(Psi)."""
     f = _space_side(Psi)
     return forward(RealSample(Psi.grid, np.expm1(f.values) - f.values))
 
-
-def exp2_star_series(Psi, n_terms):
-    """Partial sum of the defining convolution-power series, starting at
-    the quadratic term.  Desk-scale oracle: n_terms <= 30, N <= 256."""
-    if n_terms > 30:
-        raise ValueError("n_terms must be <= 30")
-    if Psi.grid.n_points > 256:
-        raise ValueError("series oracle is restricted to N <= 256")
-    acc = np.zeros(Psi.grid.n_points, dtype=complex)
-    power = Psi
-    for n in range(2, n_terms + 1):
-        power = convolve(power, Psi)
-        acc += power.values / factorial(n)
-    return SpectralSample(Psi.grid, acc)

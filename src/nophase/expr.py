@@ -23,24 +23,25 @@ _FUNCTIONS = {
 
 _ALLOWED_BINOPS = (ast.Add, ast.Sub, ast.Mult, ast.Div, ast.Pow)
 _ALLOWED_UNARY = (ast.USub, ast.UAdd)
+VARIABLE = "t"
 
 
-def _validate(node, var):
+def _validate(node):
     if isinstance(node, ast.Expression):
-        _validate(node.body, var)
+        _validate(node.body)
     elif isinstance(node, ast.BinOp) and isinstance(node.op, _ALLOWED_BINOPS):
-        _validate(node.left, var)
-        _validate(node.right, var)
+        _validate(node.left)
+        _validate(node.right)
     elif isinstance(node, ast.UnaryOp) and isinstance(node.op, _ALLOWED_UNARY):
-        _validate(node.operand, var)
+        _validate(node.operand)
     elif isinstance(node, ast.Call):
         if not isinstance(node.func, ast.Name) or node.func.id not in _FUNCTIONS:
             raise DomainError(f"unknown function in expression: {ast.dump(node.func)}")
         if node.keywords or len(node.args) != 1:
             raise DomainError("functions take exactly one positional argument")
-        _validate(node.args[0], var)
+        _validate(node.args[0])
     elif isinstance(node, ast.Name):
-        if node.id not in (var, "pi"):
+        if node.id not in (VARIABLE, "pi"):
             raise DomainError(f"unknown identifier: {node.id!r}")
     elif isinstance(node, ast.Constant):
         if not isinstance(node.value, (int, float)):
@@ -49,23 +50,23 @@ def _validate(node, var):
         raise DomainError(f"disallowed syntax: {type(node).__name__}")
 
 
-def compile_expression(source, var="t"):
-    """Compile an expression string into a vectorized callable of one
-    variable.  Raises DomainError for anything outside the whitelist."""
+def compile_expression(source):
+    """Compile an expression string into a vectorized callable of
+    VARIABLE.  Raises DomainError for anything outside the whitelist."""
     if not isinstance(source, str):
         raise DomainError(f"an expression must be a string, not {source!r}")
     try:
         tree = ast.parse(source, mode="eval")
     except SyntaxError as exc:
         raise DomainError(f"cannot parse expression: {exc}") from exc
-    _validate(tree, var)
+    _validate(tree)
     code = compile(tree, "<expression>", "eval")
     namespace = {"__builtins__": {}, "pi": np.pi, **_FUNCTIONS}
 
     def evaluate(t):
         arr = np.asarray(t, dtype=float)
         local = dict(namespace)
-        local[var] = arr
+        local[VARIABLE] = arr
         result = np.asarray(eval(code, local), dtype=float)  # noqa: S307 - AST whitelisted
         if result.shape != arr.shape:
             result = np.broadcast_to(result, arr.shape).copy()

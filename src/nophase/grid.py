@@ -102,10 +102,6 @@ class SpectralSample:
         return float(np.max(np.abs(self.grid.xi[nz]))) if np.any(nz) else 0.0
 
 
-def zeros_spectral(grid):
-    return SpectralSample(grid, np.zeros(grid.n_points, dtype=complex))
-
-
 def _require_same_grid(a, b):
     if a.grid != b.grid:
         raise GridMismatchError("samples live on different grids")
@@ -151,12 +147,12 @@ def symmetrize(F):
     return SpectralSample(F.grid, v)
 
 
-def inverse(F, rtol=HERMITIAN_RTOL):
+def inverse(F):
     """Inverse transform of a Hermitian-symmetric sample, returning the
     real space-domain sample.  Rejects inputs whose symmetry defect
-    exceeds rtol relative to the largest value."""
+    exceeds HERMITIAN_RTOL relative to the largest value."""
     scale = np.max(np.abs(F.values))
-    if scale > 0 and hermitian_defect(F) > rtol * scale:
+    if scale > 0 and hermitian_defect(F) > HERMITIAN_RTOL * scale:
         raise SymmetryError(
             "frequency sample is not Hermitian-symmetric within tolerance"
         )

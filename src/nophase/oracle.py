@@ -13,6 +13,7 @@ from .errors import DomainError, NumericalError
 from .phase import basis_derivatives
 
 _MIN_RTOL = 2.5e-14  # DOP853's floor is 100 * machine epsilon
+CHECK_NODES = 400  # equispaced nodes of basis_error
 _NSTEPS = 2 ** 31 - 1  # no step cap per node, as solve_ivp has none
 # DOP853 stops with "step size becomes too small" on an interval below
 # about 10 * 2.3e-16 * |t|; nodes closer than this to the last one are
@@ -119,13 +120,13 @@ def _interrupts_kept(raised):
         signal.signal(signal.SIGINT, handler)
 
 
-def basis_error(phase, prob, tol=1e-13, n_samples=400):
-    """Max-norm differences between the phase-function basis (u, v) and
-    reference solutions with the same initial data at t = a, both
-    integrated in one pass."""
+def basis_error(phase, prob, tol=1e-13):
+    """Max-norm differences, at CHECK_NODES equispaced nodes of [a, b],
+    between the phase-function basis (u, v) and reference solutions with
+    the same initial data at t = a, both integrated in one pass."""
     a, b = phase.a, phase.b
     u0, du0, v0, dv0 = basis_derivatives(phase, np.array([a]))
-    t = np.linspace(a, b, n_samples)
+    t = np.linspace(a, b, CHECK_NODES)
     u, _, v, _ = basis_derivatives(phase, t)
     y, _ = ode_oracle(prob, np.concatenate((u0, v0)),
                       np.concatenate((du0, dv0)), t, tol=tol)

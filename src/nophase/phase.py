@@ -17,20 +17,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .chebseries import ChebSeries
-from .errors import DomainError, MagnitudeError
-from .grid import RealSample, SpectralSample, forward, inverse
-
-
-def apply_S(f, lam):
-    """The nonlinear operator S[f] = (f')^2/4 - 4 lambda^2 (exp(f)-1-f),
-    with f' by spectral differentiation."""
-    if np.max(np.abs(f.values)) >= 700.0:
-        raise MagnitudeError("space-domain magnitude too large for exp")
-    F = forward(f)
-    df = inverse(SpectralSample(f.grid, 1j * f.grid.xi * F.values))
-    vals = 0.25 * df.values ** 2 \
-        - 4.0 * lam ** 2 * (np.expm1(f.values) - f.values)
-    return RealSample(f.grid, vals)
+from .errors import DomainError
 
 
 def band_limited_evaluator(F):
@@ -93,21 +80,20 @@ class PhaseFunction:
         return self.lam * np.exp(0.5 * np.asarray(self.r_t(t)))
 
     @classmethod
-    def from_log_derivative(cls, r, dr, d2r, lam, a, b, tail_tol=1e-13):
+    def from_log_derivative(cls, r, dr, d2r, lam, a, b):
         """Build from analytic callables for r and its derivatives; alpha
         is obtained by Clenshaw-Curtis antidifferentiation.  A fitted
         `ChebSeries` r is read from its own samples at the speed fit's
         nodes (`ChebSeries.sampled`)."""
         r_at = r.sampled if isinstance(r, ChebSeries) else r
         speed = ChebSeries.adaptive_fit(
-            lambda t: lam * np.exp(0.5 * np.asarray(r_at(t))), a, b,
-            tol=tail_tol)
+            lambda t: lam * np.exp(0.5 * np.asarray(r_at(t))), a, b)
         alpha = speed.antideriv(anchor=a, value=0.0)
         return cls(lam=lam, a=a, b=b, r_t=r, dr_t=dr, d2r_t=d2r,
                    alpha_t=alpha)
 
 
-def build_phase(result, prob, tail_tol=1e-13):
+def build_phase(result, prob):
     """Assemble the phase function for a solved problem.
 
     delta's trigonometric series (the transform `result.delta_hat`) is
@@ -119,15 +105,14 @@ def build_phase(result, prob, tail_tol=1e-13):
     delta_on_grid = band_limited_evaluator(result.delta_hat)
     x_of_t, shift = prob.map.x_of_t, prob.x_shift
     delta = ChebSeries.adaptive_fit(
-        lambda t: delta_on_grid(x_of_t(t) - shift), a, b, tol=tail_tol)
+        lambda t: delta_on_grid(x_of_t(t) - shift), a, b)
     r = ChebSeries.adaptive_fit(
-        lambda t: np.log(prob.coefficient.q(t)) + delta.sampled(t), a, b,
-        tol=tail_tol)
+        lambda t: np.log(prob.coefficient.q(t)) + delta.sampled(t), a, b)
     dr = r.deriv()
     phase = PhaseFunction.from_log_derivative(r, dr, dr.deriv(), prob.lam,
-                                              a, b, tail_tol=tail_tol)
-    return replace(phase, delta_degree=delta.degree_for_tail(1e-12),
-                   r_degree=r.degree_for_tail(1e-12))
+                                              a, b)
+    return replace(phase, delta_degree=delta.degree_for_tail(),
+                   r_degree=r.degree_for_tail())
 
 
 def eval_basis(phase, t):

@@ -218,7 +218,8 @@ class CoordinateMap:
 
 
 def build_map(coeff):
-    """Build the coordinate map on the extended coefficient.
+    """Build the coordinate map on the coefficient's extension, which the
+    map keeps as `ext`.
 
     x(t) is the antiderivative, anchored at x(a) = 0, of a piecewise
     Chebyshev fit of sqrt(q) that starts from the blend breaks
@@ -226,8 +227,8 @@ def build_map(coeff):
     MAP_TOL.  t(x) is fitted the same way, starting from the x-images of
     the pieces of x(t) so that it inherits their resolution of any kinks
     in q, from values found by Newton's method at its Lobatto nodes."""
-    ext = coeff if isinstance(coeff, ExtendedCoefficient) else ExtendedCoefficient(coeff)
-    a, b, w = ext.base.interval_a, ext.base.interval_b, ext.w
+    ext = ExtendedCoefficient(coeff)
+    a, b, w = coeff.interval_a, coeff.interval_b, ext.w
     breaks = np.array([ext.lo, a - w, b + w, ext.hi])
     speed = PiecewiseCheb.adaptive_fit(ext.sqrt_q, breaks, tol=MAP_TOL)
     x_series = speed.antideriv(anchor=a, value=0.0)
@@ -247,9 +248,9 @@ def build_map(coeff):
                          x_b=float(x_series(b)))
 
 
-def _forcing(ext, cmap, x):
+def _forcing(cmap, x):
     """p = (1/q)(5/4 (q'/q)^2 - q''/q) evaluated at t(x)."""
-    qv, dqv, d2qv = ext.jet(cmap.t_of_x(x))
+    qv, dqv, d2qv = cmap.ext.jet(cmap.t_of_x(x))
     if np.any(qv <= 0.0):
         raise DomainError("coefficient is not strictly positive on the grid")
     ratio = dqv / qv
@@ -270,11 +271,10 @@ def _require_vanishing_edges(p, cmap):
             )
 
 
-def schwarzian_p(coeff, cmap, grid, x_shift=0.0):
+def schwarzian_p(cmap, grid, x_shift=0.0):
     """The forcing p as a function of x at the grid's space nodes:
     p(x_j) = (1/q)(5/4 (q'/q)^2 - q''/q) evaluated at t(x_j + x_shift)."""
-    ext = coeff if isinstance(coeff, ExtendedCoefficient) else cmap.ext
-    p = _forcing(ext, cmap, grid.x + x_shift)
+    p = _forcing(cmap, grid.x + x_shift)
     _require_vanishing_edges(p, cmap)
     return RealSample(grid, p)
 
@@ -295,12 +295,11 @@ def default_half_width(cmap):
 @dataclass(frozen=True, eq=False)
 class PreparedCoefficient:
     """The lambda-independent part of every solve for one coefficient:
-    the extension, the coordinate map, the default grid half-width, the
-    shift that centers the grid on the support of p, and p on the nested
-    grids of `forcing_transform`, kept per (L, n) and extended on
-    demand."""
+    the coordinate map with its extended coefficient, the default grid
+    half-width, the shift that centers the grid on the support of p, and
+    p on the nested grids of `forcing_transform`, kept per (L, n) and
+    extended on demand."""
 
-    extended: ExtendedCoefficient
     map: CoordinateMap
     half_width: float
     x_shift: float
@@ -314,13 +313,11 @@ class PreparedCoefficient:
             grid = SpectralGrid(L, n)
             coarse = self.levels.get((L, n // 2))
             if coarse is None:
-                p = schwarzian_p(self.extended, self.map, grid,
-                                 self.x_shift).values
+                p = schwarzian_p(self.map, grid, self.x_shift).values
             else:
                 # the finer grid's own odd nodes, not the coarse nodes +
                 # dx/2, so that every node rounds as on the full grid
-                mid = _forcing(self.extended, self.map,
-                               grid.x[1::2] + self.x_shift)
+                mid = _forcing(self.map, grid.x[1::2] + self.x_shift)
                 p = np.stack((coarse[0], mid), axis=1).ravel()
             p_hat = forward(RealSample(grid, p)).values
             p_hat[below_floor(p_hat)] = 0.0
@@ -332,9 +329,8 @@ class PreparedCoefficient:
 def prepare(coefficient):
     """Build the lambda-independent setup of a coefficient; p is sampled
     later, level by level, as solves ask for it."""
-    ext = ExtendedCoefficient(coefficient)
-    cmap = build_map(ext)
-    return PreparedCoefficient(extended=ext, map=cmap,
+    cmap = build_map(coefficient)
+    return PreparedCoefficient(map=cmap,
                                half_width=default_half_width(cmap),
                                x_shift=0.5 * (cmap.x_lo + cmap.x_hi))
 
@@ -414,7 +410,6 @@ class CoefficientProblem:
     """Everything the solver needs for one (q, lambda) instance."""
 
     coefficient: Coefficient
-    extended: ExtendedCoefficient
     lam: float
     map: CoordinateMap
     grid: SpectralGrid
@@ -495,8 +490,7 @@ def build_problem(coefficient, lam, L=None, N=None):
     vals[start:start + level.n_points] = level_hat
     p_hat = SpectralSample(grid, vals)
     gamma, mu = fit_decay(p_hat)
-    prob = CoefficientProblem(coefficient=coefficient,
-                              extended=prep.extended, lam=float(lam),
+    prob = CoefficientProblem(coefficient=coefficient, lam=float(lam),
                               map=prep.map, grid=grid, p_hat=p_hat,
                               gamma_fit=gamma, mu_fit=mu,
                               x_shift=prep.x_shift)

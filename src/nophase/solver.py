@@ -29,6 +29,7 @@ from .problem import below_floor, check_hypotheses, decay_bound
 BOUND_FLOOR_REL = 1e-14
 SIGMA_SLACK = 1.01
 NU_SLACK = 1.05
+MAX_ITER = 100  # fixed-point iterations before ConvergenceError
 
 _SQRT2 = np.sqrt(2.0)
 
@@ -117,7 +118,7 @@ class SolverState:
     converged: bool = False
 
 
-def fixed_point_solve(w_hat, lam, tol=1e-14, max_iter=100, bump=None):
+def fixed_point_solve(w_hat, lam, tol=1e-14, max_iter=MAX_ITER, bump=None):
     """Iterate psi_{n+1} = R[psi_n] from psi_0 = w until the L1 increment
     drops below tol relative to ||w||_1.
 
@@ -164,15 +165,6 @@ def invert_helmholtz(f_hat, lam):
     on = np.abs(f_hat.values) > 0.0
     vals[on] = f_hat.values[on] / (4.0 * lam ** 2 - xi[on] ** 2)
     return SpectralSample(f_hat.grid, vals)
-
-
-def apply_T(sigma_hat, lam):
-    """Invert the Helmholtz multiplier: delta = inverse transform of
-    sigma-hat/(4l^2-xi^2).
-
-    Requires the support of sigma-hat to lie strictly inside
-    (-2 lambda, 2 lambda)."""
-    return inverse(invert_helmholtz(sigma_hat, lam))
 
 
 @dataclass
@@ -309,7 +301,7 @@ def extract_solution(state, bump, prob):
                        delta_hat=delta_hat, bounds_report=report)
 
 
-def solve_problem(prob, tol=1e-14, max_iter=100):
+def solve_problem(prob, tol=1e-14):
     """Convenience wrapper: bump, iteration, extraction.
 
     On a grid with xi_max <= lambda (the regime `build_problem` picks
@@ -319,6 +311,5 @@ def solve_problem(prob, tol=1e-14, max_iter=100):
         bump = make_unit_bump(prob.grid, prob.lam)
     else:
         bump = make_bump(prob.grid, prob.lam)
-    state = fixed_point_solve(prob.p_hat, prob.lam, tol=tol,
-                              max_iter=max_iter, bump=bump)
+    state = fixed_point_solve(prob.p_hat, prob.lam, tol=tol, bump=bump)
     return extract_solution(state, bump, prob), state

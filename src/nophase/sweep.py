@@ -19,6 +19,7 @@ CSV_COLUMNS = ["lambda", "iterations", "gamma", "mu", "nu_inf",
                "res_kummer", "err_u", "err_v", "cheb_degree", "wall_ms"]
 
 NU_FLOOR = 1e-15  # rows below this are flagged as floor-limited
+ORACLE_TOL = 1e-13  # DOP853 tolerance of a sweep row's basis error
 
 
 @dataclass
@@ -68,7 +69,7 @@ class SweepReport:
 
 
 def sweep_point(coefficient, lam, L=None, N=None, tol=1e-14,
-                oracle_tol=1e-13):
+                oracle_tol=ORACLE_TOL):
     """One sweep item: solve, assemble the phase, and validate."""
     start = time.perf_counter()
     prob = build_problem(coefficient, lam, L=L, N=N)
@@ -95,7 +96,7 @@ def sweep_point(coefficient, lam, L=None, N=None, tol=1e-14,
     )
 
 
-def run_sweep(problem_file, lambdas, out, tol=1e-14, oracle_tol=1e-13):
+def run_sweep(problem_file, lambdas, out, tol=1e-14):
     """Per-lambda solve + validation over a list of lambdas; per-lambda
     failures are recorded as NaN rows and the sweep continues.  Writes CSV
     to `out` and JSON alongside it, and refuses, before any solve, when
@@ -115,8 +116,7 @@ def run_sweep(problem_file, lambdas, out, tol=1e-14, oracle_tol=1e-13):
     def one(lam):
         try:
             return sweep_point(config.coefficient, float(lam),
-                               L=config.grid_L, N=config.grid_N,
-                               tol=tol, oracle_tol=oracle_tol)
+                               L=config.grid_L, N=config.grid_N, tol=tol)
         except (NophaseError, ValueError) as exc:
             return SweepRow(lam=float(lam), error=str(exc))
 
@@ -125,11 +125,3 @@ def run_sweep(problem_file, lambdas, out, tol=1e-14, oracle_tol=1e-13):
     report.write_json(json_path)
     return report
 
-
-def fit_slope(lams, values):
-    """Least-squares slope of log(values) against lambda."""
-    lams = np.asarray(lams, dtype=float)
-    values = np.asarray(values, dtype=float)
-    keep = values > 0
-    slope, _ = np.polyfit(lams[keep], np.log(values[keep]), 1)
-    return float(slope)

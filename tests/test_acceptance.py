@@ -9,17 +9,18 @@ import pytest
 
 import conftest
 from conftest import make_constant_coefficient, make_sech_coefficient
-from nophase.convexp import exp2_star, exp2_star_series
+from helpers import apply_S, exp2_star_series, fit_slope
+from nophase.convexp import exp2_star
 from nophase.grid import (RealSample, SpectralGrid, convolve, forward,
                           inverse, l1_norm, linf_norm)
 from liouville import liouville_green
 from nophase.oracle import basis_error
-from nophase.phase import (PhaseFunction, apply_S, build_phase,
-                           interior_nodes, kummer_residual)
+from nophase.phase import (PhaseFunction, build_phase, interior_nodes,
+                           kummer_residual)
 from nophase.problem import build_map, build_problem, choose_grid
 from nophase.solver import (apply_Wb, fixed_point_solve, make_bump,
                             solve_problem)
-from nophase.sweep import fit_slope, sweep_point
+from nophase.sweep import sweep_point
 
 
 def report(number, name, ok, detail):

@@ -1,10 +1,11 @@
 import numpy as np
 import pytest
 
-from nophase.convexp import exp1_star, exp2_star, exp2_star_series
+from helpers import exp1_star, exp2_star_series, zeros_spectral
+from nophase.convexp import exp2_star
 from nophase.errors import MagnitudeError
 from nophase.grid import (RealSample, SpectralGrid, forward, inverse, l1_norm,
-                          linf_norm, zeros_spectral)
+                          linf_norm)
 
 TWO_PI = 2.0 * np.pi
 

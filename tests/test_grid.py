@@ -2,9 +2,10 @@ import numpy as np
 import pytest
 
 from nophase.errors import GridMismatchError, SymmetryError
+from helpers import zeros_spectral
 from nophase.grid import (RealSample, SpectralGrid, SpectralSample, convolve,
                           forward, hermitian_defect, inverse, l1_norm,
-                          linf_norm, symmetrize, zeros_spectral)
+                          linf_norm, symmetrize)
 
 
 def gaussian_sample(grid):

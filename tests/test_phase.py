@@ -9,7 +9,8 @@ from conftest import make_constant_coefficient
 from nophase.errors import DomainError, MagnitudeError
 from nophase.grid import (RealSample, SpectralGrid, SpectralSample, forward,
                           linf_norm)
-from nophase.phase import (PhaseFunction, apply_S, band_limited_evaluator,
+from helpers import apply_S
+from nophase.phase import (PhaseFunction, band_limited_evaluator,
                            basis_derivatives, build_phase, eval_basis,
                            interior_nodes, kummer_residual)
 from nophase.problem import build_problem

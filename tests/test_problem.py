@@ -127,7 +127,7 @@ class TestSchwarzianP:
         c = make_constant_coefficient(2.5, 0.0, 1.0)
         cmap = build_map(c)
         grid = SpectralGrid(8.0, 256)
-        p = schwarzian_p(cmap.ext, cmap, grid)
+        p = schwarzian_p(cmap, grid)
         assert np.max(np.abs(p.values)) <= 1e-13
 
     def test_exponential_closed_form(self):
@@ -146,9 +146,9 @@ class TestSchwarzianP:
         fd = Coefficient.make(sech2, -3.0, 3.0, extension_width=4.0)
         cmap = build_map(analytic)
         grid = choose_grid(cmap, 10.0)
-        pa = schwarzian_p(cmap.ext, cmap, grid)
+        pa = schwarzian_p(cmap, grid)
         cmap_fd = build_map(fd)
-        pf = schwarzian_p(cmap_fd.ext, cmap_fd, grid)
+        pf = schwarzian_p(cmap_fd, grid)
         assert np.max(np.abs(pa.values - pf.values)) <= 1e-8
 
     def test_schwarzian_identity(self, sech_coefficient):
@@ -175,12 +175,12 @@ class TestSchwarzianP:
         cmap = build_map(sech_coefficient)
         grid = SpectralGrid(6.0, 1024)  # too narrow: p nonzero at the edge
         with pytest.raises(ConfigurationError):
-            schwarzian_p(cmap.ext, cmap, grid)
+            schwarzian_p(cmap, grid)
 
 
 def full_grid_transform(prob):
     """p-hat from p at every node of the problem's own grid, floored."""
-    p = schwarzian_p(prob.extended, prob.map, prob.grid, prob.x_shift)
+    p = schwarzian_p(prob.map, prob.grid, prob.x_shift)
     vals = forward(p).values
     vals[np.abs(vals) < CLEAN_REL * np.max(np.abs(vals))] = 0.0
     return vals

@@ -7,12 +7,12 @@ from scipy.integrate import quad
 from conftest import make_constant_coefficient
 from nophase.phase import (band_limited_evaluator, build_phase,
                            interior_nodes, kummer_residual)
-from nophase.convexp import exp2_star_series
+from helpers import apply_T, exp2_star_series, zeros_spectral
 from nophase.errors import ConfigurationError, ConvergenceError
 from nophase.grid import (RealSample, SpectralGrid, SpectralSample, convolve,
-                          forward, l1_norm, linf_norm, zeros_spectral)
+                          forward, l1_norm, linf_norm)
 from nophase.problem import build_problem, decay_bound
-from nophase.solver import (apply_R, apply_T, apply_Wb, apply_Wb_tilde,
+from nophase.solver import (apply_R, apply_Wb, apply_Wb_tilde,
                             extract_solution, fixed_point_solve,
                             invert_helmholtz, make_bump, make_unit_bump,
                             solve_problem)

@@ -3,6 +3,9 @@ import dataclasses
 import json
 import os
 import pathlib
+import shutil
+import subprocess
+import sys
 import warnings
 
 import numpy as np
@@ -10,10 +13,11 @@ import pytest
 
 import nophase.sweep
 from conftest import make_constant_coefficient
+from helpers import fit_slope
 from nophase.cli import (EXIT_CERTIFICATION, EXIT_NUMERICAL, EXIT_OK,
                          _tests_dir, build_parser, main)
 from nophase.solver import BoundsReport
-from nophase.sweep import CSV_COLUMNS, fit_slope, run_sweep, sweep_point
+from nophase.sweep import CSV_COLUMNS, run_sweep, sweep_point
 
 
 @pytest.fixture
@@ -265,6 +269,25 @@ class TestCliPlumbing:
 
     def test_tests_directory_found(self):
         assert os.path.isdir(_tests_dir())
+
+    def test_selftest_outside_a_checkout(self, tmp_path):
+        # an installed package has no tests/ beside it; a copy of the
+        # package outside the checkout stands in for one
+        shutil.copytree(pathlib.Path(nophase.sweep.__file__).parent,
+                        tmp_path / "nophase",
+                        ignore=shutil.ignore_patterns("__pycache__"))
+        # the copy, not the checkout, must be imported, or selftest would
+        # run this suite again
+        script = ("import sys, nophase, nophase.cli; "
+                  "assert nophase.__file__.startswith(sys.argv[1]); "
+                  "sys.exit(nophase.cli.main(['selftest']))")
+        done = subprocess.run(
+            [sys.executable, "-c", script, str(tmp_path)], cwd=tmp_path,
+            env={**os.environ, "PYTHONPATH": str(tmp_path)},
+            capture_output=True, text=True, timeout=120)
+        assert done.returncode == EXIT_NUMERICAL
+        assert done.stderr.splitlines() == [
+            "error: test suite not found alongside the package"]
 
     def test_subcommand_required(self):
         with pytest.raises(SystemExit):
