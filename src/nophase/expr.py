@@ -65,9 +65,11 @@ def compile_expression(source):
 
     def evaluate(t):
         arr = np.asarray(t, dtype=float)
-        local = dict(namespace)
-        local[VARIABLE] = arr
-        result = np.asarray(eval(code, local), dtype=float)  # noqa: S307 - AST whitelisted
+        try:
+            value = eval(code, namespace, {VARIABLE: arr})  # noqa: S307 - AST whitelisted
+        except ArithmeticError as exc:
+            raise DomainError(f"cannot evaluate {source!r}: {exc}") from exc
+        result = np.asarray(value, dtype=float)
         if result.shape != arr.shape:
             result = np.broadcast_to(result, arr.shape).copy()
         return result

@@ -2,6 +2,7 @@
 for y'' + lambda^2 q y = 0 and basis-error measurement against the phase
 function."""
 
+import math
 import signal
 import threading
 import warnings
@@ -34,8 +35,8 @@ def ode_oracle(prob, y0, dy0, t, tol=1e-13):
     unchanged; any other integrator failure is a NumericalError."""
     from scipy.integrate import ode
 
-    if tol < 1e-14:
-        raise ValueError("tol must be >= 1e-14")
+    if not (math.isfinite(tol) and tol >= 1e-14):
+        raise ValueError(f"tol must be a finite number >= 1e-14, not {tol!r}")
     a = prob.coefficient.interval_a
     b = prob.coefficient.interval_b
     t = np.asarray(t, dtype=float)

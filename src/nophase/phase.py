@@ -103,7 +103,7 @@ def build_phase(result, prob):
     alpha(a) = 0 (`PhaseFunction.from_log_derivative`)."""
     a, b = prob.coefficient.interval_a, prob.coefficient.interval_b
     delta_on_grid = band_limited_evaluator(result.delta_hat)
-    x_of_t, shift = prob.map.x_of_t, prob.x_shift
+    x_of_t, shift = prob.map.x_of_t, prob.map.x_shift
     delta = ChebSeries.adaptive_fit(
         lambda t: delta_on_grid(x_of_t(t) - shift), a, b)
     r = ChebSeries.adaptive_fit(

@@ -91,11 +91,11 @@ class Coefficient:
                    extension_width=w)
 
     @cached_property
-    def prepared(self):
+    def map(self):
         """The lambda-independent setup of every solve for this
-        coefficient (`prepare`), built on first use and kept as long as
+        coefficient (`build_map`), built on first use and kept as long as
         the coefficient is."""
-        return prepare(self)
+        return build_map(self)
 
 
 class ExtendedCoefficient:
@@ -179,12 +179,15 @@ class CoordinateMap:
 
     Both directions are piecewise Chebyshev series on [t_lo, t_hi] and
     [x_lo, x_hi] = [x(t_lo), x(t_hi)]; beyond those ends q is constant
-    and both are continued linearly."""
+    and both are continued linearly.
+
+    The map also keeps p on the nested grids of `forcing_transform`, per
+    (L, n) and extended on demand (`level`)."""
 
     ext: ExtendedCoefficient
     x_series: PiecewiseCheb
     t_series: PiecewiseCheb
-    x_b: float
+    levels: dict = field(default_factory=dict, repr=False, compare=False)
 
     @property
     def t_lo(self):
@@ -202,6 +205,13 @@ class CoordinateMap:
     def x_hi(self):
         return float(self.t_series.edges[-1])
 
+    @property
+    def x_shift(self):
+        """The center of [x_lo, x_hi]: grid coordinates are x - x_shift,
+        so the grid is centered on the support of p; x(a) = 0 stays the
+        map's anchor."""
+        return 0.5 * (self.x_lo + self.x_hi)
+
     def x_of_t(self, t):
         t = np.asarray(t, dtype=float)
         lo, hi = self.t_lo, self.t_hi
@@ -215,6 +225,26 @@ class CoordinateMap:
         return (self.t_series(np.clip(x, lo, hi))
                 + np.minimum(x - lo, 0.0) / np.sqrt(self.ext.qa)
                 + np.maximum(x - hi, 0.0) / np.sqrt(self.ext.qb))
+
+    def level(self, L, n):
+        """p and its transform, floored at CLEAN_REL, on SpectralGrid(L, n).
+        When the level with n/2 points exists, p is evaluated only at the
+        new midpoints."""
+        if (L, n) not in self.levels:
+            grid = SpectralGrid(L, n)
+            coarse = self.levels.get((L, n // 2))
+            if coarse is None:
+                p = schwarzian_p(self, grid, self.x_shift).values
+            else:
+                # the finer grid's own odd nodes, not the coarse nodes +
+                # dx/2, so that every node rounds as on the full grid
+                mid = _forcing(self, grid.x[1::2] + self.x_shift)
+                p = np.stack((coarse[0], mid), axis=1).ravel()
+            p_hat = forward(RealSample(grid, p)).values
+            p_hat[below_floor(p_hat)] = 0.0
+            p.flags.writeable = p_hat.flags.writeable = False
+            self.levels[(L, n)] = (p, p_hat)
+        return self.levels[(L, n)]
 
 
 def build_map(coeff):
@@ -244,8 +274,7 @@ def build_map(coeff):
         raise NumericalError("coordinate inversion did not converge")
 
     t_series = PiecewiseCheb.adaptive_fit(invert, x_at, tol=MAP_TOL)
-    return CoordinateMap(ext=ext, x_series=x_series, t_series=t_series,
-                         x_b=float(x_series(b)))
+    return CoordinateMap(ext=ext, x_series=x_series, t_series=t_series)
 
 
 def _forcing(cmap, x):
@@ -292,66 +321,23 @@ def default_half_width(cmap):
     return 1.3 * span + 1.0
 
 
-@dataclass(frozen=True, eq=False)
-class PreparedCoefficient:
-    """The lambda-independent part of every solve for one coefficient:
-    the coordinate map with its extended coefficient, the default grid
-    half-width, the shift that centers the grid on the support of p, and
-    p on the nested grids of `forcing_transform`, kept per (L, n) and
-    extended on demand."""
-
-    map: CoordinateMap
-    half_width: float
-    x_shift: float
-    levels: dict = field(default_factory=dict)
-
-    def level(self, L, n):
-        """p and its transform, floored at CLEAN_REL, on SpectralGrid(L, n).
-        When the level with n/2 points exists, p is evaluated only at the
-        new midpoints."""
-        if (L, n) not in self.levels:
-            grid = SpectralGrid(L, n)
-            coarse = self.levels.get((L, n // 2))
-            if coarse is None:
-                p = schwarzian_p(self.map, grid, self.x_shift).values
-            else:
-                # the finer grid's own odd nodes, not the coarse nodes +
-                # dx/2, so that every node rounds as on the full grid
-                mid = _forcing(self.map, grid.x[1::2] + self.x_shift)
-                p = np.stack((coarse[0], mid), axis=1).ravel()
-            p_hat = forward(RealSample(grid, p)).values
-            p_hat[below_floor(p_hat)] = 0.0
-            p.flags.writeable = p_hat.flags.writeable = False
-            self.levels[(L, n)] = (p, p_hat)
-        return self.levels[(L, n)]
-
-
-def prepare(coefficient):
-    """Build the lambda-independent setup of a coefficient; p is sampled
-    later, level by level, as solves ask for it."""
-    cmap = build_map(coefficient)
-    return PreparedCoefficient(map=cmap,
-                               half_width=default_half_width(cmap),
-                               x_shift=0.5 * (cmap.x_lo + cmap.x_hi))
-
-
-def forcing_transform(prep, grid):
+def forcing_transform(cmap, grid):
     """p-hat on the coarsest grid over the grid's [-L, L) that resolves it.
 
     Starting from BASE_N points (or the grid's N, if smaller), the point
     count doubles until p-hat, floored at CLEAN_REL, vanishes on the outer
     half of its frequency range, or until it reaches the grid's own N.
-    The grids are nested (`PreparedCoefficient.level`), so p is evaluated
+    The grids are nested (`CoordinateMap.level`), so p is evaluated
     at no more than N points, and only once per coefficient.  Returns that
     level's grid and its floored p-hat values."""
     L, n = grid.half_width, min(BASE_N, grid.n_points)
     while True:
-        p, p_hat = prep.level(L, n)
+        p, p_hat = cmap.level(L, n)
         outer = np.abs(np.arange(n) - n // 2) >= n // 4
         if n == grid.n_points or not np.any(p_hat[outer]):
             break
         n *= 2
-    _require_vanishing_edges(p, prep.map)  # at the final level's end nodes
+    _require_vanishing_edges(p, cmap)  # at the final level's end nodes
     return SpectralGrid(L, n), p_hat
 
 
@@ -392,13 +378,9 @@ def decay_bound(xi, gamma, mu):
 class HypothesisReport:
     """Measured quantities and flags for the solvability hypotheses."""
 
-    lam: float
-    gamma: float
-    mu: float
     w_l1: float
     lambda_ok: bool       # lambda > 2 max(1/mu, gamma)
     w_l1_ok: bool         # ||w||_1 <= (pi/2) lambda^2
-    degenerate: bool
 
     @property
     def certified(self):
@@ -416,9 +398,6 @@ class CoefficientProblem:
     p_hat: SpectralSample
     gamma_fit: float
     mu_fit: float
-    # the grid is centered on the support of p, so grid coordinates are
-    # x - x_shift; x(a) = 0 stays the map's anchor
-    x_shift: float = 0.0
 
     @property
     def degenerate(self):
@@ -434,11 +413,8 @@ def check_hypotheses(prob):
     else:
         lambda_ok = prob.lam > 2.0 * max(1.0 / prob.mu_fit, prob.gamma_fit)
     w_l1_ok = w_l1 <= 0.5 * np.pi * prob.lam ** 2
-    return HypothesisReport(lam=prob.lam, gamma=prob.gamma_fit,
-                            mu=prob.mu_fit, w_l1=w_l1,
-                            lambda_ok=bool(lambda_ok),
-                            w_l1_ok=bool(w_l1_ok),
-                            degenerate=prob.degenerate)
+    return HypothesisReport(w_l1=w_l1, lambda_ok=bool(lambda_ok),
+                            w_l1_ok=bool(w_l1_ok))
 
 
 def _next_pow2(n):
@@ -465,8 +441,8 @@ def choose_grid(cmap, lam, L=None, N=None):
 
 def build_problem(coefficient, lam, L=None, N=None):
     """Assemble a CoefficientProblem: grid, forcing transform and decay
-    fit, on the coefficient's prepared lambda-independent setup
-    (`Coefficient.prepared`: extension, map, and p on nested grids).
+    fit, on the coefficient's lambda-independent setup
+    (`Coefficient.map`: extension, map, and p on nested grids).
 
     The grid is `choose_grid`'s, with xi_max above 2 sqrt(2) lambda,
     except in one regime: when N is not given, p-hat's base level is
@@ -475,12 +451,11 @@ def build_problem(coefficient, lam, L=None, N=None):
     `solve_problem` solves with `make_unit_bump`.  Values of p_hat below
     the round-off floor are zeroed so the decay certificate is meaningful
     at every node."""
-    if lam <= 0:
+    if _finite(lam, "lambda") <= 0:
         raise DomainError("lambda must be positive")
-    prep = coefficient.prepared
-    grid = choose_grid(prep.map, lam,
-                       L=prep.half_width if L is None else L, N=N)
-    level, level_hat = forcing_transform(prep, grid)
+    cmap = coefficient.map
+    grid = choose_grid(cmap, lam, L=L, N=N)
+    level, level_hat = forcing_transform(cmap, grid)
     # a level that stopped at N without resolving p-hat is choose_grid's
     # own grid, whose xi_max exceeds 2 sqrt(2) lambda, so it never passes
     if N is None and lam >= level.xi_max:
@@ -491,9 +466,8 @@ def build_problem(coefficient, lam, L=None, N=None):
     p_hat = SpectralSample(grid, vals)
     gamma, mu = fit_decay(p_hat)
     prob = CoefficientProblem(coefficient=coefficient, lam=float(lam),
-                              map=prep.map, grid=grid, p_hat=p_hat,
-                              gamma_fit=gamma, mu_fit=mu,
-                              x_shift=prep.x_shift)
+                              map=cmap, grid=grid, p_hat=p_hat,
+                              gamma_fit=gamma, mu_fit=mu)
     hyp = check_hypotheses(prob)
     if not hyp.certified:
         warnings.warn(

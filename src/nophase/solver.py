@@ -18,11 +18,11 @@ from dataclasses import dataclass, asdict
 import numpy as np
 
 from .convexp import exp2_star
-from .errors import ConfigurationError, ConvergenceError
+from .errors import ConfigurationError, ConvergenceError, DomainError
 from .grid import (RealSample, SpectralSample, convolve, inverse, l1_norm,
                    linf_norm, symmetrize)
 from .mollifier import smooth_step
-from .problem import below_floor, check_hypotheses, decay_bound
+from .problem import _finite, below_floor, check_hypotheses, decay_bound
 
 # absolute floor, relative to the largest magnitude in play, below which
 # a theoretical bound is unmeasurable in double precision
@@ -109,10 +109,9 @@ def apply_R(psi, w_hat, bump):
 
 @dataclass
 class SolverState:
-    """Iterate, forcing, and the L1 increment history."""
+    """Iterate and the L1 increment history."""
 
     psi: SpectralSample
-    w_hat: SpectralSample
     iteration: int
     l1_deltas: list
     converged: bool = False
@@ -124,6 +123,8 @@ def fixed_point_solve(w_hat, lam, tol=1e-14, max_iter=MAX_ITER, bump=None):
 
     Convergence is guaranteed when ||w||_1 <= (pi/2) lambda^2; outside
     that ball the iteration proceeds with a warning."""
+    if _finite(tol, "tol") <= 0.0:
+        raise DomainError("tol must be positive")
     if bump is None:
         bump = make_bump(w_hat.grid, lam)
     w_l1 = l1_norm(w_hat)
@@ -141,8 +142,8 @@ def fixed_point_solve(w_hat, lam, tol=1e-14, max_iter=MAX_ITER, bump=None):
         deltas.append(delta)
         psi = nxt
         if delta <= threshold:
-            return SolverState(psi=psi, w_hat=w_hat, iteration=iteration,
-                               l1_deltas=deltas, converged=True)
+            return SolverState(psi=psi, iteration=iteration, l1_deltas=deltas,
+                               converged=True)
     raise ConvergenceError(
         f"fixed-point iteration did not reach tol={tol} in {max_iter} steps",
         history=deltas,

@@ -22,7 +22,7 @@ def liouville_green(prob, y0, dy0, n_nodes=3001):
     """Transform the oracle solution with initial data (y0, dy0) at t = a
     and measure the residual of the constant-coefficient equation by
     6th-order finite differences."""
-    x_b = prob.map.x_b
+    x_b = prob.map.x_of_t(prob.coefficient.interval_b)
     x = np.linspace(0.0, x_b, n_nodes)
     t = prob.map.t_of_x(x)
     y, _ = ode_oracle(prob, y0, dy0, t)

@@ -13,9 +13,9 @@ from nophase.expr import compile_expression
 from nophase.grid import SpectralGrid, SpectralSample, forward
 from nophase.problem import (CLEAN_REL, Coefficient, ExtendedCoefficient,
                              build_map, build_problem, check_hypotheses,
-                             choose_grid, decay_bound, fit_decay,
-                             load_problem_file, problem_config_from_dict,
-                             schwarzian_p)
+                             choose_grid, decay_bound, default_half_width,
+                             fit_decay, load_problem_file,
+                             problem_config_from_dict, schwarzian_p)
 
 
 class TestCoefficient:
@@ -101,10 +101,6 @@ class TestCoordinateMap:
         for t in (-40.0, 40.0):
             assert cmap.t_of_x(cmap.x_of_t(t)) == pytest.approx(t, abs=1e-12)
 
-    def test_x_b(self, sech_coefficient):
-        cmap = build_map(sech_coefficient)
-        assert cmap.x_b == pytest.approx(cmap.x_of_t(3.0))
-
     def test_cubic_spline_table(self, rng):
         # q'' of a cubic spline jumps at every knot
         knots = np.linspace(-15.0, 15.0, 141)
@@ -180,7 +176,7 @@ class TestSchwarzianP:
 
 def full_grid_transform(prob):
     """p-hat from p at every node of the problem's own grid, floored."""
-    p = schwarzian_p(prob.map, prob.grid, prob.x_shift)
+    p = schwarzian_p(prob.map, prob.grid, prob.map.x_shift)
     vals = forward(p).values
     vals[np.abs(vals) < CLEAN_REL * np.max(np.abs(vals))] = 0.0
     return vals
@@ -251,6 +247,18 @@ class TestForcingTransform:
         assert seen == []
         assert len(maps) == 1
 
+    def test_level_cache_keyed_by_half_width(self):
+        # the levels of one coefficient's map, kept per (L, n), give each
+        # L the p-hat a fresh coefficient gives it
+        shared = make_sech_coefficient()
+        for L in (None, 20.0, None):
+            fresh = build_problem(make_sech_coefficient(), 80.0, L=L)
+            np.testing.assert_array_equal(
+                build_problem(shared, 80.0, L=L).p_hat.values,
+                fresh.p_hat.values)
+        assert {L for L, _ in shared.map.levels} \
+            == {20.0, default_half_width(shared.map)}
+
     # the finite-difference route is uncertified at this lambda
     @pytest.mark.filterwarnings("ignore:solvability hypotheses")
     def test_noisy_forcing_keeps_the_lambda_grid(self):
@@ -300,9 +308,8 @@ class TestFitDecay:
 class TestHypotheses:
     def test_constant_coefficient_degenerate(self):
         prob = build_problem(make_constant_coefficient(), 5.0)
-        report = check_hypotheses(prob)
-        assert report.degenerate
-        assert report.certified
+        assert prob.degenerate
+        assert check_hypotheses(prob).certified
 
     def test_sech_certified_at_large_lambda(self, sech_coefficient):
         prob = build_problem(sech_coefficient, 50.0)

@@ -301,7 +301,7 @@ class TestExtractSolution:
             prob.grid.dxi / (2.0 * np.pi) * np.sum(np.abs(cut)), rel=1e-12)
         assert report.delta_tail <= 1e-15 * linf_norm(result.delta)
         t = interior_nodes(-3.0, 3.0)
-        x = prob.map.x_of_t(t) - prob.x_shift
+        x = prob.map.x_of_t(t) - prob.map.x_shift
         gap = band_limited_evaluator(result.delta_hat)(x) \
             - band_limited_evaluator(full)(x)
         # plus the rounding of the two sums, one ulp of their scale

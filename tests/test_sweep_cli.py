@@ -167,10 +167,13 @@ class TestCliSolve:
         '{"q": "1", "a": 0.0, "b": 1.0, "lambda": null}',
         '{"q": "1", "dq": 5, "a": 0.0, "b": 1.0}',
         '5',
+        '{"q": "1 + 1/0", "a": 0.0, "b": 1.0}',
+        '{"q": "1 + 2.0**5000", "a": 0.0, "b": 1.0}',
     ], ids=["missing-file", "malformed-json", "unknown-function",
             "missing-key", "nonpositive-q", "null-a", "string-width",
             "zero-width", "negative-width", "list-grid-L", "number-grid",
-            "null-lambda", "number-dq", "not-an-object"])
+            "null-lambda", "number-dq", "not-an-object", "zero-division",
+            "overflowing-constant"])
     def test_bad_input_exits_2_with_one_line(self, tmp_path, capsys, text):
         path = tmp_path / "bad.json"
         if text is not None:
@@ -181,6 +184,26 @@ class TestCliSolve:
         assert code == EXIT_NUMERICAL
         err = capsys.readouterr().err.strip().splitlines()
         assert len(err) == 1 and err[0].startswith("error: ")
+
+    # a flag that parses as inf or nan names itself, on one line
+    @pytest.mark.parametrize("argv", [
+        ["solve", "--lambda", "inf"],
+        ["solve", "--lambda", "nan"],
+        ["solve", "--lambda", "10", "--tol", "inf"],
+        ["verify", "--lambda", "inf"],
+        ["verify", "--lambda", "nan"],
+        ["verify", "--lambda", "10", "--oracle-tol", "inf"],
+        ["verify", "--lambda", "10", "--oracle-tol", "nan"],
+    ], ids=["solve-lambda-inf", "solve-lambda-nan", "solve-tol-inf",
+            "verify-lambda-inf", "verify-lambda-nan", "verify-oracle-tol-inf",
+            "verify-oracle-tol-nan"])
+    def test_non_finite_flag_exits_2_with_one_line(self, constant_problem,
+                                                   capsys, argv):
+        code = main([argv[0], constant_problem] + argv[1:])
+        assert code == EXIT_NUMERICAL
+        err = capsys.readouterr().err.strip().splitlines()
+        assert len(err) == 1 and err[0].startswith("error: ")
+        assert "finite" in err[0]
 
 
 class TestCliVerify:
@@ -237,6 +260,20 @@ class TestCliSweep:
         code = main(["sweep", str(path), "--lambdas", "1,500",
                      "--out", str(out)])
         assert code == EXIT_NUMERICAL
+
+    def test_non_finite_lambda_is_a_failed_row(self, constant_problem,
+                                               tmp_path, capsys):
+        out = tmp_path / "sweep.csv"
+        code = main(["sweep", constant_problem, "--lambdas", "inf,20",
+                     "--out", str(out)])
+        assert code == EXIT_NUMERICAL
+        rows = json.loads((tmp_path / "sweep.json").read_text())["rows"]
+        assert "lambda must be a finite number" in rows[0]["error"]
+        assert rows[1]["lam"] == 20.0 and rows[1]["error"] is None
+        assert rows[1]["iterations"] >= 1
+        err = capsys.readouterr().err.strip().splitlines()
+        assert err == ["sweep: lambda=inf failed: lambda must be a finite "
+                       "number, not inf"]
 
     def test_json_mirror_never_overwrites_problem(self, constant_problem,
                                                   capsys):
