@@ -5,13 +5,13 @@ derivatives) at lambda = 20, 80, 320, 1280 on one fresh Coefficient per
 pass, as perfbench's solve-ladder workload does, and prints one JSON
 object.  Per lambda it gives the median over the timed passes (one
 untimed warm-up pass first) of the ms spent in `build_problem`, the bump,
-the fixed point, the extraction, `build_phase`, and the checks
-(`kummer_residual` and `eval_basis` at the 400 interior nodes, as
-solve-ladder runs them) and the DOP853 oracle (one `basis_error` at
-oracle_tol = 1e-13, as `verify` and `sweep` run it), with the grid N, the
-points at which q, q' and q'' are evaluated in `build_problem`, the q
-calls of the oracle, and the points at which delta's trigonometric series
-is summed.
+the fixed point (in all and per iteration), the extraction,
+`build_phase`, the checks (`kummer_residual` and `eval_basis` at the 400
+interior nodes, as solve-ladder runs them) and the DOP853 oracle (one
+`basis_error` at oracle_tol = 1e-13, as `verify` and `sweep` run it),
+with the grid N, the fixed-point iterations, the points at which q, q'
+and q'' are evaluated in `build_problem`, the q calls of the oracle, and
+the points at which delta's trigonometric series is summed.
 
 The bump is timed as `solve_problem` minus its fixed point and its
 extraction, so the script runs unchanged on trees that choose the bump
@@ -99,7 +99,7 @@ def one_pass(stages):
         prob = build_problem(coeff, lam)
         t1 = time.perf_counter()
         q_points = stages.points["q_points"]
-        result, _ = solve_problem(prob)
+        result, state = solve_problem(prob)
         t2 = time.perf_counter()
         phase = build_phase(result, prob)
         t3 = time.perf_counter()
@@ -115,11 +115,14 @@ def one_pass(stages):
             "bump_ms": solve_ms - stages.ms["fixed_point_solve"]
             - stages.ms["extract_solution"],
             "fixed_point_ms": stages.ms["fixed_point_solve"],
+            "fixed_point_iter_ms": stages.ms["fixed_point_solve"]
+            / state.iteration,
             "extract_ms": stages.ms["extract_solution"],
             "build_phase_ms": 1e3 * (t3 - t2),
             "checks_ms": 1e3 * (t4 - t3),
             "oracle_ms": 1e3 * (t5 - t4),
             "grid_n": prob.grid.n_points,
+            "iterations": state.iteration,
             "q_points": q_points,
             "oracle_q_calls": stages.points["q_points"] - q_points_before,
             "evaluator_points": stages.points["evaluator_points"],

@@ -13,7 +13,7 @@ failures are non-convergence, an unresolvable grid, a decay fit that
 fails, a Chebyshev fit that does not resolve its function, and an
 overflowing or asymmetric sample; bad input is a missing or
 unreadable file, malformed JSON, a missing q, a or b, an unknown name in
-an expression, and a q that is not strictly positive.
+an expression, a q that is not strictly positive, and a bad --oracle-tol.
 """
 
 import argparse
@@ -21,6 +21,7 @@ import json
 import sys
 
 from .errors import NophaseError, NumericalError
+from .oracle import check_tol
 from .problem import build_problem, load_problem_file
 from .solver import solve_problem
 from .sweep import run_sweep, sweep_point
@@ -64,6 +65,7 @@ def cmd_solve(args):
 
 
 def cmd_verify(args):
+    check_tol(args.oracle_tol, "--oracle-tol")
     config = load_problem_file(args.problem)
     lam = _resolve_lambda(config, args)
     row = sweep_point(config.coefficient, lam, L=config.grid_L,

@@ -20,6 +20,14 @@ _NSTEPS = 2 ** 31 - 1  # no step cap per node, as solve_ivp has none
 # about 10 * 2.3e-16 * |t|; nodes closer than this to the last one are
 # reached by one Euler step from it
 _MIN_GAP = 1e-14
+MIN_TOL = 1e-14  # smallest tolerance the oracle accepts
+
+
+def check_tol(tol, name):
+    """ValueError naming `name` unless tol is finite and >= MIN_TOL."""
+    if not (math.isfinite(tol) and tol >= MIN_TOL):
+        raise ValueError(
+            f"{name} must be a finite number >= {MIN_TOL:g}, not {tol!r}")
 
 
 def ode_oracle(prob, y0, dy0, t, tol=1e-13):
@@ -35,8 +43,7 @@ def ode_oracle(prob, y0, dy0, t, tol=1e-13):
     unchanged; any other integrator failure is a NumericalError."""
     from scipy.integrate import ode
 
-    if not (math.isfinite(tol) and tol >= 1e-14):
-        raise ValueError(f"tol must be a finite number >= 1e-14, not {tol!r}")
+    check_tol(tol, "tol")
     a = prob.coefficient.interval_a
     b = prob.coefficient.interval_b
     t = np.asarray(t, dtype=float)

@@ -315,6 +315,14 @@ def below_floor(vals):
     return absv < CLEAN_REL * np.max(absv)
 
 
+def resolved(vals):
+    """True when the frequency samples vals, floored at CLEAN_REL, vanish
+    on the outer half of their range, |k - n/2| >= n/4."""
+    n = vals.size
+    outer = np.abs(np.arange(n) - n // 2) >= n // 4
+    return not np.any(vals[outer & ~below_floor(vals)])
+
+
 def default_half_width(cmap):
     """The grid half-width L that covers the support of p with margin."""
     span = 0.5 * (cmap.x_hi - cmap.x_lo)
@@ -333,8 +341,7 @@ def forcing_transform(cmap, grid):
     L, n = grid.half_width, min(BASE_N, grid.n_points)
     while True:
         p, p_hat = cmap.level(L, n)
-        outer = np.abs(np.arange(n) - n // 2) >= n // 4
-        if n == grid.n_points or not np.any(p_hat[outer]):
+        if n == grid.n_points or resolved(p_hat):
             break
         n *= 2
     _require_vanishing_edges(p, cmap)  # at the final level's end nodes
@@ -417,19 +424,16 @@ def check_hypotheses(prob):
                             w_l1_ok=bool(w_l1_ok))
 
 
-def _next_pow2(n):
-    return 1 << max(4, int(np.ceil(np.log2(max(n, 1)))))
-
-
 def choose_grid(cmap, lam, L=None, N=None):
     """Grid geometry: L covers the support of p with margin; N keeps
-    xi_max comfortably above 2 sqrt(2) lambda so quadratic terms of the
-    iteration stay resolved."""
+    xi_max comfortably above 2 sqrt(2) lambda, where the iteration is
+    resolved whatever its forcing.  An explicit N must meet that bound;
+    without one, the grid caps the levels `forcing_transform` tries."""
     if L is None:
         L = default_half_width(cmap)
     if N is None:
         need = 2.0 * L * 2.0 * np.sqrt(2.0) * 1.15 * lam / np.pi
-        N = _next_pow2(int(np.ceil(max(need, 1024))))
+        N = 1 << int(np.ceil(np.log2(np.ceil(max(need, 1024)))))
     grid = SpectralGrid(half_width=float(L), n_points=int(N))
     if grid.xi_max < 2.0 * np.sqrt(2.0) * lam:
         raise ConfigurationError(
@@ -444,21 +448,19 @@ def build_problem(coefficient, lam, L=None, N=None):
     fit, on the coefficient's lambda-independent setup
     (`Coefficient.map`: extension, map, and p on nested grids).
 
-    The grid is `choose_grid`'s, with xi_max above 2 sqrt(2) lambda,
-    except in one regime: when N is not given, p-hat's base level is
-    resolved, and lambda >= that level's xi_max, the problem lives on the
-    base level itself.  The cutoff is then 1 at every node, and
-    `solve_problem` solves with `make_unit_bump`.  Values of p_hat below
-    the round-off floor are zeroed so the decay certificate is meaningful
-    at every node."""
+    With an explicit N the grid is `choose_grid`'s, and p-hat is padded
+    onto it.  Without one it is the level `forcing_transform` returns:
+    the coarsest that resolves p-hat, which stops growing with lambda, or
+    `choose_grid`'s own grid when p-hat never resolves (finite-difference
+    noise).  `fixed_point_solve` checks that the solution is resolved
+    there too.  Values of p_hat below the round-off floor are zeroed so
+    the decay certificate is meaningful at every node."""
     if _finite(lam, "lambda") <= 0:
         raise DomainError("lambda must be positive")
     cmap = coefficient.map
     grid = choose_grid(cmap, lam, L=L, N=N)
     level, level_hat = forcing_transform(cmap, grid)
-    # a level that stopped at N without resolving p-hat is choose_grid's
-    # own grid, whose xi_max exceeds 2 sqrt(2) lambda, so it never passes
-    if N is None and lam >= level.xi_max:
+    if N is None:
         grid = level
     vals = np.zeros(grid.n_points, dtype=complex)
     start = (grid.n_points - level.n_points) // 2

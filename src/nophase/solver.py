@@ -22,7 +22,8 @@ from .errors import ConfigurationError, ConvergenceError, DomainError
 from .grid import (RealSample, SpectralSample, convolve, inverse, l1_norm,
                    linf_norm, symmetrize)
 from .mollifier import smooth_step
-from .problem import _finite, below_floor, check_hypotheses, decay_bound
+from .problem import (_finite, below_floor, check_hypotheses, decay_bound,
+                      resolved)
 
 # absolute floor, relative to the largest magnitude in play, below which
 # a theoretical bound is unmeasurable in double precision
@@ -50,7 +51,10 @@ class Bump:
     multiplier: np.ndarray
 
 
-def _cutoff(grid, lam):
+def make_bump(grid, lam):
+    """Evaluate the cutoff at the frequency nodes.  On a grid with
+    xi_max <= lambda it is 1 at every node, and the band multiplier is
+    1/(4 lambda^2 - xi^2)."""
     c = 0.5 * (_SQRT2 * lam + lam)
     alpha = 0.25 * (_SQRT2 * lam - lam)
     xi = grid.xi
@@ -58,27 +62,6 @@ def _cutoff(grid, lam):
     b_hat = SpectralSample(grid, vals.astype(complex))
     return Bump(grid=grid, lam=float(lam), b_hat=b_hat, c=c, alpha=alpha,
                 multiplier=invert_helmholtz(b_hat, float(lam)).values.real)
-
-
-def make_bump(grid, lam):
-    """Evaluate the cutoff at the frequency nodes; requires
-    xi_max >= 2 sqrt(2) lambda."""
-    if grid.xi_max < 2.0 * _SQRT2 * lam:
-        raise ConfigurationError(
-            "xi_max must be at least 2*sqrt(2)*lambda to resolve the cutoff"
-        )
-    return _cutoff(grid, lam)
-
-
-def make_unit_bump(grid, lam):
-    """The same cutoff on a grid inside its plateau, where bhat is exactly
-    1 at every node and the band multiplier is 1/(4 lambda^2 - xi^2);
-    requires xi_max <= lambda."""
-    if grid.xi_max > lam:
-        raise ConfigurationError(
-            "xi_max must be at most lambda for the cutoff to be 1 on the grid"
-        )
-    return _cutoff(grid, lam)
 
 
 def apply_Wb(f, bump):
@@ -122,7 +105,11 @@ def fixed_point_solve(w_hat, lam, tol=1e-14, max_iter=MAX_ITER, bump=None):
     drops below tol relative to ||w||_1.
 
     Convergence is guaranteed when ||w||_1 <= (pi/2) lambda^2; outside
-    that ball the iteration proceeds with a warning."""
+    that ball the iteration proceeds with a warning.
+
+    On a grid with xi_max < 2 sqrt(2) lambda the quadratic term Wt*Wt is
+    not resolved a priori, so the converged psi must be, by the rule
+    p-hat's level meets (`resolved`), or ConfigurationError is raised."""
     if _finite(tol, "tol") <= 0.0:
         raise DomainError("tol must be positive")
     if bump is None:
@@ -142,6 +129,12 @@ def fixed_point_solve(w_hat, lam, tol=1e-14, max_iter=MAX_ITER, bump=None):
         deltas.append(delta)
         psi = nxt
         if delta <= threshold:
+            if psi.grid.xi_max < 2.0 * _SQRT2 * lam \
+                    and not resolved(psi.values):
+                raise ConfigurationError(
+                    "grid frequency range too small: the solution does not "
+                    "vanish on the outer half of the grid; give grid N"
+                )
             return SolverState(psi=psi, iteration=iteration, l1_deltas=deltas,
                                converged=True)
     raise ConvergenceError(
@@ -222,13 +215,13 @@ def extract_solution(state, bump, prob):
     delta_tail is the mass cut, (dxi/2pi) sum |delta-hat_cut|, which
     bounds the change in delta at every x.
 
-    When bhat is 1 at every node (`make_unit_bump`), sigma-hat is psi and
-    nu is zero by construction: the report marks nu as not measured
-    (nu_floor_limited) and keeps nu_bound.  The grid then ends inside the
-    cutoff's support, and band_tail is the mass beyond xi_max of the
+    On a grid with xi_max < sqrt(2) lambda, which ends inside the
+    cutoff's support, band_tail is the mass beyond xi_max of the
     sigma-hat decay bound that the report checks,
     (1/2pi) int_{|xi| > xi_max} (1 + 2 Gamma/lambda) Gamma e^{-mu |xi|};
-    it is 0 on a grid that holds the whole support."""
+    it is 0 otherwise.  Once xi_max <= lambda, bhat is 1 at every node,
+    sigma-hat is psi and nu is zero by construction: the report marks nu
+    as not measured (nu_floor_limited) and keeps nu_bound."""
     lam = bump.lam
     psi = state.psi
     grid = psi.grid
@@ -303,14 +296,7 @@ def extract_solution(state, bump, prob):
 
 
 def solve_problem(prob, tol=1e-14):
-    """Convenience wrapper: bump, iteration, extraction.
-
-    On a grid with xi_max <= lambda (the regime `build_problem` picks
-    once lambda passes p-hat's base band) the cutoff is 1 at every node,
-    and the bump is `make_unit_bump`'s; otherwise it is `make_bump`'s."""
-    if prob.grid.xi_max <= prob.lam:
-        bump = make_unit_bump(prob.grid, prob.lam)
-    else:
-        bump = make_bump(prob.grid, prob.lam)
+    """Convenience wrapper: bump, iteration, extraction on prob.grid."""
+    bump = make_bump(prob.grid, prob.lam)
     state = fixed_point_solve(prob.p_hat, prob.lam, tol=tol, bump=bump)
     return extract_solution(state, bump, prob), state

@@ -243,7 +243,7 @@ class TestForcingTransform:
         build_problem(coeff, 1280.0)
         seen.clear()
         prob = build_problem(coeff, 320.0)
-        assert prob.grid.n_points == 16384
+        assert prob.grid.n_points == 8192
         assert seen == []
         assert len(maps) == 1
 

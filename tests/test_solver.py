@@ -11,11 +11,10 @@ from helpers import apply_T, exp2_star_series, zeros_spectral
 from nophase.errors import ConfigurationError, ConvergenceError
 from nophase.grid import (RealSample, SpectralGrid, SpectralSample, convolve,
                           forward, l1_norm, linf_norm)
-from nophase.problem import build_problem, decay_bound
+from nophase.problem import build_problem, choose_grid, decay_bound
 from nophase.solver import (apply_R, apply_Wb, apply_Wb_tilde,
                             extract_solution, fixed_point_solve,
-                            invert_helmholtz, make_bump, make_unit_bump,
-                            solve_problem)
+                            invert_helmholtz, make_bump, solve_problem)
 
 SQRT2 = np.sqrt(2.0)
 
@@ -63,27 +62,27 @@ class TestBump:
         assert bump.c == pytest.approx(0.5 * (SQRT2 + 1.0) * lam)
         assert bump.alpha == pytest.approx(0.25 * (SQRT2 - 1.0) * lam)
 
-    def test_resolution_guard(self):
-        with pytest.raises(ConfigurationError):
-            make_bump(SpectralGrid(8.0, 64), 50.0)
+    def test_resolution_guard(self, rng):
+        # on a grid narrower than 2 sqrt(2) lambda the converged psi must
+        # vanish on the outer half of the grid; this forcing fills it but
+        # for the self-paired node -xi_max, which must stay real under Wt
+        grid = SpectralGrid(8.0, 64)
+        w = random_forcing(grid, rng, 1.0).values
+        w[0] = 0.0
+        with pytest.raises(ConfigurationError, match="give grid N"):
+            fixed_point_solve(SpectralSample(grid, w), 50.0)
 
-
-class TestUnitBump:
     def test_same_cutoff_on_its_plateau(self):
         # a grid inside [-lam, lam] over the same [-L, L) as a full one
         lam = 10.0
         full = make_bump(band_grid(lam), lam)
         grid = SpectralGrid(8.0, 32)
         assert grid.xi_max <= lam
-        unit = make_unit_bump(grid, lam)
+        unit = make_bump(grid, lam)
         assert np.all(unit.b_hat.values == 1.0)
         on = np.isin(full.grid.xi, grid.xi)
         np.testing.assert_array_equal(unit.multiplier, full.multiplier[on])
         assert (unit.c, unit.alpha) == (full.c, full.alpha)
-
-    def test_plateau_guard(self):
-        with pytest.raises(ConfigurationError):
-            make_unit_bump(SpectralGrid(8.0, 64), 5.0)
 
 
 class TestBandOperators:
@@ -322,21 +321,27 @@ class TestBaseBandGrid:
              "sigma_support_ok", "sigma_decay_ok", "nu_bound_ok")
 
     def test_matches_the_full_grid(self, sech_coefficient):
-        # once lambda passes p-hat's base band the default grid is that
-        # band's, where the cutoff is 1 at every node
+        # without N the grid is p-hat's resolved level at every lambda
+        # past its base band, on the cutoff's plateau or not
         t = interior_nodes(-3.0, 3.0)
-        solved = []
-        for N in (None, 65536):
-            prob = build_problem(sech_coefficient, 1280.0, N=N)
-            result, _ = solve_problem(prob)
-            solved.append((prob, result, build_phase(result, prob)))
-        (base, result, phase), (full, full_result, full_phase) = solved
-        assert base.grid.n_points == 8192 and base.grid.xi_max <= base.lam
-        assert full.grid.n_points == 65536
-        np.testing.assert_array_equal(phase.r_t(t), full_phase.r_t(t))
-        assert phase.delta_degree == full_phase.delta_degree
-        for res in (result, full_result):
-            assert all(getattr(res.bounds_report, f) for f in self.FLAGS)
+        for lam in (320.0, 450.0, 1280.0):
+            full = build_problem(sech_coefficient, lam,
+                                 N=choose_grid(sech_coefficient.map,
+                                               lam).n_points)
+            base = build_problem(sech_coefficient, lam)
+            solved = []
+            for prob in (base, full):
+                result, _ = solve_problem(prob)
+                solved.append((result, build_phase(result, prob)))
+            (result, phase), (full_result, full_phase) = solved
+            assert base.grid.n_points == 8192
+            assert full.grid.n_points > 8192
+            np.testing.assert_array_equal(phase.r_t(t), full_phase.r_t(t))
+            assert phase.delta_degree == full_phase.delta_degree
+            for res in (result, full_result):
+                assert all(getattr(res.bounds_report, f) for f in self.FLAGS)
+        # at lambda = 1280 the level lies inside the cutoff's plateau
+        assert base.grid.xi_max <= base.lam
         report = result.bounds_report
         assert report.nu_inf == 0.0 and report.nu_floor_limited
         assert report.nu_bound == full_result.bounds_report.nu_bound

@@ -11,6 +11,7 @@ import warnings
 import numpy as np
 import pytest
 
+import nophase.cli
 import nophase.sweep
 from conftest import make_constant_coefficient
 from helpers import fit_slope
@@ -216,6 +217,24 @@ class TestCliVerify:
     def test_sech_passes(self, sech_problem):
         code = main(["verify", sech_problem, "--lambda", "40"])
         assert code == EXIT_OK
+
+    @pytest.mark.parametrize("tol", ["1e-15", "inf"])
+    def test_oracle_tol_checked_before_the_solve(self, constant_problem,
+                                                 monkeypatch, capsys, tol):
+        # a bad --oracle-tol is reported before the problem file is read
+        calls = []
+        for module, name in ((nophase.cli, "load_problem_file"),
+                             (nophase.sweep, "build_problem")):
+            original = getattr(module, name)
+            monkeypatch.setattr(module, name, lambda *args, f=original, **kw:
+                                calls.append(args) or f(*args, **kw))
+        code = main(["verify", constant_problem, "--lambda", "10",
+                     "--oracle-tol", tol])
+        assert code == EXIT_NUMERICAL
+        err = capsys.readouterr().err.strip().splitlines()
+        assert len(err) == 1 and err[0].startswith("error: ")
+        assert "--oracle-tol" in err[0]
+        assert calls == []
 
     def test_oracle_failure_exits_2_with_one_line(self, sech_problem,
                                                   monkeypatch, capsys):
