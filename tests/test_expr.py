@@ -29,6 +29,29 @@ class TestCompileExpression:
         f = compile_expression("cos(t)")
         assert f(0.0) == pytest.approx(1.0)
 
+    @pytest.mark.parametrize("source, numpy_form", [
+        ("1 + sech(t)**2", lambda t: 1 + (1.0 / np.cosh(t)) ** 2),
+        ("t**3", lambda t: t ** 3),
+        ("-(exp(t) - exp(-t))*sech(t)**3",
+         lambda t: -(np.exp(t) - np.exp(-t)) * (1.0 / np.cosh(t)) ** 3),
+        ("sqrt(t + 2) * log(t + 3) / (1 + t**2)",
+         lambda t: np.sqrt(t + 2) * np.log(t + 3) / (1 + t ** 2)),
+        ("2", lambda t: 2),
+    ], ids=["sech", "cube", "dsech", "mixed", "constant"])
+    def test_float_input_gives_the_0d_bits(self, source, numpy_form):
+        # a float comes back, with the bits of the formula on a 0-d array
+        f = compile_expression(source)
+        for t in np.linspace(-1.7, 1.9, 37).tolist():
+            got = f(t)
+            assert type(got) is float
+            assert got == float(f(np.asarray(t)))
+            assert got == float(numpy_form(np.asarray(t)))
+
+    def test_division_by_zero_gives_inf(self):
+        f = compile_expression("1/t")
+        with pytest.warns(RuntimeWarning, match="divide by zero"):
+            assert f(0.0) == np.inf
+
     def test_unary_minus(self):
         f = compile_expression("-t + +2")
         assert f(3.0) == pytest.approx(-1.0)

@@ -15,7 +15,8 @@ from liouville import liouville_green, undo_liouville_green
 from nophase.errors import DomainError, NumericalError
 from nophase.oracle import basis_error, ode_oracle
 from nophase.phase import basis_derivatives, build_phase
-from nophase.problem import Coefficient, build_problem
+from nophase.problem import (Coefficient, build_problem,
+                             problem_config_from_dict)
 from nophase.solver import solve_problem
 
 
@@ -163,6 +164,33 @@ class TestCompiledIntegrator:
                                match=r"^reference integrator failed: [a-z ]+$"):
                 ode_oracle(_with_q(prob, q), [1.0, 0.0], [0.0, 1.0],
                            np.linspace(-3.0, 3.0, 400))
+
+    def test_list_rhs_bit_identical(self):
+        # the right-hand side is a list built from a float q; a q with the
+        # 0-d array contract must give the same steps and the same bits
+        config = problem_config_from_dict({
+            "q": "1 + sech(t)**2", "dq": "-(exp(t) - exp(-t))*sech(t)**3",
+            "d2q": "((exp(t) - exp(-t))**2 - 2)*sech(t)**4",
+            "a": -3.0, "b": 3.0, "extension_width": 4.0})
+        prob = build_problem(config.coefficient, 40.0)
+        q = config.coefficient.q
+        t = np.linspace(-3.0, 3.0, 400)
+
+        def run(wrap):
+            calls = []
+
+            def counted(s):
+                calls.append(s)
+                return wrap(s)
+
+            y, dy = ode_oracle(_with_q(prob, counted), [1.0, 0.0],
+                               [0.0, 1.0], t)
+            return y, dy, len(calls)
+
+        y, dy, n = run(q)
+        y0, dy0, n0 = run(lambda s: np.asarray(q(np.asarray(s))))
+        assert np.array_equal(y, y0) and np.array_equal(dy, dy0)
+        assert n == n0 > 0
 
     @pytest.mark.parametrize("lam", [40.0, 320.0])
     def test_matches_solve_ivp(self, sech_coefficient, lam):

@@ -64,13 +64,19 @@ class TestBump:
 
     def test_resolution_guard(self, rng):
         # on a grid narrower than 2 sqrt(2) lambda the converged psi must
-        # vanish on the outer half of the grid; this forcing fills it but
-        # for the self-paired node -xi_max, which must stay real under Wt
+        # vanish on the outer half of the grid; this forcing fills it
         grid = SpectralGrid(8.0, 64)
-        w = random_forcing(grid, rng, 1.0).values
-        w[0] = 0.0
         with pytest.raises(ConfigurationError, match="give grid N"):
-            fixed_point_solve(SpectralSample(grid, w), 50.0)
+            fixed_point_solve(random_forcing(grid, rng, 1.0), 50.0)
+
+    def test_self_paired_node_reaches_the_alias_check(self):
+        # a smooth p-hat still large at -xi_max: Wt must keep that node
+        # real, or the quadratic term is not Hermitian and the solve
+        # stops with SymmetryError before the alias check
+        grid = SpectralGrid(8.0, 64)
+        w = SpectralSample(grid, np.exp(-(grid.xi / 6.0) ** 2))
+        with pytest.raises(ConfigurationError, match="give grid N"):
+            fixed_point_solve(w, 50.0)
 
     def test_same_cutoff_on_its_plateau(self):
         # a grid inside [-lam, lam] over the same [-L, L) as a full one
