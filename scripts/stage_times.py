@@ -14,7 +14,9 @@ and q'' are evaluated in `build_problem`, the q calls of the oracle, the
 oracle's microseconds per q call, and the points at which delta's
 trigonometric series is summed.  A last row, "320-expression", times the
 same lambda = 320 oracle with q compiled from "1 + sech(t)**2", as the
-CLI runs it on a problem file.
+CLI runs it on a problem file, and q_us, the microseconds per call of
+that q alone on 10 000 floats in [a, b]; oracle_us_per_q_call - q_us is
+the integrator's own share.
 
 The bump is timed as `solve_problem` minus its fixed point and its
 extraction, so the script runs unchanged on trees that choose the bump
@@ -39,6 +41,7 @@ from nophase.phase import interior_nodes
 
 LAMBDAS = (20.0, 80.0, 320.0, 1280.0)
 EXPRESSION_LAMBDA = 320.0
+Q_POINTS = 10_000
 
 
 def sech2(t):
@@ -96,8 +99,8 @@ def one_pass(stages):
                              dq=stages.counted(dsech2, "q_points"),
                              d2q=stages.counted(d2sech2, "q_points"),
                              extension_width=4.0)
-    q_expression = stages.counted(compile_expression("1 + sech(t)**2"),
-                                  "q_points")
+    q_alone = compile_expression("1 + sech(t)**2")
+    q_expression = stages.counted(q_alone, "q_points")
     nodes = interior_nodes(-3.0, 3.0)
     rows = {}
     for lam in LAMBDAS:
@@ -144,9 +147,15 @@ def one_pass(stages):
     stages.points["q_points"] = 0
     t0 = time.perf_counter()
     basis_error(expression_phase, expression_prob, tol=1e-13)
+    oracle_ms = 1e3 * (time.perf_counter() - t0)
+    points = np.linspace(-3.0, 3.0, Q_POINTS).tolist()
+    t0 = time.perf_counter()
+    for s in points:
+        q_alone(s)
     rows[f"{EXPRESSION_LAMBDA:g}-expression"] = {
-        "oracle_ms": 1e3 * (time.perf_counter() - t0),
+        "oracle_ms": oracle_ms,
         "oracle_q_calls": stages.points["q_points"],
+        "q_us": 1e6 * (time.perf_counter() - t0) / Q_POINTS,
     }
     return rows
 
@@ -161,7 +170,7 @@ def main():
     out = {}
     for row, keys in passes[0].items():
         out[row] = {k: (round(float(np.median([p[row][k] for p in passes])), 2)
-                        if k.endswith("_ms") else keys[k])
+                        if k.endswith(("_ms", "_us")) else keys[k])
                     for k in keys}
         out[row]["oracle_us_per_q_call"] = round(
             1e3 * out[row]["oracle_ms"] / out[row]["oracle_q_calls"], 2)

@@ -16,6 +16,7 @@ DEGREE_REL = 1e-12    # relative coefficient floor of degree_for_tail
 PIECE_DEGREE = 32     # degree of every piece of a PiecewiseCheb
 MAX_ROUNDS = 40       # bisection rounds of PiecewiseCheb.adaptive_fit
 MAX_PIECES = 1 << 14  # cap on its piece count
+GATHER_BLOCK = 4096   # points per PiecewiseCheb Clenshaw pass (about 1 MB)
 
 
 def lobatto_nodes(n, a=-1.0, b=1.0):
@@ -140,6 +141,31 @@ class ChebSeries:
         return int(significant[-1]) if significant.size else 0
 
 
+def call_together(functions, t):
+    """[f(t) for f in functions], with the ChebSeries among them that
+    share an interval summed in one chebval pass over their coefficients
+    stacked as columns, the shorter ones padded with zeros.  A zero
+    leading coefficient leaves Clenshaw's recurrence where it was, so
+    each value has the bits of the series' own call."""
+    t = np.asarray(t, dtype=float)
+    out = [None] * len(functions)
+    groups = {}
+    for i, f in enumerate(functions):
+        if isinstance(f, ChebSeries):
+            groups.setdefault((f.a, f.b), []).append(i)
+        else:
+            out[i] = f(t)
+    for members in groups.values():
+        series = [functions[i] for i in members]
+        coef = np.zeros((max(s.coef.size for s in series), len(series)))
+        for j, s in enumerate(series):
+            coef[:s.coef.size, j] = s.coef
+        values = C.chebval(series[0]._s(t), coef)
+        for i, value in zip(members, values):
+            out[i] = value
+    return out
+
+
 @dataclass(frozen=True)
 class PiecewiseCheb:
     """A Chebyshev series on each interval between ascending edges; row i
@@ -180,16 +206,23 @@ class PiecewiseCheb:
 
     def __call__(self, t):
         t = np.asarray(t, dtype=float)
+        if t.size > GATHER_BLOCK:  # bound the gathered rows' memory
+            flat = t.ravel()
+            return np.concatenate([
+                self(flat[i:i + GATHER_BLOCK])
+                for i in range(0, flat.size, GATHER_BLOCK)]).reshape(t.shape)
         idx = np.clip(np.searchsorted(self.edges, t, side="right") - 1,
                       0, len(self.edges) - 2)
         lo, hi = self.edges[idx], self.edges[idx + 1]
         s2 = 2.0 * (2.0 * t - (lo + hi)) / (hi - lo)
-        # Clenshaw, gathering one coefficient column at a time
+        # Clenshaw on the points' coefficient rows, gathered once:
+        # cols[k] holds coefficient k of each point's piece
+        cols = self.coef.T[:, idx]
         b1 = np.zeros_like(s2)
         b2 = np.zeros_like(s2)
-        for k in range(self.coef.shape[1] - 1, 0, -1):
-            b1, b2 = self.coef[idx, k] + s2 * b1 - b2, b1
-        return self.coef[idx, 0] + 0.5 * s2 * b1 - b2
+        for k in range(len(cols) - 1, 0, -1):
+            b1, b2 = cols[k] + s2 * b1 - b2, b1
+        return cols[0] + 0.5 * s2 * b1 - b2
 
     def antideriv(self, anchor=None, value=0.0):
         """Continuous antiderivative; anchored so that it equals `value`

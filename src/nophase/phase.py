@@ -16,7 +16,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .chebseries import ChebSeries
+from .chebseries import ChebSeries, call_together
 from .errors import DomainError
 
 
@@ -77,7 +77,11 @@ class PhaseFunction:
     r_degree: int = 0
 
     def dalpha_t(self, t):
-        return self.lam * np.exp(0.5 * np.asarray(self.r_t(t)))
+        return self.dalpha_of_r(self.r_t(t))
+
+    def dalpha_of_r(self, r):
+        """alpha' from the values of r."""
+        return self.lam * np.exp(0.5 * np.asarray(r))
 
     @classmethod
     def from_log_derivative(cls, r, dr, d2r, lam, a, b):
@@ -121,17 +125,17 @@ def eval_basis(phase, t):
     slack = 1e-12 * (phase.b - phase.a)
     if np.any(t_arr < phase.a - slack) or np.any(t_arr > phase.b + slack):
         raise DomainError("evaluation point outside [a, b]")
-    alpha = np.asarray(phase.alpha_t(t_arr))
-    root = np.sqrt(np.abs(np.asarray(phase.dalpha_t(t_arr))))
+    alpha, r = map(np.asarray,
+                   call_together((phase.alpha_t, phase.r_t), t_arr))
+    root = np.sqrt(np.abs(phase.dalpha_of_r(r)))
     return np.cos(alpha) / root, np.sin(alpha) / root
 
 
 def basis_derivatives(phase, t):
     """(u, u', v, v') from alpha and r analytically."""
-    t_arr = np.asarray(t, dtype=float)
-    alpha = np.asarray(phase.alpha_t(t_arr))
-    da = np.asarray(phase.dalpha_t(t_arr))
-    dr = np.asarray(phase.dr_t(t_arr))
+    alpha, r, dr = map(np.asarray, call_together(
+        (phase.alpha_t, phase.r_t, phase.dr_t), t))
+    da = phase.dalpha_of_r(r)
     root = np.sqrt(da)
     u = np.cos(alpha) / root
     v = np.sin(alpha) / root
@@ -150,9 +154,9 @@ def kummer_residual(phase, q, t_nodes):
 
     Theory predicts |residual| <= ||q||_inf ||nu||_inf / 4."""
     t = np.asarray(t_nodes, dtype=float)
-    da = np.asarray(phase.dalpha_t(t))
-    dr = np.asarray(phase.dr_t(t))
-    d2r = np.asarray(phase.d2r_t(t))
+    r, dr, d2r = map(np.asarray, call_together(
+        (phase.r_t, phase.dr_t, phase.d2r_t), t))
+    da = phase.dalpha_of_r(r)
     return da * da - phase.lam ** 2 * np.asarray(q(t)) \
         + 0.25 * d2r - dr * dr / 16.0
 

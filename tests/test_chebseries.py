@@ -7,8 +7,8 @@ import pytest
 from scipy.fft import dct
 
 import nophase
-from nophase.chebseries import (ChebSeries, PiecewiseCheb, lobatto_nodes,
-                                values_to_coeffs)
+from nophase.chebseries import (ChebSeries, PiecewiseCheb, call_together,
+                                lobatto_nodes, values_to_coeffs)
 from nophase.errors import NumericalError
 
 
@@ -55,6 +55,28 @@ class TestPiecewiseCheb:
         with pytest.raises(NumericalError):
             PiecewiseCheb.adaptive_fit(np.sign, [-1.0, 2.0])
 
+    def test_gathered_clenshaw_bit_identical(self, rng):
+        # against Clenshaw that gathers coef[idx, k] one column at a time,
+        # at points inside, on the edges of and outside the pieces, more
+        # of them than one gather block holds
+        edges = np.sort(np.concatenate(([-1.0, 2.0],
+                                        rng.uniform(-1.0, 2.0, 30))))
+        pc = PiecewiseCheb(edges, rng.standard_normal((len(edges) - 1, 33)))
+        t = np.concatenate((rng.uniform(-1.5, 2.5, 4096), edges))
+        idx = np.clip(np.searchsorted(edges, t, side="right") - 1,
+                      0, len(edges) - 2)
+        lo, hi = edges[idx], edges[idx + 1]
+        s2 = 2.0 * (2.0 * t - (lo + hi)) / (hi - lo)
+        b1 = np.zeros_like(s2)
+        b2 = np.zeros_like(s2)
+        for k in range(32, 0, -1):
+            b1, b2 = pc.coef[idx, k] + s2 * b1 - b2, b1
+        want = pc.coef[idx, 0] + 0.5 * s2 * b1 - b2
+        np.testing.assert_array_equal(pc(t), want)
+        np.testing.assert_array_equal(pc(t[:4100].reshape(41, 100)),
+                                      want[:4100].reshape(41, 100))
+        assert pc(0.25) == pc(np.array([0.25]))[0]
+
 
 class TestChebSeries:
     def test_unresolved_fit_raises(self):
@@ -99,3 +121,20 @@ class TestChebSeries:
         at = np.polynomial.chebyshev.chebval(s, anti.coef)
         assert abs(at - 0.75) \
             <= 4.0 * np.finfo(float).eps * np.sum(np.abs(anti.coef))
+
+
+class TestCallTogether:
+    def test_stacked_series_bit_identical(self, rng):
+        # series of different lengths on two intervals and a plain
+        # callable, against each one's own call
+        a, b = -3.0, 3.0
+        series = [ChebSeries(a, b, rng.standard_normal(n))
+                  for n in (131, 130, 129, 16, 1, 2)]
+        series.append(ChebSeries(0.0, 1.0, rng.standard_normal(40)))
+        functions = series + [np.sin]
+        for t in (np.linspace(0.0, 1.0, 400), np.float64(0.3)):
+            got = call_together(functions, t)
+            assert len(got) == len(functions)
+            for f, value in zip(functions, got):
+                np.testing.assert_array_equal(value, f(t))
+                assert np.shape(value) == np.shape(t)

@@ -192,6 +192,33 @@ class TestCompiledIntegrator:
         assert np.array_equal(y, y0) and np.array_equal(dy, dy0)
         assert n == n0 > 0
 
+    def test_float_form_bit_identical(self):
+        # basis_error with an expression q, which takes the float form at
+        # every stage, against the same q forced onto a 0-d array
+        config = problem_config_from_dict({
+            "q": "1 + sech(t)**2", "dq": "-(exp(t) - exp(-t))*sech(t)**3",
+            "d2q": "((exp(t) - exp(-t))**2 - 2)*sech(t)**4",
+            "a": -3.0, "b": 3.0, "extension_width": 4.0})
+        prob = build_problem(config.coefficient, 80.0)
+        result, _ = solve_problem(prob)
+        phase = build_phase(result, prob)
+        q = config.coefficient.q
+
+        def run(wrap):
+            calls = []
+
+            def counted(s):
+                calls.append(type(s))
+                return wrap(s)
+
+            return basis_error(phase, _with_q(prob, counted)), calls
+
+        errors, calls = run(q)
+        errors0, calls0 = run(lambda s: q(np.asarray(s)))
+        assert errors == errors0
+        assert len(calls) == len(calls0) > 0
+        assert set(calls) == {float}
+
     @pytest.mark.parametrize("lam", [40.0, 320.0])
     def test_matches_solve_ivp(self, sech_coefficient, lam):
         # scipy's Python DOP853 at the same tolerances, on both basis
