@@ -16,7 +16,6 @@ DEGREE_REL = 1e-12    # relative coefficient floor of degree_for_tail
 PIECE_DEGREE = 32     # degree of every piece of a PiecewiseCheb
 MAX_ROUNDS = 40       # bisection rounds of PiecewiseCheb.adaptive_fit
 MAX_PIECES = 1 << 14  # cap on its piece count
-GATHER_BLOCK = 4096   # points per PiecewiseCheb Clenshaw pass (about 1 MB)
 
 
 def lobatto_nodes(n, a=-1.0, b=1.0):
@@ -142,28 +141,23 @@ class ChebSeries:
 
 
 def call_together(functions, t):
-    """[f(t) for f in functions], with the ChebSeries among them that
-    share an interval summed in one chebval pass over their coefficients
-    stacked as columns, the shorter ones padded with zeros.  A zero
-    leading coefficient leaves Clenshaw's recurrence where it was, so
-    each value has the bits of the series' own call."""
+    """[f(t) for f in functions], with the ChebSeries among them summed
+    in one chebval pass over their coefficients stacked as columns, the
+    shorter ones padded with zeros.  A zero leading coefficient leaves
+    Clenshaw's recurrence where it was, so each value has the bits of
+    the series' own call.  The series must share one interval."""
     t = np.asarray(t, dtype=float)
-    out = [None] * len(functions)
-    groups = {}
-    for i, f in enumerate(functions):
-        if isinstance(f, ChebSeries):
-            groups.setdefault((f.a, f.b), []).append(i)
-        else:
-            out[i] = f(t)
-    for members in groups.values():
-        series = [functions[i] for i in members]
-        coef = np.zeros((max(s.coef.size for s in series), len(series)))
-        for j, s in enumerate(series):
-            coef[:s.coef.size, j] = s.coef
-        values = C.chebval(series[0]._s(t), coef)
-        for i, value in zip(members, values):
-            out[i] = value
-    return out
+    series = [f for f in functions if isinstance(f, ChebSeries)]
+    if not series:
+        return [f(t) for f in functions]
+    if len({(s.a, s.b) for s in series}) > 1:
+        raise ValueError("call_together needs its series on one interval")
+    coef = np.zeros((max(s.coef.size for s in series), len(series)))
+    for j, s in enumerate(series):
+        coef[:s.coef.size, j] = s.coef
+    values = iter(C.chebval(series[0]._s(t), coef))
+    return [next(values) if isinstance(f, ChebSeries) else f(t)
+            for f in functions]
 
 
 @dataclass(frozen=True)
@@ -206,11 +200,6 @@ class PiecewiseCheb:
 
     def __call__(self, t):
         t = np.asarray(t, dtype=float)
-        if t.size > GATHER_BLOCK:  # bound the gathered rows' memory
-            flat = t.ravel()
-            return np.concatenate([
-                self(flat[i:i + GATHER_BLOCK])
-                for i in range(0, flat.size, GATHER_BLOCK)]).reshape(t.shape)
         idx = np.clip(np.searchsorted(self.edges, t, side="right") - 1,
                       0, len(self.edges) - 2)
         lo, hi = self.edges[idx], self.edges[idx + 1]

@@ -3,29 +3,17 @@
 Supported grammar: numbers, the variable t, the constant pi, the binary
 operators + - * / **, unary minus, and the functions exp, sin, cos, sech,
 sqrt, log.  Expressions are validated against a whitelist of AST nodes and
-compiled once, into two functions of t built from the validated tree:
+compiled once into a function of t; the returned callable is
+numpy-vectorized.
 
-- the expression as written, called on the input as a numpy array; an
-  array gives an array of its shape, a 0-d array a float;
-- the float form, called with t bound to a Python float itself, which is
-  what the DOP853 oracle passes at every Runge-Kutta stage.  It skips the
-  0-d array machinery and costs less than half as much as a 0-d array.
-
-The float form gives the 0-d array's bits, warnings and errors.  An
-operator between t and a numpy result and `**` with t as an operand see
-t as a 0-d array, as the array form does: numpy's power on a 0-d array
-rounds differently from libm's `pow`, and a numpy operator on two
-scalars warns with other words than one on an array.  Every function is
-the same numpy ufunc loop on a float and on a 0-d array.  What is left
-is t combined with constants by Python arithmetic, which rounds as numpy
-does (IEEE) but raises, returns a complex, or yields inf or nan silently
-where numpy would warn.  Those subexpressions are evaluated first,
-before any numpy call, and any of them that raises or is not a finite
-float (checked at its root and at the divisors and `**` operands inside
-it) sends the call to the 0-d array form, whose value, warnings and
-error the call then has.  An underflow, which numpy's default error
-state ignores, is the one event the float form cannot report: under
-`np.errstate(under="warn")` it stays silent where the 0-d form warns.
+A Python float, which the DOP853 oracle passes at every Runge-Kutta
+stage, is not made a 0-d array first: the function sees t as the float
+where t is a function's whole argument, and as `np.asarray(t)`
+everywhere else.  Every function is the same numpy ufunc loop on a
+float and on a 0-d array, and all arithmetic on t is the 0-d array's
+own, so the value, warnings and errors are those of the same call on a
+0-d array.  This matters for `**`: numpy's power on a 0-d array rounds
+differently from libm's `pow`.  A float call costs about half as much.
 """
 
 import ast
@@ -46,17 +34,6 @@ _FUNCTIONS = {
 _ALLOWED_BINOPS = (ast.Add, ast.Sub, ast.Mult, ast.Div, ast.Pow)
 _ALLOWED_UNARY = (ast.USub, ast.UAdd)
 VARIABLE = "t"
-
-_FALLBACK = object()  # the float form's answer when the 0-d form must run
-# the float form: checked Python-arithmetic values, then the expression
-_FLOAT_TEMPLATE = f"""
-def float_form({VARIABLE}):
-    try:
-        pass
-    except _Exception:
-        return _FALLBACK
-    return None
-"""
 
 
 def _validate(node):
@@ -83,94 +60,33 @@ def _validate(node):
         raise DomainError(f"disallowed syntax: {type(node).__name__}")
 
 
-def _real(x):
-    """x is a finite Python float."""
-    return type(x) is float and x - x == 0.0
-
-
 def _is_variable(node):
     return isinstance(node, ast.Name) and node.id == VARIABLE
 
 
-def _checked(node, kind, hoisted):
-    """A Python-arithmetic node with an operator in it becomes a local
-    that the float form computes and checks before any numpy call."""
-    if kind != "python" or not any(isinstance(n, ast.BinOp)
-                                   for n in ast.walk(node)):
+class _ArrayOperands(ast.NodeTransformer):
+    """Wraps every t that is not a function's whole argument in
+    `_asarray(t)`."""
+
+    def visit_Call(self, node):
+        if not _is_variable(node.args[0]):
+            self.generic_visit(node)
         return node
-    name = f"_v{len(hoisted)}"
-    hoisted.append((name, node))
-    return ast.Name(id=name, ctx=ast.Load())
 
-
-def _as_array(node):
-    if not _is_variable(node):
-        return node
-    return ast.Call(func=ast.Name(id="_asarray", ctx=ast.Load()),
-                    args=[node], keywords=[])
-
-
-def _float_tree(node, hoisted):
-    """(node rewritten for a float t, kind).  The kind is "const" without
-    t, "python" for t and constants combined by Python arithmetic, and
-    "numpy" for a function call and whatever uses its result."""
-    if isinstance(node, ast.Name):
-        return node, "python" if node.id == VARIABLE else "const"
-    if isinstance(node, ast.Constant):
-        return node, "const"
-    if isinstance(node, ast.UnaryOp):
-        operand, kind = _float_tree(node.operand, hoisted)
-        return ast.UnaryOp(op=node.op, operand=operand), kind
-    if isinstance(node, ast.Call):
-        arg, kind = _float_tree(node.args[0], hoisted)
-        return ast.Call(func=node.func, args=[_checked(arg, kind, hoisted)],
-                        keywords=[]), "numpy"
-    left, left_kind = _float_tree(node.left, hoisted)
-    right, right_kind = _float_tree(node.right, hoisted)
-    kinds = (left_kind, right_kind)
-    power = isinstance(node.op, ast.Pow)
-    if "numpy" in kinds or (power and (_is_variable(left)
-                                       or _is_variable(right))):
-        left = _as_array(_checked(left, left_kind, hoisted))
-        right = _as_array(_checked(right, right_kind, hoisted))
-        return ast.BinOp(left=left, op=node.op, right=right), "numpy"
-    if "python" not in kinds:
-        return ast.BinOp(left=left, op=node.op, right=right), "const"
-    # x / inf, inf ** -1 and nan ** 0 are finite, so check what goes in
-    if power:
-        left = _checked(left, left_kind, hoisted)
-    if power or isinstance(node.op, ast.Div):
-        right = _checked(right, right_kind, hoisted)
-    return ast.BinOp(left=left, op=node.op, right=right), "python"
-
-
-def _compile_float_form(body, namespace):
-    hoisted = []
-    body, kind = _float_tree(body, hoisted)
-    body = _checked(body, kind, hoisted)
-    module = ast.parse(_FLOAT_TEMPLATE)
-    function = module.body[0]
-    checks = []
-    for name, node in hoisted:
-        checks.append(ast.Assign(targets=[ast.Name(id=name, ctx=ast.Store())],
-                                 value=node))
-        checks.extend(ast.parse(f"if not _real({name}): return _FALLBACK").body)
-    if checks:
-        function.body[0].body = checks
-    else:
-        del function.body[0]
-    function.body[-1].value = body
-    exec(compile(ast.fix_missing_locations(module), "<expression>", "exec"),
-         namespace)  # noqa: S102 - AST whitelisted
-    return namespace.pop("float_form")
+    def visit_Name(self, node):
+        if node.id != VARIABLE:
+            return node
+        return ast.Call(func=ast.Name(id="_asarray", ctx=ast.Load()),
+                        args=[node], keywords=[])
 
 
 def compile_expression(source):
     """Compile an expression string into a vectorized callable of
     VARIABLE: an array gives an array of its shape, a scalar a float.
-    A Python float runs the float form (module docstring), with the
-    value, warnings and errors of the same call on a 0-d array.  Raises DomainError for anything
-    outside the whitelist, and for an ArithmeticError while evaluating."""
+    The tree is compiled once into a function; a Python float calls it
+    directly, with the bits of a 0-d array (module docstring).  Raises
+    DomainError for anything outside the whitelist, and for an
+    ArithmeticError while evaluating."""
     if not isinstance(source, str):
         raise DomainError(f"an expression must be a string, not {source!r}")
     try:
@@ -178,36 +94,25 @@ def compile_expression(source):
     except SyntaxError as exc:
         raise DomainError(f"cannot parse expression: {exc}") from exc
     _validate(tree)
-    namespace = {"__builtins__": {}, "pi": np.pi, **_FUNCTIONS,
-                 "_asarray": np.asarray, "_real": _real,
-                 "_FALLBACK": _FALLBACK, "_Exception": Exception}
     lam = ast.parse(f"lambda {VARIABLE}: 0", mode="eval")
-    lam.body.body = tree.body
-    array_form = eval(compile(lam, "<expression>", "eval"),  # noqa: S307
-                      namespace)
-    float_form = _compile_float_form(tree.body, namespace)
-
-    def failed(exc):
-        return DomainError(f"cannot evaluate {source!r}: {exc}")
+    lam.body.body = _ArrayOperands().visit(tree.body)
+    namespace = {"__builtins__": {}, "pi": np.pi, **_FUNCTIONS,
+                 "_asarray": np.asarray}
+    function = eval(compile(ast.fix_missing_locations(lam), "<expression>",
+                            "eval"), namespace)  # noqa: S307 - AST whitelisted
 
     def evaluate(t):
-        if type(t) is float:
-            try:
-                value = float_form(t)
-            except ArithmeticError as exc:
-                raise failed(exc) from exc
-            if value is not _FALLBACK:
-                return float(value)
-        arr = np.asarray(t, dtype=float)
+        if type(t) is not float:
+            t = np.asarray(t, dtype=float)
         try:
-            value = array_form(arr)
+            value = function(t)
         except ArithmeticError as exc:
-            raise failed(exc) from exc
-        if arr.ndim == 0:
+            raise DomainError(f"cannot evaluate {source!r}: {exc}") from exc
+        if type(t) is float or t.ndim == 0:
             return float(value)
         result = np.asarray(value, dtype=float)
-        if result.shape != arr.shape:
-            result = np.broadcast_to(result, arr.shape).copy()
+        if result.shape != t.shape:
+            result = np.broadcast_to(result, t.shape).copy()
         return result
 
     return evaluate

@@ -43,13 +43,14 @@ def ode_oracle(prob, y0, dy0, t, tol=1e-13):
     unchanged; any other integrator failure is a NumericalError.
 
     q is called once per stage with a Python float node.  With an
-    expression q, which runs its float form there (`expr.py`), a q call
-    costs the oracle about 2.5 µs at lambda = 320 on a 2-core machine,
-    of which q itself is about 0.8 µs and the rest is scipy's compiled
-    stepping and the right-hand side.  Each node restarts DOP853's choice
-    of a first step, which costs about 7 % extra q calls at lambda = 320
-    and 29 % at lambda = 20; scipy's `ode` exposes no dense output that
-    would let the nodes be sampled inside steps."""
+    expression q, which takes the float without making it an array
+    (`expr.py`), a q call costs the oracle about 2.5 µs at lambda = 320
+    on a 2-core machine, of which q itself is about 0.8 µs and the rest
+    is scipy's compiled stepping and the right-hand side.  Each node
+    restarts DOP853's choice of a first step, which costs about 7 %
+    extra q calls at lambda = 320 and 29 % at lambda = 20; scipy's `ode`
+    exposes no dense output that would let the nodes be sampled inside
+    steps."""
     from scipy.integrate import ode
 
     check_tol(tol, "tol")
@@ -79,8 +80,8 @@ def ode_oracle(prob, y0, dy0, t, tol=1e-13):
                 # calls cost more than the arithmetic they do
                 c = neg_lam2 * float(q(s))
                 if m == 2:  # basis_error's pair, unpacked: half the cost
-                    y0, y1, d0, d1 = y.tolist()
-                    return [d0, d1, c * y0, c * y1]
+                    u, v, du, dv = y.tolist()
+                    return [du, dv, c * u, c * v]
                 v = y.tolist()
                 return v[m:] + [c * x for x in v[:m]]
             except BaseException as exc:

@@ -57,8 +57,7 @@ class TestPiecewiseCheb:
 
     def test_gathered_clenshaw_bit_identical(self, rng):
         # against Clenshaw that gathers coef[idx, k] one column at a time,
-        # at points inside, on the edges of and outside the pieces, more
-        # of them than one gather block holds
+        # at points inside, on the edges of and outside the pieces
         edges = np.sort(np.concatenate(([-1.0, 2.0],
                                         rng.uniform(-1.0, 2.0, 30))))
         pc = PiecewiseCheb(edges, rng.standard_normal((len(edges) - 1, 33)))
@@ -125,16 +124,20 @@ class TestChebSeries:
 
 class TestCallTogether:
     def test_stacked_series_bit_identical(self, rng):
-        # series of different lengths on two intervals and a plain
-        # callable, against each one's own call
-        a, b = -3.0, 3.0
-        series = [ChebSeries(a, b, rng.standard_normal(n))
+        # series of different lengths and a plain callable, against each
+        # one's own call
+        series = [ChebSeries(-3.0, 3.0, rng.standard_normal(n))
                   for n in (131, 130, 129, 16, 1, 2)]
-        series.append(ChebSeries(0.0, 1.0, rng.standard_normal(40)))
-        functions = series + [np.sin]
+        functions = series[:3] + [np.sin] + series[3:]
         for t in (np.linspace(0.0, 1.0, 400), np.float64(0.3)):
             got = call_together(functions, t)
             assert len(got) == len(functions)
             for f, value in zip(functions, got):
                 np.testing.assert_array_equal(value, f(t))
                 assert np.shape(value) == np.shape(t)
+        assert call_together([np.sin], 0.3) == [np.sin(0.3)]
+
+    def test_series_on_two_intervals_raise(self):
+        with pytest.raises(ValueError, match="one interval"):
+            call_together([ChebSeries(-3.0, 3.0, np.ones(4)),
+                           ChebSeries(0.0, 1.0, np.ones(4))], 0.5)

@@ -115,8 +115,8 @@ _CORPUS = [
 class TestFloatForm:
     @pytest.mark.parametrize("source", _CORPUS)
     def test_float_gives_the_0d_bits(self, source):
-        # the float form against the array form on a 0-d array, over
-        # points where each expression is defined and where it is not
+        # a float against the same call on a 0-d array, over points
+        # where each expression is defined and where it is not
         f = compile_expression(source)
         rng = np.random.default_rng(11)
         points = np.concatenate((rng.uniform(-3.0, 3.0, 2000),
@@ -126,6 +126,7 @@ class TestFloatForm:
             got = _outcome(f, t)
             assert _same_outcome(got, _outcome(f, np.asarray(t))), (t, got)
 
+    # cases where Python's float arithmetic would differ from numpy's
     @pytest.mark.parametrize("source", [
         "(t-5)**(1/3)",              # Python gives a complex, numpy nan
         "1/(t-t)",                   # Python raises, numpy warns
@@ -140,14 +141,14 @@ class TestFloatForm:
         "sech(800*t)*2**5000",
         "t*0*1e999",
     ])
-    def test_fallback_gives_the_0d_outcome(self, source):
+    def test_failing_case_gives_the_0d_outcome(self, source):
         # value, exception and every warning, in order, as on a 0-d array
         f = compile_expression(source)
         for t in (0.3, 2.0, -1.5):
             got = _outcome(f, t)
             assert _same_outcome(got, _outcome(f, np.asarray(t))), (t, got)
 
-    def test_fallback_outcomes(self):
+    def test_failing_case_outcomes(self):
         with pytest.warns(RuntimeWarning, match="invalid value"):
             assert np.isnan(compile_expression("(t-5)**(1/3)")(0.3))
         with pytest.raises(DomainError, match="int too large"):

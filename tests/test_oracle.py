@@ -193,7 +193,7 @@ class TestCompiledIntegrator:
         assert n == n0 > 0
 
     def test_float_form_bit_identical(self):
-        # basis_error with an expression q, which takes the float form at
+        # basis_error with an expression q, called with a Python float at
         # every stage, against the same q forced onto a 0-d array
         config = problem_config_from_dict({
             "q": "1 + sech(t)**2", "dq": "-(exp(t) - exp(-t))*sech(t)**3",
