@@ -114,19 +114,11 @@ class ChebSeries:
         return ChebSeries(self.a, self.b,
                           C.chebder(self.coef) * (2.0 / (self.b - self.a)))
 
-    def antideriv(self, anchor=None, value=0.0):
-        """Antiderivative; anchored so that it equals `value` at `anchor`
-        (defaults to the left endpoint).  At an endpoint the value is
-        sum_k c_k T_k(+-1) = sum_k c_k (+-1)^k."""
+    def antideriv(self):
+        """The antiderivative that vanishes at a, where its value before
+        anchoring is sum_k c_k T_k(-1) = sum_k c_k (-1)^k."""
         coef = C.chebint(self.coef) * (0.5 * (self.b - self.a))
-        t0 = self.a if anchor is None else anchor
-        if t0 == self.a:
-            at = np.sum(coef[0::2]) - np.sum(coef[1::2])
-        elif t0 == self.b:
-            at = np.sum(coef)
-        else:
-            at = ChebSeries(self.a, self.b, coef)(t0)
-        coef[0] += value - at
+        coef[0] -= np.sum(coef[0::2]) - np.sum(coef[1::2])
         return ChebSeries(self.a, self.b, coef)
 
     def degree_for_tail(self):
@@ -179,7 +171,7 @@ class PiecewiseCheb:
         return cls(edges=edges, coef=values_to_coeffs(values))
 
     @classmethod
-    def adaptive_fit(cls, f, edges, tol=1e-13):
+    def adaptive_fit(cls, f, edges, tol):
         """Fit f on the given pieces, bisecting each piece whose last
         PIECE_DEGREE/8 coefficients exceed tol relative to the largest
         coefficient."""
@@ -213,14 +205,14 @@ class PiecewiseCheb:
             b1, b2 = cols[k] + s2 * b1 - b2, b1
         return cols[0] + 0.5 * s2 * b1 - b2
 
-    def antideriv(self, anchor=None, value=0.0):
-        """Continuous antiderivative; anchored so that it equals `value`
-        at `anchor` (defaults to the left end)."""
+    def antideriv(self, anchor=None):
+        """The continuous antiderivative that vanishes at `anchor` (by
+        default the left end)."""
         half = 0.5 * np.diff(self.edges)
         coef = C.chebint(self.coef, lbnd=-1.0, axis=1) * half[:, None]
         # each piece starts from zero; add the sum of the pieces before it
         totals = np.sum(coef, axis=1)  # each piece's value at its right end
         coef[:, 0] += np.concatenate([[0.0], np.cumsum(totals)[:-1]])
         t0 = self.edges[0] if anchor is None else anchor
-        coef[:, 0] += value - PiecewiseCheb(self.edges, coef)(t0)
+        coef[:, 0] -= PiecewiseCheb(self.edges, coef)(t0)
         return PiecewiseCheb(self.edges, coef)

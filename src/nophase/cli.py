@@ -13,12 +13,17 @@ failures are non-convergence, an unresolvable grid, a decay fit that
 fails, a Chebyshev fit that does not resolve its function, and an
 overflowing or asymmetric sample; bad input is a missing or
 unreadable file, malformed JSON, a missing q, a or b, an unknown name in
-an expression, a q that is not strictly positive, and a bad --oracle-tol.
+an expression, a q that is not finite and strictly positive on
+[a - 3w, b + 3w], a table q whose knots do not cover that range, a sweep
+output directory that does not exist, and a bad --oracle-tol.  Each
+warning is printed as one `warning:` line; the filters choose which.
 """
 
 import argparse
+import dataclasses
 import json
 import sys
+import warnings
 
 from .errors import NophaseError, NumericalError
 from .oracle import check_tol
@@ -49,7 +54,7 @@ def cmd_solve(args):
     prob = build_problem(config.coefficient, lam, L=L, N=N)
     result, _ = solve_problem(prob, tol=args.tol)
     report = result.bounds_report
-    payload = report.as_dict()
+    payload = dataclasses.asdict(report)
     if args.out:
         with open(args.out, "w") as handle:
             json.dump(payload, handle, indent=2)
@@ -155,14 +160,22 @@ def build_parser():
     return parser
 
 
+def _show_warning(message, *_):
+    print(f"warning: {message}", file=sys.stderr)
+
+
 def main(argv=None):
     parser = build_parser()
     args = parser.parse_args(argv)
+    shown = warnings.showwarning
+    warnings.showwarning = _show_warning
     try:
         return args.func(args)
     except (NophaseError, OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL
+    finally:
+        warnings.showwarning = shown
 
 
 if __name__ == "__main__":

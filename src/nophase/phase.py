@@ -19,6 +19,9 @@ import numpy as np
 from .chebseries import ChebSeries, call_together
 from .errors import DomainError
 
+INTERIOR_N = 400       # points of interior_nodes
+INTERIOR_TRIM = 0.05   # fraction of [a, b] it leaves out at each end
+
 
 def band_limited_evaluator(F):
     """Callable x -> f(x) = (dxi/2pi) Re sum_k F_k exp(i x xi_k), summing
@@ -86,13 +89,13 @@ class PhaseFunction:
     @classmethod
     def from_log_derivative(cls, r, dr, d2r, lam, a, b):
         """Build from analytic callables for r and its derivatives; alpha
-        is obtained by Clenshaw-Curtis antidifferentiation.  A fitted
-        `ChebSeries` r is read from its own samples at the speed fit's
-        nodes (`ChebSeries.sampled`)."""
+        is obtained by Clenshaw-Curtis antidifferentiation, anchored at
+        alpha(a) = 0.  A fitted `ChebSeries` r is read from its own
+        samples at the speed fit's nodes (`ChebSeries.sampled`)."""
         r_at = r.sampled if isinstance(r, ChebSeries) else r
         speed = ChebSeries.adaptive_fit(
             lambda t: lam * np.exp(0.5 * np.asarray(r_at(t))), a, b)
-        alpha = speed.antideriv(anchor=a, value=0.0)
+        alpha = speed.antideriv()
         return cls(lam=lam, a=a, b=b, r_t=r, dr_t=dr, d2r_t=d2r,
                    alpha_t=alpha)
 
@@ -161,8 +164,9 @@ def kummer_residual(phase, q, t_nodes):
         + 0.25 * d2r - dr * dr / 16.0
 
 
-def interior_nodes(a, b, n=400, trim=0.05):
-    """Equispaced sample nodes excluding a fraction of the interval at
-    each endpoint, where extension effects concentrate."""
-    pad = trim * (b - a)
-    return np.linspace(a + pad, b - pad, n)
+def interior_nodes(a, b):
+    """INTERIOR_N equispaced sample nodes, excluding the fraction
+    INTERIOR_TRIM of [a, b] at each end, where extension effects
+    concentrate."""
+    pad = INTERIOR_TRIM * (b - a)
+    return np.linspace(a + pad, b - pad, INTERIOR_N)

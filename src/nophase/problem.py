@@ -159,16 +159,17 @@ class ExtendedCoefficient:
                            + (self.qa - qv) * d2sl + (self.qb - qv) * d2sr)
         return q, dq, d2q
 
-    def dq(self, t):
-        return self.jet(t)[1]
-
-    def d2q(self, t):
-        return self.jet(t)[2]
+    def require_positive(self, qv):
+        """DomainError unless every value of q in qv is finite and
+        positive; NaN fails too."""
+        if not np.all(np.isfinite(qv) & (qv > 0.0)):
+            raise DomainError(
+                f"coefficient is not finite and strictly positive on "
+                f"[a - 3w, b + 3w] = [{self.lo:g}, {self.hi:g}]")
 
     def sqrt_q(self, t):
         qv = self.q(t)
-        if np.any(qv <= 0.0):
-            raise DomainError("coefficient is not strictly positive")
+        self.require_positive(qv)
         return np.sqrt(qv)
 
 
@@ -177,9 +178,9 @@ class CoordinateMap:
     """The monotone change of variables x(t) = int_a^t sqrt(q) and its
     inverse, built on the extended coefficient.
 
-    Both directions are piecewise Chebyshev series on [t_lo, t_hi] and
-    [x_lo, x_hi] = [x(t_lo), x(t_hi)]; beyond those ends q is constant
-    and both are continued linearly.
+    Both directions are piecewise Chebyshev series, on [ext.lo, ext.hi]
+    (the end edges of x_series) and [x_lo, x_hi] = [x(ext.lo), x(ext.hi)];
+    beyond those ends q is constant and both are continued linearly.
 
     The map also keeps p on the nested grids of `forcing_transform`, per
     (L, n) and extended on demand (`level`)."""
@@ -188,14 +189,6 @@ class CoordinateMap:
     x_series: PiecewiseCheb
     t_series: PiecewiseCheb
     levels: dict = field(default_factory=dict, repr=False, compare=False)
-
-    @property
-    def t_lo(self):
-        return float(self.x_series.edges[0])
-
-    @property
-    def t_hi(self):
-        return float(self.x_series.edges[-1])
 
     @property
     def x_lo(self):
@@ -214,7 +207,7 @@ class CoordinateMap:
 
     def x_of_t(self, t):
         t = np.asarray(t, dtype=float)
-        lo, hi = self.t_lo, self.t_hi
+        lo, hi = self.ext.lo, self.ext.hi
         return (self.x_series(np.clip(t, lo, hi))
                 + np.sqrt(self.ext.qa) * np.minimum(t - lo, 0.0)
                 + np.sqrt(self.ext.qb) * np.maximum(t - hi, 0.0))
@@ -234,7 +227,7 @@ class CoordinateMap:
             grid = SpectralGrid(L, n)
             coarse = self.levels.get((L, n // 2))
             if coarse is None:
-                p = schwarzian_p(self, grid, self.x_shift).values
+                p = schwarzian_p(self, grid).values
             else:
                 # the finer grid's own odd nodes, not the coarse nodes +
                 # dx/2, so that every node rounds as on the full grid
@@ -261,7 +254,7 @@ def build_map(coeff):
     a, b, w = coeff.interval_a, coeff.interval_b, ext.w
     breaks = np.array([ext.lo, a - w, b + w, ext.hi])
     speed = PiecewiseCheb.adaptive_fit(ext.sqrt_q, breaks, tol=MAP_TOL)
-    x_series = speed.antideriv(anchor=a, value=0.0)
+    x_series = speed.antideriv(anchor=a)
     x_at = x_series(x_series.edges)
 
     def invert(x):
@@ -280,8 +273,7 @@ def build_map(coeff):
 def _forcing(cmap, x):
     """p = (1/q)(5/4 (q'/q)^2 - q''/q) evaluated at t(x)."""
     qv, dqv, d2qv = cmap.ext.jet(cmap.t_of_x(x))
-    if np.any(qv <= 0.0):
-        raise DomainError("coefficient is not strictly positive on the grid")
+    cmap.ext.require_positive(qv)
     ratio = dqv / qv
     return (1.25 * ratio * ratio - d2qv / qv) / qv
 
@@ -300,10 +292,11 @@ def _require_vanishing_edges(p, cmap):
             )
 
 
-def schwarzian_p(cmap, grid, x_shift=0.0):
+def schwarzian_p(cmap, grid):
     """The forcing p as a function of x at the grid's space nodes:
-    p(x_j) = (1/q)(5/4 (q'/q)^2 - q''/q) evaluated at t(x_j + x_shift)."""
-    p = _forcing(cmap, grid.x + x_shift)
+    p(x_j) = (1/q)(5/4 (q'/q)^2 - q''/q) evaluated at t(x_j + x_shift),
+    with the map's x_shift."""
+    p = _forcing(cmap, grid.x + cmap.x_shift)
     _require_vanishing_edges(p, cmap)
     return RealSample(grid, p)
 
@@ -321,12 +314,6 @@ def resolved(vals):
     n = vals.size
     outer = np.abs(np.arange(n) - n // 2) >= n // 4
     return not np.any(vals[outer & ~below_floor(vals)])
-
-
-def default_half_width(cmap):
-    """The grid half-width L that covers the support of p with margin."""
-    span = 0.5 * (cmap.x_hi - cmap.x_lo)
-    return 1.3 * span + 1.0
 
 
 def forcing_transform(cmap, grid):
@@ -425,12 +412,13 @@ def check_hypotheses(prob):
 
 
 def choose_grid(cmap, lam, L=None, N=None):
-    """Grid geometry: L covers the support of p with margin; N keeps
-    xi_max comfortably above 2 sqrt(2) lambda, where the iteration is
-    resolved whatever its forcing.  An explicit N must meet that bound;
-    without one, the grid caps the levels `forcing_transform` tries."""
+    """Grid geometry: L covers the support of p with margin, 1.3 times
+    the half-length of [x_lo, x_hi] plus 1; N keeps xi_max comfortably
+    above 2 sqrt(2) lambda, where the iteration is resolved whatever its
+    forcing.  An explicit N must meet that bound; without one, the grid
+    caps the levels `forcing_transform` tries."""
     if L is None:
-        L = default_half_width(cmap)
+        L = 1.3 * (0.5 * (cmap.x_hi - cmap.x_lo)) + 1.0
     if N is None:
         need = 2.0 * L * 2.0 * np.sqrt(2.0) * 1.15 * lam / np.pi
         N = 1 << int(np.ceil(np.log2(np.ceil(max(need, 1024)))))
@@ -530,6 +518,14 @@ def problem_config_from_dict(data):
         raise DomainError("q must be an expression string or a sample table")
     coeff = Coefficient.make(q, data["a"], data["b"], dq=dq, d2q=d2q,
                              extension_width=data.get("extension_width"))
+    if isinstance(qdef, list):
+        # a spline extrapolates silently past its knots
+        lo = coeff.interval_a - 3.0 * coeff.extension_width
+        hi = coeff.interval_b + 3.0 * coeff.extension_width
+        if not (table[0, 0] <= lo and table[-1, 0] >= hi):
+            raise DomainError(
+                f"table q must cover [a - 3w, b + 3w] = [{lo:g}, {hi:g}]; "
+                f"its knots span [{table[0, 0]:g}, {table[-1, 0]:g}]")
     gridspec = data.get("grid", {})
     if not isinstance(gridspec, dict):
         raise DomainError("grid must be an object with keys L and N")

@@ -13,7 +13,7 @@ bhat and inverting the Helmholtz multiplier yields the phase correction.
 """
 
 import warnings
-from dataclasses import dataclass, asdict
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -37,30 +37,28 @@ _SQRT2 = np.sqrt(2.0)
 
 @dataclass(frozen=True)
 class Bump:
-    """The frequency cutoff bhat with its geometry constants
-    c = (sqrt(2)+1) lambda / 2 and alpha = (sqrt(2)-1) lambda / 4, and the
-    band multiplier bhat/(4 lambda^2 - xi^2), exactly zero off the cutoff
-    support so the vanishing denominator at |xi| = 2 lambda is never
-    touched."""
+    """The frequency cutoff bhat and the band multiplier
+    bhat/(4 lambda^2 - xi^2), exactly zero off the cutoff support so the
+    vanishing denominator at |xi| = 2 lambda is never touched."""
 
     grid: object
     lam: float
     b_hat: SpectralSample
-    c: float
-    alpha: float
     multiplier: np.ndarray
 
 
 def make_bump(grid, lam):
-    """Evaluate the cutoff at the frequency nodes.  On a grid with
-    xi_max <= lambda it is 1 at every node, and the band multiplier is
+    """Evaluate the cutoff at the frequency nodes: it falls from 1 to 0
+    as |xi| crosses [c - alpha, c + alpha], with c = (sqrt(2)+1) lambda / 2
+    and alpha = (sqrt(2)-1) lambda / 4.  On a grid with xi_max <= lambda
+    it is 1 at every node, and the band multiplier is
     1/(4 lambda^2 - xi^2)."""
     c = 0.5 * (_SQRT2 * lam + lam)
     alpha = 0.25 * (_SQRT2 * lam - lam)
     xi = grid.xi
     vals = smooth_step((xi + c) / alpha) - smooth_step((xi - c) / alpha)
     b_hat = SpectralSample(grid, vals.astype(complex))
-    return Bump(grid=grid, lam=float(lam), b_hat=b_hat, c=c, alpha=alpha,
+    return Bump(grid=grid, lam=float(lam), b_hat=b_hat,
                 multiplier=invert_helmholtz(b_hat, float(lam)).values.real)
 
 
@@ -103,9 +101,9 @@ class SolverState:
     converged: bool = False
 
 
-def fixed_point_solve(w_hat, lam, tol=1e-14, max_iter=MAX_ITER, bump=None):
+def fixed_point_solve(w_hat, lam, tol=1e-14, bump=None):
     """Iterate psi_{n+1} = R[psi_n] from psi_0 = w until the L1 increment
-    drops below tol relative to ||w||_1.
+    drops below tol relative to ||w||_1, for at most MAX_ITER steps.
 
     Convergence is guaranteed when ||w||_1 <= (pi/2) lambda^2; outside
     that ball the iteration proceeds with a warning.
@@ -126,7 +124,7 @@ def fixed_point_solve(w_hat, lam, tol=1e-14, max_iter=MAX_ITER, bump=None):
     threshold = tol * max(w_l1, 1e-300)
     psi = w_hat
     deltas = []
-    for iteration in range(1, max_iter + 1):
+    for iteration in range(1, MAX_ITER + 1):
         nxt = apply_R(psi, w_hat, bump)
         delta = l1_norm(SpectralSample(w_hat.grid, nxt.values - psi.values))
         deltas.append(delta)
@@ -141,7 +139,7 @@ def fixed_point_solve(w_hat, lam, tol=1e-14, max_iter=MAX_ITER, bump=None):
             return SolverState(psi=psi, iteration=iteration, l1_deltas=deltas,
                                converged=True)
     raise ConvergenceError(
-        f"fixed-point iteration did not reach tol={tol} in {max_iter} steps",
+        f"fixed-point iteration did not reach tol={tol} in {MAX_ITER} steps",
         history=deltas,
     )
 
@@ -189,9 +187,6 @@ class BoundsReport:
     delta_tail: float     # mass of delta-hat cut below its floor
     band_tail: float      # bound on the mass of sigma-hat beyond xi_max
 
-    def as_dict(self):
-        return asdict(self)
-
 
 @dataclass
 class SolveResult:
@@ -202,11 +197,6 @@ class SolveResult:
     nu: RealSample               # sigma - sigma_b, the residual forcing
     delta_hat: SpectralSample    # Helmholtz-inverted phase correction
     bounds_report: BoundsReport
-
-    @property
-    def delta(self):
-        """The phase correction sampled on the space grid."""
-        return inverse(self.delta_hat)
 
 
 def extract_solution(state, bump, prob):

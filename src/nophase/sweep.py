@@ -100,7 +100,8 @@ def run_sweep(problem_file, lambdas, out, tol=1e-14):
     """Per-lambda solve + validation over a list of lambdas; per-lambda
     failures are recorded as NaN rows and the sweep continues.  Writes CSV
     to `out` and JSON alongside it, and refuses, before any solve, when
-    either path is the problem file or there is no lambda."""
+    either path is the problem file, when the directory of `out` does not
+    exist, or when there is no lambda."""
     lambdas = list(lambdas)
     if not lambdas:
         raise DomainError("no lambda to sweep")
@@ -110,6 +111,9 @@ def run_sweep(problem_file, lambdas, out, tol=1e-14):
         if os.path.exists(path) and os.path.samefile(path, problem_file):
             raise ConfigurationError(
                 f"sweep output {path} would overwrite the problem file")
+    if not os.path.isdir(os.path.dirname(out) or "."):
+        raise ConfigurationError(
+            f"sweep output directory {os.path.dirname(out)} does not exist")
     config = load_problem_file(problem_file)
     report = SweepReport(problem=str(problem_file))
 

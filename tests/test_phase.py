@@ -246,7 +246,7 @@ class TestKummerResidual:
 
 class TestInteriorNodes:
     def test_trim_and_count(self):
-        nodes = interior_nodes(0.0, 10.0, n=11, trim=0.1)
-        assert len(nodes) == 11
-        assert nodes[0] == pytest.approx(1.0)
-        assert nodes[-1] == pytest.approx(9.0)
+        nodes = interior_nodes(0.0, 10.0)
+        assert len(nodes) == 400
+        assert nodes[0] == pytest.approx(0.5)
+        assert nodes[-1] == pytest.approx(9.5)

@@ -13,9 +13,9 @@ from nophase.expr import compile_expression
 from nophase.grid import SpectralGrid, SpectralSample, forward
 from nophase.problem import (CLEAN_REL, Coefficient, ExtendedCoefficient,
                              build_map, build_problem, check_hypotheses,
-                             choose_grid, decay_bound, default_half_width,
-                             fit_decay, load_problem_file,
-                             problem_config_from_dict, schwarzian_p)
+                             choose_grid, decay_bound, fit_decay,
+                             load_problem_file, problem_config_from_dict,
+                             schwarzian_p)
 
 
 class TestCoefficient:
@@ -47,24 +47,26 @@ class TestExtendedCoefficient:
         ext = ExtendedCoefficient(sech_coefficient)
         t = np.linspace(-3.0 - 4.0, 3.0 + 4.0, 41)  # [a-w, b+w]
         assert np.max(np.abs(ext.q(t) - sech2(t))) <= 1e-14
-        assert np.max(np.abs(ext.dq(t) - dsech2(t))) <= 1e-14
+        assert np.max(np.abs(ext.jet(t)[1] - dsech2(t))) <= 1e-14
 
     def test_constant_outside(self, sech_coefficient):
         ext = ExtendedCoefficient(sech_coefficient)
         t = np.array([-30.0, -16.0, 16.0, 30.0])
         assert np.allclose(ext.q(t[:2]), sech2(-3.0), atol=1e-15)
         assert np.allclose(ext.q(t[2:]), sech2(3.0), atol=1e-15)
-        assert np.all(ext.dq(t) == 0.0)
-        assert np.all(ext.d2q(t) == 0.0)
+        _, dq, d2q = ext.jet(t)
+        assert np.all(dq == 0.0)
+        assert np.all(d2q == 0.0)
 
     def test_blend_derivative_consistency(self, sech_coefficient):
         ext = ExtendedCoefficient(sech_coefficient)
         t = np.linspace(-14.9, 14.9, 401)  # spans both blend regions
         h = 1e-6
         fd1 = (ext.q(t + h) - ext.q(t - h)) / (2 * h)
-        assert np.max(np.abs(fd1 - ext.dq(t))) <= 1e-7
-        fd2 = (ext.dq(t + h) - ext.dq(t - h)) / (2 * h)
-        assert np.max(np.abs(fd2 - ext.d2q(t))) <= 1e-6
+        _, dq, d2q = ext.jet(t)
+        assert np.max(np.abs(fd1 - dq)) <= 1e-7
+        fd2 = (ext.jet(t + h)[1] - ext.jet(t - h)[1]) / (2 * h)
+        assert np.max(np.abs(fd2 - d2q)) <= 1e-6
 
     def test_positive_square_root(self, sech_coefficient):
         ext = ExtendedCoefficient(sech_coefficient)
@@ -162,9 +164,9 @@ class TestSchwarzianP:
               + 8 * vals[5] - vals[6]) / (8 * h ** 3)
         schwarz = d3 / d1 - 1.5 * (d2 / d1) ** 2
         t = cmap.t_of_x(x)
-        qv = cmap.ext.q(t)
-        ratio = cmap.ext.dq(t) / qv
-        p_ref = (1.25 * ratio ** 2 - cmap.ext.d2q(t) / qv) / qv
+        qv, dqv, d2qv = cmap.ext.jet(t)
+        ratio = dqv / qv
+        p_ref = (1.25 * ratio ** 2 - d2qv / qv) / qv
         assert np.max(np.abs(2.0 * schwarz - p_ref)) <= 1e-6
 
     def test_boundary_guard(self, sech_coefficient):
@@ -176,7 +178,7 @@ class TestSchwarzianP:
 
 def full_grid_transform(prob):
     """p-hat from p at every node of the problem's own grid, floored."""
-    p = schwarzian_p(prob.map, prob.grid, prob.map.x_shift)
+    p = schwarzian_p(prob.map, prob.grid)
     vals = forward(p).values
     vals[np.abs(vals) < CLEAN_REL * np.max(np.abs(vals))] = 0.0
     return vals
@@ -257,7 +259,7 @@ class TestForcingTransform:
                 build_problem(shared, 80.0, L=L).p_hat.values,
                 fresh.p_hat.values)
         assert {L for L, _ in shared.map.levels} \
-            == {20.0, default_half_width(shared.map)}
+            == {20.0, choose_grid(shared.map, 80.0).half_width}
 
     # the finite-difference route is uncertified at this lambda
     @pytest.mark.filterwarnings("ignore:solvability hypotheses")

@@ -4,13 +4,14 @@ import numpy as np
 import pytest
 from scipy.integrate import quad
 
+import nophase.solver
 from conftest import make_constant_coefficient
 from nophase.phase import (band_limited_evaluator, build_phase,
                            interior_nodes, kummer_residual)
 from helpers import apply_T, exp2_star_series, zeros_spectral
 from nophase.errors import ConfigurationError, ConvergenceError
 from nophase.grid import (RealSample, SpectralGrid, SpectralSample, convolve,
-                          forward, l1_norm, linf_norm)
+                          forward, inverse, l1_norm, linf_norm)
 from nophase.problem import build_problem, choose_grid, decay_bound
 from nophase.solver import (apply_R, apply_Wb, apply_Wb_tilde,
                             extract_solution, fixed_point_solve,
@@ -56,12 +57,6 @@ class TestBump:
         b = make_bump(grid, lam).b_hat.values.real
         assert np.all(b >= 0.0) and np.all(b <= 1.0)
 
-    def test_geometry_constants(self):
-        lam = 4.0
-        bump = make_bump(band_grid(lam), lam)
-        assert bump.c == pytest.approx(0.5 * (SQRT2 + 1.0) * lam)
-        assert bump.alpha == pytest.approx(0.25 * (SQRT2 - 1.0) * lam)
-
     def test_resolution_guard(self, rng):
         # on a grid narrower than 2 sqrt(2) lambda the converged psi must
         # vanish on the outer half of the grid; this forcing fills it
@@ -88,7 +83,6 @@ class TestBump:
         assert np.all(unit.b_hat.values == 1.0)
         on = np.isin(full.grid.xi, grid.xi)
         np.testing.assert_array_equal(unit.multiplier, full.multiplier[on])
-        assert (unit.c, unit.alpha) == (full.c, full.alpha)
 
 
 class TestBandOperators:
@@ -211,19 +205,22 @@ class TestFixedPoint:
             prob.grid, again.values - state.psi.values))
         assert resid <= 10.0 * tol * l1_norm(prob.p_hat)
 
-    def test_nonconvergence_raises_with_history(self, sech_coefficient):
+    def test_nonconvergence_raises_with_history(self, sech_coefficient,
+                                                monkeypatch):
         prob = build_problem(sech_coefficient, 40.0)
+        monkeypatch.setattr(nophase.solver, "MAX_ITER", 2)
         with pytest.raises(ConvergenceError) as err:
-            fixed_point_solve(prob.p_hat, prob.lam, tol=1e-14, max_iter=2)
+            fixed_point_solve(prob.p_hat, prob.lam, tol=1e-14)
         assert len(err.value.history) == 2
 
-    def test_warns_outside_ball(self, rng):
+    def test_warns_outside_ball(self, rng, monkeypatch):
         lam = 3.0
         grid = band_grid(lam, L=6.0, N=64)
         w = random_forcing(grid, rng, 0.6 * np.pi * lam ** 2)
+        monkeypatch.setattr(nophase.solver, "MAX_ITER", 5)
         with pytest.warns(UserWarning):
             try:
-                fixed_point_solve(w, lam, max_iter=5)
+                fixed_point_solve(w, lam)
             except ConvergenceError:
                 pass
 
@@ -248,7 +245,7 @@ class TestApplyT:
         prob = build_problem(sech_coefficient, 40.0)
         result, _ = solve_problem(prob)
         sig = result.sigma_hat
-        delta_hat = forward(result.delta)
+        delta_hat = forward(inverse(result.delta_hat))
         resid = (4.0 * prob.lam ** 2 - prob.grid.xi ** 2) * delta_hat.values \
             - sig.values
         assert l1_norm(SpectralSample(prob.grid, resid)) \
@@ -272,7 +269,7 @@ class TestExtractSolution:
         assert state.iteration == 1
         assert np.all(result.sigma_hat.values == 0.0)
         assert linf_norm(result.nu) == 0.0
-        assert linf_norm(result.delta) == 0.0
+        assert linf_norm(inverse(result.delta_hat)) == 0.0
         assert result.bounds_report.certified
 
     def test_sigma_vanishes_off_band(self, sech_coefficient):
@@ -304,7 +301,7 @@ class TestExtractSolution:
         cut = full.values[~kept]
         assert report.delta_tail == pytest.approx(
             prob.grid.dxi / (2.0 * np.pi) * np.sum(np.abs(cut)), rel=1e-12)
-        assert report.delta_tail <= 1e-15 * linf_norm(result.delta)
+        assert report.delta_tail <= 1e-15 * linf_norm(inverse(result.delta_hat))
         t = interior_nodes(-3.0, 3.0)
         x = prob.map.x_of_t(t) - prob.map.x_shift
         gap = band_limited_evaluator(result.delta_hat)(x) \
@@ -351,7 +348,7 @@ class TestBaseBandGrid:
         report = result.bounds_report
         assert report.nu_inf == 0.0 and report.nu_floor_limited
         assert report.nu_bound == full_result.bounds_report.nu_bound
-        assert 0.0 < report.band_tail <= 1e-15 * linf_norm(result.delta)
+        assert 0.0 < report.band_tail <= 1e-15 * linf_norm(inverse(result.delta_hat))
         assert full_result.bounds_report.band_tail == 0.0
 
     def test_nu_not_measured_on_the_unit_grid(self, sech_coefficient):

@@ -170,11 +170,12 @@ class TestCliSolve:
         '5',
         '{"q": "1 + 1/0", "a": 0.0, "b": 1.0}',
         '{"q": "1 + 2.0**5000", "a": 0.0, "b": 1.0}',
+        '{"q": [[1, 1], [1.5, 1.2], [2, 1.1]], "a": 1, "b": 2}',
     ], ids=["missing-file", "malformed-json", "unknown-function",
             "missing-key", "nonpositive-q", "null-a", "string-width",
             "zero-width", "negative-width", "list-grid-L", "number-grid",
             "null-lambda", "number-dq", "not-an-object", "zero-division",
-            "overflowing-constant"])
+            "overflowing-constant", "table-short-of-the-extension"])
     def test_bad_input_exits_2_with_one_line(self, tmp_path, capsys, text):
         path = tmp_path / "bad.json"
         if text is not None:
@@ -185,6 +186,26 @@ class TestCliSolve:
         assert code == EXIT_NUMERICAL
         err = capsys.readouterr().err.strip().splitlines()
         assert len(err) == 1 and err[0].startswith("error: ")
+
+    def test_nan_q_is_not_positive(self, tmp_path, capsys):
+        # sqrt(t) is NaN on [a - 3w, 0) = [-0.5, 0), inside the extension
+        path = tmp_path / "sqrt.json"
+        path.write_text(json.dumps({"q": "sqrt(t)", "a": 1, "b": 2}))
+        code = main(["solve", str(path), "--lambda", "20"])
+        assert code == EXIT_NUMERICAL
+        err = capsys.readouterr().err.strip().splitlines()
+        assert all(line.startswith(("warning: ", "error: ")) for line in err)
+        assert err[-1] == ("error: coefficient is not finite and strictly "
+                           "positive on [a - 3w, b + 3w] = [-0.5, 3.5]")
+
+    def test_warning_on_one_line(self, sech_problem, capsys):
+        code = main(["solve", sech_problem, "--lambda", "4"])
+        assert code == EXIT_CERTIFICATION
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 2
+        assert err[0].startswith("warning: solvability hypotheses not "
+                                 "satisfied")
+        assert err[1].startswith("solve: ")
 
     # a flag that parses as inf or nan names itself, on one line
     @pytest.mark.parametrize("argv", [
@@ -305,6 +326,22 @@ class TestCliSweep:
         assert problem.read_bytes() == before
         assert not os.path.exists(out)
         assert len(capsys.readouterr().err.strip().splitlines()) == 1
+
+    def test_missing_output_directory_checked_before_the_solve(
+            self, constant_problem, tmp_path, monkeypatch, capsys):
+        calls = []
+        original = nophase.sweep.build_problem
+        monkeypatch.setattr(nophase.sweep, "build_problem",
+                            lambda *args, **kw: calls.append(args)
+                            or original(*args, **kw))
+        out = tmp_path / "missing_dir" / "rows.csv"
+        code = main(["sweep", constant_problem, "--lambdas", "10,20",
+                     "--out", str(out)])
+        assert code == EXIT_NUMERICAL
+        err = capsys.readouterr().err.strip().splitlines()
+        assert len(err) == 1 and err[0].startswith("error: ")
+        assert "missing_dir" in err[0]
+        assert calls == []
 
     @pytest.mark.parametrize("lambdas", ["", ","])
     def test_empty_lambda_list_is_bad_input(self, constant_problem,
