@@ -8,7 +8,7 @@ untimed warm-up pass first) of the ms spent in `build_problem`, the bump,
 the fixed point (in all and per iteration), the extraction,
 `build_phase`, the checks (`kummer_residual` and `eval_basis` at the 400
 interior nodes, as solve-ladder runs them) and the DOP853 oracle (one
-`basis_error` at oracle_tol = 1e-13, as `verify` and `sweep` run it),
+`basis_error` at its default ORACLE_TOL, as `verify` and `sweep` run it),
 with the grid N, the fixed-point iterations, the points at which q, q'
 and q'' are evaluated in `build_problem`, the q calls of the oracle, the
 oracle's microseconds per q call, and the points at which delta's
@@ -118,7 +118,7 @@ def one_pass(stages):
         eval_basis(phase, nodes)
         t4 = time.perf_counter()
         q_points_before = stages.points["q_points"]
-        basis_error(phase, prob, tol=1e-13)
+        basis_error(phase, prob)
         t5 = time.perf_counter()
         solve_ms = 1e3 * (t2 - t1)
         rows[f"{lam:g}"] = {
@@ -146,7 +146,7 @@ def one_pass(stages):
             expression_phase = phase
     stages.points["q_points"] = 0
     t0 = time.perf_counter()
-    basis_error(expression_phase, expression_prob, tol=1e-13)
+    basis_error(expression_phase, expression_prob)
     oracle_ms = 1e3 * (time.perf_counter() - t0)
     points = np.linspace(-3.0, 3.0, Q_POINTS).tolist()
     t0 = time.perf_counter()

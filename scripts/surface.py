@@ -1,10 +1,11 @@
-"""The size of the library's surface, in two counts.
+"""The size of the library's surface, in three counts.
 
 Prints the lines of the package's Python files (as `wc -l` counts
-them) and its defaulted parameters: over every function, method and
+them), its defaulted parameters: over every function, method and
 lambda, the positional defaults plus the keyword-only parameters that
-have one (`ast` stores None in `kw_defaults` for those that do not).
-Run it from a checkout:
+have one (`ast` stores None in `kw_defaults` for those that do not),
+and its CLI options: the `add_argument` calls whose first argument is a
+string starting with "--".  Run it from a checkout:
 
     python scripts/surface.py [package directory]
 """
@@ -25,16 +26,30 @@ def defaulted_parameters(tree):
                for node in ast.walk(tree) if isinstance(node, _FUNCTIONS))
 
 
+def cli_options(tree):
+    """`add_argument` calls in the tree that declare a "--" option."""
+    return sum(isinstance(node, ast.Call)
+               and isinstance(node.func, ast.Attribute)
+               and node.func.attr == "add_argument"
+               and bool(node.args)
+               and isinstance(node.args[0], ast.Constant)
+               and str(node.args[0].value).startswith("--")
+               for node in ast.walk(tree))
+
+
 def main(argv=None):
     argv = sys.argv[1:] if argv is None else argv
     package = pathlib.Path(argv[0]) if argv else PACKAGE
-    lines = defaults = 0
+    lines = defaults = options = 0
     for path in sorted(package.glob("*.py")):
         source = path.read_text()
         lines += source.count("\n")
-        defaults += defaulted_parameters(ast.parse(source, str(path)))
+        tree = ast.parse(source, str(path))
+        defaults += defaulted_parameters(tree)
+        options += cli_options(tree)
     print(f"lines {lines}")
     print(f"defaulted parameters {defaults}")
+    print(f"cli options {options}")
 
 
 if __name__ == "__main__":

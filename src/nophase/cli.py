@@ -6,6 +6,12 @@ Subcommands:
   sweep    run a list of lambdas and write per-lambda metrics as CSV
   selftest run the invariant test suite of a source checkout
 
+The problem file sets q, [a, b], lambda, the extension width and the
+grid; --lambda overrides its lambda.  An expression q that never names t
+needs no dq or d2q: its derivatives are exact zeros.  Every solve
+iterates to the solver's TOL.  The sweep's JSON mirror carries each
+row's `certified` flag, which the CSV does not.
+
 Exit codes: 0 success; 1 certification failure (the solve finished but a
 certificate flag or a verify gate failed); 2 numerical failure or bad
 input, reported as one `error:` line without a traceback.  Numerical
@@ -26,7 +32,7 @@ import sys
 import warnings
 
 from .errors import NophaseError, NumericalError
-from .oracle import check_tol
+from .oracle import ORACLE_TOL, check_tol
 from .problem import build_problem, load_problem_file
 from .solver import solve_problem
 from .sweep import run_sweep, sweep_point
@@ -49,10 +55,9 @@ def _resolve_lambda(config, args):
 def cmd_solve(args):
     config = load_problem_file(args.problem)
     lam = _resolve_lambda(config, args)
-    L = args.grid_L if args.grid_L is not None else config.grid_L
-    N = args.grid_N if args.grid_N is not None else config.grid_N
-    prob = build_problem(config.coefficient, lam, L=L, N=N)
-    result, _ = solve_problem(prob, tol=args.tol)
+    prob = build_problem(config.coefficient, lam, L=config.grid_L,
+                         N=config.grid_N)
+    result, _ = solve_problem(prob)
     report = result.bounds_report
     payload = dataclasses.asdict(report)
     if args.out:
@@ -93,7 +98,7 @@ def cmd_verify(args):
 
 def cmd_sweep(args):
     lambdas = [float(s) for s in args.lambdas.split(",") if s.strip()]
-    report = run_sweep(args.problem, lambdas, args.out, tol=args.tol)
+    report = run_sweep(args.problem, lambdas, args.out)
     failed = [row for row in report.rows if row.error is not None]
     for row in failed:
         print(f"sweep: lambda={row.lam:g} failed: {row.error}",
@@ -132,9 +137,6 @@ def build_parser():
     p_solve = sub.add_parser("solve", help="solve and write a bounds report")
     p_solve.add_argument("problem", help="problem definition JSON file")
     p_solve.add_argument("--lambda", dest="lam", type=float, default=None)
-    p_solve.add_argument("--grid-N", dest="grid_N", type=int, default=None)
-    p_solve.add_argument("--grid-L", dest="grid_L", type=float, default=None)
-    p_solve.add_argument("--tol", type=float, default=1e-14)
     p_solve.add_argument("--out", default=None, help="report JSON path")
     p_solve.set_defaults(func=cmd_solve)
 
@@ -143,7 +145,7 @@ def build_parser():
     p_verify.add_argument("problem")
     p_verify.add_argument("--lambda", dest="lam", type=float, default=None)
     p_verify.add_argument("--oracle-tol", dest="oracle_tol", type=float,
-                          default=1e-13)
+                          default=ORACLE_TOL)
     p_verify.set_defaults(func=cmd_verify)
 
     p_sweep = sub.add_parser("sweep", help="per-lambda metrics as CSV")
@@ -151,7 +153,6 @@ def build_parser():
     p_sweep.add_argument("--lambdas", required=True,
                          help="comma-separated list, e.g. 20,40,80")
     p_sweep.add_argument("--out", required=True, help="CSV output path")
-    p_sweep.add_argument("--tol", type=float, default=1e-14)
     p_sweep.set_defaults(func=cmd_sweep)
 
     p_self = sub.add_parser("selftest", help="run the invariant test suite")

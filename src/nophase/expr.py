@@ -80,6 +80,13 @@ class _ArrayOperands(ast.NodeTransformer):
                         args=[node], keywords=[])
 
 
+def is_constant(source):
+    """True when an expression that compile_expression accepts never
+    names VARIABLE."""
+    tree = ast.parse(source, mode="eval")
+    return not any(_is_variable(node) for node in ast.walk(tree))
+
+
 def compile_expression(source):
     """Compile an expression string into a vectorized callable of
     VARIABLE: an array gives an array of its shape, a scalar a float.

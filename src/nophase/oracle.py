@@ -21,6 +21,7 @@ _NSTEPS = 2 ** 31 - 1  # no step cap per node, as solve_ivp has none
 # reached by one Euler step from it
 _MIN_GAP = 1e-14
 MIN_TOL = 1e-14  # smallest tolerance the oracle accepts
+ORACLE_TOL = 1e-13  # default tolerance of verify's and sweep's basis error
 
 
 def check_tol(tol, name):
@@ -30,7 +31,7 @@ def check_tol(tol, name):
             f"{name} must be a finite number >= {MIN_TOL:g}, not {tol!r}")
 
 
-def ode_oracle(prob, y0, dy0, t, tol=1e-13):
+def ode_oracle(prob, y0, dy0, t, tol=ORACLE_TOL):
     """Adaptive 8th-order Runge-Kutta (DOP853, scipy's compiled code)
     solutions over [a, b], integrated from node to node over the
     ascending nodes t.  Uses the original coefficient, not its extension.
@@ -145,7 +146,7 @@ def _interrupts_kept(raised):
         signal.signal(signal.SIGINT, handler)
 
 
-def basis_error(phase, prob, tol=1e-13):
+def basis_error(phase, prob, tol=ORACLE_TOL):
     """Max-norm differences, at CHECK_NODES equispaced nodes of [a, b],
     between the phase-function basis (u, v) and reference solutions with
     the same initial data at t = a, both integrated in one pass."""

@@ -14,7 +14,7 @@ import numpy as np
 
 from .chebseries import PiecewiseCheb
 from .errors import ConfigurationError, DomainError, FitError, NumericalError
-from .expr import compile_expression
+from .expr import compile_expression, is_constant
 from .grid import RealSample, SpectralGrid, SpectralSample, forward, l1_norm
 from .mollifier import smooth_step, smooth_step_deriv, smooth_step_deriv2
 
@@ -39,19 +39,27 @@ def _finite(value, name):
     return float(value)
 
 
-def _fd_derivatives(q, h):
+def _fd_derivatives(q, h, lo, hi):
+    """8th-order centered differences of q with step h at t in [lo, hi],
+    where q must be evaluable; the points t +- kh are clipped into it.
+    Near the ends the clipped values are wrong, but the extension's
+    weight on them is flat to every order there
+    (`ExtendedCoefficient.jet`)."""
+    def at(t, k):
+        return q(np.clip(t + k * h, lo, hi))
+
     def dq(t):
         t = np.asarray(t, dtype=float)
         acc = np.zeros_like(t)
         for k in range(1, 5):
-            acc += _FD1[k - 1] * (q(t + k * h) - q(t - k * h))
+            acc += _FD1[k - 1] * (at(t, k) - at(t, -k))
         return acc / h
 
     def d2q(t):
         t = np.asarray(t, dtype=float)
         acc = _FD2_CENTER * q(t)
         for k in range(1, 5):
-            acc += _FD2[k - 1] * (q(t + k * h) + q(t - k * h))
+            acc += _FD2[k - 1] * (at(t, k) + at(t, -k))
         return acc / (h * h)
 
     return dq, d2q
@@ -84,7 +92,8 @@ class Coefficient:
             if w <= 0.0:
                 raise DomainError("extension_width must be positive")
         if dq is None or d2q is None:
-            fd_dq, fd_d2q = _fd_derivatives(q, 1e-3 * (b - a))
+            fd_dq, fd_d2q = _fd_derivatives(q, 1e-3 * (b - a),
+                                            a - 3.0 * w, b + 3.0 * w)
             dq = dq if dq is not None else fd_dq
             d2q = d2q if d2q is not None else fd_d2q
         return cls(q=q, dq=dq, d2q=d2q, interval_a=a, interval_b=b,
@@ -461,8 +470,8 @@ def build_problem(coefficient, lam, L=None, N=None):
     hyp = check_hypotheses(prob)
     if not hyp.certified:
         warnings.warn(
-            "solvability hypotheses not satisfied; the solve may still "
-            "converge but its bounds are uncertified",
+            f"solvability hypotheses not satisfied at lambda={lam:g}; the "
+            f"solve may still converge but its bounds are uncertified",
             stacklevel=2,
         )
     return prob
@@ -497,13 +506,13 @@ def problem_config_from_dict(data):
         if key not in data:
             raise DomainError(f"problem definition is missing {key!r}")
     qdef = data["q"]
-    dq = d2q = None
     if isinstance(qdef, str):
         q = compile_expression(qdef)
-        if "dq" in data:
-            dq = compile_expression(data["dq"])
-        if "d2q" in data:
-            d2q = compile_expression(data["d2q"])
+        # a constant's derivatives are exact zeros, which finite
+        # differences miss by round-off
+        zero = compile_expression("0") if is_constant(qdef) else None
+        dq = compile_expression(data["dq"]) if "dq" in data else zero
+        d2q = compile_expression(data["d2q"]) if "d2q" in data else zero
     elif isinstance(qdef, list):
         from scipy.interpolate import CubicSpline
 

@@ -31,6 +31,7 @@ BOUND_FLOOR_REL = 1e-14
 SIGMA_SLACK = 1.01
 NU_SLACK = 1.05
 MAX_ITER = 100  # fixed-point iterations before ConvergenceError
+TOL = 1e-14  # L1 increment, relative to ||w||_1, that stops the iteration
 
 _SQRT2 = np.sqrt(2.0)
 
@@ -101,7 +102,7 @@ class SolverState:
     converged: bool = False
 
 
-def fixed_point_solve(w_hat, lam, tol=1e-14, bump=None):
+def fixed_point_solve(w_hat, lam, tol=TOL, bump=None):
     """Iterate psi_{n+1} = R[psi_n] from psi_0 = w until the L1 increment
     drops below tol relative to ||w||_1, for at most MAX_ITER steps.
 
@@ -288,8 +289,9 @@ def extract_solution(state, bump, prob):
                        delta_hat=delta_hat, bounds_report=report)
 
 
-def solve_problem(prob, tol=1e-14):
-    """Convenience wrapper: bump, iteration, extraction on prob.grid."""
+def solve_problem(prob):
+    """Convenience wrapper: bump, iteration to TOL, extraction on
+    prob.grid."""
     bump = make_bump(prob.grid, prob.lam)
-    state = fixed_point_solve(prob.p_hat, prob.lam, tol=tol, bump=bump)
+    state = fixed_point_solve(prob.p_hat, prob.lam, bump=bump)
     return extract_solution(state, bump, prob), state

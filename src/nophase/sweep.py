@@ -10,7 +10,7 @@ from dataclasses import dataclass, field, asdict
 import numpy as np
 
 from .errors import ConfigurationError, DomainError, NophaseError
-from .oracle import basis_error
+from .oracle import ORACLE_TOL, basis_error
 from .phase import build_phase, interior_nodes, kummer_residual
 from .problem import build_problem, load_problem_file
 from .solver import solve_problem
@@ -18,12 +18,14 @@ from .solver import solve_problem
 CSV_COLUMNS = ["lambda", "iterations", "gamma", "mu", "nu_inf",
                "res_kummer", "err_u", "err_v", "cheb_degree", "wall_ms"]
 
-NU_FLOOR = 1e-15  # rows below this are flagged as floor-limited
-ORACLE_TOL = 1e-13  # DOP853 tolerance of a sweep row's basis error
-
 
 @dataclass
 class SweepRow:
+    """One lambda of a sweep.  `certified` and `floor_limited` are the
+    solve's `BoundsReport.certified` and `nu_floor_limited`; they reach
+    the JSON mirror but not the CSV.  A row whose solve or check raised
+    holds the message in `error` and NaN or -1 elsewhere."""
+
     lam: float
     iterations: int = -1
     gamma: float = np.nan
@@ -34,6 +36,7 @@ class SweepRow:
     err_v: float = np.nan
     cheb_degree: int = -1
     wall_ms: float = np.nan
+    certified: bool = False
     floor_limited: bool = False
     error: str = None
 
@@ -68,12 +71,13 @@ class SweepReport:
             json.dump(payload, handle, indent=2)
 
 
-def sweep_point(coefficient, lam, L=None, N=None, tol=1e-14,
-                oracle_tol=ORACLE_TOL):
-    """One sweep item: solve, assemble the phase, and validate."""
+def sweep_point(coefficient, lam, L=None, N=None, oracle_tol=ORACLE_TOL):
+    """One sweep item: solve to the solver's TOL on the grid L, N
+    (`build_problem`), assemble the phase, and validate it by the Kummer
+    residual at the interior nodes and the basis error at oracle_tol."""
     start = time.perf_counter()
     prob = build_problem(coefficient, lam, L=L, N=N)
-    result, _ = solve_problem(prob, tol=tol)
+    result, _ = solve_problem(prob)
     phase = build_phase(result, prob)
     nodes = interior_nodes(phase.a, phase.b)
     res = float(np.max(np.abs(
@@ -92,16 +96,17 @@ def sweep_point(coefficient, lam, L=None, N=None, tol=1e-14,
         err_v=err_v,
         cheb_degree=phase.delta_degree,
         wall_ms=wall_ms,
-        floor_limited=report.nu_inf < NU_FLOOR,
+        certified=report.certified,
+        floor_limited=report.nu_floor_limited,
     )
 
 
-def run_sweep(problem_file, lambdas, out, tol=1e-14):
-    """Per-lambda solve + validation over a list of lambdas; per-lambda
-    failures are recorded as NaN rows and the sweep continues.  Writes CSV
-    to `out` and JSON alongside it, and refuses, before any solve, when
-    either path is the problem file, when the directory of `out` does not
-    exist, or when there is no lambda."""
+def run_sweep(problem_file, lambdas, out):
+    """`sweep_point` at each lambda of a list, on the problem file's grid;
+    per-lambda failures are recorded as NaN rows and the sweep continues.
+    Writes CSV to `out` and JSON alongside it, and refuses, before any
+    solve, when either path is the problem file, when the directory of
+    `out` does not exist, or when there is no lambda."""
     lambdas = list(lambdas)
     if not lambdas:
         raise DomainError("no lambda to sweep")
@@ -120,7 +125,7 @@ def run_sweep(problem_file, lambdas, out, tol=1e-14):
     def one(lam):
         try:
             return sweep_point(config.coefficient, float(lam),
-                               L=config.grid_L, N=config.grid_N, tol=tol)
+                               L=config.grid_L, N=config.grid_N)
         except (NophaseError, ValueError) as exc:
             return SweepRow(lam=float(lam), error=str(exc))
 

@@ -17,9 +17,9 @@ from nophase.problem import build_problem
 from nophase.solver import solve_problem
 
 
-def solved_phase(coefficient, lam, tol=1e-14):
+def solved_phase(coefficient, lam):
     prob = build_problem(coefficient, lam)
-    result, _ = solve_problem(prob, tol=tol)
+    result, _ = solve_problem(prob)
     return prob, result, build_phase(result, prob)
 
 

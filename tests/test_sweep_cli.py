@@ -31,6 +31,17 @@ def constant_problem(tmp_path):
 
 
 @pytest.fixture
+def narrow_problem(tmp_path):
+    # a fixed grid too coarse for the cutoff at lambda = 100 or 500
+    path = tmp_path / "narrow.json"
+    path.write_text(json.dumps({
+        "q": "1", "dq": "0*t", "d2q": "0*t", "a": 0.0, "b": 1.0,
+        "grid": {"L": 4.0, "N": 64},
+    }))
+    return str(path)
+
+
+@pytest.fixture
 def sech_problem(tmp_path):
     path = tmp_path / "sech.json"
     path.write_text(json.dumps({
@@ -81,15 +92,9 @@ class TestRunSweep:
                               for line in open(path).read().splitlines()]
         assert strip(out1) == strip(out2)
 
-    def test_failures_recorded_not_raised(self, tmp_path):
-        # the fixed grid cannot resolve the cutoff at the larger lambda
-        path = tmp_path / "narrow.json"
-        path.write_text(json.dumps({
-            "q": "1", "dq": "0*t", "d2q": "0*t", "a": 0.0, "b": 1.0,
-            "grid": {"L": 4.0, "N": 64},
-        }))
+    def test_failures_recorded_not_raised(self, narrow_problem, tmp_path):
         out = tmp_path / "sweep.csv"
-        report = run_sweep(str(path), [1.0, 500.0], out)
+        report = run_sweep(narrow_problem, [1.0, 500.0], out)
         assert report.rows[0].error is None
         assert report.rows[1].error is not None
         with open(out, newline="") as handle:
@@ -130,13 +135,6 @@ class TestCliSolve:
         payload = json.loads(capsys.readouterr().out)
         assert payload["nu_bound_ok"] is True
 
-    def test_grid_overrides(self, constant_problem, tmp_path):
-        out = tmp_path / "report.json"
-        code = main(["solve", constant_problem, "--lambda", "10",
-                     "--grid-L", "16", "--grid-N", "512",
-                     "--out", str(out)])
-        assert code == EXIT_OK
-
     @pytest.mark.filterwarnings("ignore:solvability hypotheses")
     def test_uncertified_exit_code(self, sech_problem, tmp_path):
         out = tmp_path / "report.json"
@@ -148,9 +146,8 @@ class TestCliSolve:
     def test_missing_lambda_is_numerical_failure(self, constant_problem):
         assert main(["solve", constant_problem]) == EXIT_NUMERICAL
 
-    def test_unresolvable_grid_is_numerical_failure(self, constant_problem):
-        code = main(["solve", constant_problem, "--lambda", "100",
-                     "--grid-L", "4", "--grid-N", "64"])
+    def test_unresolvable_grid_is_numerical_failure(self, narrow_problem):
+        code = main(["solve", narrow_problem, "--lambda", "100"])
         assert code == EXIT_NUMERICAL
 
     @pytest.mark.parametrize("text", [
@@ -207,17 +204,46 @@ class TestCliSolve:
                                  "satisfied")
         assert err[1].startswith("solve: ")
 
+    def test_constant_expression_needs_no_derivatives(self, tmp_path):
+        # finite differences of a constant leave d2q at round-off, not 0
+        reports = []
+        for extra in ({}, {"dq": "0*t", "d2q": "0*t"}):
+            path = tmp_path / "constant.json"
+            path.write_text(json.dumps({"q": "2", "a": -1, "b": 1,
+                                        "lambda": 10, **extra}))
+            out = tmp_path / "report.json"
+            assert main(["solve", str(path), "--out", str(out)]) == EXIT_OK
+            reports.append(json.loads(out.read_text()))
+        assert reports[0] == reports[1]
+        assert reports[0]["certified"] is True
+
+    def test_difference_stencil_stays_in_the_extension(self, tmp_path):
+        # q = sqrt(t + 2) + 1 is defined from a - 3w = -2 on; a stencil
+        # reaching past it read NaN
+        problem = {"q": "sqrt(t + 2) + 1", "a": 0, "b": 1,
+                   "extension_width": 2 / 3}
+        nu = []
+        for extra in ({}, {"dq": "0.5/sqrt(t + 2)",
+                           "d2q": "-0.25/(t + 2)**1.5"}):
+            path = tmp_path / "sqrt.json"
+            path.write_text(json.dumps({**problem, **extra}))
+            out = tmp_path / "report.json"
+            code = main(["solve", str(path), "--lambda", "80",
+                         "--out", str(out)])
+            assert code == EXIT_OK
+            nu.append(json.loads(out.read_text())["nu_inf"])
+        assert nu[0] == pytest.approx(nu[1], rel=1e-8)
+
     # a flag that parses as inf or nan names itself, on one line
     @pytest.mark.parametrize("argv", [
         ["solve", "--lambda", "inf"],
         ["solve", "--lambda", "nan"],
-        ["solve", "--lambda", "10", "--tol", "inf"],
         ["verify", "--lambda", "inf"],
         ["verify", "--lambda", "nan"],
         ["verify", "--lambda", "10", "--oracle-tol", "inf"],
         ["verify", "--lambda", "10", "--oracle-tol", "nan"],
-    ], ids=["solve-lambda-inf", "solve-lambda-nan", "solve-tol-inf",
-            "verify-lambda-inf", "verify-lambda-nan", "verify-oracle-tol-inf",
+    ], ids=["solve-lambda-inf", "solve-lambda-nan", "verify-lambda-inf",
+            "verify-lambda-nan", "verify-oracle-tol-inf",
             "verify-oracle-tol-nan"])
     def test_non_finite_flag_exits_2_with_one_line(self, constant_problem,
                                                    capsys, argv):
@@ -290,16 +316,25 @@ class TestCliSweep:
         assert code == EXIT_OK
         assert out.exists()
 
-    def test_partial_failure_exit_code(self, tmp_path):
-        path = tmp_path / "narrow.json"
-        path.write_text(json.dumps({
-            "q": "1", "dq": "0*t", "d2q": "0*t", "a": 0.0, "b": 1.0,
-            "grid": {"L": 4.0, "N": 64},
-        }))
+    def test_partial_failure_exit_code(self, narrow_problem, tmp_path):
         out = tmp_path / "sweep.csv"
-        code = main(["sweep", str(path), "--lambdas", "1,500",
+        code = main(["sweep", narrow_problem, "--lambdas", "1,500",
                      "--out", str(out)])
         assert code == EXIT_NUMERICAL
+
+    def test_rows_say_whether_they_are_certified(self, sech_problem,
+                                                 tmp_path, capsys):
+        out = tmp_path / "sweep.csv"
+        code = main(["sweep", sech_problem, "--lambdas", "40,300,319.9",
+                     "--out", str(out)])
+        assert code == EXIT_OK
+        rows = json.loads((tmp_path / "sweep.json").read_text())["rows"]
+        assert [row["certified"] for row in rows] == [True, False, False]
+        warned = [line for line in capsys.readouterr().err.splitlines()
+                  if line.startswith("warning: ")]
+        assert [line.split(";")[0] for line in warned] == [
+            "warning: solvability hypotheses not satisfied at lambda=300",
+            "warning: solvability hypotheses not satisfied at lambda=319.9"]
 
     def test_non_finite_lambda_is_a_failed_row(self, constant_problem,
                                                tmp_path, capsys):
