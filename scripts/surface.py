@@ -1,11 +1,14 @@
-"""The size of the library's surface, in three counts.
+"""The size of the library's surface, in three counts, and its scipy
+modules.
 
 Prints the lines of the package's Python files (as `wc -l` counts
 them), its defaulted parameters: over every function, method and
 lambda, the positional defaults plus the keyword-only parameters that
 have one (`ast` stores None in `kw_defaults` for those that do not),
-and its CLI options: the `add_argument` calls whose first argument is a
-string starting with "--".  Run it from a checkout:
+its CLI options: the `add_argument` calls whose first argument is a
+string starting with "--", and the scipy modules its import statements
+name, wherever they stand (`from scipy import x` names scipy.x).  Run
+it from a checkout:
 
     python scripts/surface.py [package directory]
 """
@@ -37,19 +40,35 @@ def cli_options(tree):
                for node in ast.walk(tree))
 
 
+def scipy_modules(tree):
+    """Dotted names of the scipy modules the tree's imports name."""
+    names = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            names.update(alias.name for alias in node.names)
+        elif isinstance(node, ast.ImportFrom) and node.module == "scipy":
+            names.update(f"scipy.{alias.name}" for alias in node.names)
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            names.add(node.module)
+    return {name for name in names if name.split(".")[0] == "scipy"}
+
+
 def main(argv=None):
     argv = sys.argv[1:] if argv is None else argv
     package = pathlib.Path(argv[0]) if argv else PACKAGE
     lines = defaults = options = 0
+    scipy = set()
     for path in sorted(package.glob("*.py")):
         source = path.read_text()
         lines += source.count("\n")
         tree = ast.parse(source, str(path))
         defaults += defaulted_parameters(tree)
         options += cli_options(tree)
+        scipy |= scipy_modules(tree)
     print(f"lines {lines}")
     print(f"defaulted parameters {defaults}")
     print(f"cli options {options}")
+    print(f"scipy modules {', '.join(sorted(scipy)) or 'none'}")
 
 
 if __name__ == "__main__":

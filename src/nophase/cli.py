@@ -20,9 +20,10 @@ fails, a Chebyshev fit that does not resolve its function, and an
 overflowing or asymmetric sample; bad input is a missing or
 unreadable file, malformed JSON, a missing q, a or b, an unknown name in
 an expression, a q that is not finite and strictly positive on
-[a - 3w, b + 3w], a table q whose knots do not cover that range, a sweep
-output directory that does not exist, and a bad --oracle-tol.  Each
-warning is printed as one `warning:` line; the filters choose which.
+[a - 3w, b + 3w], a table q that is not two or more finite [t, q] pairs
+with increasing knots that cover that range, a sweep output directory
+that does not exist, and a bad --oracle-tol.  Each warning is printed
+as one `warning:` line; the filters choose which.
 """
 
 import argparse

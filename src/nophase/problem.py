@@ -24,6 +24,8 @@ NEWTON_STEPS = 50       # cap on Newton steps when inverting the map
 FIT_THRESHOLD = 1e-12   # relative cutoff for decay-fit nodes
 CLEAN_REL = 3e-15       # relative floor that zeroes p-hat and delta-hat
 BASE_N = 1024           # points of the first grid p is sampled on
+FH_DEGREE = 3           # blending degree of a table q's interpolant
+FH_BLOCK = 65536        # (points x knots) entries a table q evaluates at once
 
 # 8th-order centered finite-difference weights
 _FD1 = np.array([4.0 / 5.0, -1.0 / 5.0, 4.0 / 105.0, -1.0 / 280.0])
@@ -70,7 +72,9 @@ class Coefficient:
     """The coefficient q on [a, b] with its first two derivatives.
 
     q must be evaluable on [a - 3w, b + 3w] where w is the extension
-    width; the smooth blend to constants lives there.
+    width; the smooth blend to constants lives there.  `make` fills in a
+    derivative that is not given with 8th-order finite differences of q,
+    whatever q is: a callable, an expression, or a table's interpolant.
     """
 
     q: object
@@ -477,6 +481,65 @@ def build_problem(coefficient, lam, L=None, N=None):
     return prob
 
 
+class TableInterpolant:
+    """The Floater-Hormann rational interpolant (Numer. Math. 107 (2007)
+    315-331) through a table of [t, q] pairs: C-infinity, with no poles
+    on the real line, and exact at the knots t_0 < ... < t_n.  Its
+    weights are w_k = (-1)^(k-d) sum_{i in J_k} prod_{j=i..i+d, j!=k}
+    1/|t_k - t_j| over J_k = {i : 0 <= i <= n-d, k-d <= i <= k}, with
+    blending degree d = FH_DEGREE, or n if that is less.  Its sums are
+    taken relative to the first value, so a constant table gives its
+    constant exactly."""
+
+    def __init__(self, table):
+        try:
+            table = np.asarray(table, dtype=float)
+        except (TypeError, ValueError):     # ragged, or not numbers
+            table = None
+        if table is None or table.ndim != 2 or table.shape[1] != 2 \
+                or len(table) < 2:
+            raise DomainError(
+                "table coefficient must be a list of at least 2 [t, q] pairs")
+        knots, values = table.T
+        if not (np.all(np.isfinite(knots)) and np.all(np.diff(knots) > 0.0)):
+            raise DomainError(
+                "table q knots must be finite and strictly increasing")
+        if not np.all(np.isfinite(values)):
+            raise DomainError("table q values must be finite")
+        self.knots, self.values = knots, values
+        n, d = knots.size, min(FH_DEGREE, knots.size - 1)
+        m = n - d                   # windows t_i..t_(i+d), i < m
+        weights = np.zeros(n)
+        # knot i+r of every window i at once; r descending adds the
+        # terms of each w_k in ascending i
+        for r in range(d, -1, -1):
+            gaps = [np.abs(knots[r:r + m] - knots[j:j + m])
+                    for j in range(d + 1) if j != r]
+            weights[r:r + m] += 1.0 / np.prod(gaps, axis=0)
+        self.weights = weights * (-1.0) ** (np.arange(n) - d)
+        self._shifted = self.weights * (values - values[0])
+
+    def __call__(self, t):
+        """The interpolant at t: an array of t's shape, or a float for a
+        float or 0-d t; the (points x knots) Cauchy matrix is built in
+        blocks of at most FH_BLOCK entries."""
+        t = np.asarray(t, dtype=float)
+        flat, rows = t.ravel(), max(1, FH_BLOCK // self.knots.size)
+        out = np.empty_like(flat)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            for start in range(0, flat.size, rows):
+                cauchy = 1.0 / (flat[start:start + rows, None] - self.knots)
+                # row sums, as a matrix product rounds by the block's shape
+                out[start:start + rows] = ((cauchy * self._shifted).sum(1)
+                                           / (cauchy * self.weights).sum(1))
+        out += self.values[0]
+        # at a knot the sums read inf/inf; there q is the knot's value
+        k = np.minimum(np.searchsorted(self.knots, flat), self.knots.size - 1)
+        hit = self.knots[k] == flat
+        out[hit] = self.values[k[hit]]
+        return float(out[0]) if t.ndim == 0 else out.reshape(t.shape)
+
+
 @dataclass(frozen=True)
 class ProblemConfig:
     """Parsed contents of a problem definition JSON file."""
@@ -500,6 +563,15 @@ def load_problem_file(path):
 
 
 def problem_config_from_dict(data):
+    """The ProblemConfig of a parsed problem definition.
+
+    q is an expression (`compile_expression`) or a table of [t, q]
+    pairs, which becomes its `TableInterpolant`; the table's knots must
+    cover [a - 3w, b + 3w], as it is not extrapolated.  Then one rule
+    holds for both: "dq" and "d2q" keys are compiled as expressions; a
+    constant q (an expression that never names t, or a table whose
+    values are all equal) gets exact zeros for the others; and
+    `Coefficient.make` gives anything else finite differences."""
     if not isinstance(data, dict):
         raise DomainError("problem definition must be a JSON object")
     for key in ("q", "a", "b"):
@@ -507,34 +579,28 @@ def problem_config_from_dict(data):
             raise DomainError(f"problem definition is missing {key!r}")
     qdef = data["q"]
     if isinstance(qdef, str):
-        q = compile_expression(qdef)
-        # a constant's derivatives are exact zeros, which finite
-        # differences miss by round-off
-        zero = compile_expression("0") if is_constant(qdef) else None
-        dq = compile_expression(data["dq"]) if "dq" in data else zero
-        d2q = compile_expression(data["d2q"]) if "d2q" in data else zero
+        q, constant = compile_expression(qdef), is_constant(qdef)
     elif isinstance(qdef, list):
-        from scipy.interpolate import CubicSpline
-
-        table = np.asarray(qdef, dtype=float)
-        if table.ndim != 2 or table.shape[1] != 2:
-            raise DomainError("table coefficient must be a list of [t, q] pairs")
-        spline = CubicSpline(table[:, 0], table[:, 1])
-        q = spline
-        dq = spline.derivative(1)
-        d2q = spline.derivative(2)
+        q = TableInterpolant(qdef)
+        constant = bool(np.all(q.values == q.values[0]))
     else:
         raise DomainError("q must be an expression string or a sample table")
+    # a constant's derivatives are exact zeros, which finite differences
+    # miss by round-off
+    zero = compile_expression("0") if constant else None
+    dq = compile_expression(data["dq"]) if "dq" in data else zero
+    d2q = compile_expression(data["d2q"]) if "d2q" in data else zero
     coeff = Coefficient.make(q, data["a"], data["b"], dq=dq, d2q=d2q,
                              extension_width=data.get("extension_width"))
-    if isinstance(qdef, list):
-        # a spline extrapolates silently past its knots
+    if isinstance(q, TableInterpolant):
+        # the interpolant is not extrapolated past its knots
         lo = coeff.interval_a - 3.0 * coeff.extension_width
         hi = coeff.interval_b + 3.0 * coeff.extension_width
-        if not (table[0, 0] <= lo and table[-1, 0] >= hi):
+        first, last = q.knots[0], q.knots[-1]
+        if not (first <= lo and last >= hi):
             raise DomainError(
                 f"table q must cover [a - 3w, b + 3w] = [{lo:g}, {hi:g}]; "
-                f"its knots span [{table[0, 0]:g}, {table[-1, 0]:g}]")
+                f"its knots span [{first:g}, {last:g}]")
     gridspec = data.get("grid", {})
     if not isinstance(gridspec, dict):
         raise DomainError("grid must be an object with keys L and N")

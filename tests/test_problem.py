@@ -1,7 +1,11 @@
 import json
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
+import scipy.interpolate
 from scipy.integrate import quad
 from scipy.interpolate import CubicSpline
 
@@ -12,10 +16,10 @@ from nophase.errors import ConfigurationError, DomainError, FitError
 from nophase.expr import compile_expression
 from nophase.grid import SpectralGrid, SpectralSample, forward
 from nophase.problem import (CLEAN_REL, Coefficient, ExtendedCoefficient,
-                             build_map, build_problem, check_hypotheses,
-                             choose_grid, decay_bound, fit_decay,
-                             load_problem_file, problem_config_from_dict,
-                             schwarzian_p)
+                             TableInterpolant, build_map, build_problem,
+                             check_hypotheses, choose_grid, decay_bound,
+                             fit_decay, load_problem_file,
+                             problem_config_from_dict, schwarzian_p)
 
 
 class TestCoefficient:
@@ -362,6 +366,32 @@ class TestProblemFiles:
         assert np.max(np.abs(config.coefficient.dq(s)
                              + np.sin(s))) <= 1e-5
 
+    def test_table_honours_derivative_keys(self):
+        t = np.linspace(-4.0, 4.0, 400)
+        config = problem_config_from_dict({
+            "q": np.stack([t, 2.0 + np.cos(t)], axis=1).tolist(),
+            "a": -1.0, "b": 1.0, "dq": "-sin(t)",
+        })
+        s = np.linspace(-1, 1, 9)
+        np.testing.assert_array_equal(config.coefficient.dq(s), -np.sin(s))
+
+    def test_table_route_loads_no_scipy_interpolate(self):
+        src = os.path.dirname(os.path.dirname(nophase.problem.__file__))
+        code = (
+            "import sys, numpy as np\n"
+            "from nophase.problem import build_problem, "
+            "problem_config_from_dict\n"
+            "from nophase.solver import solve_problem\n"
+            "t = np.linspace(-4.0, 4.0, 400)\n"
+            "config = problem_config_from_dict({'q': np.stack("
+            "[t, 2.0 + np.cos(t)], axis=1).tolist(), 'a': -1.0, 'b': 1.0})\n"
+            "solve_problem(build_problem(config.coefficient, 10.0))\n"
+            "print('scipy.interpolate' in sys.modules)\n")
+        out = subprocess.run([sys.executable, "-W", "ignore", "-c", code],
+                             capture_output=True, text=True, check=True,
+                             env={**os.environ, "PYTHONPATH": src})
+        assert out.stdout.strip() == "False"
+
     def test_missing_keys(self):
         with pytest.raises(DomainError):
             problem_config_from_dict({"q": "1", "a": 0.0})
@@ -369,3 +399,84 @@ class TestProblemFiles:
     def test_bad_q_type(self):
         with pytest.raises(DomainError):
             problem_config_from_dict({"q": 7, "a": 0.0, "b": 1.0})
+
+
+class TestTableInterpolant:
+    @pytest.fixture
+    def sech_table(self):
+        knots = np.linspace(-15.0, 15.0, 141)
+        return knots, sech2(knots)
+
+    def test_exact_at_knots(self, sech_table):
+        # [a - 3w, b + 3w] often ends on a knot, where the difference
+        # stencil is clipped
+        knots, values = sech_table
+        f = TableInterpolant(np.stack(sech_table, axis=1))
+        np.testing.assert_array_equal(f(knots), values)
+        assert f(knots[0]) == values[0] and f(knots[-1]) == values[-1]
+
+    def test_float_for_a_scalar_shape_for_an_array(self, sech_table):
+        f = TableInterpolant(np.stack(sech_table, axis=1))
+        assert type(f(0.3)) is float
+        assert type(f(np.array(0.3))) is float
+        assert f(np.zeros((2, 3))).shape == (2, 3)
+        t = np.linspace(-15.0, 15.0, 12).reshape(3, 4)
+        np.testing.assert_array_equal(f(t), f(t.ravel()).reshape(3, 4))
+        assert f(0.3) == f(np.array([0.3]))[0]
+
+    def test_blocks_do_not_change_values(self, sech_table, monkeypatch):
+        f = TableInterpolant(np.stack(sech_table, axis=1))
+        t = np.linspace(-15.0, 15.0, 1001)
+        whole = f(t)
+        monkeypatch.setattr(nophase.problem, "FH_BLOCK", 3 * 141)
+        np.testing.assert_array_equal(f(t), whole)
+
+    def test_constant_table_is_exact(self):
+        f = TableInterpolant([[-4.0, 3.0], [0.5, 3.0], [4.0, 3.0]])
+        np.testing.assert_array_equal(f(np.linspace(-4.0, 4.0, 101)), 3.0)
+
+    @pytest.mark.parametrize("n", [2, 3, 4, 5, 141])
+    def test_weights_are_the_formula(self, rng, n):
+        # the formula's loop over k and i, in the same order of operations
+        knots = np.cumsum(rng.uniform(0.1, 1.0, n))
+        d = min(3, n - 1)
+        ref = np.zeros(n)
+        for k in range(n):
+            for i in range(max(k - d, 0), min(k, n - 1 - d) + 1):
+                prod = 1.0
+                for j in range(i, i + d + 1):
+                    if j != k:
+                        prod *= abs(knots[k] - knots[j])
+                ref[k] += 1.0 / prod
+            ref[k] *= (-1.0) ** (k - d)
+        f = TableInterpolant(np.stack([knots, np.ones(n)], axis=1))
+        np.testing.assert_array_equal(f.weights, ref)
+
+    @pytest.mark.skipif(
+        not hasattr(scipy.interpolate, "FloaterHormannInterpolator"),
+        reason="scipy < 1.14 has no FloaterHormannInterpolator")
+    def test_matches_scipy(self, sech_table):
+        ref = scipy.interpolate.FloaterHormannInterpolator(*sech_table, d=3)
+        f = TableInterpolant(np.stack(sech_table, axis=1))
+        np.testing.assert_array_equal(f.weights, ref.weights)
+        t = np.linspace(-15.0, 15.0, 10001)
+        assert np.max(np.abs(f(t) - ref(t))) <= 1e-14
+
+    @pytest.mark.parametrize("table, message", [
+        ([[0.0, 1.0], [2.0, 1.0], [1.0, 1.0]], "knots must be finite and "
+         "strictly increasing"),
+        ([[0.0, 1.0], [1.0, 1.0], [1.0, 1.0]], "knots must be finite and "
+         "strictly increasing"),
+        ([[0.0, 1.0], [np.nan, 1.0], [2.0, 1.0]], "knots must be finite and "
+         "strictly increasing"),
+        ([[0.0, 1.0], [1.0, np.nan], [2.0, 1.0]], "values must be finite"),
+        ([[0.0, 1.0]], "must be a list of at least 2"),
+        ([[0.0, 1.0, 2.0], [1.0, 1.0, 2.0]], "must be a list of at least 2"),
+        ([[0.0, 1.0], [1.0]], "must be a list of at least 2"),
+        ([[0.0, 1.0], [1.0, {}]], "must be a list of at least 2"),
+    ], ids=["unsorted", "duplicate", "nan-knot", "nan-value", "one-knot",
+            "triple", "ragged", "non-numeric"])
+    def test_rejects_bad_tables(self, table, message):
+        with pytest.raises(DomainError, match=f"^table (q|coefficient) "
+                                              f"{message}"):
+            TableInterpolant(table)

@@ -13,12 +13,18 @@ import pytest
 
 import nophase.cli
 import nophase.sweep
-from conftest import make_constant_coefficient
+from conftest import make_constant_coefficient, sech2
 from helpers import fit_slope
 from nophase.cli import (EXIT_CERTIFICATION, EXIT_NUMERICAL, EXIT_OK,
                          _tests_dir, build_parser, main)
 from nophase.solver import BoundsReport
 from nophase.sweep import CSV_COLUMNS, run_sweep, sweep_point
+
+
+def table_problem(knots):
+    """The sech problem with q = 1 + sech(t)^2 given as a table."""
+    return {"q": np.stack([knots, sech2(knots)], axis=1).tolist(),
+            "a": -3.0, "b": 3.0, "extension_width": 4.0}
 
 
 @pytest.fixture
@@ -168,11 +174,19 @@ class TestCliSolve:
         '{"q": "1 + 1/0", "a": 0.0, "b": 1.0}',
         '{"q": "1 + 2.0**5000", "a": 0.0, "b": 1.0}',
         '{"q": [[1, 1], [1.5, 1.2], [2, 1.1]], "a": 1, "b": 2}',
+        '{"q": [[-1, 1], [2, 1.2], [1, 1.1], [4, 1]], "a": 1, "b": 2}',
+        '{"q": [[-1, 1], [1, 1.2], [1, 1.1], [4, 1]], "a": 1, "b": 2}',
+        '{"q": [[-1, 1], [1, NaN], [2, 1.1], [4, 1]], "a": 1, "b": 2}',
+        '{"q": [[1, 1]], "a": 1, "b": 2}',
+        '{"q": [[-1, 1], [1, {}], [4, 1]], "a": 1, "b": 2}',
+        '{"q": [[-1, 1], [1], [4, 1]], "a": 1, "b": 2}',
     ], ids=["missing-file", "malformed-json", "unknown-function",
             "missing-key", "nonpositive-q", "null-a", "string-width",
             "zero-width", "negative-width", "list-grid-L", "number-grid",
             "null-lambda", "number-dq", "not-an-object", "zero-division",
-            "overflowing-constant", "table-short-of-the-extension"])
+            "overflowing-constant", "table-short-of-the-extension",
+            "table-unsorted", "table-duplicate-knot", "table-nan-value",
+            "table-one-knot", "table-non-numeric", "table-ragged"])
     def test_bad_input_exits_2_with_one_line(self, tmp_path, capsys, text):
         path = tmp_path / "bad.json"
         if text is not None:
@@ -216,6 +230,24 @@ class TestCliSolve:
             reports.append(json.loads(out.read_text()))
         assert reports[0] == reports[1]
         assert reports[0]["certified"] is True
+
+    def test_constant_table_is_exact(self, tmp_path):
+        # finite differences of the interpolant leave d2q at round-off
+        reports = []
+        for q in ([[-4, 2], [4, 2]], "2"):
+            path = tmp_path / "constant.json"
+            path.write_text(json.dumps({"q": q, "a": -1, "b": 1,
+                                        "lambda": 10}))
+            out = tmp_path / "report.json"
+            assert main(["solve", str(path), "--out", str(out)]) == EXIT_OK
+            reports.append(json.loads(out.read_text()))
+        assert reports[0] == reports[1]
+
+    def test_nonuniform_table_is_certified(self, tmp_path):
+        t = 15.0 * np.sin(0.5 * np.pi * np.linspace(-1.0, 1.0, 141))
+        path = tmp_path / "table.json"
+        path.write_text(json.dumps(table_problem(t)))
+        assert main(["solve", str(path), "--lambda", "40"]) == EXIT_OK
 
     def test_difference_stencil_stays_in_the_extension(self, tmp_path):
         # q = sqrt(t + 2) + 1 is defined from a - 3w = -2 on; a stencil
@@ -264,6 +296,14 @@ class TestCliVerify:
     def test_sech_passes(self, sech_problem):
         code = main(["verify", sech_problem, "--lambda", "40"])
         assert code == EXIT_OK
+
+    @pytest.mark.parametrize("lam", ["20", "80"])
+    def test_sech_table_passes(self, tmp_path, lam):
+        # q'' must be smooth: where it jumps, delta's Chebyshev fit fails
+        path = tmp_path / "table.json"
+        path.write_text(json.dumps(
+            table_problem(np.linspace(-15.0, 15.0, 141))))
+        assert main(["verify", str(path), "--lambda", lam]) == EXIT_OK
 
     @pytest.mark.parametrize("tol", ["1e-15", "inf"])
     def test_oracle_tol_checked_before_the_solve(self, constant_problem,
