@@ -81,7 +81,7 @@ class ChebSeries:
             c = np.abs(series.coef)
             cmax = float(np.max(c))
             tail = float(np.max(c[-max(2, n // 8):]))
-            if cmax == 0.0 or tail <= TAIL_TOL * cmax:
+            if tail <= TAIL_TOL * cmax:
                 return series
             if n >= MAX_N:
                 raise NumericalError(
@@ -125,10 +125,7 @@ class ChebSeries:
         """Smallest degree beyond which all coefficients are below
         DEGREE_REL * max|coef|."""
         c = np.abs(self.coef)
-        cmax = float(np.max(c))
-        if cmax == 0.0:
-            return 0
-        significant = np.nonzero(c > DEGREE_REL * cmax)[0]
+        significant = np.nonzero(c > DEGREE_REL * np.max(c))[0]
         return int(significant[-1]) if significant.size else 0
 
 

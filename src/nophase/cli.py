@@ -7,23 +7,24 @@ Subcommands:
   selftest run the invariant test suite of a source checkout
 
 The problem file sets q, [a, b], lambda, the extension width and the
-grid; --lambda overrides its lambda.  An expression q that never names t
-needs no dq or d2q: its derivatives are exact zeros.  Every solve
-iterates to the solver's TOL.  The sweep's JSON mirror carries each
-row's `certified` flag, which the CSV does not.
+grid; --lambda overrides its lambda.  A constant q needs no dq or d2q:
+finite differences give it exact zeros.  Every solve iterates to the
+solver's TOL.  The sweep's JSON mirror carries each row's `certified`
+flag, which the CSV does not.
 
 Exit codes: 0 success; 1 certification failure (the solve finished but a
 certificate flag or a verify gate failed); 2 numerical failure or bad
 input, reported as one `error:` line without a traceback.  Numerical
 failures are non-convergence, an unresolvable grid, a decay fit that
-fails, a Chebyshev fit that does not resolve its function, and an
-overflowing or asymmetric sample; bad input is a missing or
-unreadable file, malformed JSON, a missing q, a or b, an unknown name in
-an expression, a q that is not finite and strictly positive on
-[a - 3w, b + 3w], a table q that is not two or more finite [t, q] pairs
-with increasing knots that cover that range, a sweep output directory
-that does not exist, and a bad --oracle-tol.  Each warning is printed
-as one `warning:` line; the filters choose which.
+fails, a Chebyshev fit that does not resolve its function, an
+overflowing or asymmetric sample, an OverflowError and a MemoryError;
+bad input is a missing or unreadable file, malformed JSON, a missing q,
+a or b, an unknown name in an expression or one nested too deeply, a q
+that is not finite and strictly positive on [a - 3w, b + 3w], a table q
+that is not two or more finite [t, q] pairs with increasing knots that
+cover that range, a sweep output directory that does not exist, and a
+bad --oracle-tol.  Each warning is printed as one `warning:` line; the
+filters choose which.
 """
 
 import argparse
@@ -175,6 +176,9 @@ def main(argv=None):
         return args.func(args)
     except (NophaseError, OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return EXIT_NUMERICAL
+    except (OverflowError, MemoryError) as exc:  # their text names no cause
+        print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL
     finally:
         warnings.showwarning = shown

@@ -80,33 +80,29 @@ class _ArrayOperands(ast.NodeTransformer):
                         args=[node], keywords=[])
 
 
-def is_constant(source):
-    """True when an expression that compile_expression accepts never
-    names VARIABLE."""
-    tree = ast.parse(source, mode="eval")
-    return not any(_is_variable(node) for node in ast.walk(tree))
-
-
 def compile_expression(source):
     """Compile an expression string into a vectorized callable of
     VARIABLE: an array gives an array of its shape, a scalar a float.
     The tree is compiled once into a function; a Python float calls it
     directly, with the bits of a 0-d array (module docstring).  Raises
-    DomainError for anything outside the whitelist, and for an
-    ArithmeticError while evaluating."""
+    DomainError for anything outside the whitelist, for a tree nested
+    too deeply to parse or compile (a sum of about 500 terms), and for
+    an ArithmeticError while evaluating."""
     if not isinstance(source, str):
         raise DomainError(f"an expression must be a string, not {source!r}")
     try:
         tree = ast.parse(source, mode="eval")
+        _validate(tree)
+        lam = ast.parse(f"lambda {VARIABLE}: 0", mode="eval")
+        lam.body.body = _ArrayOperands().visit(tree.body)
+        code = compile(ast.fix_missing_locations(lam), "<expression>", "eval")
     except SyntaxError as exc:
         raise DomainError(f"cannot parse expression: {exc}") from exc
-    _validate(tree)
-    lam = ast.parse(f"lambda {VARIABLE}: 0", mode="eval")
-    lam.body.body = _ArrayOperands().visit(tree.body)
+    except RecursionError as exc:
+        raise DomainError(f"expression nests too deeply: {exc}") from exc
     namespace = {"__builtins__": {}, "pi": np.pi, **_FUNCTIONS,
                  "_asarray": np.asarray}
-    function = eval(compile(ast.fix_missing_locations(lam), "<expression>",
-                            "eval"), namespace)  # noqa: S307 - AST whitelisted
+    function = eval(code, namespace)  # noqa: S307 - AST whitelisted
 
     def evaluate(t):
         if type(t) is not float:

@@ -152,7 +152,7 @@ def inverse(F):
     real space-domain sample.  Rejects inputs whose symmetry defect
     exceeds HERMITIAN_RTOL relative to the largest value."""
     scale = np.max(np.abs(F.values))
-    if scale > 0 and hermitian_defect(F) > HERMITIAN_RTOL * scale:
+    if hermitian_defect(F) > HERMITIAN_RTOL * scale:
         raise SymmetryError(
             "frequency sample is not Hermitian-symmetric within tolerance"
         )
@@ -178,4 +178,4 @@ def l1_norm(F):
 
 def linf_norm(f):
     """Max norm of a space sample."""
-    return float(np.max(np.abs(f.values))) if f.values.size else 0.0
+    return float(np.max(np.abs(f.values)))

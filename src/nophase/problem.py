@@ -14,7 +14,7 @@ import numpy as np
 
 from .chebseries import PiecewiseCheb
 from .errors import ConfigurationError, DomainError, FitError, NumericalError
-from .expr import compile_expression, is_constant
+from .expr import compile_expression
 from .grid import RealSample, SpectralGrid, SpectralSample, forward, l1_norm
 from .mollifier import smooth_step, smooth_step_deriv, smooth_step_deriv2
 
@@ -46,7 +46,9 @@ def _fd_derivatives(q, h, lo, hi):
     where q must be evaluable; the points t +- kh are clipped into it.
     Near the ends the clipped values are wrong, but the extension's
     weight on them is flat to every order there
-    (`ExtendedCoefficient.jet`)."""
+    (`ExtendedCoefficient.jet`).  d2q is exactly 0 where the stencil's
+    nine values of q are equal, as its weights cancel only in exact
+    arithmetic; dq's are exact there, so a constant q gets exact zeros."""
     def at(t, k):
         return q(np.clip(t + k * h, lo, hi))
 
@@ -59,10 +61,13 @@ def _fd_derivatives(q, h, lo, hi):
 
     def d2q(t):
         t = np.asarray(t, dtype=float)
-        acc = _FD2_CENTER * q(t)
+        center = q(t)
+        acc, flat = _FD2_CENTER * center, True
         for k in range(1, 5):
-            acc += _FD2[k - 1] * (at(t, k) + at(t, -k))
-        return acc / (h * h)
+            right, left = at(t, k), at(t, -k)
+            acc += _FD2[k - 1] * (right + left)
+            flat = flat & (right == center) & (left == center)
+        return np.where(flat, 0.0, acc / (h * h))
 
     return dq, d2q
 
@@ -75,6 +80,7 @@ class Coefficient:
     width; the smooth blend to constants lives there.  `make` fills in a
     derivative that is not given with 8th-order finite differences of q,
     whatever q is: a callable, an expression, or a table's interpolant.
+    They are exact zeros where q is constant (`_fd_derivatives`).
     """
 
     q: object
@@ -294,15 +300,13 @@ def _forcing(cmap, x):
 def _require_vanishing_edges(p, cmap):
     """p at the first and last grid nodes must be below P_EDGE_REL times
     its largest value, or the periodic grid cuts its support."""
-    pmax = float(np.max(np.abs(p)))
-    if pmax > 0.0:
-        edge = max(abs(p[0]), abs(p[-1]))
-        if edge > P_EDGE_REL * pmax:
-            suggested = 1.3 * max(abs(cmap.x_lo), abs(cmap.x_hi)) + 1.0
-            raise ConfigurationError(
-                f"grid half-width too small: p does not vanish at the "
-                f"boundary; use L >= {suggested:.2f}"
-            )
+    edge = max(abs(p[0]), abs(p[-1]))
+    if edge > P_EDGE_REL * float(np.max(np.abs(p))):
+        suggested = 1.3 * max(abs(cmap.x_lo), abs(cmap.x_hi)) + 1.0
+        raise ConfigurationError(
+            f"grid half-width too small: p does not vanish at the "
+            f"boundary; use L >= {suggested:.2f}"
+        )
 
 
 def schwarzian_p(cmap, grid):
@@ -406,19 +410,13 @@ class CoefficientProblem:
     gamma_fit: float
     mu_fit: float
 
-    @property
-    def degenerate(self):
-        return self.gamma_fit == 0.0
-
 
 def check_hypotheses(prob):
     """Evaluate both solvability conditions.  The solver refuses to
-    certify bounds when either flag is false but may still iterate."""
+    certify bounds when either flag is false but may still iterate.  For
+    p-hat == 0 (Gamma = 0, mu = inf) the lambda condition is lambda > 0."""
     w_l1 = l1_norm(prob.p_hat)
-    if prob.degenerate:
-        lambda_ok = prob.lam > 0.0
-    else:
-        lambda_ok = prob.lam > 2.0 * max(1.0 / prob.mu_fit, prob.gamma_fit)
+    lambda_ok = prob.lam > 2.0 * max(1.0 / prob.mu_fit, prob.gamma_fit)
     w_l1_ok = w_l1 <= 0.5 * np.pi * prob.lam ** 2
     return HypothesisReport(w_l1=w_l1, lambda_ok=bool(lambda_ok),
                             w_l1_ok=bool(w_l1_ok))
@@ -568,10 +566,9 @@ def problem_config_from_dict(data):
     q is an expression (`compile_expression`) or a table of [t, q]
     pairs, which becomes its `TableInterpolant`; the table's knots must
     cover [a - 3w, b + 3w], as it is not extrapolated.  Then one rule
-    holds for both: "dq" and "d2q" keys are compiled as expressions; a
-    constant q (an expression that never names t, or a table whose
-    values are all equal) gets exact zeros for the others; and
-    `Coefficient.make` gives anything else finite differences."""
+    holds for both: "dq" and "d2q" keys are compiled as expressions, and
+    `Coefficient.make` gives the others finite differences, which are
+    exact zeros for a constant q."""
     if not isinstance(data, dict):
         raise DomainError("problem definition must be a JSON object")
     for key in ("q", "a", "b"):
@@ -579,17 +576,13 @@ def problem_config_from_dict(data):
             raise DomainError(f"problem definition is missing {key!r}")
     qdef = data["q"]
     if isinstance(qdef, str):
-        q, constant = compile_expression(qdef), is_constant(qdef)
+        q = compile_expression(qdef)
     elif isinstance(qdef, list):
         q = TableInterpolant(qdef)
-        constant = bool(np.all(q.values == q.values[0]))
     else:
         raise DomainError("q must be an expression string or a sample table")
-    # a constant's derivatives are exact zeros, which finite differences
-    # miss by round-off
-    zero = compile_expression("0") if constant else None
-    dq = compile_expression(data["dq"]) if "dq" in data else zero
-    d2q = compile_expression(data["d2q"]) if "d2q" in data else zero
+    dq = compile_expression(data["dq"]) if "dq" in data else None
+    d2q = compile_expression(data["d2q"]) if "d2q" in data else None
     coeff = Coefficient.make(q, data["a"], data["b"], dq=dq, d2q=d2q,
                              extension_width=data.get("extension_width"))
     if isinstance(q, TableInterpolant):

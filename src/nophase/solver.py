@@ -254,15 +254,12 @@ def extract_solution(state, bump, prob):
     floor_limited = not bool(np.all(measurable))
 
     nu_inf = linf_norm(nu)
-    if prob.degenerate:
-        nu_bound = 0.0
-    else:
-        nu_bound = (gamma / (2.0 * mu)) * (1.0 + 4.0 * gamma / lam) \
-            * np.exp(-mu * lam)
+    nu_bound = (gamma / (2.0 * mu)) * (1.0 + 4.0 * gamma / lam) \
+        * np.exp(-mu * lam)
     nu_floor = BOUND_FLOOR_REL * max(float(np.max(np.abs(psi.values))), 1e-300)
     nu_floor_limited = nu_bound < nu_floor or bool(np.all(b == 1.0))
     nu_ok = bool(nu_inf <= NU_SLACK * nu_bound or nu_inf <= nu_floor)
-    if grid.xi_max < _SQRT2 * lam and not prob.degenerate:
+    if grid.xi_max < _SQRT2 * lam:
         band_tail = (1.0 + 2.0 * gamma / lam) * gamma / (np.pi * mu) \
             * np.exp(-mu * grid.xi_max)
     else:

@@ -45,6 +45,26 @@ class TestCoefficient:
         assert np.max(np.abs(c.dq(t) - np.exp(t))) <= 1e-10
         assert np.max(np.abs(c.d2q(t) - np.exp(t))) <= 1e-8
 
+    def test_constant_callable_gets_exact_zeros(self):
+        c = Coefficient.make(
+            lambda t: np.full_like(np.asarray(t, dtype=float), 2.0), -1.0, 1.0)
+        t = np.linspace(-4.0, 4.0, 801)     # all of [a - 3w, b + 3w]
+        assert np.all(c.dq(t) == 0.0) and np.all(c.d2q(t) == 0.0)
+
+    def test_flat_stencils_get_exact_zeros(self):
+        def q(t):
+            t = np.asarray(t, dtype=float)
+            return np.where(t < 0.0, 2.0, 2.0 + t ** 3)
+
+        c = Coefficient.make(q, -1.0, 1.0)
+        # the step is h = 2e-3, so stencils at t < -4h lie where q = 2
+        flat = np.linspace(-4.0, -0.01, 400)
+        assert np.all(c.d2q(flat) == 0.0)
+        straddling = np.linspace(-0.0075, 0.0075, 7)  # reach past t = 0
+        assert np.all(c.d2q(straddling) != 0.0)
+        curved = np.linspace(0.01, 1.0, 100)
+        assert np.max(np.abs(c.d2q(curved) - 6.0 * curved)) <= 1e-8
+
 
 class TestExtendedCoefficient:
     def test_agrees_inside(self, sech_coefficient):
@@ -314,7 +334,7 @@ class TestFitDecay:
 class TestHypotheses:
     def test_constant_coefficient_degenerate(self):
         prob = build_problem(make_constant_coefficient(), 5.0)
-        assert prob.degenerate
+        assert prob.gamma_fit == 0.0
         assert check_hypotheses(prob).certified
 
     def test_sech_certified_at_large_lambda(self, sech_coefficient):

@@ -12,12 +12,14 @@ import numpy as np
 import pytest
 
 import nophase.cli
+import nophase.problem
 import nophase.sweep
 from conftest import make_constant_coefficient, sech2
 from helpers import fit_slope
 from nophase.cli import (EXIT_CERTIFICATION, EXIT_NUMERICAL, EXIT_OK,
                          _tests_dir, build_parser, main)
-from nophase.solver import BoundsReport
+from nophase.problem import Coefficient, build_problem
+from nophase.solver import BoundsReport, solve_problem
 from nophase.sweep import CSV_COLUMNS, run_sweep, sweep_point
 
 
@@ -180,13 +182,21 @@ class TestCliSolve:
         '{"q": [[1, 1]], "a": 1, "b": 2}',
         '{"q": [[-1, 1], [1, {}], [4, 1]], "a": 1, "b": 2}',
         '{"q": [[-1, 1], [1], [4, 1]], "a": 1, "b": 2}',
+        json.dumps({"q": "1 + " + "+".join(["0.001*t**2"] * 500),
+                    "a": 0.0, "b": 1.0}),
+        json.dumps({"q": "1 + " + "+".join(["0.001*t**2"] * 5000),
+                    "a": 0.0, "b": 1.0}),
+        '{"q": "1", "a": 0.0, "b": 1.0, "extension_width": 1e200}',
+        '{"q": "1", "a": 0.0, "b": 1e160}',
     ], ids=["missing-file", "malformed-json", "unknown-function",
             "missing-key", "nonpositive-q", "null-a", "string-width",
             "zero-width", "negative-width", "list-grid-L", "number-grid",
             "null-lambda", "number-dq", "not-an-object", "zero-division",
             "overflowing-constant", "table-short-of-the-extension",
             "table-unsorted", "table-duplicate-knot", "table-nan-value",
-            "table-one-knot", "table-non-numeric", "table-ragged"])
+            "table-one-knot", "table-non-numeric", "table-ragged",
+            "sum-of-500-terms", "sum-of-5000-terms", "huge-width",
+            "huge-interval"])
     def test_bad_input_exits_2_with_one_line(self, tmp_path, capsys, text):
         path = tmp_path / "bad.json"
         if text is not None:
@@ -242,6 +252,40 @@ class TestCliSolve:
             assert main(["solve", str(path), "--out", str(out)]) == EXIT_OK
             reports.append(json.loads(out.read_text()))
         assert reports[0] == reports[1]
+
+    @pytest.mark.parametrize("lam", [10.0, 100.0])
+    def test_constant_callable_reports_as_the_file(self, tmp_path, lam):
+        # the library route cannot tell that q is constant; its finite
+        # differences must give the zeros the file route gets
+        path = tmp_path / "constant.json"
+        path.write_text(json.dumps({"q": "2", "a": -1, "b": 1}))
+        out = tmp_path / "report.json"
+        assert main(["solve", str(path), "--lambda", repr(lam),
+                     "--out", str(out)]) == EXIT_OK
+        coeff = Coefficient.make(
+            lambda t: np.full_like(np.asarray(t, dtype=float), 2.0), -1, 1)
+        result, _ = solve_problem(build_problem(coeff, lam))
+        assert dataclasses.asdict(result.bounds_report) \
+            == json.loads(out.read_text())
+
+    @pytest.mark.parametrize("command", [
+        ["solve", "--lambda", "10"], ["verify", "--lambda", "10"],
+        ["sweep", "--lambdas", "10,20", "--out", "rows.csv"]],
+        ids=["solve", "verify", "sweep"])
+    def test_memory_error_exits_2_with_one_line(
+            self, constant_problem, tmp_path, monkeypatch, capsys, command):
+        # numpy's MemoryError for an array it cannot allocate, as when
+        # the levels of forcing_transform double at --lambda 1e300; raised
+        # here without allocating anything
+        def refuse(*args):
+            raise MemoryError("Unable to allocate 8.25 GiB for an array")
+
+        monkeypatch.setattr(nophase.problem, "forcing_transform", refuse)
+        monkeypatch.chdir(tmp_path)
+        code = main(command[:1] + [constant_problem] + command[1:])
+        assert code == EXIT_NUMERICAL
+        assert capsys.readouterr().err.strip().splitlines() == [
+            "error: MemoryError: Unable to allocate 8.25 GiB for an array"]
 
     def test_nonuniform_table_is_certified(self, tmp_path):
         t = 15.0 * np.sin(0.5 * np.pi * np.linspace(-1.0, 1.0, 141))
