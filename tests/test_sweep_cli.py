@@ -229,7 +229,7 @@ class TestCliSolve:
         assert err[1].startswith("solve: ")
 
     def test_constant_expression_needs_no_derivatives(self, tmp_path):
-        # finite differences of a constant leave d2q at round-off, not 0
+        # finite differences of a constant must give d2q = 0, not round-off
         reports = []
         for extra in ({}, {"dq": "0*t", "d2q": "0*t"}):
             path = tmp_path / "constant.json"
@@ -242,7 +242,7 @@ class TestCliSolve:
         assert reports[0]["certified"] is True
 
     def test_constant_table_is_exact(self, tmp_path):
-        # finite differences of the interpolant leave d2q at round-off
+        # finite differences of the interpolant must give d2q = 0 too
         reports = []
         for q in ([[-4, 2], [4, 2]], "2"):
             path = tmp_path / "constant.json"
@@ -255,8 +255,8 @@ class TestCliSolve:
 
     @pytest.mark.parametrize("lam", [10.0, 100.0])
     def test_constant_callable_reports_as_the_file(self, tmp_path, lam):
-        # the library route cannot tell that q is constant; its finite
-        # differences must give the zeros the file route gets
+        # neither route is told that q is constant; the finite
+        # differences must give both the same exact zeros
         path = tmp_path / "constant.json"
         path.write_text(json.dumps({"q": "2", "a": -1, "b": 1}))
         out = tmp_path / "report.json"
