@@ -10,13 +10,14 @@ the fixed point (in all and per iteration), the extraction,
 interior nodes, as solve-ladder runs them) and the DOP853 oracle (one
 `basis_error` at its default ORACLE_TOL, as `verify` and `sweep` run it),
 with the grid N, the fixed-point iterations, the points at which q, q'
-and q'' are evaluated in `build_problem`, the q calls of the oracle, the
-oracle's microseconds per q call, and the points at which delta's
-trigonometric series is summed.  A last row, "320-expression", times the
-same lambda = 320 oracle with q compiled from "1 + sech(t)**2", as the
-CLI runs it on a problem file, and q_us, the microseconds per call of
-that q alone on 10 000 floats in [a, b]; oracle_us_per_q_call - q_us is
-the integrator's own share.
+and q'' are evaluated in `build_problem`, the points at which the oracle
+evaluates q, the oracle's microseconds per q point, and the points at
+which delta's trigonometric series is summed.  A point is one node of a
+q call, whether the call takes an array or a scalar.  A last row,
+"320-expression", times the same lambda = 320 oracle with q compiled
+from "1 + sech(t)**2", as the CLI runs it on a problem file, and q_us,
+the microseconds per point of that q alone on an array of 10 000 nodes
+in [a, b]; oracle_us_per_q_point - q_us is the integrator's own share.
 
 The bump is timed as `solve_problem` minus its fixed point and its
 extraction, so the script runs unchanged on trees that choose the bump
@@ -80,9 +81,7 @@ class Stages:
 
     def counted(self, f, key):
         def call(t):
-            # getattr, not np.size: the oracle calls q per scalar, and
-            # np.size would cost as much as q itself
-            self.points[key] += getattr(t, "size", 1)
+            self.points[key] += np.size(t)
             return f(t)
         return call
 
@@ -135,7 +134,7 @@ def one_pass(stages):
             "grid_n": prob.grid.n_points,
             "iterations": state.iteration,
             "q_points": q_points,
-            "oracle_q_calls": stages.points["q_points"] - q_points_before,
+            "oracle_q_points": stages.points["q_points"] - q_points_before,
             "evaluator_points": stages.points["evaluator_points"],
             "delta_degree": phase.delta_degree,
         }
@@ -148,13 +147,12 @@ def one_pass(stages):
     t0 = time.perf_counter()
     basis_error(expression_phase, expression_prob)
     oracle_ms = 1e3 * (time.perf_counter() - t0)
-    points = np.linspace(-3.0, 3.0, Q_POINTS).tolist()
+    points = np.linspace(-3.0, 3.0, Q_POINTS)
     t0 = time.perf_counter()
-    for s in points:
-        q_alone(s)
+    q_alone(points)
     rows[f"{EXPRESSION_LAMBDA:g}-expression"] = {
         "oracle_ms": oracle_ms,
-        "oracle_q_calls": stages.points["q_points"],
+        "oracle_q_points": stages.points["q_points"],
         "q_us": 1e6 * (time.perf_counter() - t0) / Q_POINTS,
     }
     return rows
@@ -169,11 +167,12 @@ def main():
     passes = [one_pass(stages) for _ in range(args.passes)]
     out = {}
     for row, keys in passes[0].items():
-        out[row] = {k: (round(float(np.median([p[row][k] for p in passes])), 2)
+        out[row] = {k: (round(float(np.median([p[row][k] for p in passes])),
+                              3 if k.endswith("_us") else 2)
                         if k.endswith(("_ms", "_us")) else keys[k])
                     for k in keys}
-        out[row]["oracle_us_per_q_call"] = round(
-            1e3 * out[row]["oracle_ms"] / out[row]["oracle_q_calls"], 2)
+        out[row]["oracle_us_per_q_point"] = round(
+            1e3 * out[row]["oracle_ms"] / out[row]["oracle_q_points"], 3)
     print(json.dumps({"passes": args.passes, "stages": out}))
 
 

@@ -19,7 +19,8 @@ failures are non-convergence, an unresolvable grid, a decay fit that
 fails, a Chebyshev fit that does not resolve its function, an
 overflowing or asymmetric sample, an OverflowError and a MemoryError;
 bad input is a missing or unreadable file, malformed JSON, a missing q,
-a or b, an unknown name in an expression or one nested too deeply, a q
+a or b, an extension width whose square or whose [a - 3w, b + 3w] is not
+finite, an unknown name in an expression or one nested too deeply, a q
 that is not finite and strictly positive on [a - 3w, b + 3w], a table q
 that is not two or more finite [t, q] pairs with increasing knots that
 cover that range, a sweep output directory that does not exist, and a

@@ -101,9 +101,15 @@ class Coefficient:
             w = _finite(extension_width, "extension_width")
             if w <= 0.0:
                 raise DomainError("extension_width must be positive")
+        lo, hi = a - 3.0 * w, b + 3.0 * w
+        if not (math.isfinite(w * w) and math.isfinite(lo)
+                and math.isfinite(hi)):
+            raise DomainError(
+                f"extension_width {w:g} is too large for [a, b] = "
+                f"[{a:g}, {b:g}]: its square and [a - 3w, b + 3w] = "
+                f"[{lo:g}, {hi:g}] must be finite")
         if dq is None or d2q is None:
-            fd_dq, fd_d2q = _fd_derivatives(q, 1e-3 * (b - a),
-                                            a - 3.0 * w, b + 3.0 * w)
+            fd_dq, fd_d2q = _fd_derivatives(q, 1e-3 * (b - a), lo, hi)
             dq = dq if dq is not None else fd_dq
             d2q = d2q if d2q is not None else fd_d2q
         return cls(q=q, dq=dq, d2q=d2q, interval_a=a, interval_b=b,

@@ -103,7 +103,8 @@ def sweep_point(coefficient, lam, L=None, N=None, oracle_tol=ORACLE_TOL):
 
 def run_sweep(problem_file, lambdas, out):
     """`sweep_point` at each lambda of a list, on the problem file's grid;
-    per-lambda failures are recorded as NaN rows and the sweep continues.
+    per-lambda failures, an OverflowError or a MemoryError among them,
+    are recorded as NaN rows and the sweep continues.
     Writes CSV to `out` and JSON alongside it, and refuses, before any
     solve, when either path is the problem file, when the directory of
     `out` does not exist, or when there is no lambda."""
@@ -128,6 +129,9 @@ def run_sweep(problem_file, lambdas, out):
                                L=config.grid_L, N=config.grid_N)
         except (NophaseError, ValueError) as exc:
             return SweepRow(lam=float(lam), error=str(exc))
+        except (OverflowError, MemoryError) as exc:  # their text names no cause
+            return SweepRow(lam=float(lam),
+                            error=f"{type(exc).__name__}: {exc}")
 
     report.rows = [one(lam) for lam in lambdas]
     report.write_csv(out)

@@ -13,7 +13,8 @@ import nophase
 from conftest import make_constant_coefficient
 from liouville import liouville_green, undo_liouville_green
 from nophase.errors import DomainError, NumericalError
-from nophase.oracle import basis_error, ode_oracle
+from nophase import oracle
+from nophase.oracle import CHECK_NODES, basis_error, ode_oracle
 from nophase.phase import basis_derivatives, build_phase
 from nophase.problem import (Coefficient, build_problem,
                              problem_config_from_dict)
@@ -93,20 +94,22 @@ def _with_q(prob, q):
 
 
 class TestCompiledIntegrator:
+    """The lane integrator's mechanics: q on arrays, exceptions from q,
+    Ctrl-C, failures, and the tableau and results of scipy's DOP853."""
+
     @pytest.mark.parametrize("error", [DomainError("q undefined past 0.5"),
                                        KeyboardInterrupt()],
                              ids=["domain-error", "interrupt"])
     def test_exception_from_q_propagates(self, sech_coefficient, error):
-        # the compiled DOP853 swallows exceptions from its right-hand side
-        # and would keep calling q until its step budget runs out
+        # the integration stops at the first q call that raises
         prob = build_problem(sech_coefficient, 40.0)
         t = np.linspace(-3.0, 3.0, 400)
         clean, _ = ode_oracle(prob, [1.0, 0.0], [0.0, 1.0], t)
-        calls = []  # the q calls from the first raise on
+        calls = []  # the q points from the first raise on
 
         def q(s):
-            if calls or s > 0.5:
-                calls.append(s)
+            if calls or np.any(s > 0.5):
+                calls.extend(np.ravel(s))
                 raise error
             return sech_coefficient.q(s)
 
@@ -119,9 +122,9 @@ class TestCompiledIntegrator:
 
     @pytest.mark.skipif(os.name != "posix", reason="sends SIGINT")
     def test_interrupt_while_integrating(self, sech_coefficient):
-        # a Ctrl-C from outside, arriving while the compiled code steps:
-        # Python runs its handler at the next check between bytecodes,
-        # which need not fall inside the right-hand side's try
+        # a Ctrl-C from outside, arriving while the lanes step; q sleeps
+        # 5 ms a call once the signal is on its way, so that the
+        # integration outlasts the sender's 50 ms delay
         prob = build_problem(sech_coefficient, 320.0)
         sender = subprocess.Popen(
             [sys.executable, "-c",
@@ -130,12 +133,14 @@ class TestCompiledIntegrator:
              "    time.sleep(0.05)\n"
              f"    os.kill({os.getpid()}, signal.SIGINT)\n"],
             stdin=subprocess.PIPE)
-        calls = []
+        calls = []  # the q points
         sent = []
 
         def q(s):
-            calls.append(s)
-            if len(calls) == 1000:  # the integration has begun
+            calls.extend(np.ravel(s))
+            if sent:
+                time.sleep(0.005)
+            elif len(calls) >= 1000:  # the integration has begun
                 sent.append(time.perf_counter())
                 sender.stdin.write(b"x")
                 sender.stdin.flush()
@@ -156,7 +161,7 @@ class TestCompiledIntegrator:
         prob = build_problem(sech_coefficient, 40.0)
 
         def q(s):
-            return np.nan if s > 0.5 else sech_coefficient.q(s)
+            return np.where(s > 0.5, np.nan, sech_coefficient.q(s))
 
         with warnings.catch_warnings():
             warnings.simplefilter("error")
@@ -165,9 +170,31 @@ class TestCompiledIntegrator:
                 ode_oracle(_with_q(prob, q), [1.0, 0.0], [0.0, 1.0],
                            np.linspace(-3.0, 3.0, 400))
 
+    def test_nan_error_estimate_stops_the_integration(self,
+                                                      sech_coefficient):
+        # q is NaN only between two nodes, so the lanes start from finite
+        # values and a stage inside a step meets the NaN; its error
+        # estimate must end the integration, not shrink the step forever
+        prob = build_problem(sech_coefficient, 40.0)
+        t = np.linspace(-3.0, 3.0, 400)
+        calls = [0]
+
+        def q(s):
+            calls[0] += 1
+            return np.where((s > 0.501) & (s < 0.502), np.nan,
+                            sech_coefficient.q(s))
+
+        assert not np.any((t > 0.501) & (t < 0.502))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(NumericalError,
+                               match=r"^reference integrator failed: [a-z ]+$"):
+                ode_oracle(_with_q(prob, q), [1.0, 0.0], [0.0, 1.0], t)
+        assert calls[0] < 100
+
     def test_list_rhs_bit_identical(self):
-        # the right-hand side is a list built from a float q; a q with the
-        # 0-d array contract must give the same steps and the same bits
+        # a q with the 0-d array contract wrapped around the expression
+        # must give the same steps and the same bits
         config = problem_config_from_dict({
             "q": "1 + sech(t)**2", "dq": "-(exp(t) - exp(-t))*sech(t)**3",
             "d2q": "((exp(t) - exp(-t))**2 - 2)*sech(t)**4",
@@ -193,8 +220,9 @@ class TestCompiledIntegrator:
         assert n == n0 > 0
 
     def test_float_form_bit_identical(self):
-        # basis_error with an expression q, called with a Python float at
-        # every stage, against the same q forced onto a 0-d array
+        # basis_error with an expression q, called with 1-D float arrays
+        # as the solver calls it, against the same q forced through
+        # np.asarray
         config = problem_config_from_dict({
             "q": "1 + sech(t)**2", "dq": "-(exp(t) - exp(-t))*sech(t)**3",
             "d2q": "((exp(t) - exp(-t))**2 - 2)*sech(t)**4",
@@ -208,7 +236,7 @@ class TestCompiledIntegrator:
             calls = []
 
             def counted(s):
-                calls.append(type(s))
+                calls.append((type(s), np.ndim(s), np.asarray(s).dtype))
                 return wrap(s)
 
             return basis_error(phase, _with_q(prob, counted)), calls
@@ -217,7 +245,18 @@ class TestCompiledIntegrator:
         errors0, calls0 = run(lambda s: q(np.asarray(s)))
         assert errors == errors0
         assert len(calls) == len(calls0) > 0
-        assert set(calls) == {float}
+        assert set(calls) == {(np.ndarray, 1, np.dtype(float))}
+
+    def test_tableau_is_scipys(self):
+        # the Dormand-Prince 8(5,3) coefficients, bit for bit
+        from scipy.integrate._ivp import dop853_coefficients as ref
+
+        assert np.array_equal(oracle._C, ref.C[:12])
+        for s, row in enumerate(oracle._A_ROWS, start=1):
+            assert np.array_equal(row, ref.A[s, :s])
+        assert np.array_equal(oracle._B, ref.B)
+        assert np.array_equal(oracle._WEIGHTS,
+                              [ref.B, ref.E3[:12], ref.E5[:12]])
 
     @pytest.mark.parametrize("lam", [40.0, 320.0])
     def test_matches_solve_ivp(self, sech_coefficient, lam):
@@ -225,25 +264,52 @@ class TestCompiledIntegrator:
         # solutions at basis_error's nodes
         from scipy.integrate import solve_ivp
 
-        prob = build_problem(sech_coefficient, lam)
-        result, _ = solve_problem(prob)
-        phase = build_phase(result, prob)
-        u0, du0, v0, dv0 = basis_derivatives(phase, np.array([phase.a]))
-        y0 = np.concatenate((u0, v0))
-        dy0 = np.concatenate((du0, dv0))
-        t = np.linspace(phase.a, phase.b, 400)
+        prob, y0, dy0, t = _basis_problem(sech_coefficient, lam)
         tol = 1e-13
 
         def rhs(s, y):
             return np.concatenate(
                 (y[2:], -lam ** 2 * float(sech_coefficient.q(s)) * y[:2]))
 
-        ref = solve_ivp(rhs, (phase.a, phase.b), np.concatenate((y0, dy0)),
+        ref = solve_ivp(rhs, (t[0], t[-1]), np.concatenate((y0, dy0)),
                         method="DOP853", rtol=2.5e-14, atol=tol, t_eval=t)
         assert ref.success
         y, dy = ode_oracle(prob, y0, dy0, t, tol=tol)
         assert np.max(np.abs(y - ref.y[:2])) <= 1e-11
         assert np.max(np.abs(dy - ref.y[2:])) <= 1e-11 * lam
+
+    @pytest.mark.parametrize("lam", [40.0, 320.0])
+    def test_matches_compiled_dop853(self, sech_coefficient, lam):
+        # scipy's compiled DOP853 (`ode`) stepped from node to node, with
+        # the tolerances of test_matches_solve_ivp
+        from scipy.integrate import ode
+
+        prob, y0, dy0, t = _basis_problem(sech_coefficient, lam)
+        tol = 1e-13
+
+        def rhs(s, y):
+            c = -lam ** 2 * float(sech_coefficient.q(s))
+            return [y[2], y[3], c * y[0], c * y[1]]
+
+        solver = ode(rhs).set_integrator("dop853", rtol=2.5e-14, atol=tol,
+                                         nsteps=2 ** 31 - 1)
+        solver.set_initial_value(np.concatenate((y0, dy0)), t[0])
+        ref = np.column_stack([solver.integrate(tk) for tk in t[1:]])
+        assert solver.successful()
+        y, dy = ode_oracle(prob, y0, dy0, t, tol=tol)
+        assert np.max(np.abs(y[:, 1:] - ref[:2])) <= 1e-11
+        assert np.max(np.abs(dy[:, 1:] - ref[2:])) <= 1e-11 * lam
+
+
+def _basis_problem(coefficient, lam):
+    """The problem at lam, the initial data of its phase-function basis
+    at a, and basis_error's nodes."""
+    prob = build_problem(coefficient, lam)
+    result, _ = solve_problem(prob)
+    phase = build_phase(result, prob)
+    u0, du0, v0, dv0 = basis_derivatives(phase, np.array([phase.a]))
+    t = np.linspace(phase.a, phase.b, CHECK_NODES)
+    return prob, np.concatenate((u0, v0)), np.concatenate((du0, dv0)), t
 
 
 class TestLiouvilleGreen:
@@ -323,10 +389,21 @@ class TestBasisError:
         assert joint <= 0.6 * calls[0]
 
 
-def test_import_leaves_scipy_integrate_unloaded():
+def test_import_leaves_scipy_integrate_unloaded(tmp_path):
+    # `import nophase`, then one `nophase verify` in the same process
     src = os.path.dirname(os.path.dirname(nophase.__file__))
-    code = "import sys, nophase; print('scipy.integrate' in sys.modules)"
+    problem = tmp_path / "sech.json"
+    problem.write_text('{"q": "1 + sech(t)**2", "a": -3.0, "b": 3.0, '
+                       '"extension_width": 4.0}')
+    code = ("import sys, nophase\n"
+            "print('scipy.integrate' in sys.modules)\n"
+            "from nophase.cli import main\n"
+            f"code = main(['verify', {str(problem)!r}, '--lambda', '20'])\n"
+            "print(code, sorted(m for m in sys.modules\n"
+            "                   if m.split('.')[0] == 'scipy'))\n")
     out = subprocess.run([sys.executable, "-c", code], capture_output=True,
                          text=True, check=True,
                          env={**os.environ, "PYTHONPATH": src})
-    assert out.stdout.strip() == "False"
+    lines = out.stdout.strip().splitlines()
+    assert lines[0] == "False"
+    assert lines[-1] == "0 []"

@@ -39,6 +39,20 @@ class TestCoefficient:
         with pytest.raises(DomainError, match=f"^{name} "):
             Coefficient.make(np.exp, a, 1.0, extension_width=width)
 
+    @pytest.mark.parametrize("a, b, width", [
+        (0.0, 1.0, 1e200), (0.0, 1.0, 1.35e154), (0.0, 1e160, None),
+        (-1e308, 1e308, None)],
+        ids=["square", "just-past-the-square", "default-width",
+             "infinite-default-width"])
+    def test_width_too_large_is_named(self, a, b, width):
+        # the extension's blend divides by w**2 and lives on
+        # [a - 3w, b + 3w]; neither may overflow
+        with pytest.raises(DomainError,
+                           match=r"^extension_width \S+ is too large for "
+                                 r"\[a, b\] = \[\S+, \S+\]: .* = "
+                                 r"\[\S+, \S+\] must be finite$"):
+            Coefficient.make(np.exp, a, b, extension_width=width)
+
     def test_finite_difference_derivatives(self):
         c = Coefficient.make(np.exp, 0.0, 1.0)
         t = np.linspace(0.2, 0.8, 7)

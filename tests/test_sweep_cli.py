@@ -208,6 +208,14 @@ class TestCliSolve:
         err = capsys.readouterr().err.strip().splitlines()
         assert len(err) == 1 and err[0].startswith("error: ")
 
+    def test_largest_width_still_solves(self, tmp_path):
+        # w = 1.3e154 is the width just below the one whose square
+        # overflows (test_problem's test_width_too_large_is_named)
+        path = tmp_path / "wide.json"
+        path.write_text(json.dumps({"q": "1", "a": 0.0, "b": 1.0,
+                                    "extension_width": 1.3e154}))
+        assert main(["solve", str(path), "--lambda", "10"]) == EXIT_OK
+
     def test_nan_q_is_not_positive(self, tmp_path, capsys):
         # sqrt(t) is NaN on [a - 3w, 0) = [-0.5, 0), inside the extension
         path = tmp_path / "sqrt.json"
@@ -269,9 +277,8 @@ class TestCliSolve:
             == json.loads(out.read_text())
 
     @pytest.mark.parametrize("command", [
-        ["solve", "--lambda", "10"], ["verify", "--lambda", "10"],
-        ["sweep", "--lambdas", "10,20", "--out", "rows.csv"]],
-        ids=["solve", "verify", "sweep"])
+        ["solve", "--lambda", "10"], ["verify", "--lambda", "10"]],
+        ids=["solve", "verify"])
     def test_memory_error_exits_2_with_one_line(
             self, constant_problem, tmp_path, monkeypatch, capsys, command):
         # numpy's MemoryError for an array it cannot allocate, as when
@@ -374,7 +381,7 @@ class TestCliVerify:
         basis_error = nophase.sweep.basis_error
 
         def nan_past_half(s):
-            return np.nan if s > 0.5 else 1.0 + 1.0 / np.cosh(s) ** 2
+            return np.where(s > 0.5, np.nan, 1.0 + 1.0 / np.cosh(s) ** 2)
 
         def failing(phase, prob, tol):
             coeff = dataclasses.replace(prob.coefficient, q=nan_past_half)
@@ -389,7 +396,7 @@ class TestCliVerify:
         assert code == EXIT_NUMERICAL
         err = capsys.readouterr().err.strip().splitlines()
         assert err == ["error: reference integrator failed: "
-                       "step size becomes too small"]
+                       "error estimate is not a number"]
 
 
 class TestCliSweep:
@@ -433,6 +440,36 @@ class TestCliSweep:
         err = capsys.readouterr().err.strip().splitlines()
         assert err == ["sweep: lambda=inf failed: lambda must be a finite "
                        "number, not inf"]
+
+    def test_memory_error_is_a_failed_row(self, constant_problem, tmp_path,
+                                          monkeypatch, capsys):
+        # numpy's MemoryError at the first lambda, raised without
+        # allocating anything, as in TestCliSolve; the sweep goes on
+        forcing_transform = nophase.problem.forcing_transform
+        calls = []
+
+        def refuse_first(*args):
+            calls.append(args)
+            if len(calls) == 1:
+                raise MemoryError("Unable to allocate 8.25 GiB for an array")
+            return forcing_transform(*args)
+
+        monkeypatch.setattr(nophase.problem, "forcing_transform",
+                            refuse_first)
+        out = tmp_path / "sweep.csv"
+        code = main(["sweep", constant_problem, "--lambdas", "10,20",
+                     "--out", str(out)])
+        assert code == EXIT_NUMERICAL
+        rows = json.loads((tmp_path / "sweep.json").read_text())["rows"]
+        assert rows[0]["error"] == ("MemoryError: Unable to allocate "
+                                    "8.25 GiB for an array")
+        assert rows[1]["lam"] == 20.0 and rows[1]["error"] is None
+        assert rows[1]["iterations"] >= 1
+        with open(out) as handle:
+            assert len(list(csv.reader(handle))) == 3
+        err = capsys.readouterr().err.strip().splitlines()
+        assert err == ["sweep: lambda=10 failed: MemoryError: Unable to "
+                       "allocate 8.25 GiB for an array"]
 
     def test_json_mirror_never_overwrites_problem(self, constant_problem,
                                                   capsys):
