@@ -13,7 +13,11 @@ with the grid N, the fixed-point iterations, the points at which q, q'
 and q'' are evaluated in `build_problem`, the points at which the oracle
 evaluates q, the oracle's microseconds per q point, and the points at
 which delta's trigonometric series is summed.  A point is one node of a
-q call, whether the call takes an array or a scalar.  A last row,
+q call, whether the call takes an array or a scalar.  Two call counts
+follow: ffts, the numpy.fft calls inside `solve_problem` (the script
+wraps every transform of numpy.fft to count them), and fit_rounds, the
+`ChebSeries.fit` calls inside `build_phase`, one per doubling round of
+its adaptive fits.  A last row,
 "320-expression", times the same lambda = 320 oracle with q compiled
 from "1 + sech(t)**2", as the CLI runs it on a problem file, and q_us,
 the microseconds per point of that q alone on an array of 10 000 nodes
@@ -35,6 +39,7 @@ import numpy as np
 
 import nophase.phase
 import nophase.solver
+from nophase.chebseries import ChebSeries
 from nophase import (Coefficient, basis_error, build_phase, build_problem,
                      eval_basis, kummer_residual, solve_problem)
 from nophase.expr import compile_expression
@@ -43,6 +48,8 @@ from nophase.phase import interior_nodes
 LAMBDAS = (20.0, 80.0, 320.0, 1280.0)
 EXPRESSION_LAMBDA = 320.0
 Q_POINTS = 10_000
+FFTS = ("fft", "ifft", "rfft", "irfft", "fftn", "ifftn", "rfftn", "irfftn",
+        "fft2", "ifft2", "rfft2", "irfft2", "hfft", "ihfft")
 
 
 def sech2(t):
@@ -65,6 +72,7 @@ class Stages:
     def __init__(self):
         self.ms = {}
         self.points = {"q_points": 0, "evaluator_points": 0}
+        self.calls = {"ffts": 0, "fit_rounds": 0}
         self._install()
 
     def _timed(self, module, name):
@@ -85,7 +93,18 @@ class Stages:
             return f(t)
         return call
 
+    def _call_counter(self, original, key):
+        def call(*args, **kwargs):
+            self.calls[key] += 1
+            return original(*args, **kwargs)
+        return call
+
     def _install(self):
+        for name in FFTS:
+            setattr(np.fft, name,
+                    self._call_counter(getattr(np.fft, name), "ffts"))
+        fit = ChebSeries.fit.__func__
+        ChebSeries.fit = classmethod(self._call_counter(fit, "fit_rounds"))
         self._timed(nophase.solver, "fixed_point_solve")
         self._timed(nophase.solver, "extract_solution")
         evaluator = nophase.phase.band_limited_evaluator
@@ -109,10 +128,14 @@ def one_pass(stages):
         prob = build_problem(coeff, lam)
         t1 = time.perf_counter()
         q_points = stages.points["q_points"]
+        ffts = stages.calls["ffts"]
         result, state = solve_problem(prob)
         t2 = time.perf_counter()
+        ffts = stages.calls["ffts"] - ffts
+        fit_rounds = stages.calls["fit_rounds"]
         phase = build_phase(result, prob)
         t3 = time.perf_counter()
+        fit_rounds = stages.calls["fit_rounds"] - fit_rounds
         np.max(np.abs(kummer_residual(phase, coeff.q, nodes)))
         eval_basis(phase, nodes)
         t4 = time.perf_counter()
@@ -136,6 +159,8 @@ def one_pass(stages):
             "q_points": q_points,
             "oracle_q_points": stages.points["q_points"] - q_points_before,
             "evaluator_points": stages.points["evaluator_points"],
+            "ffts": ffts,
+            "fit_rounds": fit_rounds,
             "delta_degree": phase.delta_degree,
         }
         if lam == EXPRESSION_LAMBDA:

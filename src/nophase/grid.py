@@ -11,6 +11,13 @@ follows the continuous convention
 discretized by the trapezoidal rule (factor dx on the way out, dxi/2pi on
 the way back), so grid samples approximate the continuous integrals
 directly and the round trip is exact to round-off.
+
+The space side is real, so its transform is Hermitian, F(-xi) =
+conj(F(xi)): `forward` and `inverse` run on numpy's real FFTs, which hold
+only the nonnegative half xi = 0 .. N/2 dxi (the last of these is the
+self-paired node -xi_max), and mirror it into the centered layout.
+`inverse_pair` takes two real functions through one complex FFT, as
+their real and imaginary parts (Press et al., Numerical Recipes, 12.3).
 """
 
 from dataclasses import dataclass
@@ -65,6 +72,12 @@ class SpectralGrid:
         k = np.arange(self.n_points) - self.n_points // 2
         return np.where(k % 2 == 0, 1.0, -1.0)
 
+    @cached_property
+    def _half_phase(self):
+        # exp(i*L*xi) = (-1)^m at the real FFT's xi = m*dxi, m = 0..N/2
+        m = np.arange(self.n_points // 2 + 1)
+        return np.where(m % 2 == 0, 1.0, -1.0)
+
 
 @dataclass(frozen=True)
 class RealSample:
@@ -114,24 +127,45 @@ def _to_freq(grid, space_values):
 
 
 def _to_space(grid, freq_values):
-    """(dxi/2pi) * sum_k exp(i x_j xi_k) F_k, complex result."""
-    shifted = np.fft.ifftshift(grid._phase * freq_values)
-    return np.fft.ifft(shifted) / grid.dx
+    """(dxi/2pi) * sum_k exp(i x_j xi_k) F_k, complex result.
+
+    As N/2 is even, exp(i x_j xi_k) = (-1)^j (-1)^k e^{2 pi i j k/N}, and
+    the (-1)^k shifts the inverse FFT by N/2: the value at x_j is
+    (-1)^j/dx times ifft(F) at j + N/2 (mod N), scaled as it is rolled."""
+    half = grid.n_points // 2
+    space = np.fft.ifft(freq_values)
+    scale = grid._phase[:half] / grid.dx
+    out = np.empty_like(space)
+    np.multiply(space[half:], scale, out=out[:half])
+    np.multiply(space[:half], scale, out=out[half:])
+    return out
 
 
 def forward(f):
     """Discrete Fourier transform of a real sample, matching the
-    continuous convention F(xi) = int exp(-i x xi) f(x) dx."""
-    vals = _to_freq(f.grid, f.values.astype(complex))
-    return SpectralSample(f.grid, vals)
+    continuous convention F(xi) = int exp(-i x xi) f(x) dx.
+
+    The real FFT gives xi = m dxi for m = 0 .. N/2: m < N/2 fills the
+    centered indices N/2 .. N-1, m = N/2 is the self-paired index 0
+    (-xi_max), and indices 1 .. N/2-1 are the conjugates of m = N/2-1
+    down to 1."""
+    grid = f.grid
+    half = grid.n_points // 2
+    pos = np.fft.rfft(f.values) * (grid.dx * grid._half_phase)
+    vals = np.empty(grid.n_points, dtype=complex)
+    vals[half:] = pos[:half]
+    vals[0] = pos[half]
+    np.conjugate(pos[half - 1:0:-1], out=vals[1:half])
+    return SpectralSample(grid, vals)
 
 
 def hermitian_defect(F):
     """Max absolute deviation from Hermitian symmetry F(-xi) = conj(F(xi))."""
-    v = F.values
-    # xi[k] pairs with xi[N-k] for k = 1..N-1; xi[0] = -xi_max is self-paired
-    # through periodicity and must be real.
-    defect = np.max(np.abs(v[1:] - np.conj(v[1:][::-1])))
+    v, half = F.values, F.grid.n_points // 2
+    # xi[k] pairs with xi[N-k] for k = 1..N-1, and both orders of a pair
+    # give the same |difference|, so k = 1..N/2 covers them; xi[0] =
+    # -xi_max is self-paired through periodicity and must be real.
+    defect = np.max(np.abs(v[1:half + 1] - np.conj(v[:half - 1:-1])))
     return max(defect, abs(v[0].imag))
 
 
@@ -147,24 +181,54 @@ def symmetrize(F):
     return SpectralSample(F.grid, v)
 
 
-def inverse(F):
-    """Inverse transform of a Hermitian-symmetric sample, returning the
-    real space-domain sample.  Rejects inputs whose symmetry defect
-    exceeds HERMITIAN_RTOL relative to the largest value."""
+def _require_hermitian(F):
+    """SymmetryError unless F's symmetry defect is within HERMITIAN_RTOL
+    of its largest value."""
     scale = np.max(np.abs(F.values))
     if hermitian_defect(F) > HERMITIAN_RTOL * scale:
         raise SymmetryError(
             "frequency sample is not Hermitian-symmetric within tolerance"
         )
-    space = _to_space(F.grid, F.values)
-    return RealSample(F.grid, space.real)
+
+
+def inverse(F):
+    """Inverse transform of a Hermitian-symmetric sample, returning the
+    real space-domain sample.  Rejects inputs whose symmetry defect
+    exceeds HERMITIAN_RTOL relative to the largest value.
+
+    The inverse real FFT reads the nonnegative half xi = m dxi,
+    m = 0 .. N/2: the centered indices N/2 .. N-1, then index 0 (-xi_max)
+    as m = N/2.  It takes the half's mirror image as the negative
+    frequencies, so the imaginary parts of the self-paired values at 0
+    and -xi_max, and the asymmetry the check allows, do not enter."""
+    _require_hermitian(F)
+    grid = F.grid
+    half = grid.n_points // 2
+    pos = np.concatenate((F.values[half:], F.values[:1])) \
+        * (grid._half_phase / grid.dx)
+    return RealSample(grid, np.fft.irfft(pos, n=grid.n_points))
+
+
+def inverse_pair(F, G):
+    """The real space samples (f, g) of two Hermitian-symmetric samples
+    on one grid, from one complex inverse FFT of F + iG: f and g are
+    real, so they are its real and imaginary parts.  Each input passes
+    `inverse`'s symmetry check."""
+    _require_same_grid(F, G)
+    _require_hermitian(F)
+    _require_hermitian(G)
+    space = _to_space(F.grid, F.values + 1j * G.values)
+    return RealSample(F.grid, space.real), RealSample(F.grid, space.imag)
 
 
 def convolve(F, G):
     """(1/2pi) (F * G) computed as forward(inverse(F) . inverse(G)).
 
     Matches the transform-of-a-product convention; commutative to
-    round-off.  The space-side route keeps the cost at O(N log N)."""
+    round-off.  The space-side route keeps the cost at O(N log N).
+    It runs on complex FFTs, so F and G need not be Hermitian; the
+    tests take it as the reference for the fixed-point map's
+    quadratic term."""
     _require_same_grid(F, G)
     f = _to_space(F.grid, F.values)
     g = _to_space(G.grid, G.values)

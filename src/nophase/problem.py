@@ -433,11 +433,18 @@ def choose_grid(cmap, lam, L=None, N=None):
     the half-length of [x_lo, x_hi] plus 1; N keeps xi_max comfortably
     above 2 sqrt(2) lambda, where the iteration is resolved whatever its
     forcing.  An explicit N must meet that bound; without one, the grid
-    caps the levels `forcing_transform` tries."""
+    caps the levels `forcing_transform` tries, and DomainError names
+    lambda and L when the N they need is not finite."""
     if L is None:
         L = 1.3 * (0.5 * (cmap.x_hi - cmap.x_lo)) + 1.0
     if N is None:
-        need = 2.0 * L * 2.0 * np.sqrt(2.0) * 1.15 * lam / np.pi
+        # Python floats overflow to inf without a numpy warning
+        need = 2.0 * float(L) * 2.0 * math.sqrt(2.0) * 1.15 * float(lam) \
+            / math.pi
+        if not math.isfinite(need):
+            raise DomainError(
+                f"no grid for lambda={lam:g} on [-L, L] with L={L:g}: the "
+                f"N it needs, 2 L 2 sqrt(2) 1.15 lambda / pi, is not finite")
         N = 1 << int(np.ceil(np.log2(np.ceil(max(need, 1024)))))
     grid = SpectralGrid(half_width=float(L), n_points=int(N))
     if grid.xi_max < 2.0 * np.sqrt(2.0) * lam:
@@ -603,15 +610,23 @@ def problem_config_from_dict(data):
     gridspec = data.get("grid", {})
     if not isinstance(gridspec, dict):
         raise DomainError("grid must be an object with keys L and N")
+    grid_L = None
+    if "L" in gridspec:
+        grid_L = _finite(gridspec["L"], "grid L")
+        if grid_L <= 0.0:
+            raise DomainError(f"grid L must be positive, not {grid_L!r}")
     grid_N = None
     if "N" in gridspec:
         grid_N = _finite(gridspec["N"], "grid N")
         if not grid_N.is_integer():
             raise DomainError(f"grid N must be an integer, not {grid_N!r}")
         grid_N = int(grid_N)
+        if grid_N < 16 or grid_N & (grid_N - 1):
+            raise DomainError(
+                f"grid N must be a power of two and at least 16, not {grid_N}")
     return ProblemConfig(
         coefficient=coeff,
         lam=_finite(data["lambda"], "lambda") if "lambda" in data else None,
-        grid_L=_finite(gridspec["L"], "grid L") if "L" in gridspec else None,
+        grid_L=grid_L,
         grid_N=grid_N,
     )

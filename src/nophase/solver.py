@@ -17,10 +17,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .convexp import exp2_star
+from .convexp import exp2
 from .errors import ConfigurationError, ConvergenceError, DomainError
-from .grid import (RealSample, SpectralSample, convolve, inverse, l1_norm,
-                   linf_norm, symmetrize)
+from .grid import (RealSample, SpectralSample, forward, inverse,
+                   inverse_pair, l1_norm, linf_norm, symmetrize)
 from .mollifier import smooth_step
 from .problem import (_finite, below_floor, check_hypotheses, decay_bound,
                       resolved)
@@ -82,13 +82,18 @@ def apply_Wb_tilde(f, bump):
 
 
 def apply_R(psi, w_hat, bump):
-    """One application of the fixed-point map."""
-    wt = apply_Wb_tilde(psi, bump)
-    wb = apply_Wb(psi, bump)
-    # (1/8pi)(Wt * Wt) = convolve(Wt, Wt)/4 since convolve carries 1/2pi
-    quad = convolve(wt, wt).values / 4.0
-    expo = exp2_star(wb).values
-    vals = quad - 4.0 * bump.lam ** 2 * expo + w_hat.values
+    """One application of the fixed-point map, in two FFTs.
+
+    Wb psi and Wt psi are Hermitian, so one complex inverse FFT
+    (`inverse_pair`) gives both space sides, f_b and f_t.  The map is the
+    transform of a product and a pointwise function of them,
+    (1/8pi)(Wt * Wt) = forward(f_t^2/4) as `convolve` carries 1/2pi, and
+    exp2[Wb] = forward(exp(f_b) - f_b - 1), so one real forward FFT
+    (`forward`) of f_t^2/4 - 4 lambda^2 (exp(f_b) - f_b - 1) gives both
+    terms; w is added to it."""
+    f_b, f_t = inverse_pair(apply_Wb(psi, bump), apply_Wb_tilde(psi, bump))
+    space = 0.25 * f_t.values ** 2 - 4.0 * bump.lam ** 2 * exp2(f_b)
+    vals = forward(RealSample(psi.grid, space)).values + w_hat.values
     return SpectralSample(psi.grid, vals)
 
 

@@ -88,7 +88,7 @@ class TestChebSeries:
 
         def f(t):
             seen.append(np.array(t))
-            return 1.0 / (1.0 + 25.0 * t * t)
+            return 1.0 / (1.0 + 100.0 * t * t)
 
         series = ChebSeries.adaptive_fit(f, -1.0, 2.0)
         n = len(series.coef) - 1

@@ -4,8 +4,8 @@ import pytest
 from nophase.errors import GridMismatchError, SymmetryError
 from helpers import zeros_spectral
 from nophase.grid import (RealSample, SpectralGrid, SpectralSample, convolve,
-                          forward, hermitian_defect, inverse, l1_norm,
-                          linf_norm, symmetrize)
+                          forward, hermitian_defect, inverse, inverse_pair,
+                          l1_norm, linf_norm, symmetrize)
 
 
 def gaussian_sample(grid):
@@ -16,6 +16,25 @@ def direct_forward(grid, values):
     """O(N^2) reference for the forward transform."""
     x, xi = grid.x, grid.xi
     return grid.dx * np.exp(-1j * np.outer(xi, x)).dot(values)
+
+
+def direct_inverse(grid, values):
+    """O(N^2) reference for the inverse transform, complex result."""
+    x, xi = grid.x, grid.xi
+    return grid.dxi / (2.0 * np.pi) * np.exp(1j * np.outer(x, xi)).dot(values)
+
+
+def hermitian_sample(grid, rng, at_minus_xi_max):
+    """Random values at xi > 0 with their conjugates at -xi, a real value
+    at xi = 0, and the given real value at the self-paired -xi_max."""
+    n, half = grid.n_points, grid.n_points // 2
+    pos = rng.standard_normal(half - 1) + 1j * rng.standard_normal(half - 1)
+    vals = np.empty(n, dtype=complex)
+    vals[half + 1:] = pos
+    vals[1:half] = np.conj(pos[::-1])
+    vals[half] = rng.standard_normal()
+    vals[0] = at_minus_xi_max
+    return SpectralSample(grid, vals)
 
 
 def direct_convolve(grid, F, G):
@@ -79,6 +98,17 @@ class TestForward:
         ref = direct_forward(grid, vals)
         assert np.max(np.abs(F.values - ref)) <= 1e-10
 
+    @pytest.mark.parametrize("n", [16, 64])
+    def test_matches_direct_sums_at_minus_xi_max(self, rng, n):
+        # (-1)^j puts a real value at the self-paired node -xi_max, the
+        # real FFT's last entry, which the mirror must place at index 0
+        grid = SpectralGrid(5.0, n)
+        vals = rng.standard_normal(n) + 2.0 * (-1.0) ** np.arange(n)
+        F = forward(RealSample(grid, vals))
+        ref = direct_forward(grid, vals)
+        assert abs(ref[0]) > 1.0 and F.values[0].imag == 0.0
+        assert np.max(np.abs(F.values - ref)) <= 1e-13 * np.max(np.abs(ref))
+
     def test_hermitian_to_roundoff(self, rng):
         grid = SpectralGrid(10.0, 128)
         F = forward(RealSample(grid, rng.standard_normal(128)))
@@ -102,6 +132,21 @@ class TestInverse:
         back = inverse(forward(f))
         assert np.max(np.abs(back.values - f.values)) <= 1e-12
 
+    @pytest.mark.parametrize("n", [16, 64])
+    def test_matches_direct_sums_at_minus_xi_max(self, rng, n):
+        grid = SpectralGrid(5.0, n)
+        F = hermitian_sample(grid, rng, at_minus_xi_max=1.5)
+        ref = direct_inverse(grid, F.values)
+        assert np.max(np.abs(ref.imag)) <= 1e-13 * np.max(np.abs(ref))
+        got = inverse(F).values
+        assert np.max(np.abs(got - ref.real)) <= 1e-13 * np.max(np.abs(ref))
+        # the value at -xi_max enters as its (-1)^j mode
+        G = SpectralSample(grid, np.where(np.arange(n) == 0, 1.5, 0.0))
+        np.testing.assert_allclose(
+            inverse(G).values,
+            1.5 * grid.dxi / (2.0 * np.pi) * (-1.0) ** (np.arange(n) + n // 2),
+            rtol=1e-14, atol=0.0)
+
     def test_rejects_asymmetric(self):
         grid = SpectralGrid(8.0, 64)
         vals = np.zeros(64, dtype=complex)
@@ -116,6 +161,33 @@ class TestInverse:
         sym = symmetrize(SpectralSample(grid, vals))
         assert hermitian_defect(sym) <= 1e-15
         inverse(sym)  # no longer rejected
+
+
+class TestInversePair:
+    @pytest.mark.parametrize("n", [16, 64, 1024])
+    def test_matches_two_inverses(self, rng, n):
+        grid = SpectralGrid(5.0, n)
+        F = hermitian_sample(grid, rng, at_minus_xi_max=-0.5)
+        G = hermitian_sample(grid, rng, at_minus_xi_max=2.0)
+        f, g = inverse_pair(F, G)
+        for got, H in ((f, F), (g, G)):
+            ref = direct_inverse(grid, H.values).real
+            assert np.max(np.abs(got.values - ref)) \
+                <= 1e-13 * np.max(np.abs(ref))
+            assert np.max(np.abs(got.values - inverse(H).values)) \
+                <= 1e-14 * np.max(np.abs(ref))
+
+    def test_checks_each_input(self, rng):
+        grid = SpectralGrid(8.0, 64)
+        F = hermitian_sample(grid, rng, at_minus_xi_max=1.0)
+        odd = F.values.copy()
+        odd[40] += 1.0  # no conjugate partner
+        for pair in ((SpectralSample(grid, odd), F),
+                     (F, SpectralSample(grid, odd))):
+            with pytest.raises(SymmetryError):
+                inverse_pair(*pair)
+        with pytest.raises(GridMismatchError):
+            inverse_pair(F, zeros_spectral(SpectralGrid(8.0, 128)))
 
 
 class TestPlancherel:

@@ -9,7 +9,9 @@ from conftest import make_constant_coefficient
 from nophase.phase import (band_limited_evaluator, build_phase,
                            interior_nodes, kummer_residual)
 from helpers import apply_T, exp2_star_series, zeros_spectral
-from nophase.errors import ConfigurationError, ConvergenceError
+from nophase.convexp import exp2_star
+from nophase.errors import (ConfigurationError, ConvergenceError,
+                            MagnitudeError, SymmetryError)
 from nophase.grid import (RealSample, SpectralGrid, SpectralSample, convolve,
                           forward, inverse, l1_norm, linf_norm)
 from nophase.problem import build_problem, choose_grid, decay_bound
@@ -167,6 +169,55 @@ class TestApplyR:
             + w.values
         got = apply_R(psi, w, bump).values
         assert np.max(np.abs(got - ref)) <= 1e-11
+
+
+    @staticmethod
+    def composed(psi, w, bump):
+        """R from its parts on complex FFTs: convolve for the quadratic
+        term and exp2_star for the exponential one."""
+        wt = apply_Wb_tilde(psi, bump)
+        return convolve(wt, wt).values / 4.0 \
+            - 4.0 * bump.lam ** 2 * exp2_star(apply_Wb(psi, bump)).values \
+            + w.values
+
+    @pytest.mark.parametrize("n", [64, 1024, 8192])
+    def test_matches_the_composition(self, rng, n):
+        L = 6.0
+        top = np.pi * n / (2.0 * L) / (2.0 * SQRT2)  # largest resolved lambda
+        for lam in (0.2 * top, 0.5 * top, top):
+            grid = SpectralGrid(L, n)
+            bump = make_bump(grid, lam)
+            psi = random_forcing(grid, rng, 0.4 * lam ** 2)
+            w = random_forcing(grid, rng, 0.4 * lam ** 2)
+            ref = self.composed(psi, w, bump)
+            got = apply_R(psi, w, bump).values
+            assert np.sum(np.abs(got - ref)) <= 1e-15 * np.sum(np.abs(ref))
+
+    def test_checks_of_the_composition_still_fire(self, rng):
+        lam = 5.0
+        grid = band_grid(lam)
+        bump = make_bump(grid, lam)
+        w = random_forcing(grid, rng, 1.0)
+        half = grid.n_points // 2
+        cases = []
+        odd = random_forcing(grid, rng, 1.0).values.copy()
+        odd[half + 3] += 1.0  # inside the band, with no conjugate partner
+        cases.append((SymmetryError, SpectralSample(grid, odd)))
+        # Wb psi at xi = 0 alone: f_b = (dxi/2pi) psi_0 / (4 lambda^2) = 800
+        big = np.zeros(grid.n_points, dtype=complex)
+        big[half] = 800.0 * 2.0 * np.pi / grid.dxi * 4.0 * lam ** 2
+        cases.append((MagnitudeError, SpectralSample(grid, big)))
+        cases.append((ConfigurationError,
+                      zeros_spectral(SpectralGrid(grid.half_width,
+                                                  2 * grid.n_points))))
+        nan = np.zeros(grid.n_points, dtype=complex)
+        nan[half] = np.nan
+        cases.append((ValueError, SpectralSample(grid, nan)))
+        for error, psi in cases:
+            with pytest.raises(error):
+                self.composed(psi, w, bump)
+            with pytest.raises(error):
+                apply_R(psi, w, bump)
 
 
 class TestFixedPoint:

@@ -188,6 +188,10 @@ class TestCliSolve:
                     "a": 0.0, "b": 1.0}),
         '{"q": "1", "a": 0.0, "b": 1.0, "extension_width": 1e200}',
         '{"q": "1", "a": 0.0, "b": 1e160}',
+        '{"q": "1", "a": 0.0, "b": 1.0, "grid": {"L": 1e308}}',
+        '{"q": "1", "a": 0.0, "b": 1.0, "grid": {"L": -1}}',
+        '{"q": "1", "a": 0.0, "b": 1.0, "grid": {"L": 0}}',
+        '{"q": "1", "a": 0.0, "b": 1.0, "grid": {"N": 100}}',
     ], ids=["missing-file", "malformed-json", "unknown-function",
             "missing-key", "nonpositive-q", "null-a", "string-width",
             "zero-width", "negative-width", "list-grid-L", "number-grid",
@@ -196,7 +200,8 @@ class TestCliSolve:
             "table-unsorted", "table-duplicate-knot", "table-nan-value",
             "table-one-knot", "table-non-numeric", "table-ragged",
             "sum-of-500-terms", "sum-of-5000-terms", "huge-width",
-            "huge-interval"])
+            "huge-interval", "huge-grid-L", "negative-grid-L", "zero-grid-L",
+            "grid-N-not-a-power-of-two"])
     def test_bad_input_exits_2_with_one_line(self, tmp_path, capsys, text):
         path = tmp_path / "bad.json"
         if text is not None:
@@ -207,6 +212,29 @@ class TestCliSolve:
         assert code == EXIT_NUMERICAL
         err = capsys.readouterr().err.strip().splitlines()
         assert len(err) == 1 and err[0].startswith("error: ")
+
+    @pytest.mark.parametrize("grid, lam, named", [
+        ({"L": 1e308}, "10", ["lambda=10", "L=1e+308"]),
+        ({"L": -1}, "10", ["grid L", "-1"]),
+        ({"L": 0}, "10", ["grid L", "0"]),
+        ({"N": 100}, "10", ["grid N", "100"]),
+        ({"N": 8}, "10", ["grid N", "8"]),
+        ({}, "1e308", ["lambda=1e+308", "L=3.6"]),
+    ], ids=["huge-L", "negative-L", "zero-L", "N-not-a-power-of-two",
+            "N-below-16", "huge-lambda"])
+    def test_grid_that_cannot_be_built_is_named(self, tmp_path, capsys,
+                                                grid, lam, named):
+        path = tmp_path / "grid.json"
+        path.write_text(json.dumps({"q": "1", "a": 0.0, "b": 1.0,
+                                    "grid": grid}))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code = main(["solve", str(path), "--lambda", lam])
+        assert code == EXIT_NUMERICAL
+        err = capsys.readouterr().err.strip().splitlines()
+        assert len(err) == 1 and err[0].startswith("error: ")
+        assert "Error:" not in err[0]
+        assert all(part in err[0] for part in named), err[0]
 
     def test_largest_width_still_solves(self, tmp_path):
         # w = 1.3e154 is the width just below the one whose square
@@ -440,6 +468,22 @@ class TestCliSweep:
         err = capsys.readouterr().err.strip().splitlines()
         assert err == ["sweep: lambda=inf failed: lambda must be a finite "
                        "number, not inf"]
+
+    def test_lambda_without_a_grid_is_a_named_failed_row(
+            self, constant_problem, tmp_path, capsys):
+        out = tmp_path / "sweep.csv"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code = main(["sweep", constant_problem, "--lambdas", "1e308,20",
+                         "--out", str(out)])
+        assert code == EXIT_NUMERICAL
+        rows = json.loads((tmp_path / "sweep.json").read_text())["rows"]
+        assert rows[0]["error"].startswith("no grid for lambda=1e+308 on "
+                                           "[-L, L] with L=")
+        assert rows[1]["lam"] == 20.0 and rows[1]["error"] is None
+        err = capsys.readouterr().err.strip().splitlines()
+        assert len(err) == 1
+        assert err[0].startswith("sweep: lambda=1e+308 failed: no grid")
 
     def test_memory_error_is_a_failed_row(self, constant_problem, tmp_path,
                                           monkeypatch, capsys):
