@@ -13,11 +13,10 @@ the way back), so grid samples approximate the continuous integrals
 directly and the round trip is exact to round-off.
 
 The space side is real, so its transform is Hermitian, F(-xi) =
-conj(F(xi)): `forward` and `inverse` run on numpy's real FFTs, which hold
-only the nonnegative half xi = 0 .. N/2 dxi (the last of these is the
-self-paired node -xi_max), and mirror it into the centered layout.
-`inverse_pair` takes two real functions through one complex FFT, as
-their real and imaginary parts (Press et al., Numerical Recipes, 12.3).
+conj(F(xi)).  Every transform runs on the one pair `forward`/`inverse`,
+numpy's real FFTs, which hold only the nonnegative half
+xi = 0 .. N/2 dxi (the last of these is the self-paired node -xi_max),
+mirrored into the centered layout; `convolve` is their composition.
 """
 
 from dataclasses import dataclass
@@ -67,12 +66,6 @@ class SpectralGrid:
         return (k - self.n_points // 2) * self.dxi
 
     @cached_property
-    def _phase(self):
-        # exp(i*L*xi_k) = (-1)^(k - N/2), kept exactly real
-        k = np.arange(self.n_points) - self.n_points // 2
-        return np.where(k % 2 == 0, 1.0, -1.0)
-
-    @cached_property
     def _half_phase(self):
         # exp(i*L*xi) = (-1)^m at the real FFT's xi = m*dxi, m = 0..N/2
         m = np.arange(self.n_points // 2 + 1)
@@ -118,27 +111,6 @@ class SpectralSample:
 def _require_same_grid(a, b):
     if a.grid != b.grid:
         raise GridMismatchError("samples live on different grids")
-
-
-def _to_freq(grid, space_values):
-    """dx * sum_j exp(-i x_j xi_k) v_j, for complex space values."""
-    fft = np.fft.fftshift(np.fft.fft(space_values))
-    return grid.dx * grid._phase * fft
-
-
-def _to_space(grid, freq_values):
-    """(dxi/2pi) * sum_k exp(i x_j xi_k) F_k, complex result.
-
-    As N/2 is even, exp(i x_j xi_k) = (-1)^j (-1)^k e^{2 pi i j k/N}, and
-    the (-1)^k shifts the inverse FFT by N/2: the value at x_j is
-    (-1)^j/dx times ifft(F) at j + N/2 (mod N), scaled as it is rolled."""
-    half = grid.n_points // 2
-    space = np.fft.ifft(freq_values)
-    scale = grid._phase[:half] / grid.dx
-    out = np.empty_like(space)
-    np.multiply(space[half:], scale, out=out[:half])
-    np.multiply(space[:half], scale, out=out[half:])
-    return out
 
 
 def forward(f):
@@ -209,30 +181,14 @@ def inverse(F):
     return RealSample(grid, np.fft.irfft(pos, n=grid.n_points))
 
 
-def inverse_pair(F, G):
-    """The real space samples (f, g) of two Hermitian-symmetric samples
-    on one grid, from one complex inverse FFT of F + iG: f and g are
-    real, so they are its real and imaginary parts.  Each input passes
-    `inverse`'s symmetry check."""
-    _require_same_grid(F, G)
-    _require_hermitian(F)
-    _require_hermitian(G)
-    space = _to_space(F.grid, F.values + 1j * G.values)
-    return RealSample(F.grid, space.real), RealSample(F.grid, space.imag)
-
-
 def convolve(F, G):
     """(1/2pi) (F * G) computed as forward(inverse(F) . inverse(G)).
 
     Matches the transform-of-a-product convention; commutative to
     round-off.  The space-side route keeps the cost at O(N log N).
-    It runs on complex FFTs, so F and G need not be Hermitian; the
-    tests take it as the reference for the fixed-point map's
-    quadratic term."""
+    Like `inverse`, it requires Hermitian-symmetric F and G."""
     _require_same_grid(F, G)
-    f = _to_space(F.grid, F.values)
-    g = _to_space(G.grid, G.values)
-    return SpectralSample(F.grid, _to_freq(F.grid, f * g))
+    return forward(RealSample(F.grid, inverse(F).values * inverse(G).values))
 
 
 def l1_norm(F):

@@ -80,6 +80,10 @@ class PhaseFunction:
     r_degree: int = 0
 
     def dalpha_t(self, t):
+        """alpha' = lambda exp(r/2) at t.  The package's own paths hold r
+        already and call `dalpha_of_r`; the benchmark's reference checks
+        (`basis` and `kummer_residual` in perfbench/reference.py) call
+        this."""
         return self.dalpha_of_r(self.r_t(t))
 
     def dalpha_of_r(self, r):

@@ -471,6 +471,10 @@ def build_problem(coefficient, lam, L=None, N=None):
         raise DomainError("lambda must be positive")
     cmap = coefficient.map
     grid = choose_grid(cmap, lam, L=L, N=N)
+    # after choose_grid, whose error names L too when no grid can be built
+    if not math.isfinite(4.0 * float(lam) * float(lam)):
+        raise DomainError(f"lambda={lam:g} is too large: 4 lambda^2 "
+                          f"overflows double precision")
     level, level_hat = forcing_transform(cmap, grid)
     if N is None:
         grid = level

@@ -19,8 +19,8 @@ import numpy as np
 
 from .convexp import exp2
 from .errors import ConfigurationError, ConvergenceError, DomainError
-from .grid import (RealSample, SpectralSample, forward, inverse,
-                   inverse_pair, l1_norm, linf_norm, symmetrize)
+from .grid import (RealSample, SpectralSample, forward, inverse, l1_norm,
+                   linf_norm, symmetrize)
 from .mollifier import smooth_step
 from .problem import (_finite, below_floor, check_hypotheses, decay_bound,
                       resolved)
@@ -38,14 +38,18 @@ _SQRT2 = np.sqrt(2.0)
 
 @dataclass(frozen=True)
 class Bump:
-    """The frequency cutoff bhat and the band multiplier
+    """The frequency cutoff bhat, the band multiplier
     bhat/(4 lambda^2 - xi^2), exactly zero off the cutoff support so the
-    vanishing denominator at |xi| = 2 lambda is never touched."""
+    vanishing denominator at |xi| = 2 lambda is never touched, and its odd
+    partner -i xi bhat/(4 lambda^2 - xi^2), zero at the self-paired node
+    -xi_max: -i xi would turn its real value imaginary and a product
+    with it non-Hermitian."""
 
     grid: object
     lam: float
     b_hat: SpectralSample
     multiplier: np.ndarray
+    odd_multiplier: np.ndarray
 
 
 def make_bump(grid, lam):
@@ -59,8 +63,11 @@ def make_bump(grid, lam):
     xi = grid.xi
     vals = smooth_step((xi + c) / alpha) - smooth_step((xi - c) / alpha)
     b_hat = SpectralSample(grid, vals.astype(complex))
-    return Bump(grid=grid, lam=float(lam), b_hat=b_hat,
-                multiplier=invert_helmholtz(b_hat, float(lam)).values.real)
+    multiplier = invert_helmholtz(b_hat, float(lam)).values.real
+    odd_multiplier = -1j * xi * multiplier
+    odd_multiplier[0] = 0.0
+    return Bump(grid=grid, lam=float(lam), b_hat=b_hat, multiplier=multiplier,
+                odd_multiplier=odd_multiplier)
 
 
 def apply_Wb(f, bump):
@@ -72,26 +79,23 @@ def apply_Wb(f, bump):
 
 def apply_Wb_tilde(f, bump):
     """Multiply by -i xi bhat(xi)/(4 lambda^2 - xi^2), and by zero at the
-    self-paired node -xi_max, as for any odd multiplier: -i xi would turn
-    its real value imaginary and the product non-Hermitian."""
+    self-paired node -xi_max (the bump's odd multiplier)."""
     if f.grid != bump.grid:
         raise ConfigurationError("sample and bump live on different grids")
-    mult = -1j * f.grid.xi * bump.multiplier
-    mult[0] = 0.0
-    return SpectralSample(f.grid, f.values * mult)
+    return SpectralSample(f.grid, f.values * bump.odd_multiplier)
 
 
 def apply_R(psi, w_hat, bump):
-    """One application of the fixed-point map, in two FFTs.
+    """One application of the fixed-point map, in three real FFTs.
 
-    Wb psi and Wt psi are Hermitian, so one complex inverse FFT
-    (`inverse_pair`) gives both space sides, f_b and f_t.  The map is the
-    transform of a product and a pointwise function of them,
-    (1/8pi)(Wt * Wt) = forward(f_t^2/4) as `convolve` carries 1/2pi, and
-    exp2[Wb] = forward(exp(f_b) - f_b - 1), so one real forward FFT
-    (`forward`) of f_t^2/4 - 4 lambda^2 (exp(f_b) - f_b - 1) gives both
-    terms; w is added to it."""
-    f_b, f_t = inverse_pair(apply_Wb(psi, bump), apply_Wb_tilde(psi, bump))
+    Wb psi and Wt psi are Hermitian, so `inverse` gives their real space
+    sides f_b and f_t.  The map is the transform of a product and a
+    pointwise function of them, (1/8pi)(Wt * Wt) = forward(f_t^2/4) as
+    `convolve` carries 1/2pi, and exp2[Wb] = forward(exp(f_b) - f_b - 1),
+    so one `forward` of f_t^2/4 - 4 lambda^2 (exp(f_b) - f_b - 1) gives
+    both terms; w is added to it."""
+    f_b = inverse(apply_Wb(psi, bump))
+    f_t = inverse(apply_Wb_tilde(psi, bump))
     space = 0.25 * f_t.values ** 2 - 4.0 * bump.lam ** 2 * exp2(f_b)
     vals = forward(RealSample(psi.grid, space)).values + w_hat.values
     return SpectralSample(psi.grid, vals)

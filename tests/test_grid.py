@@ -4,8 +4,8 @@ import pytest
 from nophase.errors import GridMismatchError, SymmetryError
 from helpers import zeros_spectral
 from nophase.grid import (RealSample, SpectralGrid, SpectralSample, convolve,
-                          forward, hermitian_defect, inverse, inverse_pair,
-                          l1_norm, linf_norm, symmetrize)
+                          forward, hermitian_defect, inverse, l1_norm,
+                          linf_norm, symmetrize)
 
 
 def gaussian_sample(grid):
@@ -132,7 +132,7 @@ class TestInverse:
         back = inverse(forward(f))
         assert np.max(np.abs(back.values - f.values)) <= 1e-12
 
-    @pytest.mark.parametrize("n", [16, 64])
+    @pytest.mark.parametrize("n", [16, 64, 1024])
     def test_matches_direct_sums_at_minus_xi_max(self, rng, n):
         grid = SpectralGrid(5.0, n)
         F = hermitian_sample(grid, rng, at_minus_xi_max=1.5)
@@ -161,33 +161,6 @@ class TestInverse:
         sym = symmetrize(SpectralSample(grid, vals))
         assert hermitian_defect(sym) <= 1e-15
         inverse(sym)  # no longer rejected
-
-
-class TestInversePair:
-    @pytest.mark.parametrize("n", [16, 64, 1024])
-    def test_matches_two_inverses(self, rng, n):
-        grid = SpectralGrid(5.0, n)
-        F = hermitian_sample(grid, rng, at_minus_xi_max=-0.5)
-        G = hermitian_sample(grid, rng, at_minus_xi_max=2.0)
-        f, g = inverse_pair(F, G)
-        for got, H in ((f, F), (g, G)):
-            ref = direct_inverse(grid, H.values).real
-            assert np.max(np.abs(got.values - ref)) \
-                <= 1e-13 * np.max(np.abs(ref))
-            assert np.max(np.abs(got.values - inverse(H).values)) \
-                <= 1e-14 * np.max(np.abs(ref))
-
-    def test_checks_each_input(self, rng):
-        grid = SpectralGrid(8.0, 64)
-        F = hermitian_sample(grid, rng, at_minus_xi_max=1.0)
-        odd = F.values.copy()
-        odd[40] += 1.0  # no conjugate partner
-        for pair in ((SpectralSample(grid, odd), F),
-                     (F, SpectralSample(grid, odd))):
-            with pytest.raises(SymmetryError):
-                inverse_pair(*pair)
-        with pytest.raises(GridMismatchError):
-            inverse_pair(F, zeros_spectral(SpectralGrid(8.0, 128)))
 
 
 class TestPlancherel:
@@ -236,6 +209,16 @@ class TestConvolve:
                                rng.standard_normal(64)))
         with pytest.raises(GridMismatchError):
             convolve(F, G)
+
+    def test_rejects_asymmetric(self, rng):
+        grid = SpectralGrid(6.0, 64)
+        F = forward(RealSample(grid, rng.standard_normal(64)))
+        odd = F.values.copy()
+        odd[40] += 1.0  # no conjugate partner
+        for pair in ((SpectralSample(grid, odd), F),
+                     (F, SpectralSample(grid, odd))):
+            with pytest.raises(SymmetryError):
+                convolve(*pair)
 
     def test_young_inequality(self, rng):
         grid = SpectralGrid(10.0, 128)

@@ -173,8 +173,8 @@ class TestApplyR:
 
     @staticmethod
     def composed(psi, w, bump):
-        """R from its parts on complex FFTs: convolve for the quadratic
-        term and exp2_star for the exponential one."""
+        """R from its parts, each on its own transforms: convolve for the
+        quadratic term and exp2_star for the exponential one."""
         wt = apply_Wb_tilde(psi, bump)
         return convolve(wt, wt).values / 4.0 \
             - 4.0 * bump.lam ** 2 * exp2_star(apply_Wb(psi, bump)).values \

@@ -236,6 +236,24 @@ class TestCliSolve:
         assert "Error:" not in err[0]
         assert all(part in err[0] for part in named), err[0]
 
+    @pytest.mark.parametrize("lam", ["1e154", "1e200"])
+    def test_lambda_too_large_is_named(self, tmp_path, capsys, lam):
+        # 4 lambda^2 overflows from about 6.7e153 on
+        path = tmp_path / "q.json"
+        path.write_text(json.dumps({"q": "1", "a": 0.0, "b": 1.0}))
+        with warnings.catch_warnings():
+            warnings.simplefilter("always")
+            code = main(["solve", str(path), "--lambda", lam])
+        assert code == EXIT_NUMERICAL
+        err = capsys.readouterr().err.strip().splitlines()
+        assert len(err) == 1 and err[0].startswith("error: "), err
+        assert f"lambda={float(lam):g}" in err[0], err[0]
+
+    def test_largest_lambda_still_solves(self, tmp_path):
+        path = tmp_path / "q.json"
+        path.write_text(json.dumps({"q": "1", "a": 0.0, "b": 1.0}))
+        assert main(["solve", str(path), "--lambda", "6e153"]) == EXIT_OK
+
     def test_largest_width_still_solves(self, tmp_path):
         # w = 1.3e154 is the width just below the one whose square
         # overflows (test_problem's test_width_too_large_is_named)
