@@ -13,11 +13,15 @@ with the grid N, the fixed-point iterations, the points at which q, q'
 and q'' are evaluated in `build_problem`, the points at which the oracle
 evaluates q, the oracle's microseconds per q point, and the points at
 which delta's trigonometric series is summed.  A point is one node of a
-q call, whether the call takes an array or a scalar.  Two call counts
+q call, whether the call takes an array or a scalar.  Three call counts
 follow: ffts, the numpy.fft calls inside `solve_problem` (the script
-wraps every transform of numpy.fft to count them), and fit_rounds, the
+wraps every transform of numpy.fft to count them), fit_rounds, the
 `ChebSeries.fit` calls inside `build_phase`, one per doubling round of
-its adaptive fits.  A last row,
+its adaptive fits, and clenshaw_passes, the calls of the two Clenshaw
+kernels of `nophase.chebseries` (`chebval` and the piecewise
+`_gathered_clenshaw`, both wrapped) from `build_problem` through the
+oracle, each of which sums one stack of series at one point set.
+A last row,
 "320-expression", times the same lambda = 320 oracle with q compiled
 from "1 + sech(t)**2", as the CLI runs it on a problem file, and q_us,
 the microseconds per point of that q alone on an array of 10 000 nodes
@@ -37,6 +41,7 @@ import time
 
 import numpy as np
 
+import nophase.chebseries
 import nophase.phase
 import nophase.solver
 from nophase.chebseries import ChebSeries
@@ -72,7 +77,7 @@ class Stages:
     def __init__(self):
         self.ms = {}
         self.points = {"q_points": 0, "evaluator_points": 0}
-        self.calls = {"ffts": 0, "fit_rounds": 0}
+        self.calls = {"ffts": 0, "fit_rounds": 0, "clenshaw_passes": 0}
         self._install()
 
     def _timed(self, module, name):
@@ -103,6 +108,9 @@ class Stages:
         for name in FFTS:
             setattr(np.fft, name,
                     self._call_counter(getattr(np.fft, name), "ffts"))
+        for name in ("chebval", "_gathered_clenshaw"):
+            setattr(nophase.chebseries, name, self._call_counter(
+                getattr(nophase.chebseries, name), "clenshaw_passes"))
         fit = ChebSeries.fit.__func__
         ChebSeries.fit = classmethod(self._call_counter(fit, "fit_rounds"))
         self._timed(nophase.solver, "fixed_point_solve")
@@ -124,6 +132,7 @@ def one_pass(stages):
     for lam in LAMBDAS:
         for key in stages.points:
             stages.points[key] = 0
+        clenshaw_passes = stages.calls["clenshaw_passes"]
         t0 = time.perf_counter()
         prob = build_problem(coeff, lam)
         t1 = time.perf_counter()
@@ -161,6 +170,8 @@ def one_pass(stages):
             "evaluator_points": stages.points["evaluator_points"],
             "ffts": ffts,
             "fit_rounds": fit_rounds,
+            "clenshaw_passes": stages.calls["clenshaw_passes"]
+            - clenshaw_passes,
             "delta_degree": phase.delta_degree,
         }
         if lam == EXPRESSION_LAMBDA:

@@ -1,13 +1,14 @@
-"""The size of the library's surface, in three counts, and its scipy
-modules.
+"""The size of the library's surface, in three counts, and its scipy and
+numpy.polynomial modules.
 
 Prints the lines of the package's Python files (as `wc -l` counts
 them), its defaulted parameters: over every function, method and
 lambda, the positional defaults plus the keyword-only parameters that
 have one (`ast` stores None in `kw_defaults` for those that do not),
 its CLI options: the `add_argument` calls whose first argument is a
-string starting with "--", and the scipy modules its import statements
-name, wherever they stand (`from scipy import x` names scipy.x).  Run
+string starting with "--", and the scipy and numpy.polynomial modules
+its import statements name, wherever they stand (`from scipy import x`
+names scipy.x, `from numpy import polynomial` numpy.polynomial).  Run
 it from a checkout:
 
     python scripts/surface.py [package directory]
@@ -19,6 +20,7 @@ import sys
 
 PACKAGE = pathlib.Path(__file__).resolve().parent.parent / "src" / "nophase"
 
+ROOTS = ("scipy", "numpy.polynomial")  # the packages whose modules it names
 _FUNCTIONS = (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)
 
 
@@ -40,35 +42,42 @@ def cli_options(tree):
                for node in ast.walk(tree))
 
 
-def scipy_modules(tree):
-    """Dotted names of the scipy modules the tree's imports name."""
+def modules_under(tree, root):
+    """Dotted names of the modules under `root` (root included) that the
+    tree's imports name.  `from a import b` names a.b when a is root or
+    one of its parents, and a otherwise."""
     names = set()
     for node in ast.walk(tree):
         if isinstance(node, ast.Import):
             names.update(alias.name for alias in node.names)
-        elif isinstance(node, ast.ImportFrom) and node.module == "scipy":
-            names.update(f"scipy.{alias.name}" for alias in node.names)
         elif isinstance(node, ast.ImportFrom) and node.level == 0:
-            names.add(node.module)
-    return {name for name in names if name.split(".")[0] == "scipy"}
+            if f"{root}.".startswith(f"{node.module}."):
+                names.update(f"{node.module}.{alias.name}"
+                             for alias in node.names)
+            else:
+                names.add(node.module)
+    return {name for name in names
+            if name == root or name.startswith(f"{root}.")}
 
 
 def main(argv=None):
     argv = sys.argv[1:] if argv is None else argv
     package = pathlib.Path(argv[0]) if argv else PACKAGE
     lines = defaults = options = 0
-    scipy = set()
+    found = {root: set() for root in ROOTS}
     for path in sorted(package.glob("*.py")):
         source = path.read_text()
         lines += source.count("\n")
         tree = ast.parse(source, str(path))
         defaults += defaulted_parameters(tree)
         options += cli_options(tree)
-        scipy |= scipy_modules(tree)
+        for root in ROOTS:
+            found[root] |= modules_under(tree, root)
     print(f"lines {lines}")
     print(f"defaulted parameters {defaults}")
     print(f"cli options {options}")
-    print(f"scipy modules {', '.join(sorted(scipy)) or 'none'}")
+    for root in ROOTS:
+        print(f"{root} modules {', '.join(sorted(found[root])) or 'none'}")
 
 
 if __name__ == "__main__":

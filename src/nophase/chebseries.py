@@ -1,11 +1,21 @@
 """Chebyshev series on an interval, and piecewise on a partition of one:
 fitting at Lobatto nodes, evaluation, differentiation, and
-antidifferentiation (Clenshaw-Curtis style)."""
+antidifferentiation (Clenshaw-Curtis style).
+
+Three kernels stand in for the functions of the same names in numpy's
+Chebyshev module, which the package does not import.  Each repeats
+numpy's operations in numpy's order, so every value has numpy's bits:
+- `chebval` runs Clenshaw's recurrence on a stack of series at once,
+  writing each step into reused buffers (on Python floats for one series
+  at one point);
+- `chebder` runs `chebder`'s recurrence on Python floats;
+- `chebint` computes `chebint`'s terms as one elementwise expression.
+A `PiecewiseCheb` sums with its own gathered Clenshaw loop, on the same
+kind of buffers."""
 
 from dataclasses import dataclass, field
 
 import numpy as np
-from numpy.polynomial import chebyshev as C
 
 from .errors import NumericalError
 
@@ -35,6 +45,76 @@ def values_to_coeffs(values_ascending):
     c[..., 0] *= 0.5
     c[..., -1] *= 0.5
     return c
+
+
+def chebval(x, c):
+    """numpy's chebval(x, c), bit for bit: the series along the first axis
+    of c (every column of a 2-D c at once) at x, each column at every
+    point of an array x.  Each step of the recurrence writes into three
+    reused buffers; one series at one point runs on Python floats."""
+    c = np.asarray(c, dtype=float)
+    if isinstance(x, np.ndarray):
+        c = c.reshape(c.shape + (1,) * x.ndim)
+    n = len(c)
+    if n < 3:
+        return c[0] + (c[1] if n == 2 else 0) * x
+    if c.ndim == 1:
+        x = float(x)
+        x2 = 2.0 * x
+        rows = c.tolist()
+        c0, c1 = rows[-2], rows[-1]
+        for ck in rows[-3::-1]:
+            c0, c1 = ck - c1, c0 + c1 * x2
+        return np.float64(c0 + c1 * x)
+    shape = np.broadcast_shapes(c.shape[1:], np.shape(x))
+    x2, c0, c1 = (np.broadcast_to(v, shape).copy()
+                  for v in (2 * x, c[-2], c[-1]))
+    tmp = np.empty(shape)
+    for ck in c[-3::-1]:
+        # numpy's step: c0, c1 = ck - c1, c0 + c1 * x2
+        np.multiply(c1, x2, out=tmp)
+        tmp += c0
+        np.subtract(ck, c1, out=c0)
+        c1, tmp = tmp, c1
+    return c0 + c1 * x
+
+
+def chebder(c):
+    """numpy's chebder(c) of a 1-D c, bit for bit: its recurrence from
+    the top coefficient down, on Python floats."""
+    c = np.asarray(c, dtype=float).tolist()
+    n = len(c) - 1
+    if n == 0:
+        return np.array([c[0] * 0])
+    der = [0.0] * n
+    for j in range(n, 2, -1):
+        der[j - 1] = (2 * j) * c[j]
+        c[j - 2] += (j * c[j]) / (j - 2)
+    if n > 1:
+        der[1] = 4 * c[2]
+    der[0] = c[1]
+    return np.array(der)
+
+
+def chebint(c, lbnd):
+    """numpy's chebint(c, lbnd=lbnd) along the first axis of c, bit for
+    bit.  Term m >= 2 is c[m-1]/(2m) - c[m+1]/(2m), the second part only
+    while m+1 < len(c), and term 1 is c[0] - c[2]/2: numpy's loop rounds
+    each quotient and each difference once, and so does this one
+    elementwise expression.  Term 0 makes the antiderivative vanish at
+    lbnd."""
+    c = np.asarray(c, dtype=float)
+    n = len(c)
+    if n == 1 and np.all(c[0] == 0):
+        return c + 0.0
+    twice_m = 2.0 * np.arange(n + 1).reshape((-1,) + (1,) * (c.ndim - 1))
+    out = np.empty((n + 1,) + c.shape[1:])
+    out[0] = c[0] * 0
+    out[1] = c[0]
+    out[2:] = c[1:] / twice_m[2:]
+    out[1:n - 1] -= c[2:] / twice_m[1:n - 1]
+    out[0] += 0.0 - chebval(lbnd, out)
+    return out
 
 
 @dataclass(frozen=True)
@@ -99,7 +179,7 @@ class ChebSeries:
         return (2.0 * np.asarray(t, dtype=float) - (self.a + self.b)) / (self.b - self.a)
 
     def __call__(self, t):
-        return C.chebval(self._s(t), self.coef)
+        return chebval(self._s(t), self.coef)
 
     def sampled(self, t):
         """The series at t, read from the fitted values where t is one of
@@ -118,14 +198,25 @@ class ChebSeries:
 
     def deriv(self):
         return ChebSeries(self.a, self.b,
-                          C.chebder(self.coef) * (2.0 / (self.b - self.a)))
+                          chebder(self.coef) * (2.0 / (self.b - self.a)))
 
     def antideriv(self):
         """The antiderivative that vanishes at a, where its value before
         anchoring is sum_k c_k T_k(-1) = sum_k c_k (-1)^k."""
-        coef = C.chebint(self.coef) * (0.5 * (self.b - self.a))
+        coef = chebint(self.coef, 0.0) * (0.5 * (self.b - self.a))
         coef[0] -= np.sum(coef[0::2]) - np.sum(coef[1::2])
         return ChebSeries(self.a, self.b, coef)
+
+    @staticmethod
+    def _stacked_call(series, t):
+        """The series at t, stacked along the first axis, in one chebval
+        pass; they must share one interval."""
+        if len({(s.a, s.b) for s in series}) > 1:
+            raise ValueError("call_together needs its series on one interval")
+        coef = np.zeros((max(s.coef.size for s in series), len(series)))
+        for j, s in enumerate(series):
+            coef[:s.coef.size, j] = s.coef
+        return chebval(series[0]._s(t), coef)
 
     def degree_for_tail(self):
         """Smallest degree beyond which all coefficients are below
@@ -136,22 +227,23 @@ class ChebSeries:
 
 
 def call_together(functions, t):
-    """[f(t) for f in functions], with the ChebSeries among them summed
-    in one chebval pass over their coefficients stacked as columns, the
-    shorter ones padded with zeros.  A zero leading coefficient leaves
-    Clenshaw's recurrence where it was, so each value has the bits of
-    the series' own call.  The series must share one interval."""
+    """[f(t) for f in functions], with the series among them summed in
+    one pass: ChebSeries on one interval by `chebval` over their
+    coefficients stacked as columns, or PiecewiseCheb on one set of
+    edges by one gathered Clenshaw loop.  The shorter series are padded
+    with zeros; a zero leading coefficient leaves either recurrence where
+    it was, so each value has the bits of the series' own call."""
     t = np.asarray(t, dtype=float)
-    series = [f for f in functions if isinstance(f, ChebSeries)]
+    series = [f for f in functions
+              if isinstance(f, (ChebSeries, PiecewiseCheb))]
     if not series:
         return [f(t) for f in functions]
-    if len({(s.a, s.b) for s in series}) > 1:
-        raise ValueError("call_together needs its series on one interval")
-    coef = np.zeros((max(s.coef.size for s in series), len(series)))
-    for j, s in enumerate(series):
-        coef[:s.coef.size, j] = s.coef
-    values = iter(C.chebval(series[0]._s(t), coef))
-    return [next(values) if isinstance(f, ChebSeries) else f(t)
+    kind = type(series[0])
+    if any(type(s) is not kind for s in series):
+        raise ValueError("call_together cannot mix ChebSeries and "
+                         "PiecewiseCheb")
+    values = iter(kind._stacked_call(series, t))
+    return [next(values) if isinstance(f, kind) else f(t)
             for f in functions]
 
 
@@ -194,28 +286,54 @@ class PiecewiseCheb:
                              "function within the bisection budget")
 
     def __call__(self, t):
-        t = np.asarray(t, dtype=float)
-        idx = np.clip(np.searchsorted(self.edges, t, side="right") - 1,
-                      0, len(self.edges) - 2)
-        lo, hi = self.edges[idx], self.edges[idx + 1]
-        s2 = 2.0 * (2.0 * t - (lo + hi)) / (hi - lo)
-        # Clenshaw on the points' coefficient rows, gathered once:
-        # cols[k] holds coefficient k of each point's piece
-        cols = self.coef.T[:, idx]
-        b1 = np.zeros_like(s2)
-        b2 = np.zeros_like(s2)
-        for k in range(len(cols) - 1, 0, -1):
-            b1, b2 = cols[k] + s2 * b1 - b2, b1
-        return cols[0] + 0.5 * s2 * b1 - b2
+        return _gathered_clenshaw(self.edges, self.coef.T[:, None], t)[0]
+
+    @staticmethod
+    def _stacked_call(series, t):
+        """The series at t, stacked along the first axis, in one gathered
+        Clenshaw pass; they must share their edges."""
+        edges = series[0].edges
+        if any(not np.array_equal(s.edges, edges) for s in series[1:]):
+            raise ValueError("call_together needs its piecewise series on "
+                             "one set of edges")
+        coef = np.zeros((max(s.coef.shape[1] for s in series), len(series),
+                         len(edges) - 1))
+        for j, s in enumerate(series):
+            coef[:s.coef.shape[1], j] = s.coef.T
+        return _gathered_clenshaw(edges, coef, t)
 
     def antideriv(self, anchor=None):
         """The continuous antiderivative that vanishes at `anchor` (by
         default the left end)."""
         half = 0.5 * np.diff(self.edges)
-        coef = C.chebint(self.coef, lbnd=-1.0, axis=1) * half[:, None]
+        coef = chebint(self.coef.T, -1.0).T * half[:, None]
         # each piece starts from zero; add the sum of the pieces before it
         totals = np.sum(coef, axis=1)  # each piece's value at its right end
         coef[:, 0] += np.concatenate([[0.0], np.cumsum(totals)[:-1]])
         t0 = self.edges[0] if anchor is None else anchor
         coef[:, 0] -= PiecewiseCheb(self.edges, coef)(t0)
         return PiecewiseCheb(self.edges, coef)
+
+
+def _gathered_clenshaw(edges, coef, t):
+    """The piecewise series of coef at t, stacked along the first axis;
+    coef[k, j, i] is coefficient k of series j on piece i, the pieces
+    lying between the ascending edges.  Each point's coefficient rows are
+    gathered once; each step of the recurrence writes into three reused
+    buffers."""
+    t = np.asarray(t, dtype=float)
+    idx = np.clip(np.searchsorted(edges, t, side="right") - 1,
+                  0, len(edges) - 2)
+    lo, hi = edges[idx], edges[idx + 1]
+    s2 = 2.0 * (2.0 * t - (lo + hi)) / (hi - lo)
+    cols = coef[..., idx]  # cols[k] holds coefficient k at each point
+    shape = cols.shape[1:]
+    s2_full = np.broadcast_to(s2, shape).copy()
+    b1, b2, tmp = np.zeros(shape), np.zeros(shape), np.empty(shape)
+    for ck in cols[:0:-1]:
+        # b1, b2 = ck + s2 * b1 - b2, b1
+        np.multiply(s2_full, b1, out=tmp)
+        tmp += ck
+        tmp -= b2
+        b1, b2, tmp = tmp, b1, b2
+    return cols[0] + 0.5 * s2 * b1 - b2

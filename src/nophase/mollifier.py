@@ -7,11 +7,12 @@ frequency-domain cutoff (solver module) and the coefficient extension
 (problem module).
 
 The step is the normalized antiderivative of the mollifier: a piecewise
-Chebyshev series of the mollifier on [-1, 1] (pieces of degree 32, bisected
-from quarters until resolved), fitted once at import, integrated term by
-term and divided by its value at 1.  Low-degree pieces keep an evaluation
-cheap at any point count, where one global series of degree 256 costs
-about a millisecond per call.
+Chebyshev series of the mollifier on [-1, 1] (pieces of degree 32,
+bisected from quarters until resolved: 12 pieces), fitted once at import,
+integrated term by term and divided by its value at 1.  A call sums that
+series of degree 33 at the points strictly inside (-1, 1) in one gathered
+Clenshaw loop (`PiecewiseCheb`), whatever their count or the shape of u,
+so callers that need the step at two point sets stack them into one call.
 """
 
 import numpy as np

@@ -247,9 +247,8 @@ def basis_error(phase, prob, tol=ORACLE_TOL):
     between the phase-function basis (u, v) and reference solutions with
     the same initial data at t = a, both integrated in one pass."""
     a, b = phase.a, phase.b
-    u0, du0, v0, dv0 = basis_derivatives(phase, np.array([a]))
-    t = np.linspace(a, b, CHECK_NODES)
-    u, _, v, _ = basis_derivatives(phase, t)
-    y, _ = ode_oracle(prob, np.concatenate((u0, v0)),
-                      np.concatenate((du0, dv0)), t, tol=tol)
+    t = np.linspace(a, b, CHECK_NODES)  # t[0] is a
+    u, du, v, dv = basis_derivatives(phase, t)
+    y, _ = ode_oracle(prob, np.array([u[0], v[0]]), np.array([du[0], dv[0]]),
+                      t, tol=tol)
     return float(np.max(np.abs(u - y[0]))), float(np.max(np.abs(v - y[1])))

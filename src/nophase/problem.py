@@ -12,7 +12,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .chebseries import PiecewiseCheb
+from .chebseries import PiecewiseCheb, call_together
 from .errors import ConfigurationError, DomainError, FitError, NumericalError
 from .expr import compile_expression
 from .grid import RealSample, SpectralGrid, SpectralSample, forward, l1_norm
@@ -149,10 +149,9 @@ class ExtendedCoefficient:
 
     def _blend(self, t):
         """The base q at t clipped into [lo, hi], and the left and right
-        smooth steps at t."""
-        ul, ur = self._steps(t)
-        return (self.base.q(np.clip(t, self.lo, self.hi)),
-                smooth_step(ul), smooth_step(ur))
+        smooth steps at t, from one smooth_step call."""
+        sl, sr = smooth_step(np.stack(self._steps(t)))
+        return self.base.q(np.clip(t, self.lo, self.hi)), sl, sr
 
     def q(self, t):
         qv, sl, sr = self._blend(np.asarray(t, dtype=float))
@@ -274,7 +273,8 @@ def build_map(coeff):
     a-3w, a-w, b+w, b+3w and bisects pieces until each is resolved to
     MAP_TOL.  t(x) is fitted the same way, starting from the x-images of
     the pieces of x(t) so that it inherits their resolution of any kinks
-    in q, from values found by Newton's method at its Lobatto nodes."""
+    in q, from values found by Newton's method at its Lobatto nodes; each
+    Newton step sums x(t) and x'(t) in one pass (`call_together`)."""
     ext = ExtendedCoefficient(coeff)
     a, b, w = coeff.interval_a, coeff.interval_b, ext.w
     breaks = np.array([ext.lo, a - w, b + w, ext.hi])
@@ -285,7 +285,8 @@ def build_map(coeff):
     def invert(x):
         t = np.interp(x, x_at, x_series.edges)
         for _ in range(NEWTON_STEPS):
-            step = (x_series(t) - x) / speed(t)
+            x_t, speed_t = call_together((x_series, speed), t)
+            step = (x_t - x) / speed_t
             t -= step
             if np.max(np.abs(step)) <= MAP_TOL * max(1.0, np.max(np.abs(t))):
                 return t
@@ -455,6 +456,13 @@ def choose_grid(cmap, lam, L=None, N=None):
     return grid
 
 
+def check_lambda_square(lam):
+    """DomainError naming lambda unless 4 lambda^2 is a finite double."""
+    if not math.isfinite(4.0 * float(lam) * float(lam)):
+        raise DomainError(f"lambda={lam:g} is too large: 4 lambda^2 "
+                          f"overflows double precision")
+
+
 def build_problem(coefficient, lam, L=None, N=None):
     """Assemble a CoefficientProblem: grid, forcing transform and decay
     fit, on the coefficient's lambda-independent setup
@@ -472,9 +480,7 @@ def build_problem(coefficient, lam, L=None, N=None):
     cmap = coefficient.map
     grid = choose_grid(cmap, lam, L=L, N=N)
     # after choose_grid, whose error names L too when no grid can be built
-    if not math.isfinite(4.0 * float(lam) * float(lam)):
-        raise DomainError(f"lambda={lam:g} is too large: 4 lambda^2 "
-                          f"overflows double precision")
+    check_lambda_square(lam)
     level, level_hat = forcing_transform(cmap, grid)
     if N is None:
         grid = level

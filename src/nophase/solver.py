@@ -22,8 +22,8 @@ from .errors import ConfigurationError, ConvergenceError, DomainError
 from .grid import (RealSample, SpectralSample, forward, inverse, l1_norm,
                    linf_norm, symmetrize)
 from .mollifier import smooth_step
-from .problem import (_finite, below_floor, check_hypotheses, decay_bound,
-                      resolved)
+from .problem import (_finite, below_floor, check_hypotheses,
+                      check_lambda_square, decay_bound, resolved)
 
 # absolute floor, relative to the largest magnitude in play, below which
 # a theoretical bound is unmeasurable in double precision
@@ -61,7 +61,8 @@ def make_bump(grid, lam):
     c = 0.5 * (_SQRT2 * lam + lam)
     alpha = 0.25 * (_SQRT2 * lam - lam)
     xi = grid.xi
-    vals = smooth_step((xi + c) / alpha) - smooth_step((xi - c) / alpha)
+    rise, fall = smooth_step(np.stack(((xi + c) / alpha, (xi - c) / alpha)))
+    vals = rise - fall
     b_hat = SpectralSample(grid, vals.astype(complex))
     multiplier = invert_helmholtz(b_hat, float(lam)).values.real
     odd_multiplier = -1j * xi * multiplier
@@ -120,9 +121,12 @@ def fixed_point_solve(w_hat, lam, tol=TOL, bump=None):
 
     On a grid with xi_max < 2 sqrt(2) lambda the quadratic term Wt*Wt is
     not resolved a priori, so the converged psi must be, by the rule
-    p-hat's level meets (`resolved`), or ConfigurationError is raised."""
+    p-hat's level meets (`resolved`), or ConfigurationError is raised.
+    A lambda that is not finite, or whose 4 lambda^2 overflows, is a
+    DomainError naming it, as in `build_problem`."""
     if _finite(tol, "tol") <= 0.0:
         raise DomainError("tol must be positive")
+    check_lambda_square(_finite(lam, "lambda"))
     if bump is None:
         bump = make_bump(w_hat.grid, lam)
     w_l1 = l1_norm(w_hat)

@@ -4,12 +4,16 @@ import sys
 
 import numpy as np
 import pytest
+from numpy.polynomial import chebyshev as C
 from scipy.fft import dct
 
 import nophase
 from nophase.chebseries import (ChebSeries, PiecewiseCheb, call_together,
-                                lobatto_nodes, values_to_coeffs)
+                                chebder, chebint, chebval, lobatto_nodes,
+                                values_to_coeffs)
 from nophase.errors import NumericalError
+
+LENGTHS = range(1, 301)  # coefficient counts the kernels are checked at
 
 
 def test_values_to_coeffs_is_the_type1_dct(rng):
@@ -28,6 +32,71 @@ def test_import_loads_no_scipy():
                          text=True, check=True,
                          env={**os.environ, "PYTHONPATH": src})
     assert out.stdout.strip() == "[]"
+
+
+class TestKernels:
+    # each kernel against numpy.polynomial.chebyshev, bit for bit
+
+    @pytest.mark.parametrize("x", [np.array(0.37), -0.81, np.float64(1.0),
+                                   np.linspace(-1.2, 1.2, 17),
+                                   np.linspace(-1.0, 1.0, 12).reshape(3, 4)],
+                             ids=["0-d", "float", "float64", "1-D", "2-D"])
+    def test_chebval(self, rng, x):
+        for n in LENGTHS:
+            for c in (rng.standard_normal(n), rng.standard_normal((n, 3))):
+                got, want = chebval(x, c), C.chebval(x, c)
+                np.testing.assert_array_equal(got, want)
+                assert np.shape(got) == np.shape(want)
+
+    def test_chebval_keeps_signed_zeros(self):
+        for c in ([-0.0], [-0.0, 0.0], [-0.0, 0.0, 0.0]):
+            for x in (-0.5, np.array([-0.5, 0.5])):
+                np.testing.assert_array_equal(np.signbit(chebval(x, c)),
+                                              np.signbit(C.chebval(x, c)))
+
+    def test_chebder(self, rng):
+        for n in LENGTHS:
+            c = rng.standard_normal(n)
+            np.testing.assert_array_equal(chebder(c), C.chebder(c))
+
+    @pytest.mark.parametrize("lbnd", [0.0, -1.0])
+    def test_chebint(self, rng, lbnd):
+        for n in LENGTHS:
+            c = rng.standard_normal(n)
+            np.testing.assert_array_equal(chebint(c, lbnd),
+                                          C.chebint(c, lbnd=lbnd))
+            c = rng.standard_normal((n, 5))
+            np.testing.assert_array_equal(chebint(c, lbnd),
+                                          C.chebint(c, lbnd=lbnd, axis=0))
+        for c in ([0.0], [-0.0], np.zeros((1, 3))):
+            np.testing.assert_array_equal(chebint(c, lbnd),
+                                          C.chebint(c, lbnd=lbnd))
+
+    def test_piecewise_sum_bit_identical(self, rng):
+        # three series on one set of edges, one of them a degree shorter
+        # (padded with a zero leading coefficient), against each one's
+        # own call, at points inside, on the edges of and outside the
+        # pieces, and at a scalar
+        edges = np.sort(np.concatenate(([-1.0, 2.0],
+                                        rng.uniform(-1.0, 2.0, 20))))
+        pieces = len(edges) - 1
+        series = [PiecewiseCheb(edges, rng.standard_normal((pieces, k)))
+                  for k in (33, 34, 33)]
+        functions = series[:2] + [np.cos] + series[2:]
+        t = np.concatenate((rng.uniform(-1.5, 2.5, 1000), edges))
+        for points in (t, t[:1000].reshape(10, 100), np.float64(0.25)):
+            got = call_together(functions, points)
+            for f, value in zip(functions, got):
+                np.testing.assert_array_equal(value, f(points))
+                assert np.shape(value) == np.shape(points)
+
+    def test_piecewise_sum_needs_one_set_of_edges(self):
+        one = PiecewiseCheb(np.array([0.0, 1.0]), np.ones((1, 4)))
+        other = PiecewiseCheb(np.array([0.0, 2.0]), np.ones((1, 4)))
+        with pytest.raises(ValueError, match="one set of edges"):
+            call_together([one, other], 0.5)
+        with pytest.raises(ValueError, match="cannot mix"):
+            call_together([one, ChebSeries(0.0, 1.0, np.ones(4))], 0.5)
 
 
 class TestPiecewiseCheb:

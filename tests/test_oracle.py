@@ -407,3 +407,21 @@ def test_import_leaves_scipy_integrate_unloaded(tmp_path):
     lines = out.stdout.strip().splitlines()
     assert lines[0] == "False"
     assert lines[-1] == "0 []"
+
+
+def test_verify_leaves_numpy_polynomial_unloaded(tmp_path):
+    # `import nophase.cli`, then one `nophase verify` in the same process:
+    # the Chebyshev kernels are the package's own
+    src = os.path.dirname(os.path.dirname(nophase.__file__))
+    problem = tmp_path / "sech.json"
+    problem.write_text('{"q": "1 + sech(t)**2", "a": -3.0, "b": 3.0, '
+                       '"extension_width": 4.0}')
+    code = ("import sys\n"
+            "from nophase.cli import main\n"
+            f"code = main(['verify', {str(problem)!r}, '--lambda', '20'])\n"
+            "print(code, sorted(m for m in sys.modules\n"
+            "                   if m.startswith('numpy.polynomial')))\n")
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                         text=True, check=True,
+                         env={**os.environ, "PYTHONPATH": src})
+    assert out.stdout.strip().splitlines()[-1] == "0 []"

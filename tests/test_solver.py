@@ -1,4 +1,5 @@
 import dataclasses
+import re
 
 import numpy as np
 import pytest
@@ -10,7 +11,7 @@ from nophase.phase import (band_limited_evaluator, build_phase,
                            interior_nodes, kummer_residual)
 from helpers import apply_T, exp2_star_series, zeros_spectral
 from nophase.convexp import exp2_star
-from nophase.errors import (ConfigurationError, ConvergenceError,
+from nophase.errors import (ConfigurationError, ConvergenceError, DomainError,
                             MagnitudeError, SymmetryError)
 from nophase.grid import (RealSample, SpectralGrid, SpectralSample, convolve,
                           forward, inverse, l1_norm, linf_norm)
@@ -228,6 +229,14 @@ class TestFixedPoint:
         assert state.converged
         assert state.iteration == 1
         assert np.all(state.psi.values == 0.0)
+
+    @pytest.mark.parametrize("lam", [1e154, 1e200])
+    def test_lambda_too_large_is_named(self, lam):
+        # lambda^2 of a Python float would raise a bare OverflowError
+        grid = SpectralGrid(6.0, 64)
+        named = re.escape(f"lambda={lam:g} is too large")
+        with pytest.raises(DomainError, match=named):
+            fixed_point_solve(zeros_spectral(grid), lam)
 
     def test_contraction_ratios(self, sech_coefficient):
         prob = build_problem(sech_coefficient, 40.0)
