@@ -17,9 +17,9 @@ q call, whether the call takes an array or a scalar.  Three call counts
 follow: ffts, the numpy.fft calls inside `solve_problem` (the script
 wraps every transform of numpy.fft to count them), fit_rounds, the
 `ChebSeries.fit` calls inside `build_phase`, one per doubling round of
-its adaptive fits, and clenshaw_passes, the calls of the two Clenshaw
-kernels of `nophase.chebseries` (`chebval` and the piecewise
-`_gathered_clenshaw`, both wrapped) from `build_problem` through the
+its adaptive fits, and clenshaw_passes, the calls of the one Clenshaw
+kernel of `nophase.chebseries` (`clenshaw`, wrapped; `chebval` and
+every `ChebSeries` sum run through it) from `build_problem` through the
 oracle, each of which sums one stack of series at one point set.
 A last row,
 "320-expression", times the same lambda = 320 oracle with q compiled
@@ -108,9 +108,8 @@ class Stages:
         for name in FFTS:
             setattr(np.fft, name,
                     self._call_counter(getattr(np.fft, name), "ffts"))
-        for name in ("chebval", "_gathered_clenshaw"):
-            setattr(nophase.chebseries, name, self._call_counter(
-                getattr(nophase.chebseries, name), "clenshaw_passes"))
+        nophase.chebseries.clenshaw = self._call_counter(
+            nophase.chebseries.clenshaw, "clenshaw_passes")
         fit = ChebSeries.fit.__func__
         ChebSeries.fit = classmethod(self._call_counter(fit, "fit_rounds"))
         self._timed(nophase.solver, "fixed_point_solve")

@@ -1,17 +1,14 @@
-"""Chebyshev series on an interval, and piecewise on a partition of one:
-fitting at Lobatto nodes, evaluation, differentiation, and
+"""Chebyshev series, one piece on an interval or piecewise on a partition
+of one: fitting at Lobatto nodes, evaluation, differentiation, and
 antidifferentiation (Clenshaw-Curtis style).
 
 Three kernels stand in for the functions of the same names in numpy's
 Chebyshev module, which the package does not import.  Each repeats
 numpy's operations in numpy's order, so every value has numpy's bits:
-- `chebval` runs Clenshaw's recurrence on a stack of series at once,
-  writing each step into reused buffers (on Python floats for one series
-  at one point);
+- `chebval` sums a stack of series at every point in `clenshaw`, the one
+  recurrence, which a piecewise series runs on each point's own piece;
 - `chebder` runs `chebder`'s recurrence on Python floats;
-- `chebint` computes `chebint`'s terms as one elementwise expression.
-A `PiecewiseCheb` sums with its own gathered Clenshaw loop, on the same
-kind of buffers."""
+- `chebint` computes `chebint`'s terms as one elementwise expression."""
 
 from dataclasses import dataclass, field
 
@@ -23,8 +20,8 @@ TAIL_TOL = 1e-13      # coefficient-tail tolerance of ChebSeries.adaptive_fit
 MIN_N = 128           # its first node count
 MAX_N = 4096          # and its last
 DEGREE_REL = 1e-12    # relative coefficient floor of degree_for_tail
-PIECE_DEGREE = 32     # degree of every piece of a PiecewiseCheb
-MAX_ROUNDS = 40       # bisection rounds of PiecewiseCheb.adaptive_fit
+PIECE_DEGREE = 32     # degree of every piece of ChebSeries.adaptive_pieces
+MAX_ROUNDS = 40       # its bisection rounds
 MAX_PIECES = 1 << 14  # cap on its piece count
 
 
@@ -50,11 +47,18 @@ def values_to_coeffs(values_ascending):
 def chebval(x, c):
     """numpy's chebval(x, c), bit for bit: the series along the first axis
     of c (every column of a 2-D c at once) at x, each column at every
-    point of an array x.  Each step of the recurrence writes into three
-    reused buffers; one series at one point runs on Python floats."""
+    point of an array x."""
     c = np.asarray(c, dtype=float)
     if isinstance(x, np.ndarray):
         c = c.reshape(c.shape + (1,) * x.ndim)
+    return clenshaw(x, c)
+
+
+def clenshaw(x, c):
+    """numpy's Clenshaw recurrence elementwise: the series whose
+    coefficient k is c[k] at x, where each c[k] broadcasts against x.
+    Each step writes into three reused buffers; a 1-D c (one series at
+    one point) runs on Python floats."""
     n = len(c)
     if n < 3:
         return c[0] + (c[1] if n == 2 else 0) * x
@@ -67,9 +71,10 @@ def chebval(x, c):
             c0, c1 = ck - c1, c0 + c1 * x2
         return np.float64(c0 + c1 * x)
     shape = np.broadcast_shapes(c.shape[1:], np.shape(x))
-    x2, c0, c1 = (np.broadcast_to(v, shape).copy()
-                  for v in (2 * x, c[-2], c[-1]))
-    tmp = np.empty(shape)
+    x2, c0, c1, tmp = (np.empty(shape) for _ in range(4))
+    np.multiply(2, x, out=x2)
+    c0[...] = c[-2]
+    c1[...] = c[-1]
     for ck in c[-3::-1]:
         # numpy's step: c0, c1 = ck - c1, c0 + c1 * x2
         np.multiply(c1, x2, out=tmp)
@@ -119,19 +124,27 @@ def chebint(c, lbnd):
 
 @dataclass(frozen=True)
 class ChebSeries:
-    """A Chebyshev series on [a, b].  A fitted series keeps the values at
-    its ascending Lobatto nodes that it was fitted from (`values`)."""
+    """A Chebyshev series on each interval between ascending `edges`:
+    coef[k, ..., i] is coefficient k of the piece on [edges[i],
+    edges[i+1]], and the axes between the first and the last, if any,
+    stack several series on the same edges.  Points outside [a, b] are
+    summed on the nearest end piece.  A series fitted on one piece keeps
+    the values at its ascending Lobatto nodes that it was fitted from
+    (`values`)."""
 
-    a: float
-    b: float
+    edges: np.ndarray
     coef: np.ndarray
     values: np.ndarray = field(default=None, repr=False, compare=False)
 
+    a = property(lambda self: float(self.edges[0]))
+    b = property(lambda self: float(self.edges[-1]))
+
     @classmethod
     def fit(cls, f, a, b, n):
-        """Interpolate f at n+1 Lobatto nodes."""
+        """Interpolate f at n+1 Lobatto nodes on the one piece [a, b]."""
         values = np.asarray(f(lobatto_nodes(n, a, b)), dtype=float)
-        return cls(a=a, b=b, coef=values_to_coeffs(values), values=values)
+        return cls(np.array([a, b], dtype=float),
+                   values_to_coeffs(values)[:, None], values)
 
     @classmethod
     def adaptive_fit(cls, f, a, b):
@@ -175,11 +188,41 @@ class ChebSeries:
                     f"{MAX_N} nodes")
             n *= 2
 
-    def _s(self, t):
-        return (2.0 * np.asarray(t, dtype=float) - (self.a + self.b)) / (self.b - self.a)
+    @classmethod
+    def adaptive_pieces(cls, f, edges, tol):
+        """Interpolate f at PIECE_DEGREE+1 Lobatto nodes on every piece
+        between the edges, bisecting each piece whose last PIECE_DEGREE/8
+        coefficients exceed tol relative to the largest coefficient."""
+        edges = np.asarray(edges, dtype=float)
+        for _ in range(MAX_ROUNDS):
+            mid, half = 0.5 * (edges[:-1] + edges[1:]), 0.5 * np.diff(edges)
+            t = mid[:, None] + half[:, None] * lobatto_nodes(PIECE_DEGREE)
+            values = np.asarray(f(t.ravel())).reshape(t.shape)
+            coef = np.ascontiguousarray(values_to_coeffs(values).T)
+            c = np.abs(coef)
+            bad = np.max(c[-(PIECE_DEGREE // 8):], axis=0) > tol * np.max(c)
+            if not np.any(bad):
+                return cls(edges, coef)
+            edges = np.sort(np.append(edges, mid[bad]))
+            if len(edges) > MAX_PIECES:
+                break
+        raise NumericalError("piecewise Chebyshev fit did not resolve the "
+                             "function within the bisection budget")
 
     def __call__(self, t):
-        return chebval(self._s(t), self.coef)
+        """The series at t: one piece is summed by `chebval`, every
+        point of several by `clenshaw` on its own piece's coefficients."""
+        t = np.asarray(t, dtype=float)
+        edges = self.edges
+        if len(edges) == 2:
+            lo, hi = edges
+            return chebval((2.0 * t - (lo + hi)) / (hi - lo),
+                           self.coef[..., 0])
+        idx = np.clip(np.searchsorted(edges, t, side="right") - 1,
+                      0, len(edges) - 2)
+        lo, hi = edges[idx], edges[idx + 1]
+        return clenshaw((2.0 * t - (lo + hi)) / (hi - lo),
+                        self.coef[..., idx])
 
     def sampled(self, t):
         """The series at t, read from the fitted values where t is one of
@@ -197,26 +240,23 @@ class ChebSeries:
         return out
 
     def deriv(self):
-        return ChebSeries(self.a, self.b,
-                          chebder(self.coef) * (2.0 / (self.b - self.a)))
+        der = np.stack([chebder(piece) for piece in self.coef.T], axis=1)
+        return ChebSeries(self.edges, der * (2.0 / np.diff(self.edges)))
 
-    def antideriv(self):
-        """The antiderivative that vanishes at a, where its value before
-        anchoring is sum_k c_k T_k(-1) = sum_k c_k (-1)^k."""
-        coef = chebint(self.coef, 0.0) * (0.5 * (self.b - self.a))
-        coef[0] -= np.sum(coef[0::2]) - np.sum(coef[1::2])
-        return ChebSeries(self.a, self.b, coef)
-
-    @staticmethod
-    def _stacked_call(series, t):
-        """The series at t, stacked along the first axis, in one chebval
-        pass; they must share one interval."""
-        if len({(s.a, s.b) for s in series}) > 1:
-            raise ValueError("call_together needs its series on one interval")
-        coef = np.zeros((max(s.coef.size for s in series), len(series)))
-        for j, s in enumerate(series):
-            coef[:s.coef.size, j] = s.coef
-        return chebval(series[0]._s(t), coef)
+    def antideriv(self, anchor=None):
+        """The continuous antiderivative, zero at `anchor` or, without
+        one, at the left end.  Each piece's integral is made to vanish at
+        its left end, where T_k(-1) = (-1)^k, and is raised by the
+        right-end values, where T_k(1) = 1, of the pieces before it."""
+        pieces = self.coef.shape[1]
+        # a single column keeps chebint's one-point sum on Python floats
+        coef = chebint(self.coef[:, 0] if pieces == 1 else self.coef, 0.0)
+        coef = coef.reshape(-1, pieces) * (0.5 * np.diff(self.edges))
+        coef[0] -= np.sum(coef[0::2], axis=0) - np.sum(coef[1::2], axis=0)
+        coef[0, 1:] += np.cumsum(np.sum(coef[:, :-1], axis=0))
+        if anchor is not None:
+            coef[0] -= ChebSeries(self.edges, coef)(anchor)
+        return ChebSeries(self.edges, coef)
 
     def degree_for_tail(self):
         """Smallest degree beyond which all coefficients are below
@@ -227,113 +267,23 @@ class ChebSeries:
 
 
 def call_together(functions, t):
-    """[f(t) for f in functions], with the series among them summed in
-    one pass: ChebSeries on one interval by `chebval` over their
-    coefficients stacked as columns, or PiecewiseCheb on one set of
-    edges by one gathered Clenshaw loop.  The shorter series are padded
-    with zeros; a zero leading coefficient leaves either recurrence where
-    it was, so each value has the bits of the series' own call."""
+    """[f(t) for f in functions], with the ChebSeries among them, which
+    must share one set of edges, summed in one pass over their
+    coefficients stacked along a second axis.  The shorter series are
+    padded with zeros; a zero leading coefficient leaves the recurrence
+    where it was, so each value has the bits of the series' own call."""
     t = np.asarray(t, dtype=float)
-    series = [f for f in functions
-              if isinstance(f, (ChebSeries, PiecewiseCheb))]
+    series = [f for f in functions if isinstance(f, ChebSeries)]
     if not series:
         return [f(t) for f in functions]
-    kind = type(series[0])
-    if any(type(s) is not kind for s in series):
-        raise ValueError("call_together cannot mix ChebSeries and "
-                         "PiecewiseCheb")
-    values = iter(kind._stacked_call(series, t))
-    return [next(values) if isinstance(f, kind) else f(t)
+    edges = series[0].edges
+    if any(not np.array_equal(s.edges, edges) for s in series[1:]):
+        raise ValueError("call_together needs its series on one set of "
+                         "edges")
+    coef = np.zeros((max(len(s.coef) for s in series), len(series),
+                     len(edges) - 1))
+    for j, s in enumerate(series):
+        coef[:len(s.coef), j] = s.coef
+    values = iter(ChebSeries(edges, coef)(t))
+    return [next(values) if isinstance(f, ChebSeries) else f(t)
             for f in functions]
-
-
-@dataclass(frozen=True)
-class PiecewiseCheb:
-    """A Chebyshev series on each interval between ascending edges; row i
-    of coef holds the piece on [edges[i], edges[i+1]].  Points outside
-    [edges[0], edges[-1]] are evaluated on the nearest end piece."""
-
-    edges: np.ndarray
-    coef: np.ndarray
-
-    @classmethod
-    def fit(cls, f, edges):
-        """Interpolate f at PIECE_DEGREE+1 Lobatto nodes on every piece."""
-        edges = np.asarray(edges, dtype=float)
-        mid, half = 0.5 * (edges[:-1] + edges[1:]), 0.5 * np.diff(edges)
-        t = mid[:, None] + half[:, None] * lobatto_nodes(PIECE_DEGREE)
-        values = np.asarray(f(t.ravel())).reshape(t.shape)
-        return cls(edges=edges, coef=values_to_coeffs(values))
-
-    @classmethod
-    def adaptive_fit(cls, f, edges, tol):
-        """Fit f on the given pieces, bisecting each piece whose last
-        PIECE_DEGREE/8 coefficients exceed tol relative to the largest
-        coefficient."""
-        edges = np.asarray(edges, dtype=float)
-        for _ in range(MAX_ROUNDS):
-            series = cls.fit(f, edges)
-            c = np.abs(series.coef)
-            tail = np.max(c[:, -(PIECE_DEGREE // 8):], axis=1)
-            bad = tail > tol * np.max(c)
-            if not np.any(bad):
-                return series
-            mid = 0.5 * (edges[:-1] + edges[1:])
-            edges = np.sort(np.append(edges, mid[bad]))
-            if len(edges) > MAX_PIECES:
-                break
-        raise NumericalError("piecewise Chebyshev fit did not resolve the "
-                             "function within the bisection budget")
-
-    def __call__(self, t):
-        return _gathered_clenshaw(self.edges, self.coef.T[:, None], t)[0]
-
-    @staticmethod
-    def _stacked_call(series, t):
-        """The series at t, stacked along the first axis, in one gathered
-        Clenshaw pass; they must share their edges."""
-        edges = series[0].edges
-        if any(not np.array_equal(s.edges, edges) for s in series[1:]):
-            raise ValueError("call_together needs its piecewise series on "
-                             "one set of edges")
-        coef = np.zeros((max(s.coef.shape[1] for s in series), len(series),
-                         len(edges) - 1))
-        for j, s in enumerate(series):
-            coef[:s.coef.shape[1], j] = s.coef.T
-        return _gathered_clenshaw(edges, coef, t)
-
-    def antideriv(self, anchor=None):
-        """The continuous antiderivative that vanishes at `anchor` (by
-        default the left end)."""
-        half = 0.5 * np.diff(self.edges)
-        coef = chebint(self.coef.T, -1.0).T * half[:, None]
-        # each piece starts from zero; add the sum of the pieces before it
-        totals = np.sum(coef, axis=1)  # each piece's value at its right end
-        coef[:, 0] += np.concatenate([[0.0], np.cumsum(totals)[:-1]])
-        t0 = self.edges[0] if anchor is None else anchor
-        coef[:, 0] -= PiecewiseCheb(self.edges, coef)(t0)
-        return PiecewiseCheb(self.edges, coef)
-
-
-def _gathered_clenshaw(edges, coef, t):
-    """The piecewise series of coef at t, stacked along the first axis;
-    coef[k, j, i] is coefficient k of series j on piece i, the pieces
-    lying between the ascending edges.  Each point's coefficient rows are
-    gathered once; each step of the recurrence writes into three reused
-    buffers."""
-    t = np.asarray(t, dtype=float)
-    idx = np.clip(np.searchsorted(edges, t, side="right") - 1,
-                  0, len(edges) - 2)
-    lo, hi = edges[idx], edges[idx + 1]
-    s2 = 2.0 * (2.0 * t - (lo + hi)) / (hi - lo)
-    cols = coef[..., idx]  # cols[k] holds coefficient k at each point
-    shape = cols.shape[1:]
-    s2_full = np.broadcast_to(s2, shape).copy()
-    b1, b2, tmp = np.zeros(shape), np.zeros(shape), np.empty(shape)
-    for ck in cols[:0:-1]:
-        # b1, b2 = ck + s2 * b1 - b2, b1
-        np.multiply(s2_full, b1, out=tmp)
-        tmp += ck
-        tmp -= b2
-        b1, b2, tmp = tmp, b1, b2
-    return cols[0] + 0.5 * s2 * b1 - b2

@@ -23,9 +23,10 @@ a or b, an extension width whose square or whose [a - 3w, b + 3w] is not
 finite, an unknown name in an expression or one nested too deeply, a q
 that is not finite and strictly positive on [a - 3w, b + 3w], a table q
 that is not two or more finite [t, q] pairs with increasing knots that
-cover that range, a sweep output directory that does not exist, and a
-bad --oracle-tol.  Each warning is printed as one `warning:` line; the
-filters choose which.
+cover that range, a lambda outside about 3.73e-155 to 6.7e153, a solve
+or sweep --out that is the problem file or whose directory does not
+exist (refused before any solve), and a bad --oracle-tol.  Each warning
+is printed as one `warning:` line; the filters choose which.
 """
 
 import argparse
@@ -38,7 +39,7 @@ from .errors import NophaseError, NumericalError
 from .oracle import ORACLE_TOL, check_tol
 from .problem import build_problem, load_problem_file
 from .solver import solve_problem
-from .sweep import run_sweep, sweep_point
+from .sweep import check_outputs, run_sweep, sweep_point
 
 EXIT_OK = 0
 EXIT_CERTIFICATION = 1
@@ -56,6 +57,8 @@ def _resolve_lambda(config, args):
 
 
 def cmd_solve(args):
+    if args.out:
+        check_outputs(args.problem, args.out)
     config = load_problem_file(args.problem)
     lam = _resolve_lambda(config, args)
     prob = build_problem(config.coefficient, lam, L=config.grid_L,

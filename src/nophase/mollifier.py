@@ -7,17 +7,18 @@ frequency-domain cutoff (solver module) and the coefficient extension
 (problem module).
 
 The step is the normalized antiderivative of the mollifier: a piecewise
-Chebyshev series of the mollifier on [-1, 1] (pieces of degree 32,
-bisected from quarters until resolved: 12 pieces), fitted once at import,
-integrated term by term and divided by its value at 1.  A call sums that
-series of degree 33 at the points strictly inside (-1, 1) in one gathered
-Clenshaw loop (`PiecewiseCheb`), whatever their count or the shape of u,
-so callers that need the step at two point sets stack them into one call.
+`ChebSeries` of the mollifier on [-1, 1] (pieces of degree 32, bisected
+from quarters until resolved by `ChebSeries.adaptive_pieces`: 12 pieces),
+fitted once at import, integrated term by term and divided by its value
+at 1.  A call sums that series of degree 33 at the points strictly inside
+(-1, 1) in one Clenshaw pass over each point's own piece, whatever their
+count or the shape of u, so callers that need the step at two point sets
+stack them into one call.
 """
 
 import numpy as np
 
-from .chebseries import PiecewiseCheb
+from .chebseries import ChebSeries
 
 __all__ = [
     "mollifier",
@@ -50,10 +51,10 @@ def mollifier_deriv(u):
     return out
 
 
-_INTEGRAL = PiecewiseCheb.adaptive_fit(mollifier, np.linspace(-1.0, 1.0, 5),
+_INTEGRAL = ChebSeries.adaptive_pieces(mollifier, np.linspace(-1.0, 1.0, 5),
                                        tol=1e-15).antideriv()
 NORMALIZATION = float(_INTEGRAL(1.0))
-_STEP = PiecewiseCheb(_INTEGRAL.edges, _INTEGRAL.coef / NORMALIZATION)
+_STEP = ChebSeries(_INTEGRAL.edges, _INTEGRAL.coef / NORMALIZATION)
 
 
 def smooth_step(u):

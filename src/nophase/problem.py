@@ -12,7 +12,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .chebseries import PiecewiseCheb, call_together
+from .chebseries import ChebSeries, call_together
 from .errors import ConfigurationError, DomainError, FitError, NumericalError
 from .expr import compile_expression
 from .grid import RealSample, SpectralGrid, SpectralSample, forward, l1_norm
@@ -202,25 +202,26 @@ class CoordinateMap:
     """The monotone change of variables x(t) = int_a^t sqrt(q) and its
     inverse, built on the extended coefficient.
 
-    Both directions are piecewise Chebyshev series, on [ext.lo, ext.hi]
-    (the end edges of x_series) and [x_lo, x_hi] = [x(ext.lo), x(ext.hi)];
-    beyond those ends q is constant and both are continued linearly.
+    Both directions are `ChebSeries` of bisected pieces, on [ext.lo,
+    ext.hi] (the end edges of x_series) and [x_lo, x_hi] = [x(ext.lo),
+    x(ext.hi)]; beyond those ends q is constant and both are continued
+    linearly.
 
     The map also keeps p on the nested grids of `forcing_transform`, per
     (L, n) and extended on demand (`level`)."""
 
     ext: ExtendedCoefficient
-    x_series: PiecewiseCheb
-    t_series: PiecewiseCheb
+    x_series: ChebSeries
+    t_series: ChebSeries
     levels: dict = field(default_factory=dict, repr=False, compare=False)
 
     @property
     def x_lo(self):
-        return float(self.t_series.edges[0])
+        return self.t_series.a
 
     @property
     def x_hi(self):
-        return float(self.t_series.edges[-1])
+        return self.t_series.b
 
     @property
     def x_shift(self):
@@ -268,8 +269,8 @@ def build_map(coeff):
     """Build the coordinate map on the coefficient's extension, which the
     map keeps as `ext`.
 
-    x(t) is the antiderivative, anchored at x(a) = 0, of a piecewise
-    Chebyshev fit of sqrt(q) that starts from the blend breaks
+    x(t) is the antiderivative, anchored at x(a) = 0, of a fit of sqrt(q)
+    by `ChebSeries.adaptive_pieces` that starts from the blend breaks
     a-3w, a-w, b+w, b+3w and bisects pieces until each is resolved to
     MAP_TOL.  t(x) is fitted the same way, starting from the x-images of
     the pieces of x(t) so that it inherits their resolution of any kinks
@@ -278,7 +279,7 @@ def build_map(coeff):
     ext = ExtendedCoefficient(coeff)
     a, b, w = coeff.interval_a, coeff.interval_b, ext.w
     breaks = np.array([ext.lo, a - w, b + w, ext.hi])
-    speed = PiecewiseCheb.adaptive_fit(ext.sqrt_q, breaks, tol=MAP_TOL)
+    speed = ChebSeries.adaptive_pieces(ext.sqrt_q, breaks, tol=MAP_TOL)
     x_series = speed.antideriv(anchor=a)
     x_at = x_series(x_series.edges)
 
@@ -292,7 +293,7 @@ def build_map(coeff):
                 return t
         raise NumericalError("coordinate inversion did not converge")
 
-    t_series = PiecewiseCheb.adaptive_fit(invert, x_at, tol=MAP_TOL)
+    t_series = ChebSeries.adaptive_pieces(invert, x_at, tol=MAP_TOL)
     return CoordinateMap(ext=ext, x_series=x_series, t_series=t_series)
 
 
@@ -457,9 +458,15 @@ def choose_grid(cmap, lam, L=None, N=None):
 
 
 def check_lambda_square(lam):
-    """DomainError naming lambda unless 4 lambda^2 is a finite double."""
-    if not math.isfinite(4.0 * float(lam) * float(lam)):
+    """DomainError naming lambda unless 4 lambda^2 and 1/(4 lambda^2),
+    the band multiplier at xi = 0, are finite doubles: lambda between
+    about 3.73e-155 and 6.7e153."""
+    square = 4.0 * float(lam) * float(lam)
+    if not math.isfinite(square):
         raise DomainError(f"lambda={lam:g} is too large: 4 lambda^2 "
+                          f"overflows double precision")
+    if square == 0.0 or not math.isfinite(1.0 / square):  # 1.0/0.0 raises
+        raise DomainError(f"lambda={lam:g} is too small: 1/(4 lambda^2) "
                           f"overflows double precision")
 
 

@@ -101,6 +101,19 @@ def sweep_point(coefficient, lam, L=None, N=None, oracle_tol=ORACLE_TOL):
     )
 
 
+def check_outputs(problem_file, *paths):
+    """ConfigurationError when an output path is the problem file or its
+    directory does not exist; the CLI checks before any solve."""
+    for path in paths:
+        if os.path.exists(path) and os.path.samefile(path, problem_file):
+            raise ConfigurationError(
+                f"output {path} would overwrite the problem file")
+        directory = os.path.dirname(path)
+        if not os.path.isdir(directory or "."):
+            raise ConfigurationError(
+                f"output directory {directory} does not exist")
+
+
 def run_sweep(problem_file, lambdas, out):
     """`sweep_point` at each lambda of a list, on the problem file's grid;
     per-lambda failures, an OverflowError or a MemoryError among them,
@@ -113,13 +126,7 @@ def run_sweep(problem_file, lambdas, out):
         raise DomainError("no lambda to sweep")
     out = str(out)
     json_path = out[:-4] + ".json" if out.endswith(".csv") else out + ".json"
-    for path in (out, json_path):
-        if os.path.exists(path) and os.path.samefile(path, problem_file):
-            raise ConfigurationError(
-                f"sweep output {path} would overwrite the problem file")
-    if not os.path.isdir(os.path.dirname(out) or "."):
-        raise ConfigurationError(
-            f"sweep output directory {os.path.dirname(out)} does not exist")
+    check_outputs(problem_file, out, json_path)
     config = load_problem_file(problem_file)
     report = SweepReport(problem=str(problem_file))
 

@@ -8,9 +8,8 @@ from numpy.polynomial import chebyshev as C
 from scipy.fft import dct
 
 import nophase
-from nophase.chebseries import (ChebSeries, PiecewiseCheb, call_together,
-                                chebder, chebint, chebval, lobatto_nodes,
-                                values_to_coeffs)
+from nophase.chebseries import (ChebSeries, call_together, chebder, chebint,
+                                chebval, lobatto_nodes, values_to_coeffs)
 from nophase.errors import NumericalError
 
 LENGTHS = range(1, 301)  # coefficient counts the kernels are checked at
@@ -80,7 +79,7 @@ class TestKernels:
         edges = np.sort(np.concatenate(([-1.0, 2.0],
                                         rng.uniform(-1.0, 2.0, 20))))
         pieces = len(edges) - 1
-        series = [PiecewiseCheb(edges, rng.standard_normal((pieces, k)))
+        series = [ChebSeries(edges, rng.standard_normal((k, pieces)))
                   for k in (33, 34, 33)]
         functions = series[:2] + [np.cos] + series[2:]
         t = np.concatenate((rng.uniform(-1.5, 2.5, 1000), edges))
@@ -91,25 +90,28 @@ class TestKernels:
                 assert np.shape(value) == np.shape(points)
 
     def test_piecewise_sum_needs_one_set_of_edges(self):
-        one = PiecewiseCheb(np.array([0.0, 1.0]), np.ones((1, 4)))
-        other = PiecewiseCheb(np.array([0.0, 2.0]), np.ones((1, 4)))
+        one = ChebSeries(np.array([0.0, 1.0]), np.ones((4, 1)))
+        other = ChebSeries(np.array([0.0, 2.0]), np.ones((4, 1)))
         with pytest.raises(ValueError, match="one set of edges"):
             call_together([one, other], 0.5)
-        with pytest.raises(ValueError, match="cannot mix"):
-            call_together([one, ChebSeries(0.0, 1.0, np.ones(4))], 0.5)
+        split = ChebSeries(np.array([0.0, 0.5, 1.0]), np.ones((4, 2)))
+        with pytest.raises(ValueError, match="one set of edges"):
+            call_together([one, split], 0.5)
 
 
 class TestPiecewiseCheb:
+    # piecewise Chebyshev series from ChebSeries.adaptive_pieces
+
     def test_kinked_function_converges_by_bisection(self):
         f = lambda t: np.abs(t) ** 3
         # the kink at 0 is never a bisection point of [-1, 2]
-        pc = PiecewiseCheb.adaptive_fit(f, [-1.0, 2.0], tol=1e-13)
+        pc = ChebSeries.adaptive_pieces(f, [-1.0, 2.0], tol=1e-13)
         assert len(pc.edges) > 2
         t = np.linspace(-1.0, 2.0, 3001)
         assert np.max(np.abs(pc(t) - f(t))) <= 1e-12 * np.max(f(t))
 
     def test_antiderivative_continuous_and_exact(self):
-        pc = PiecewiseCheb.adaptive_fit(lambda t: np.abs(t) ** 3,
+        pc = ChebSeries.adaptive_pieces(lambda t: np.abs(t) ** 3,
                                         [-1.0, 2.0], tol=1e-13)
         anti = pc.antideriv(anchor=0.0)
         t = np.linspace(-1.0, 2.0, 3001)
@@ -117,33 +119,29 @@ class TestPiecewiseCheb:
         assert np.max(np.abs(anti(t) - exact)) <= 1e-13
         # each piece's right end meets the next piece's left end
         inner = anti.edges[1:-1]
-        right_ends = np.polynomial.chebyshev.chebval(1.0, anti.coef[:-1].T)
+        right_ends = C.chebval(1.0, anti.coef[:, :-1])
         assert np.max(np.abs(right_ends - anti(inner))) <= 1e-15
 
     def test_unresolvable_input_raises(self):
         with pytest.raises(NumericalError):
-            PiecewiseCheb.adaptive_fit(np.sign, [-1.0, 2.0], tol=1e-13)
+            ChebSeries.adaptive_pieces(np.sign, [-1.0, 2.0], tol=1e-13)
 
-    def test_gathered_clenshaw_bit_identical(self, rng):
-        # against Clenshaw that gathers coef[idx, k] one column at a time,
-        # at points inside, on the edges of and outside the pieces
+    def test_each_point_summed_on_its_piece(self, rng):
+        # numpy's chebval of the point's own piece, bit for bit, at points
+        # inside, on the edges of and outside the pieces
         edges = np.sort(np.concatenate(([-1.0, 2.0],
                                         rng.uniform(-1.0, 2.0, 30))))
-        pc = PiecewiseCheb(edges, rng.standard_normal((len(edges) - 1, 33)))
-        t = np.concatenate((rng.uniform(-1.5, 2.5, 4096), edges))
+        pc = ChebSeries(edges, rng.standard_normal((33, len(edges) - 1)))
+        t = np.concatenate((rng.uniform(-1.5, 2.5, 500), edges))
         idx = np.clip(np.searchsorted(edges, t, side="right") - 1,
                       0, len(edges) - 2)
         lo, hi = edges[idx], edges[idx + 1]
-        s2 = 2.0 * (2.0 * t - (lo + hi)) / (hi - lo)
-        b1 = np.zeros_like(s2)
-        b2 = np.zeros_like(s2)
-        for k in range(32, 0, -1):
-            b1, b2 = pc.coef[idx, k] + s2 * b1 - b2, b1
-        want = pc.coef[idx, 0] + 0.5 * s2 * b1 - b2
+        s = (2.0 * t - (lo + hi)) / (hi - lo)
+        want = np.array([C.chebval(x, pc.coef[:, i]) for x, i in zip(s, idx)])
         np.testing.assert_array_equal(pc(t), want)
-        np.testing.assert_array_equal(pc(t[:4100].reshape(41, 100)),
-                                      want[:4100].reshape(41, 100))
-        assert pc(0.25) == pc(np.array([0.25]))[0]
+        np.testing.assert_array_equal(pc(t[:500].reshape(5, 100)),
+                                      want[:500].reshape(5, 100))
+        assert pc(t[7]) == want[7] and np.shape(pc(t[7])) == ()
 
 
 class TestChebSeries:
@@ -185,15 +183,47 @@ class TestChebSeries:
         series = ChebSeries.adaptive_fit(lambda t: 1.0 / (1.0 + 25.0 * t * t),
                                          -1.0, 2.0)
         anti = series.antideriv()
-        at = np.polynomial.chebyshev.chebval(-1.0, anti.coef)
+        at = C.chebval(-1.0, anti.coef[:, 0])
         assert abs(at) <= 4.0 * np.finfo(float).eps * np.sum(np.abs(anti.coef))
+
+    @pytest.mark.parametrize("t", [np.linspace(-3.5, 3.5, 41),
+                                   np.linspace(-3.0, 3.0, 12).reshape(3, 4),
+                                   np.float64(0.3)],
+                             ids=["1-D", "2-D", "scalar"])
+    def test_one_piece_is_numpys_series(self, rng, t):
+        # a one-piece series sums, differentiates and integrates as
+        # numpy.polynomial.chebyshev does at s = (2t - (a + b))/(b - a),
+        # bit for bit
+        a, b = -3.0, 3.0
+        s = (2.0 * t - (a + b)) / (b - a)
+        for n in (1, 2, 3, 16, 129, 131):
+            c = rng.standard_normal(n)
+            series = ChebSeries(np.array([a, b]), c[:, None])
+            np.testing.assert_array_equal(series(t), C.chebval(s, c))
+            assert np.shape(series(t)) == np.shape(t)
+            der = C.chebder(c) * (2.0 / (b - a))
+            np.testing.assert_array_equal(series.deriv().coef[:, 0], der)
+            np.testing.assert_array_equal(series.deriv()(t),
+                                          C.chebval(s, der))
+            anti = C.chebint(c, lbnd=0.0) * (0.5 * (b - a))
+            anti[0] -= np.sum(anti[0::2]) - np.sum(anti[1::2])
+            np.testing.assert_array_equal(series.antideriv().coef[:, 0], anti)
+            np.testing.assert_array_equal(series.antideriv()(t),
+                                          C.chebval(s, anti))
+        coefs = [rng.standard_normal(n) for n in range(1, 132)]
+        got = call_together([ChebSeries(np.array([a, b]), c[:, None])
+                             for c in coefs], t)
+        for c, value in zip(coefs, got):
+            np.testing.assert_array_equal(value, C.chebval(s, c))
+            assert np.shape(value) == np.shape(t)
 
 
 class TestCallTogether:
     def test_stacked_series_bit_identical(self, rng):
         # series of different lengths and a plain callable, against each
         # one's own call
-        series = [ChebSeries(-3.0, 3.0, rng.standard_normal(n))
+        series = [ChebSeries(np.array([-3.0, 3.0]),
+                             rng.standard_normal((n, 1)))
                   for n in (131, 130, 129, 16, 1, 2)]
         functions = series[:3] + [np.sin] + series[3:]
         for t in (np.linspace(0.0, 1.0, 400), np.float64(0.3)):
@@ -205,6 +235,7 @@ class TestCallTogether:
         assert call_together([np.sin], 0.3) == [np.sin(0.3)]
 
     def test_series_on_two_intervals_raise(self):
-        with pytest.raises(ValueError, match="one interval"):
-            call_together([ChebSeries(-3.0, 3.0, np.ones(4)),
-                           ChebSeries(0.0, 1.0, np.ones(4))], 0.5)
+        with pytest.raises(ValueError, match="one set of edges"):
+            call_together([ChebSeries(np.array([-3.0, 3.0]), np.ones((4, 1))),
+                           ChebSeries(np.array([0.0, 1.0]), np.ones((4, 1)))],
+                          0.5)

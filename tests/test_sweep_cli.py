@@ -249,6 +249,30 @@ class TestCliSolve:
         assert len(err) == 1 and err[0].startswith("error: "), err
         assert f"lambda={float(lam):g}" in err[0], err[0]
 
+    @pytest.mark.parametrize("lam", ["1e-160", "1e-200"])
+    def test_lambda_too_small_is_named(self, tmp_path, capsys, lam):
+        # the band multiplier 1/(4 lambda^2) at xi = 0 overflows below
+        # about 3.73e-155; 4 lambda^2 underflows to 0 at 1e-200
+        path = tmp_path / "q.json"
+        path.write_text(json.dumps({"q": "1", "a": 0.0, "b": 1.0}))
+        with warnings.catch_warnings():
+            warnings.simplefilter("always")
+            code = main(["solve", str(path), "--lambda", lam])
+        assert code == EXIT_NUMERICAL
+        err = capsys.readouterr().err.strip().splitlines()
+        assert len(err) == 1 and err[0].startswith("error: "), err
+        assert f"lambda={float(lam):g}" in err[0], err[0]
+
+    def test_smallest_lambda_reaches_the_solve(self, tmp_path, capsys):
+        # just above the bound the solve runs, and its exp guard refuses
+        path = tmp_path / "q.json"
+        path.write_text(json.dumps({"q": "1 + 0.1*exp(-t**2)", "a": -1.0,
+                                    "b": 1.0}))
+        code = main(["solve", str(path), "--lambda", "3.8e-155"])
+        assert code == EXIT_NUMERICAL
+        err = capsys.readouterr().err.strip().splitlines()
+        assert err[-1] == "error: space-domain magnitude too large for exp"
+
     def test_largest_lambda_still_solves(self, tmp_path):
         path = tmp_path / "q.json"
         path.write_text(json.dumps({"q": "1", "a": 0.0, "b": 1.0}))
@@ -272,6 +296,33 @@ class TestCliSolve:
         assert all(line.startswith(("warning: ", "error: ")) for line in err)
         assert err[-1] == ("error: coefficient is not finite and strictly "
                            "positive on [a - 3w, b + 3w] = [-0.5, 3.5]")
+
+    def test_out_never_overwrites_problem(self, constant_problem, capsys):
+        problem = pathlib.Path(constant_problem)
+        before = problem.read_bytes()
+        code = main(["solve", constant_problem, "--lambda", "10",
+                     "--out", constant_problem])
+        assert code == EXIT_NUMERICAL
+        assert problem.read_bytes() == before
+        err = capsys.readouterr().err.strip().splitlines()
+        assert len(err) == 1 and err[0].startswith("error: ")
+        assert "problem file" in err[0]
+
+    def test_missing_output_directory_checked_before_the_solve(
+            self, constant_problem, tmp_path, monkeypatch, capsys):
+        calls = []
+        original = nophase.cli.build_problem
+        monkeypatch.setattr(nophase.cli, "build_problem",
+                            lambda *args, **kw: calls.append(args)
+                            or original(*args, **kw))
+        out = tmp_path / "missing_dir" / "report.json"
+        code = main(["solve", constant_problem, "--lambda", "10",
+                     "--out", str(out)])
+        assert code == EXIT_NUMERICAL
+        err = capsys.readouterr().err.strip().splitlines()
+        assert len(err) == 1 and err[0].startswith("error: ")
+        assert "missing_dir" in err[0]
+        assert calls == []
 
     def test_warning_on_one_line(self, sech_problem, capsys):
         code = main(["solve", sech_problem, "--lambda", "4"])
