@@ -1,8 +1,11 @@
-"""The size of the library's surface, in three counts, and its scipy and
+"""The size of the library's surface, in four counts, and its scipy and
 numpy.polynomial modules.
 
 Prints the lines of the package's Python files (as `wc -l` counts
-them), its defaulted parameters: over every function, method and
+them), its definitions: the functions, methods and classes it defines
+(`ast` FunctionDef, AsyncFunctionDef and ClassDef nodes, nested ones
+included), so that a deleted name shows and not only its deleted lines,
+its defaulted parameters: over every function, method and
 lambda, the positional defaults plus the keyword-only parameters that
 have one (`ast` stores None in `kw_defaults` for those that do not),
 its CLI options: the `add_argument` calls whose first argument is a
@@ -22,6 +25,12 @@ PACKAGE = pathlib.Path(__file__).resolve().parent.parent / "src" / "nophase"
 
 ROOTS = ("scipy", "numpy.polynomial")  # the packages whose modules it names
 _FUNCTIONS = (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)
+_DEFINITIONS = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
+
+
+def definitions(tree):
+    """Functions, methods and classes defined anywhere in the tree."""
+    return sum(isinstance(node, _DEFINITIONS) for node in ast.walk(tree))
 
 
 def defaulted_parameters(tree):
@@ -63,17 +72,19 @@ def modules_under(tree, root):
 def main(argv=None):
     argv = sys.argv[1:] if argv is None else argv
     package = pathlib.Path(argv[0]) if argv else PACKAGE
-    lines = defaults = options = 0
+    lines = defined = defaults = options = 0
     found = {root: set() for root in ROOTS}
     for path in sorted(package.glob("*.py")):
         source = path.read_text()
         lines += source.count("\n")
         tree = ast.parse(source, str(path))
+        defined += definitions(tree)
         defaults += defaulted_parameters(tree)
         options += cli_options(tree)
         for root in ROOTS:
             found[root] |= modules_under(tree, root)
     print(f"lines {lines}")
+    print(f"definitions {defined}")
     print(f"defaulted parameters {defaults}")
     print(f"cli options {options}")
     for root in ROOTS:

@@ -23,10 +23,11 @@ a or b, an extension width whose square or whose [a - 3w, b + 3w] is not
 finite, an unknown name in an expression or one nested too deeply, a q
 that is not finite and strictly positive on [a - 3w, b + 3w], a table q
 that is not two or more finite [t, q] pairs with increasing knots that
-cover that range, a lambda outside about 3.73e-155 to 6.7e153, a solve
-or sweep --out that is the problem file or whose directory does not
-exist (refused before any solve), and a bad --oracle-tol.  Each warning
-is printed as one `warning:` line; the filters choose which.
+cover that range, a lambda outside about 3.73e-155 to 6.7e153 or so
+small that the band multiplier times w overflows, a solve or
+sweep --out that is the problem file or a directory, or whose directory
+does not exist (refused before any solve), and a bad --oracle-tol.  Each
+warning is printed as one `warning:` line; the filters choose which.
 """
 
 import argparse
@@ -35,7 +36,7 @@ import json
 import sys
 import warnings
 
-from .errors import NophaseError, NumericalError
+from .errors import NophaseError, NumericalError, describe
 from .oracle import ORACLE_TOL, check_tol
 from .problem import build_problem, load_problem_file
 from .solver import solve_problem
@@ -178,11 +179,9 @@ def main(argv=None):
     warnings.showwarning = _show_warning
     try:
         return args.func(args)
-    except (NophaseError, OSError, ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_NUMERICAL
-    except (OverflowError, MemoryError) as exc:  # their text names no cause
-        print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
+    except (NophaseError, OSError, ValueError, OverflowError,
+            MemoryError) as exc:
+        print(f"error: {describe(exc)}", file=sys.stderr)
         return EXIT_NUMERICAL
     finally:
         warnings.showwarning = shown

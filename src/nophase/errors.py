@@ -1,4 +1,4 @@
-"""Exception hierarchy shared by all nophase modules."""
+"""Exception hierarchy of all nophase modules, and the text naming one."""
 
 
 class NophaseError(Exception):
@@ -42,3 +42,9 @@ class ConvergenceError(NophaseError):
 class NumericalError(NophaseError):
     """A numerical procedure (series fitting, root finding, ODE step control)
     broke down."""
+
+
+def describe(exc):
+    """A failure's text, led by its type name if the text names no cause."""
+    named = isinstance(exc, (OverflowError, MemoryError))
+    return f"{type(exc).__name__}: {exc}" if named else str(exc)

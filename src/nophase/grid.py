@@ -101,12 +101,6 @@ class SpectralSample:
             raise ValueError("values length must equal n_points")
         object.__setattr__(self, "values", v)
 
-    @cached_property
-    def support_radius(self):
-        """Largest |xi| at a nonzero value, 0 for the zero sample."""
-        nz = np.abs(self.values) > 0.0
-        return float(np.max(np.abs(self.grid.xi[nz]))) if np.any(nz) else 0.0
-
 
 def _require_same_grid(a, b):
     if a.grid != b.grid:
@@ -139,18 +133,6 @@ def hermitian_defect(F):
     # -xi_max is self-paired through periodicity and must be real.
     defect = np.max(np.abs(v[1:half + 1] - np.conj(v[:half - 1:-1])))
     return max(defect, abs(v[0].imag))
-
-
-def symmetrize(F):
-    """Project onto the Hermitian-symmetric subspace, F(-xi) = conj(F(xi)).
-
-    Intended for samples that are Hermitian by construction but carry
-    round-off asymmetry at an absolute scale set by larger intermediate
-    quantities (e.g. small differences of transforms)."""
-    v = F.values.copy()
-    v[1:] = 0.5 * (v[1:] + np.conj(v[1:][::-1]))
-    v[0] = v[0].real
-    return SpectralSample(F.grid, v)
 
 
 def _require_hermitian(F):

@@ -9,7 +9,7 @@ where Wb multiplies by bhat(xi)/(4 lambda^2 - xi^2), Wt by
 and bhat is a C-infinity cutoff equal to 1 on [-lambda, lambda] and
 supported inside (-sqrt(2) lambda, sqrt(2) lambda).  The fixed point is
 the transform of the band-limited solution density; multiplying it by
-bhat and inverting the Helmholtz multiplier yields the phase correction.
+bhat gives sigma-hat, and by Wb's multiplier the phase correction.
 """
 
 import warnings
@@ -20,7 +20,7 @@ import numpy as np
 from .convexp import exp2
 from .errors import ConfigurationError, ConvergenceError, DomainError
 from .grid import (RealSample, SpectralSample, forward, inverse, l1_norm,
-                   linf_norm, symmetrize)
+                   linf_norm)
 from .mollifier import smooth_step
 from .problem import (_finite, below_floor, check_hypotheses,
                       check_lambda_square, decay_bound, resolved)
@@ -55,20 +55,21 @@ class Bump:
 def make_bump(grid, lam):
     """Evaluate the cutoff at the frequency nodes: it falls from 1 to 0
     as |xi| crosses [c - alpha, c + alpha], with c = (sqrt(2)+1) lambda / 2
-    and alpha = (sqrt(2)-1) lambda / 4.  On a grid with xi_max <= lambda
-    it is 1 at every node, and the band multiplier is
-    1/(4 lambda^2 - xi^2)."""
+    and alpha = (sqrt(2)-1) lambda / 4, evaluated on |xi| so it is exactly
+    even.  On a grid with xi_max <= lambda it is 1 at every node, and the
+    band multiplier is 1/(4 lambda^2 - xi^2)."""
     c = 0.5 * (_SQRT2 * lam + lam)
     alpha = 0.25 * (_SQRT2 * lam - lam)
     xi = grid.xi
-    rise, fall = smooth_step(np.stack(((xi + c) / alpha, (xi - c) / alpha)))
-    vals = rise - fall
-    b_hat = SpectralSample(grid, vals.astype(complex))
-    multiplier = invert_helmholtz(b_hat, float(lam)).values.real
+    vals = 1.0 - smooth_step((np.abs(xi) - c) / alpha)
+    on = vals > 0.0
+    multiplier = np.zeros_like(vals)
+    multiplier[on] = vals[on] * (1.0 / (4.0 * lam ** 2 - xi[on] ** 2))
     odd_multiplier = -1j * xi * multiplier
     odd_multiplier[0] = 0.0
-    return Bump(grid=grid, lam=float(lam), b_hat=b_hat, multiplier=multiplier,
-                odd_multiplier=odd_multiplier)
+    return Bump(grid=grid, lam=float(lam),
+                b_hat=SpectralSample(grid, vals.astype(complex)),
+                multiplier=multiplier, odd_multiplier=odd_multiplier)
 
 
 def apply_Wb(f, bump):
@@ -122,13 +123,18 @@ def fixed_point_solve(w_hat, lam, tol=TOL, bump=None):
     On a grid with xi_max < 2 sqrt(2) lambda the quadratic term Wt*Wt is
     not resolved a priori, so the converged psi must be, by the rule
     p-hat's level meets (`resolved`), or ConfigurationError is raised.
-    A lambda that is not finite, or whose 4 lambda^2 overflows, is a
-    DomainError naming it, as in `build_problem`."""
+    A lambda that is not finite, or whose 4 lambda^2 or first Wb w / dx
+    (what `inverse` forms) overflows, is a DomainError naming it."""
     if _finite(tol, "tol") <= 0.0:
         raise DomainError("tol must be positive")
     check_lambda_square(_finite(lam, "lambda"))
     if bump is None:
         bump = make_bump(w_hat.grid, lam)
+    with np.errstate(over="ignore"):  # named below, not warned about
+        first = np.max(np.abs(w_hat.values) * bump.multiplier) / w_hat.grid.dx
+    if np.isinf(first):
+        raise DomainError(f"lambda={lam:g} is too small: the band multiplier "
+                          f"times w overflows double precision")
     w_l1 = l1_norm(w_hat)
     if w_l1 > 0.5 * np.pi * lam ** 2:
         warnings.warn(
@@ -156,24 +162,6 @@ def fixed_point_solve(w_hat, lam, tol=TOL, bump=None):
         f"fixed-point iteration did not reach tol={tol} in {MAX_ITER} steps",
         history=deltas,
     )
-
-
-def invert_helmholtz(f_hat, lam):
-    """The Helmholtz inverse on the frequency side: f-hat/(4l^2-xi^2) on
-    the support of f-hat and exactly zero off it.  The band multiplier is
-    this applied to bhat, and delta-hat this applied to sigma-hat.
-
-    Requires the support of f-hat to lie strictly inside
-    (-2 lambda, 2 lambda), away from the multiplier's zeros."""
-    if f_hat.support_radius >= 2.0 * lam:
-        raise ConfigurationError(
-            "sample support reaches the Helmholtz multiplier's zeros"
-        )
-    xi = f_hat.grid.xi
-    vals = np.zeros_like(f_hat.values)
-    on = np.abs(f_hat.values) > 0.0
-    vals[on] = f_hat.values[on] / (4.0 * lam ** 2 - xi[on] ** 2)
-    return SpectralSample(f_hat.grid, vals)
 
 
 @dataclass
@@ -215,7 +203,7 @@ class SolveResult:
 
 def extract_solution(state, bump, prob):
     """Form sigma-hat = psi * bhat, the residual nu, the transform of the
-    phase correction delta, and the checked bounds.
+    phase correction delta-hat = Wb psi, and the checked bounds.
 
     delta-hat is cut to its floor support: values below the floor p-hat
     has (CLEAN_REL times the largest) are zeroed.  The report's
@@ -234,12 +222,9 @@ def extract_solution(state, bump, prob):
     grid = psi.grid
     b = bump.b_hat.values.real
     sigma_vals = psi.values * b
-    sigma_vals[b == 0.0] = 0.0
     sigma_hat = SpectralSample(grid, sigma_vals)
-    # sigma - psi is Hermitian by construction but its round-off asymmetry
-    # scales with |psi|, which can dwarf the difference itself
-    nu = inverse(symmetrize(SpectralSample(grid, sigma_vals - psi.values)))
-    delta_vals = invert_helmholtz(sigma_hat, lam).values
+    nu = inverse(SpectralSample(grid, sigma_vals - psi.values))
+    delta_vals = apply_Wb(psi, bump).values
     cut = below_floor(delta_vals)
     delta_tail = grid.dxi / (2.0 * np.pi) \
         * float(np.sum(np.abs(delta_vals[cut])))

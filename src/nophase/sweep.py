@@ -9,7 +9,7 @@ from dataclasses import dataclass, field, asdict
 
 import numpy as np
 
-from .errors import ConfigurationError, DomainError, NophaseError
+from .errors import ConfigurationError, DomainError, NophaseError, describe
 from .oracle import ORACLE_TOL, basis_error
 from .phase import build_phase, interior_nodes, kummer_residual
 from .problem import build_problem, load_problem_file
@@ -102,12 +102,14 @@ def sweep_point(coefficient, lam, L=None, N=None, oracle_tol=ORACLE_TOL):
 
 
 def check_outputs(problem_file, *paths):
-    """ConfigurationError when an output path is the problem file or its
-    directory does not exist; the CLI checks before any solve."""
+    """ConfigurationError when an output path is the problem file or a
+    directory, or its directory does not exist; checked before any solve."""
     for path in paths:
         if os.path.exists(path) and os.path.samefile(path, problem_file):
             raise ConfigurationError(
                 f"output {path} would overwrite the problem file")
+        if os.path.isdir(path):
+            raise ConfigurationError(f"output {path} is a directory")
         directory = os.path.dirname(path)
         if not os.path.isdir(directory or "."):
             raise ConfigurationError(
@@ -119,8 +121,7 @@ def run_sweep(problem_file, lambdas, out):
     per-lambda failures, an OverflowError or a MemoryError among them,
     are recorded as NaN rows and the sweep continues.
     Writes CSV to `out` and JSON alongside it, and refuses, before any
-    solve, when either path is the problem file, when the directory of
-    `out` does not exist, or when there is no lambda."""
+    solve, paths that `check_outputs` refuses, or no lambda."""
     lambdas = list(lambdas)
     if not lambdas:
         raise DomainError("no lambda to sweep")
@@ -134,11 +135,8 @@ def run_sweep(problem_file, lambdas, out):
         try:
             return sweep_point(config.coefficient, float(lam),
                                L=config.grid_L, N=config.grid_N)
-        except (NophaseError, ValueError) as exc:
-            return SweepRow(lam=float(lam), error=str(exc))
-        except (OverflowError, MemoryError) as exc:  # their text names no cause
-            return SweepRow(lam=float(lam),
-                            error=f"{type(exc).__name__}: {exc}")
+        except (NophaseError, ValueError, OverflowError, MemoryError) as exc:
+            return SweepRow(lam=float(lam), error=describe(exc))
 
     report.rows = [one(lam) for lam in lambdas]
     report.write_csv(out)

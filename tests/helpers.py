@@ -1,17 +1,17 @@
 """Operators and reference sums that only the tests use: the convolution
 exponentials' series oracle, the operator S of the integral equation, the
-space-side Helmholtz inverse, the zero spectral sample, and the decay
-slope of the acceptance checks."""
+Helmholtz inverse on both sides (the reference the solver's
+delta-hat = Wb psi is checked against), the zero spectral sample, and the
+decay slope of the acceptance checks."""
 
 from math import factorial
 
 import numpy as np
 
 from nophase.convexp import _space_side
-from nophase.errors import MagnitudeError
+from nophase.errors import ConfigurationError, MagnitudeError
 from nophase.grid import (RealSample, SpectralSample, convolve, forward,
                           inverse)
-from nophase.solver import invert_helmholtz
 
 
 def zeros_spectral(grid):
@@ -49,6 +49,23 @@ def apply_S(f, lam):
     vals = 0.25 * df.values ** 2 \
         - 4.0 * lam ** 2 * (np.expm1(f.values) - f.values)
     return RealSample(f.grid, vals)
+
+
+def invert_helmholtz(f_hat, lam):
+    """The Helmholtz inverse on the frequency side: f-hat/(4l^2-xi^2) on
+    the support of f-hat and exactly zero off it.
+
+    Requires the support of f-hat to lie strictly inside
+    (-2 lambda, 2 lambda), away from the multiplier's zeros."""
+    xi = f_hat.grid.xi
+    on = np.abs(f_hat.values) > 0.0
+    if np.any(np.abs(xi[on]) >= 2.0 * lam):
+        raise ConfigurationError(
+            "sample support reaches the Helmholtz multiplier's zeros"
+        )
+    vals = np.zeros_like(f_hat.values)
+    vals[on] = f_hat.values[on] / (4.0 * lam ** 2 - xi[on] ** 2)
+    return SpectralSample(f_hat.grid, vals)
 
 
 def apply_T(sigma_hat, lam):

@@ -5,7 +5,7 @@ from nophase.errors import GridMismatchError, SymmetryError
 from helpers import zeros_spectral
 from nophase.grid import (RealSample, SpectralGrid, SpectralSample, convolve,
                           forward, hermitian_defect, inverse, l1_norm,
-                          linf_norm, symmetrize)
+                          linf_norm)
 
 
 def gaussian_sample(grid):
@@ -154,14 +154,6 @@ class TestInverse:
         with pytest.raises(SymmetryError):
             inverse(SpectralSample(grid, vals))
 
-    def test_symmetrize_projects(self):
-        grid = SpectralGrid(8.0, 64)
-        vals = np.zeros(64, dtype=complex)
-        vals[40] = 1.0
-        sym = symmetrize(SpectralSample(grid, vals))
-        assert hermitian_defect(sym) <= 1e-15
-        inverse(sym)  # no longer rejected
-
 
 class TestPlancherel:
     def test_parseval_identity(self, rng):
@@ -245,18 +237,3 @@ class TestNorms:
     def test_linf_constant(self):
         grid = SpectralGrid(8.0, 64)
         assert linf_norm(RealSample(grid, np.full(64, -3.5))) == 3.5
-
-
-class TestSupportRadius:
-    def test_computed_from_nonzeros(self):
-        grid = SpectralGrid(8.0, 64)
-        vals = np.zeros(64, dtype=complex)
-        k = np.argmin(np.abs(grid.xi - 2.0 * grid.dxi))
-        vals[k] = 1.0
-        vals[64 - k] = 1.0
-        s = SpectralSample(grid, vals)
-        assert s.support_radius == pytest.approx(2.0 * grid.dxi)
-
-    def test_zero_sample(self):
-        grid = SpectralGrid(8.0, 64)
-        assert zeros_spectral(grid).support_radius == 0.0

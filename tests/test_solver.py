@@ -9,16 +9,18 @@ import nophase.solver
 from conftest import make_constant_coefficient
 from nophase.phase import (band_limited_evaluator, build_phase,
                            interior_nodes, kummer_residual)
-from helpers import apply_T, exp2_star_series, zeros_spectral
+from helpers import (apply_T, exp2_star_series, invert_helmholtz,
+                     zeros_spectral)
 from nophase.convexp import exp2_star
 from nophase.errors import (ConfigurationError, ConvergenceError, DomainError,
                             MagnitudeError, SymmetryError)
 from nophase.grid import (RealSample, SpectralGrid, SpectralSample, convolve,
-                          forward, inverse, l1_norm, linf_norm)
+                          forward, hermitian_defect, inverse, l1_norm,
+                          linf_norm)
 from nophase.problem import build_problem, choose_grid, decay_bound
 from nophase.solver import (apply_R, apply_Wb, apply_Wb_tilde,
-                            extract_solution, fixed_point_solve,
-                            invert_helmholtz, make_bump, solve_problem)
+                            extract_solution, fixed_point_solve, make_bump,
+                            solve_problem)
 
 SQRT2 = np.sqrt(2.0)
 
@@ -86,6 +88,26 @@ class TestBump:
         assert np.all(unit.b_hat.values == 1.0)
         on = np.isin(full.grid.xi, grid.xi)
         np.testing.assert_array_equal(unit.multiplier, full.multiplier[on])
+
+    def test_exactly_even(self, sech_coefficient):
+        # the four ladder grids, and one whose xi_max lies in the
+        # transition (lam, sqrt(2) lam), where the self-paired node's
+        # value is strictly between 0 and 1
+        cases = [(build_problem(sech_coefficient, lam).grid, lam)
+                 for lam in (20.0, 80.0, 320.0, 1280.0)]
+        cases.append((SpectralGrid(8.0, 256), 40.0))
+        for grid, lam in cases:
+            bump = make_bump(grid, lam)
+            b = bump.b_hat.values
+            assert np.all(b.imag == 0.0)
+            # index 0 (-xi_max) is self-paired; k pairs with N - k
+            np.testing.assert_array_equal(b[1:], b[:0:-1])
+            np.testing.assert_array_equal(bump.multiplier[1:],
+                                          bump.multiplier[:0:-1])
+            assert np.all(b[np.abs(grid.xi) <= lam] == 1.0)
+            assert np.all(b[np.abs(grid.xi) >= SQRT2 * lam] == 0.0)
+        assert lam < grid.xi_max < SQRT2 * lam
+        assert 0.0 < b[0].real < 1.0
 
 
 class TestBandOperators:
@@ -238,6 +260,14 @@ class TestFixedPoint:
         with pytest.raises(DomainError, match=named):
             fixed_point_solve(zeros_spectral(grid), lam)
 
+    def test_lambda_too_small_for_w_is_named(self):
+        # w(0) = 10 times the multiplier 1/(4 lambda^2) ~ 1.7e308 at xi = 0
+        grid = SpectralGrid(6.0, 64)
+        w = zeros_spectral(grid).values
+        w[grid.n_points // 2] = 10.0
+        with pytest.raises(DomainError, match=re.escape("lambda=3.8e-155")):
+            fixed_point_solve(SpectralSample(grid, w), 3.8e-155)
+
     def test_contraction_ratios(self, sech_coefficient):
         prob = build_problem(sech_coefficient, 40.0)
         state = fixed_point_solve(prob.p_hat, prob.lam)
@@ -348,6 +378,29 @@ class TestExtractSolution:
         assert report.nu_bound_ok
         assert report.nu_inf <= 1.05 * report.nu_bound \
             or report.nu_floor_limited
+
+    @pytest.mark.parametrize("lam", [20.0, 80.0, 320.0])
+    def test_samples_exactly_hermitian(self, sech_coefficient, lam):
+        prob = build_problem(sech_coefficient, lam)
+        result, _ = solve_problem(prob)
+        difference = SpectralSample(
+            prob.grid, result.sigma_hat.values - result.psi.values)
+        for sample in (result.sigma_hat, difference, result.delta_hat):
+            assert hermitian_defect(sample) == 0.0
+
+    @pytest.mark.parametrize("lam", [20.0, 40.0, 80.0, 320.0])
+    def test_delta_is_the_helmholtz_inverse(self, sech_coefficient, lam):
+        # delta-hat = Wb psi against sigma-hat/(4 lam^2 - xi^2)
+        prob = build_problem(sech_coefficient, lam)
+        result, _ = solve_problem(prob)
+        full = invert_helmholtz(result.sigma_hat, prob.lam).values
+        delta = result.delta_hat.values
+        kept = delta != 0.0
+        assert np.all(np.abs(delta[kept] - full[kept])
+                      <= 4e-16 * np.abs(full[kept]))
+        plateau = kept & (make_bump(prob.grid, lam).b_hat.values == 1.0)
+        assert np.count_nonzero(plateau) > 0
+        np.testing.assert_array_equal(delta[plateau], full[plateau])
 
     def test_delta_cut_to_its_floor_support(self, sech_coefficient):
         prob = build_problem(sech_coefficient, 1280.0, N=65536)

@@ -273,6 +273,25 @@ class TestCliSolve:
         err = capsys.readouterr().err.strip().splitlines()
         assert err[-1] == "error: space-domain magnitude too large for exp"
 
+    @pytest.mark.parametrize("lam", ["3.8e-155", "5e-155"])
+    def test_tiny_lambda_overflow_is_named(self, tmp_path, capsys, lam):
+        # Wb w, 1/(4 lambda^2) ~ 1e308 times w near xi = 0, would overflow
+        # in the first iteration's `inverse` (which divides by dx), as a
+        # numpy warning naming nothing
+        path = tmp_path / "sech.json"
+        path.write_text(json.dumps({
+            "q": "1 + sech(t)**2", "dq": "-(exp(t) - exp(-t))*sech(t)**3",
+            "d2q": "((exp(t) - exp(-t))**2 - 2)*sech(t)**4",
+            "a": -3.0, "b": 3.0, "extension_width": 4.0,
+        }))
+        with warnings.catch_warnings():
+            warnings.simplefilter("always")
+            code = main(["solve", str(path), "--lambda", lam])
+        assert code == EXIT_NUMERICAL
+        err = capsys.readouterr().err.strip().splitlines()
+        assert err[-1].startswith("error: ") and f"lambda={lam}" in err[-1]
+        assert not any("warning: overflow" in line for line in err), err
+
     def test_largest_lambda_still_solves(self, tmp_path):
         path = tmp_path / "q.json"
         path.write_text(json.dumps({"q": "1", "a": 0.0, "b": 1.0}))
@@ -315,13 +334,16 @@ class TestCliSolve:
         monkeypatch.setattr(nophase.cli, "build_problem",
                             lambda *args, **kw: calls.append(args)
                             or original(*args, **kw))
-        out = tmp_path / "missing_dir" / "report.json"
-        code = main(["solve", constant_problem, "--lambda", "10",
-                     "--out", str(out)])
-        assert code == EXIT_NUMERICAL
-        err = capsys.readouterr().err.strip().splitlines()
-        assert len(err) == 1 and err[0].startswith("error: ")
-        assert "missing_dir" in err[0]
+        (tmp_path / "out_dir").mkdir()
+        cases = ((tmp_path / "missing_dir" / "report.json", "missing_dir"),
+                 (tmp_path / "out_dir", str(tmp_path / "out_dir")))
+        for out, named in cases:
+            code = main(["solve", constant_problem, "--lambda", "10",
+                         "--out", str(out)])
+            assert code == EXIT_NUMERICAL
+            err = capsys.readouterr().err.strip().splitlines()
+            assert len(err) == 1 and err[0].startswith("error: ")
+            assert named in err[0], err[0]
         assert calls == []
 
     def test_warning_on_one_line(self, sech_problem, capsys):
@@ -603,14 +625,21 @@ class TestCliSweep:
         monkeypatch.setattr(nophase.sweep, "build_problem",
                             lambda *args, **kw: calls.append(args)
                             or original(*args, **kw))
-        out = tmp_path / "missing_dir" / "rows.csv"
-        code = main(["sweep", constant_problem, "--lambdas", "10,20",
-                     "--out", str(out)])
-        assert code == EXIT_NUMERICAL
-        err = capsys.readouterr().err.strip().splitlines()
-        assert len(err) == 1 and err[0].startswith("error: ")
-        assert "missing_dir" in err[0]
+        # an existing directory as the CSV, or as its JSON mirror
+        (tmp_path / "out_dir").mkdir()
+        (tmp_path / "rows.json").mkdir()
+        cases = ((tmp_path / "missing_dir" / "rows.csv", "missing_dir"),
+                 (tmp_path / "out_dir", str(tmp_path / "out_dir")),
+                 (tmp_path / "rows.csv", str(tmp_path / "rows.json")))
+        for out, named in cases:
+            code = main(["sweep", constant_problem, "--lambdas", "10,20",
+                         "--out", str(out)])
+            assert code == EXIT_NUMERICAL
+            err = capsys.readouterr().err.strip().splitlines()
+            assert len(err) == 1 and err[0].startswith("error: ")
+            assert named in err[0], err[0]
         assert calls == []
+        assert not (tmp_path / "rows.csv").exists()
 
     @pytest.mark.parametrize("lambdas", ["", ","])
     def test_empty_lambda_list_is_bad_input(self, constant_problem,
