@@ -13,9 +13,12 @@ with the grid N, the fixed-point iterations, the points at which q, q'
 and q'' are evaluated in `build_problem`, the points at which the oracle
 evaluates q, the oracle's microseconds per q point, and the points at
 which delta's trigonometric series is summed.  A point is one node of a
-q call, whether the call takes an array or a scalar.  Three call counts
+q call, whether the call takes an array or a scalar.  Four call counts
 follow: ffts, the numpy.fft calls inside `solve_problem` (the script
-wraps every transform of numpy.fft to count them), fit_rounds, the
+wraps every transform of numpy.fft to count them), hermitian_checks, the
+calls of the symmetry check `nophase.grid._require_hermitian` inside
+`solve_problem` (wrapped in every nophase module that holds it),
+fit_rounds, the
 `ChebSeries.fit` calls inside `build_phase`, one per doubling round of
 its adaptive fits, and clenshaw_passes, the calls of the one Clenshaw
 kernel of `nophase.chebseries` (`clenshaw`, wrapped; `chebval` and
@@ -37,11 +40,13 @@ differently.  Run it against the tree to measure:
 import argparse
 import dataclasses
 import json
+import sys
 import time
 
 import numpy as np
 
 import nophase.chebseries
+import nophase.grid
 import nophase.phase
 import nophase.solver
 from nophase.chebseries import ChebSeries
@@ -77,7 +82,8 @@ class Stages:
     def __init__(self):
         self.ms = {}
         self.points = {"q_points": 0, "evaluator_points": 0}
-        self.calls = {"ffts": 0, "fit_rounds": 0, "clenshaw_passes": 0}
+        self.calls = {"ffts": 0, "hermitian_checks": 0, "fit_rounds": 0,
+                      "clenshaw_passes": 0}
         self._install()
 
     def _timed(self, module, name):
@@ -108,6 +114,12 @@ class Stages:
         for name in FFTS:
             setattr(np.fft, name,
                     self._call_counter(getattr(np.fft, name), "ffts"))
+        check = nophase.grid._require_hermitian
+        counted = self._call_counter(check, "hermitian_checks")
+        for name, module in list(sys.modules.items()):
+            if name.startswith("nophase.") \
+                    and getattr(module, "_require_hermitian", None) is check:
+                module._require_hermitian = counted
         nophase.chebseries.clenshaw = self._call_counter(
             nophase.chebseries.clenshaw, "clenshaw_passes")
         fit = ChebSeries.fit.__func__
@@ -137,9 +149,11 @@ def one_pass(stages):
         t1 = time.perf_counter()
         q_points = stages.points["q_points"]
         ffts = stages.calls["ffts"]
+        checks = stages.calls["hermitian_checks"]
         result, state = solve_problem(prob)
         t2 = time.perf_counter()
         ffts = stages.calls["ffts"] - ffts
+        checks = stages.calls["hermitian_checks"] - checks
         fit_rounds = stages.calls["fit_rounds"]
         phase = build_phase(result, prob)
         t3 = time.perf_counter()
@@ -168,6 +182,7 @@ def one_pass(stages):
             "oracle_q_points": stages.points["q_points"] - q_points_before,
             "evaluator_points": stages.points["evaluator_points"],
             "ffts": ffts,
+            "hermitian_checks": checks,
             "fit_rounds": fit_rounds,
             "clenshaw_passes": stages.calls["clenshaw_passes"]
             - clenshaw_passes,

@@ -57,8 +57,8 @@ def chebval(x, c):
 def clenshaw(x, c):
     """numpy's Clenshaw recurrence elementwise: the series whose
     coefficient k is c[k] at x, where each c[k] broadcasts against x.
-    Each step writes into three reused buffers; a 1-D c (one series at
-    one point) runs on Python floats."""
+    Each step runs on reused flat buffers, the rows of c broadcast 32 at a
+    time; a 1-D c (one series at one point) runs on Python floats."""
     n = len(c)
     if n < 3:
         return c[0] + (c[1] if n == 2 else 0) * x
@@ -75,13 +75,17 @@ def clenshaw(x, c):
     np.multiply(2, x, out=x2)
     c0[...] = c[-2]
     c1[...] = c[-1]
-    for ck in c[-3::-1]:
-        # numpy's step: c0, c1 = ck - c1, c0 + c1 * x2
-        np.multiply(c1, x2, out=tmp)
-        tmp += c0
-        np.subtract(ck, c1, out=c0)
-        c1, tmp = tmp, c1
-    return c0 + c1 * x
+    x2, c0, c1, tmp = (a.reshape(-1) for a in (x2, c0, c1, tmp))
+    for top in range(n - 2, 0, -32):
+        rows = np.ascontiguousarray(np.broadcast_to(
+            c[max(top - 32, 0):top], (min(top, 32),) + shape))
+        for ck in rows.reshape(len(rows), -1)[::-1]:
+            # numpy's step: c0, c1 = ck - c1, c0 + c1 * x2
+            np.multiply(c1, x2, out=tmp)
+            tmp += c0
+            np.subtract(ck, c1, out=c0)
+            c1, tmp = tmp, c1
+    return c0.reshape(shape) + c1.reshape(shape) * x
 
 
 def chebder(c):
@@ -222,7 +226,7 @@ class ChebSeries:
                       0, len(edges) - 2)
         lo, hi = edges[idx], edges[idx + 1]
         return clenshaw((2.0 * t - (lo + hi)) / (hi - lo),
-                        self.coef[..., idx])
+                        np.take(self.coef, idx, axis=-1))
 
     def sampled(self, t):
         """The series at t, read from the fitted values where t is one of

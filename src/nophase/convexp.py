@@ -28,11 +28,6 @@ def _exp_ready(f):
     return f
 
 
-def _space_side(Psi):
-    """inverse(Psi), checked for exp (the tests' exp1_star)."""
-    return _exp_ready(inverse(Psi))
-
-
 def exp2(f):
     """The values exp(f) - f - 1 of a real space sample f, checked for
     exp: the space side of exp2_star, which the fixed-point map uses

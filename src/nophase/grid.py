@@ -13,10 +13,11 @@ the way back), so grid samples approximate the continuous integrals
 directly and the round trip is exact to round-off.
 
 The space side is real, so its transform is Hermitian, F(-xi) =
-conj(F(xi)).  Every transform runs on the one pair `forward`/`inverse`,
-numpy's real FFTs, which hold only the nonnegative half
-xi = 0 .. N/2 dxi (the last of these is the self-paired node -xi_max),
-mirrored into the centered layout; `convolve` is their composition.
+conj(F(xi)), and held whole by the nonnegative half xi = m dxi, m = 0 ..
+N/2 (the last is the self-paired node -xi_max).  Every transform runs on
+the half kernels `forward_half`/`inverse_half`, numpy's real FFTs, which
+`forward`/`inverse` lay out on the centered grid; `convolve` is their
+composition.
 """
 
 from dataclasses import dataclass
@@ -66,10 +67,10 @@ class SpectralGrid:
         return (k - self.n_points // 2) * self.dxi
 
     @cached_property
-    def _half_phase(self):
-        # exp(i*L*xi) = (-1)^m at the real FFT's xi = m*dxi, m = 0..N/2
-        m = np.arange(self.n_points // 2 + 1)
-        return np.where(m % 2 == 0, 1.0, -1.0)
+    def _half_scales(self):
+        # dx exp(i*L*xi) and exp(i*L*xi)/dx: exp(i*L*xi) = (-1)^m at m*dxi
+        phase = np.where(np.arange(self.n_points // 2 + 1) % 2, -1.0, 1.0)
+        return self.dx * phase, phase / self.dx
 
 
 @dataclass(frozen=True)
@@ -107,22 +108,34 @@ def _require_same_grid(a, b):
         raise GridMismatchError("samples live on different grids")
 
 
+def forward_half(grid, values):
+    """numpy's rfft, scaled: the transform of real values at m dxi."""
+    return np.fft.rfft(values) * grid._half_scales[0]
+
+
+def inverse_half(grid, half):
+    """numpy's irfft, scaled: the real values whose transform's nonnegative
+    half is `half`; its imaginary parts at 0 and xi_max do not enter."""
+    return np.fft.irfft(half * grid._half_scales[1], n=grid.n_points)
+
+
+def gather(F):
+    """The nonnegative half of a centered sample: N/2 .. N-1, then 0."""
+    return np.concatenate((F.values[F.grid.n_points // 2:], F.values[:1]))
+
+
+def mirror(grid, half):
+    """`gather` undone: the centered layout, conjugated at xi < 0."""
+    n = grid.n_points // 2
+    return np.concatenate((half[n:], np.conjugate(half[n - 1:0:-1]),
+                           half[:n]))
+
+
 def forward(f):
     """Discrete Fourier transform of a real sample, matching the
-    continuous convention F(xi) = int exp(-i x xi) f(x) dx.
-
-    The real FFT gives xi = m dxi for m = 0 .. N/2: m < N/2 fills the
-    centered indices N/2 .. N-1, m = N/2 is the self-paired index 0
-    (-xi_max), and indices 1 .. N/2-1 are the conjugates of m = N/2-1
-    down to 1."""
+    continuous convention F(xi) = int exp(-i x xi) f(x) dx."""
     grid = f.grid
-    half = grid.n_points // 2
-    pos = np.fft.rfft(f.values) * (grid.dx * grid._half_phase)
-    vals = np.empty(grid.n_points, dtype=complex)
-    vals[half:] = pos[:half]
-    vals[0] = pos[half]
-    np.conjugate(pos[half - 1:0:-1], out=vals[1:half])
-    return SpectralSample(grid, vals)
+    return SpectralSample(grid, mirror(grid, forward_half(grid, f.values)))
 
 
 def hermitian_defect(F):
@@ -148,19 +161,10 @@ def _require_hermitian(F):
 def inverse(F):
     """Inverse transform of a Hermitian-symmetric sample, returning the
     real space-domain sample.  Rejects inputs whose symmetry defect
-    exceeds HERMITIAN_RTOL relative to the largest value.
-
-    The inverse real FFT reads the nonnegative half xi = m dxi,
-    m = 0 .. N/2: the centered indices N/2 .. N-1, then index 0 (-xi_max)
-    as m = N/2.  It takes the half's mirror image as the negative
-    frequencies, so the imaginary parts of the self-paired values at 0
-    and -xi_max, and the asymmetry the check allows, do not enter."""
+    exceeds HERMITIAN_RTOL relative to the largest value, and reads only
+    the nonnegative half, so the asymmetry it allows does not enter."""
     _require_hermitian(F)
-    grid = F.grid
-    half = grid.n_points // 2
-    pos = np.concatenate((F.values[half:], F.values[:1])) \
-        * (grid._half_phase / grid.dx)
-    return RealSample(grid, np.fft.irfft(pos, n=grid.n_points))
+    return RealSample(F.grid, inverse_half(F.grid, gather(F)))
 
 
 def convolve(F, G):

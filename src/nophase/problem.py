@@ -7,7 +7,7 @@ import json
 import math
 import numbers
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from functools import cached_property
 
 import numpy as np
@@ -132,7 +132,8 @@ class ExtendedCoefficient:
     """
 
     def __init__(self, coeff: Coefficient):
-        self.base = coeff
+        # a copy without the map, which keeps this: no reference cycle
+        self.base = replace(coeff)
         a, b, w = coeff.interval_a, coeff.interval_b, coeff.extension_width
         self.lo = a - 3.0 * w
         self.hi = b + 3.0 * w
@@ -245,9 +246,9 @@ class CoordinateMap:
                 + np.maximum(x - hi, 0.0) / np.sqrt(self.ext.qb))
 
     def level(self, L, n):
-        """p and its transform, floored at CLEAN_REL, on SpectralGrid(L, n).
-        When the level with n/2 points exists, p is evaluated only at the
-        new midpoints."""
+        """SpectralGrid(L, n), shared by the problems on it, p and its
+        transform floored at CLEAN_REL there, and whether that is
+        `resolved`; with the n/2-point level, only the midpoints are new."""
         if (L, n) not in self.levels:
             grid = SpectralGrid(L, n)
             coarse = self.levels.get((L, n // 2))
@@ -257,11 +258,11 @@ class CoordinateMap:
                 # the finer grid's own odd nodes, not the coarse nodes +
                 # dx/2, so that every node rounds as on the full grid
                 mid = _forcing(self, grid.x[1::2] + self.x_shift)
-                p = np.stack((coarse[0], mid), axis=1).ravel()
+                p = np.stack((coarse[1], mid), axis=1).ravel()
             p_hat = forward(RealSample(grid, p)).values
             p_hat[below_floor(p_hat)] = 0.0
             p.flags.writeable = p_hat.flags.writeable = False
-            self.levels[(L, n)] = (p, p_hat)
+            self.levels[(L, n)] = (grid, p, p_hat, resolved(p_hat))
         return self.levels[(L, n)]
 
 
@@ -352,12 +353,12 @@ def forcing_transform(cmap, grid):
     level's grid and its floored p-hat values."""
     L, n = grid.half_width, min(BASE_N, grid.n_points)
     while True:
-        p, p_hat = cmap.level(L, n)
-        if n == grid.n_points or resolved(p_hat):
+        level, p, p_hat, done = cmap.level(L, n)
+        if done or n == grid.n_points:
             break
         n *= 2
     _require_vanishing_edges(p, cmap)  # at the final level's end nodes
-    return SpectralGrid(L, n), p_hat
+    return level, p_hat
 
 
 def fit_decay(p_hat):
@@ -417,6 +418,8 @@ class CoefficientProblem:
     p_hat: SpectralSample
     gamma_fit: float
     mu_fit: float
+
+    hypotheses = cached_property(lambda self: check_hypotheses(self))
 
 
 def check_hypotheses(prob):
@@ -499,8 +502,7 @@ def build_problem(coefficient, lam, L=None, N=None):
     prob = CoefficientProblem(coefficient=coefficient, lam=float(lam),
                               map=cmap, grid=grid, p_hat=p_hat,
                               gamma_fit=gamma, mu_fit=mu)
-    hyp = check_hypotheses(prob)
-    if not hyp.certified:
+    if not prob.hypotheses.certified:
         warnings.warn(
             f"solvability hypotheses not satisfied at lambda={lam:g}; the "
             f"solve may still converge but its bounds are uncertified",

@@ -14,16 +14,18 @@ bhat gives sigma-hat, and by Wb's multiplier the phase correction.
 
 import warnings
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
 from .convexp import exp2
 from .errors import ConfigurationError, ConvergenceError, DomainError
-from .grid import (RealSample, SpectralSample, forward, inverse, l1_norm,
-                   linf_norm)
+from .grid import (RealSample, SpectralSample, _require_hermitian,
+                   forward_half, gather, inverse_half, l1_norm, linf_norm,
+                   mirror)
 from .mollifier import smooth_step
-from .problem import (_finite, below_floor, check_hypotheses,
-                      check_lambda_square, decay_bound, resolved)
+from .problem import (_finite, below_floor, check_lambda_square,
+                      decay_bound, resolved)
 
 # absolute floor, relative to the largest magnitude in play, below which
 # a theoretical bound is unmeasurable in double precision
@@ -42,34 +44,43 @@ class Bump:
     bhat/(4 lambda^2 - xi^2), exactly zero off the cutoff support so the
     vanishing denominator at |xi| = 2 lambda is never touched, and its odd
     partner -i xi bhat/(4 lambda^2 - xi^2), zero at the self-paired node
-    -xi_max: -i xi would turn its real value imaginary and a product
-    with it non-Hermitian."""
+    xi_max, whose imaginary part the inverse real FFT drops: each on the
+    nonnegative half, where the fixed point runs, and on the centered grid."""
 
     grid: object
     lam: float
-    b_hat: SpectralSample
-    multiplier: np.ndarray
-    odd_multiplier: np.ndarray
+    half_xi: np.ndarray  # the half's nodes m dxi, m = 0 .. N/2
+    half_b: np.ndarray
+    half_multiplier: np.ndarray
+    half_odd_multiplier: np.ndarray
+
+    b_hat = cached_property(lambda self: SpectralSample(
+        self.grid, mirror(self.grid, self.half_b).astype(complex)))
+    multiplier = cached_property(
+        lambda self: mirror(self.grid, self.half_multiplier))
+    # + 0.0 makes the conjugates' imaginary -0.0 off the band 0.0 again
+    odd_multiplier = cached_property(
+        lambda self: mirror(self.grid, self.half_odd_multiplier) + 0.0)
 
 
 def make_bump(grid, lam):
-    """Evaluate the cutoff at the frequency nodes: it falls from 1 to 0
-    as |xi| crosses [c - alpha, c + alpha], with c = (sqrt(2)+1) lambda / 2
-    and alpha = (sqrt(2)-1) lambda / 4, evaluated on |xi| so it is exactly
-    even.  On a grid with xi_max <= lambda it is 1 at every node, and the
-    band multiplier is 1/(4 lambda^2 - xi^2)."""
+    """Evaluate the cutoff at the nonnegative half's nodes: it falls from
+    1 to 0 as xi crosses [c - alpha, c + alpha], c = (sqrt(2)+1) lambda/2
+    and alpha = (sqrt(2)-1) lambda/4, and it is even.  On a grid with
+    xi_max <= lambda it is 1 at every node, and the band multiplier is
+    1/(4 lambda^2 - xi^2)."""
     c = 0.5 * (_SQRT2 * lam + lam)
     alpha = 0.25 * (_SQRT2 * lam - lam)
-    xi = grid.xi
-    vals = 1.0 - smooth_step((np.abs(xi) - c) / alpha)
+    xi = np.arange(grid.n_points // 2 + 1) * grid.dxi
+    vals = 1.0 - smooth_step((xi - c) / alpha)
     on = vals > 0.0
     multiplier = np.zeros_like(vals)
     multiplier[on] = vals[on] * (1.0 / (4.0 * lam ** 2 - xi[on] ** 2))
     odd_multiplier = -1j * xi * multiplier
-    odd_multiplier[0] = 0.0
-    return Bump(grid=grid, lam=float(lam),
-                b_hat=SpectralSample(grid, vals.astype(complex)),
-                multiplier=multiplier, odd_multiplier=odd_multiplier)
+    odd_multiplier[-1] = 0.0
+    return Bump(grid=grid, lam=float(lam), half_xi=xi, half_b=vals,
+                half_multiplier=multiplier,
+                half_odd_multiplier=odd_multiplier)
 
 
 def apply_Wb(f, bump):
@@ -87,20 +98,25 @@ def apply_Wb_tilde(f, bump):
     return SpectralSample(f.grid, f.values * bump.odd_multiplier)
 
 
-def apply_R(psi, w_hat, bump):
-    """One application of the fixed-point map, in three real FFTs.
-
-    Wb psi and Wt psi are Hermitian, so `inverse` gives their real space
-    sides f_b and f_t.  The map is the transform of a product and a
-    pointwise function of them, (1/8pi)(Wt * Wt) = forward(f_t^2/4) as
-    `convolve` carries 1/2pi, and exp2[Wb] = forward(exp(f_b) - f_b - 1),
-    so one `forward` of f_t^2/4 - 4 lambda^2 (exp(f_b) - f_b - 1) gives
-    both terms; w is added to it."""
-    f_b = inverse(apply_Wb(psi, bump))
-    f_t = inverse(apply_Wb_tilde(psi, bump))
+def _half_step(psi_half, bump):
+    """The map without w on psi's nonnegative half, in three real FFTs:
+    with f_b, f_t the space sides of Wb psi, Wt psi, one transform of
+    f_t^2/4 - 4 lambda^2 (exp(f_b) - f_b - 1) gives (1/8pi)(Wt * Wt)
+    (`convolve` carries 1/2pi) and -4 lambda^2 exp2[Wb]."""
+    grid = bump.grid
+    f_b, f_t = (RealSample(grid, inverse_half(grid, psi_half * m))
+                for m in (bump.half_multiplier, bump.half_odd_multiplier))
     space = 0.25 * f_t.values ** 2 - 4.0 * bump.lam ** 2 * exp2(f_b)
-    vals = forward(RealSample(psi.grid, space)).values + w_hat.values
-    return SpectralSample(psi.grid, vals)
+    return forward_half(grid, RealSample(grid, space).values)
+
+
+def apply_R(psi, w_hat, bump):
+    """One application of the fixed-point map: the half step of the
+    solver's loop, laid out on the centered grid, plus w."""
+    _require_hermitian(apply_Wb(psi, bump))  # as `inverse` checks them
+    _require_hermitian(apply_Wb_tilde(psi, bump))
+    step = _half_step(gather(psi), bump)
+    return SpectralSample(psi.grid, mirror(psi.grid, step) + w_hat.values)
 
 
 @dataclass
@@ -124,7 +140,8 @@ def fixed_point_solve(w_hat, lam, tol=TOL, bump=None):
     not resolved a priori, so the converged psi must be, by the rule
     p-hat's level meets (`resolved`), or ConfigurationError is raised.
     A lambda that is not finite, or whose 4 lambda^2 or first Wb w / dx
-    (what `inverse` forms) overflows, is a DomainError naming it."""
+    (what `inverse` forms) overflows, is a DomainError naming it.  Wb w
+    and Wt w are checked once; then it iterates `apply_R`'s half step."""
     if _finite(tol, "tol") <= 0.0:
         raise DomainError("tol must be positive")
     check_lambda_square(_finite(lam, "lambda"))
@@ -142,16 +159,20 @@ def fixed_point_solve(w_hat, lam, tol=TOL, bump=None):
             stacklevel=2,
         )
     threshold = tol * max(w_l1, 1e-300)
-    psi = w_hat
-    deltas = []
+    _require_hermitian(apply_Wb(w_hat, bump))
+    _require_hermitian(apply_Wb_tilde(w_hat, bump))
+    grid, w_half = w_hat.grid, gather(w_hat)
+    psi_half, deltas = w_half, []
     for iteration in range(1, MAX_ITER + 1):
-        nxt = apply_R(psi, w_hat, bump)
-        delta = l1_norm(SpectralSample(w_hat.grid, nxt.values - psi.values))
+        step = _half_step(psi_half, bump)
+        nxt = step + w_half
+        # the increment's modulus is even: its mirror is the whole grid's
+        delta = float(grid.dxi * np.sum(mirror(grid, np.abs(nxt - psi_half))))
         deltas.append(delta)
-        psi = nxt
+        psi_half = nxt
         if delta <= threshold:
-            if psi.grid.xi_max < 2.0 * _SQRT2 * lam \
-                    and not resolved(psi.values):
+            psi = SpectralSample(grid, mirror(grid, step) + w_hat.values)
+            if grid.xi_max < 2.0 * _SQRT2 * lam and not resolved(psi.values):
                 raise ConfigurationError(
                     "grid frequency range too small: the solution does not "
                     "vanish on the outer half of the grid; give grid N"
@@ -220,48 +241,41 @@ def extract_solution(state, bump, prob):
     lam = bump.lam
     psi = state.psi
     grid = psi.grid
-    b = bump.b_hat.values.real
-    sigma_vals = psi.values * b
-    sigma_hat = SpectralSample(grid, sigma_vals)
-    nu = inverse(SpectralSample(grid, sigma_vals - psi.values))
+    psi_half, b = gather(psi), bump.half_b
+    sigma_half = psi_half * b
+    nu = RealSample(grid, inverse_half(grid, sigma_half - psi_half))
+    # moduli are even in xi: sums take the mirror, in the centered order
+    abs_delta = mirror(grid, np.abs(psi_half * bump.half_multiplier))
+    cut = below_floor(abs_delta)
+    delta_tail = grid.dxi / (2.0 * np.pi) * float(np.sum(abs_delta[cut]))
     delta_vals = apply_Wb(psi, bump).values
-    cut = below_floor(delta_vals)
-    delta_tail = grid.dxi / (2.0 * np.pi) \
-        * float(np.sum(np.abs(delta_vals[cut])))
     delta_vals[cut] = 0.0
-    delta_hat = SpectralSample(grid, delta_vals)
 
-    hyp = check_hypotheses(prob)
+    hyp = prob.hypotheses
     gamma, mu = prob.gamma_fit, prob.mu_fit
-    xi = grid.xi
-    abs_sigma = np.abs(sigma_vals)
+    xi = bump.half_xi
+    abs_sigma = np.abs(sigma_half)
     floor = BOUND_FLOOR_REL * max(float(np.max(abs_sigma)),
                                   float(np.max(np.abs(prob.p_hat.values))),
                                   1e-300)
 
-    outside = np.abs(xi) >= _SQRT2 * lam
+    outside = xi >= _SQRT2 * lam
     sigma_support_ok = bool(np.all(abs_sigma[outside] == 0.0))
 
     inside = ~outside
     bound = (1.0 + 2.0 * gamma / lam) * decay_bound(xi[inside], gamma, mu)
-    measurable = bound >= floor
-    decay_ok = bool(np.all(
-        (abs_sigma[inside] <= SIGMA_SLACK * bound)
-        | (abs_sigma[inside] <= floor)
-    ))
-    floor_limited = not bool(np.all(measurable))
+    decay_ok = bool(np.all((abs_sigma[inside] <= SIGMA_SLACK * bound)
+                           | (abs_sigma[inside] <= floor)))
+    floor_limited = not bool(np.all(bound >= floor))
 
     nu_inf = linf_norm(nu)
     nu_bound = (gamma / (2.0 * mu)) * (1.0 + 4.0 * gamma / lam) \
         * np.exp(-mu * lam)
-    nu_floor = BOUND_FLOOR_REL * max(float(np.max(np.abs(psi.values))), 1e-300)
+    nu_floor = BOUND_FLOOR_REL * max(float(np.max(np.abs(psi_half))), 1e-300)
     nu_floor_limited = nu_bound < nu_floor or bool(np.all(b == 1.0))
     nu_ok = bool(nu_inf <= NU_SLACK * nu_bound or nu_inf <= nu_floor)
-    if grid.xi_max < _SQRT2 * lam:
-        band_tail = (1.0 + 2.0 * gamma / lam) * gamma / (np.pi * mu) \
-            * np.exp(-mu * grid.xi_max)
-    else:
-        band_tail = 0.0
+    band_tail = (1.0 + 2.0 * gamma / lam) * gamma / (np.pi * mu) \
+        * np.exp(-mu * grid.xi_max) if grid.xi_max < _SQRT2 * lam else 0.0
 
     report = BoundsReport(
         lam=lam, gamma=gamma, mu=mu, w_l1=hyp.w_l1,
@@ -280,8 +294,12 @@ def extract_solution(state, bump, prob):
         delta_tail=delta_tail,
         band_tail=float(band_tail),
     )
-    return SolveResult(psi=psi, sigma_hat=sigma_hat, nu=nu,
-                       delta_hat=delta_hat, bounds_report=report)
+    # xi < 0 from psi's own values, so zeros keep the centered grid's signs
+    n, sigma = grid.n_points // 2, mirror(grid, sigma_half)
+    np.multiply(psi.values[1:n], b[n - 1:0:-1], out=sigma[1:n])
+    return SolveResult(psi=psi, sigma_hat=SpectralSample(grid, sigma), nu=nu,
+                       delta_hat=SpectralSample(grid, delta_vals),
+                       bounds_report=report)
 
 
 def solve_problem(prob):

@@ -1,17 +1,24 @@
 """Operators and reference sums that only the tests use: the convolution
 exponentials' series oracle, the operator S of the integral equation, the
 Helmholtz inverse on both sides (the reference the solver's
-delta-hat = Wb psi is checked against), the zero spectral sample, and the
-decay slope of the acceptance checks."""
+delta-hat = Wb psi is checked against), the fixed point and extraction
+on the whole centered grid (the references of the solver's half
+spectrum), the zero spectral sample, and the decay slope of the
+acceptance checks."""
 
 from math import factorial
 
 import numpy as np
 
-from nophase.convexp import _space_side
+from nophase.convexp import _exp_ready
 from nophase.errors import ConfigurationError, MagnitudeError
 from nophase.grid import (RealSample, SpectralSample, convolve, forward,
-                          inverse)
+                          inverse, l1_norm, linf_norm)
+from nophase.mollifier import smooth_step
+from nophase.problem import below_floor, check_hypotheses, decay_bound
+from nophase.solver import (BOUND_FLOOR_REL, MAX_ITER, NU_SLACK,
+                            SIGMA_SLACK, TOL, BoundsReport, apply_R,
+                            apply_Wb)
 
 
 def zeros_spectral(grid):
@@ -20,7 +27,7 @@ def zeros_spectral(grid):
 
 def exp1_star(Psi):
     """Transform of exp(f) - 1 for f = inverse(Psi)."""
-    f = _space_side(Psi)
+    f = _exp_ready(inverse(Psi))
     return forward(RealSample(Psi.grid, np.expm1(f.values)))
 
 
@@ -84,3 +91,84 @@ def fit_slope(lams, values):
     keep = values > 0
     slope, _ = np.polyfit(lams[keep], np.log(values[keep]), 1)
     return float(slope)
+
+
+def bump_on_full_grid(grid, lam):
+    """The cutoff, the band multiplier and its odd partner evaluated at
+    every node of the centered grid, as `make_bump` evaluated them before
+    it ran on the nonnegative half."""
+    c = 0.5 * (np.sqrt(2.0) * lam + lam)
+    alpha = 0.25 * (np.sqrt(2.0) * lam - lam)
+    b = 1.0 - smooth_step((np.abs(grid.xi) - c) / alpha)
+    on = b > 0.0
+    multiplier = np.zeros_like(b)
+    multiplier[on] = b[on] * (1.0 / (4.0 * lam ** 2 - grid.xi[on] ** 2))
+    odd = -1j * grid.xi * multiplier
+    odd[0] = 0.0
+    return b.astype(complex), multiplier, odd
+
+
+def iterate_apply_R(w_hat, bump, tol=TOL):
+    """psi and the L1 increments of the public `apply_R` iterated from w
+    on the centered grid, under `fixed_point_solve`'s stopping rule."""
+    threshold = tol * max(l1_norm(w_hat), 1e-300)
+    psi, deltas = w_hat, []
+    for _ in range(MAX_ITER):
+        nxt = apply_R(psi, w_hat, bump)
+        deltas.append(l1_norm(SpectralSample(psi.grid,
+                                             nxt.values - psi.values)))
+        psi = nxt
+        if deltas[-1] <= threshold:
+            return psi, deltas
+    raise AssertionError("apply_R did not converge")
+
+
+def extract_on_full_grid(state, bump, prob):
+    """sigma-hat = psi bhat, nu = inverse(sigma-hat - psi), delta-hat =
+    Wb psi cut at its floor, and the bounds report, each formed from the
+    whole centered grid as `extract_solution` formed them before it ran
+    on the nonnegative half."""
+    psi, lam = state.psi, bump.lam
+    grid, xi = psi.grid, psi.grid.xi
+    sigma = psi.values * bump.b_hat.values.real
+    nu = inverse(SpectralSample(grid, sigma - psi.values))
+    delta = apply_Wb(psi, bump).values
+    cut = below_floor(delta)
+    delta_tail = grid.dxi / (2.0 * np.pi) \
+        * float(np.sum(np.abs(delta[cut])))
+    delta[cut] = 0.0
+    hyp = check_hypotheses(prob)
+    gamma, mu = prob.gamma_fit, prob.mu_fit
+    abs_sigma = np.abs(sigma)
+    floor = BOUND_FLOOR_REL * max(float(np.max(abs_sigma)),
+                                  float(np.max(np.abs(prob.p_hat.values))),
+                                  1e-300)
+    outside = np.abs(xi) >= np.sqrt(2.0) * lam
+    bound = (1.0 + 2.0 * gamma / lam) * decay_bound(xi[~outside], gamma, mu)
+    nu_inf = linf_norm(nu)
+    nu_bound = (gamma / (2.0 * mu)) * (1.0 + 4.0 * gamma / lam) \
+        * np.exp(-mu * lam)
+    nu_floor = BOUND_FLOOR_REL * max(float(np.max(np.abs(psi.values))),
+                                     1e-300)
+    band_tail = 0.0
+    if grid.xi_max < np.sqrt(2.0) * lam:
+        band_tail = (1.0 + 2.0 * gamma / lam) * gamma / (np.pi * mu) \
+            * np.exp(-mu * grid.xi_max)
+    report = BoundsReport(
+        lam=lam, gamma=gamma, mu=mu, w_l1=hyp.w_l1,
+        lambda_hypothesis_ok=hyp.lambda_ok, w_l1_hypothesis_ok=hyp.w_l1_ok,
+        certified=hyp.certified, iterations=state.iteration,
+        final_delta=state.l1_deltas[-1],
+        sigma_support_ok=bool(np.all(abs_sigma[outside] == 0.0)),
+        sigma_decay_ok=bool(np.all(
+            (abs_sigma[~outside] <= SIGMA_SLACK * bound)
+            | (abs_sigma[~outside] <= floor))),
+        sigma_decay_floor_limited=not bool(np.all(bound >= floor)),
+        nu_inf=nu_inf, nu_bound=float(nu_bound),
+        nu_bound_ok=bool(nu_inf <= NU_SLACK * nu_bound
+                         or nu_inf <= nu_floor),
+        nu_floor_limited=bool(nu_bound < nu_floor
+                              or np.all(bump.b_hat.values == 1.0)),
+        delta_tail=delta_tail, band_tail=float(band_tail))
+    return (SpectralSample(grid, sigma), nu, SpectralSample(grid, delta),
+            report)

@@ -9,7 +9,8 @@ from scipy.fft import dct
 
 import nophase
 from nophase.chebseries import (ChebSeries, call_together, chebder, chebint,
-                                chebval, lobatto_nodes, values_to_coeffs)
+                                chebval, clenshaw, lobatto_nodes,
+                                values_to_coeffs)
 from nophase.errors import NumericalError
 
 LENGTHS = range(1, 301)  # coefficient counts the kernels are checked at
@@ -46,6 +47,20 @@ class TestKernels:
                 got, want = chebval(x, c), C.chebval(x, c)
                 np.testing.assert_array_equal(got, want)
                 assert np.shape(got) == np.shape(want)
+
+    def test_clenshaw_stacks_and_gathers(self, rng):
+        # rows are broadcast in blocks: a stack longer than one block, a
+        # broadcast (n, S, 1) stack and a gathered (n, P) one, bit for bit
+        x = np.linspace(-1.0, 1.0, 400)
+        long = rng.standard_normal((2049, 3))
+        np.testing.assert_array_equal(chebval(x, long), C.chebval(x, long))
+        for n in (3, 32, 33, 34, 65, 129):
+            stack = rng.standard_normal((n, 3, 1))
+            np.testing.assert_array_equal(clenshaw(x, stack),
+                                          C.chebval(x, stack[..., 0]))
+            gathered = rng.standard_normal((n, 400))
+            np.testing.assert_array_equal(
+                clenshaw(x, gathered), C.chebval(x, gathered, tensor=False))
 
     def test_chebval_keeps_signed_zeros(self):
         for c in ([-0.0], [-0.0, 0.0], [-0.0, 0.0, 0.0]):

@@ -1,7 +1,9 @@
+import gc
 import json
 import os
 import subprocess
 import sys
+import weakref
 
 import numpy as np
 import pytest
@@ -10,6 +12,7 @@ from scipy.integrate import quad
 from scipy.interpolate import CubicSpline
 
 import nophase.problem
+import nophase.solver
 from conftest import (d2sech2, dsech2, make_constant_coefficient,
                       make_sech_coefficient, sech2)
 from nophase.errors import ConfigurationError, DomainError, FitError
@@ -20,6 +23,7 @@ from nophase.problem import (CLEAN_REL, Coefficient, ExtendedCoefficient,
                              check_hypotheses, choose_grid, decay_bound,
                              fit_decay, load_problem_file,
                              problem_config_from_dict, schwarzian_p)
+from nophase.solver import solve_problem
 
 
 class TestCoefficient:
@@ -286,6 +290,45 @@ class TestForcingTransform:
         assert prob.grid.n_points == 8192
         assert seen == []
         assert len(maps) == 1
+
+    def test_levels_keep_their_grid_and_resolution(self, monkeypatch):
+        # a second lambda on the same level shares its grid, with the
+        # grid's cached nodes, and reads each level's resolution flag
+        coeff = make_sech_coefficient()
+        first = build_problem(coeff, 320.0)
+        calls = []
+        resolved = nophase.problem.resolved
+        monkeypatch.setattr(nophase.problem, "resolved",
+                            lambda vals: calls.append(1) or resolved(vals))
+        second = build_problem(coeff, 1280.0)
+        assert second.grid is first.grid
+        assert calls == []
+
+    def test_hypotheses_checked_once_per_problem(self, monkeypatch):
+        calls = []
+        check = nophase.problem.check_hypotheses
+        counted = lambda prob: calls.append(1) or check(prob)  # noqa: E731
+        monkeypatch.setattr(nophase.problem, "check_hypotheses", counted)
+        monkeypatch.setattr(nophase.solver, "check_hypotheses", counted,
+                            raising=False)
+        prob = build_problem(make_sech_coefficient(), 80.0)
+        result, _ = solve_problem(prob)
+        assert calls == [1]
+        assert result.bounds_report.w_l1 == check(prob).w_l1
+
+    def test_dropped_coefficient_frees_its_setup(self):
+        # the extension refers to a copy of the coefficient, not to the
+        # coefficient that keeps the map: no reference cycle holds the
+        # map's levels until the next full collection
+        coeff = make_sech_coefficient()
+        build_problem(coeff, 80.0)
+        setup = weakref.ref(coeff.map)
+        gc.disable()
+        try:
+            del coeff
+            assert setup() is None
+        finally:
+            gc.enable()
 
     def test_level_cache_keyed_by_half_width(self):
         # the levels of one coefficient's map, kept per (L, n), give each

@@ -9,7 +9,8 @@ import nophase.solver
 from conftest import make_constant_coefficient
 from nophase.phase import (band_limited_evaluator, build_phase,
                            interior_nodes, kummer_residual)
-from helpers import (apply_T, exp2_star_series, invert_helmholtz,
+from helpers import (apply_T, bump_on_full_grid, exp2_star_series,
+                     extract_on_full_grid, invert_helmholtz, iterate_apply_R,
                      zeros_spectral)
 from nophase.convexp import exp2_star
 from nophase.errors import (ConfigurationError, ConvergenceError, DomainError,
@@ -17,7 +18,8 @@ from nophase.errors import (ConfigurationError, ConvergenceError, DomainError,
 from nophase.grid import (RealSample, SpectralGrid, SpectralSample, convolve,
                           forward, hermitian_defect, inverse, l1_norm,
                           linf_norm)
-from nophase.problem import build_problem, choose_grid, decay_bound
+from nophase.problem import (CoefficientProblem, build_problem, choose_grid,
+                             decay_bound, fit_decay)
 from nophase.solver import (apply_R, apply_Wb, apply_Wb_tilde,
                             extract_solution, fixed_point_solve, make_bump,
                             solve_problem)
@@ -479,3 +481,85 @@ class TestBaseBandGrid:
                     prob.grid.xi_max, np.inf, epsabs=0.0, epsrel=1e-12)[0]
         assert report.band_tail == pytest.approx(2.0 * tail / (2.0 * np.pi),
                                                  rel=1e-10)
+
+
+def transition_problem(coefficient):
+    """lambda = 40 on SpectralGrid(8, 256), whose xi_max = 1.26 lambda lies
+    in the cutoff's transition, with an exactly Hermitian forcing w =
+    200 e^{-1.5 |xi|} that is resolved there."""
+    grid = SpectralGrid(8.0, 256)
+    w = SpectralSample(grid, 200.0 * np.exp(-1.5 * np.abs(grid.xi)))
+    gamma, mu = fit_decay(w)
+    return CoefficientProblem(coefficient=coefficient, lam=40.0, map=None,
+                              grid=grid, p_hat=w, gamma_fit=gamma, mu_fit=mu)
+
+
+class TestHalfSpectrum:
+    # the solver's loop and extraction run on the nonnegative half; each
+    # figure must have the bits of the same maths on the centered grid
+
+    @pytest.fixture
+    def problems(self, sech_coefficient):
+        probs = [build_problem(sech_coefficient, lam)
+                 for lam in (20.0, 80.0, 320.0, 1280.0)]
+        return probs + [transition_problem(sech_coefficient)]
+
+    def test_bump_is_the_full_grid_one(self, problems):
+        for prob in problems:
+            bump = make_bump(prob.grid, prob.lam)
+            b, multiplier, odd = bump_on_full_grid(prob.grid, prob.lam)
+            assert bump.b_hat.values.tobytes() == b.tobytes()
+            assert bump.multiplier.tobytes() == multiplier.tobytes()
+            assert bump.odd_multiplier.tobytes() == odd.tobytes()
+
+    def test_loop_is_the_public_apply_R(self, problems):
+        for prob in problems:
+            bump = make_bump(prob.grid, prob.lam)
+            state = fixed_point_solve(prob.p_hat, prob.lam, bump=bump)
+            psi, deltas = iterate_apply_R(prob.p_hat, bump)
+            assert state.psi.values.tobytes() == psi.values.tobytes()
+            assert state.l1_deltas == deltas
+            assert state.iteration == len(deltas)
+
+    def test_extraction_is_the_full_grid_one(self, problems):
+        for prob in problems:
+            bump = make_bump(prob.grid, prob.lam)
+            state = fixed_point_solve(prob.p_hat, prob.lam, bump=bump)
+            result = extract_solution(state, bump, prob)
+            sigma, nu, delta, report = extract_on_full_grid(state, bump, prob)
+            assert result.sigma_hat.values.tobytes() \
+                == (state.psi.values * bump.b_hat.values.real).tobytes() \
+                == sigma.values.tobytes()
+            assert result.nu.values.tobytes() == nu.values.tobytes()
+            assert result.delta_hat.values.tobytes() == delta.values.tobytes()
+            kept = delta.values != 0.0
+            np.testing.assert_array_equal(
+                delta.values[kept], apply_Wb(state.psi, bump).values[kept])
+            assert result.bounds_report == report
+        # on the transition grid the self-paired node -xi_max carries psi,
+        # a cutoff strictly between 0 and 1, and a zero odd multiplier
+        assert prob.lam < prob.grid.xi_max < SQRT2 * prob.lam
+        assert 0.0 < bump.b_hat.values[0].real < 1.0
+        assert state.psi.values[0] != 0.0 and bump.odd_multiplier[0] == 0.0
+
+    def test_asymmetry_inside_the_band_refused_on_entry(self, rng):
+        lam = 5.0
+        grid = band_grid(lam)
+        w = random_forcing(grid, rng, 1.0).values.copy()
+        w[grid.n_points // 2 + 3] += 1.0  # inside the band, no partner
+        with pytest.raises(SymmetryError):
+            fixed_point_solve(SpectralSample(grid, w), lam)
+
+    def test_asymmetry_outside_the_band_passes(self, rng):
+        # Wb and Wt are zero there, so the entry check does not see it
+        lam = 5.0
+        grid = band_grid(lam)
+        w = random_forcing(grid, rng, 1.0)
+        k = np.argmin(np.abs(grid.xi - 1.8 * lam))
+        odd = w.values.copy()
+        odd[k] += 1e-3
+        bump = make_bump(grid, lam)
+        state = fixed_point_solve(SpectralSample(grid, odd), lam, bump=bump)
+        psi, deltas = iterate_apply_R(SpectralSample(grid, odd), bump)
+        assert state.psi.values.tobytes() == psi.values.tobytes()
+        assert state.iteration == len(deltas)
