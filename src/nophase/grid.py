@@ -2,7 +2,7 @@
 
 A function f on R is represented by its samples on the uniform grid
 x_j = -L + j*dx over [-L, L), paired with samples of its Fourier transform
-on the centered frequency grid xi_k = (k - N/2)*dxi.  The transform pair
+at the frequencies xi = m*dxi, |m| <= N/2.  The transform pair
 follows the continuous convention
 
     F(xi) = int exp(-i*x*xi) f(x) dx,
@@ -14,10 +14,11 @@ directly and the round trip is exact to round-off.
 
 The space side is real, so its transform is Hermitian, F(-xi) =
 conj(F(xi)), and held whole by the nonnegative half xi = m dxi, m = 0 ..
-N/2 (the last is the self-paired node -xi_max).  Every transform runs on
-the half kernels `forward_half`/`inverse_half`, numpy's real FFTs, which
-`forward`/`inverse` lay out on the centered grid; `convolve` is their
-composition.
+N/2 (the last is the self-paired node -xi_max): the half is the sample.
+The centered layout xi_k = (k - N/2)*dxi, k = 0 .. N-1, is a view of it,
+built on demand.  Every transform runs on the half kernels
+`forward_half`/`inverse_half`, numpy's real FFTs, which `forward` and
+`inverse` wrap into samples; `convolve` is their composition.
 """
 
 from dataclasses import dataclass
@@ -89,18 +90,53 @@ class RealSample:
         object.__setattr__(self, "values", v)
 
 
-@dataclass(frozen=True)
 class SpectralSample:
-    """Complex frequency-domain samples at the grid's frequency nodes."""
+    """The transform F of a real function at the grid's frequency nodes,
+    held as its nonnegative half `half`, F(m dxi) for m = 0 .. N/2.
 
-    grid: SpectralGrid
-    values: np.ndarray
+    Built from a half (`of_half`), it is Hermitian by construction
+    (`hermitian`), and its centered layout `values`, F at xi_k =
+    (k - N/2) dxi, is a view built on demand (`centered_view`).  Built
+    from a centered array, it keeps the array as `values`, checked for
+    symmetry where a transform needs it, and its half is the one whose
+    real series is the array's: (F(xi) + conj F(-xi))/2 at 0 < xi <
+    xi_max, and conj F(-xi_max) at the self-paired node."""
 
-    def __post_init__(self):
-        v = np.asarray(self.values, dtype=complex)
-        if v.shape != (self.grid.n_points,):
+    hermitian = False
+
+    def __init__(self, grid, values):
+        self.grid, self.values = grid, np.asarray(values, dtype=complex)
+        if self.values.shape != (grid.n_points,):
             raise ValueError("values length must equal n_points")
-        object.__setattr__(self, "values", v)
+
+    @classmethod
+    def of_half(cls, grid, half, view):
+        """The sample with half `half`, whose centered view is `view()`."""
+        sample = cls.__new__(cls)
+        sample.grid, sample.half, sample._view = grid, half, view
+        sample.hermitian = True
+        return sample
+
+    @cached_property
+    def half(self):
+        v, n = self.values, self.grid.n_points // 2
+        return np.concatenate((v[n:n + 1], 0.5 * (v[n + 1:] + np.conj(
+            v[n - 1:0:-1])), np.conj(v[:1])))
+
+    values = cached_property(lambda self: centered_view(self))
+
+
+def centered_view(F):
+    """The centered layout of a sample built from a half."""
+    return F._view()
+
+
+def mirror(grid, half):
+    """The centered layout of a Hermitian sample's half, conjugated at
+    xi < 0; of a real half, such as moduli, the even function's layout."""
+    n = grid.n_points // 2
+    return np.concatenate((half[n:], np.conjugate(half[n - 1:0:-1]),
+                           half[:n]))
 
 
 def _require_same_grid(a, b):
@@ -119,23 +155,11 @@ def inverse_half(grid, half):
     return np.fft.irfft(half * grid._half_scales[1], n=grid.n_points)
 
 
-def gather(F):
-    """The nonnegative half of a centered sample: N/2 .. N-1, then 0."""
-    return np.concatenate((F.values[F.grid.n_points // 2:], F.values[:1]))
-
-
-def mirror(grid, half):
-    """`gather` undone: the centered layout, conjugated at xi < 0."""
-    n = grid.n_points // 2
-    return np.concatenate((half[n:], np.conjugate(half[n - 1:0:-1]),
-                           half[:n]))
-
-
 def forward(f):
     """Discrete Fourier transform of a real sample, matching the
     continuous convention F(xi) = int exp(-i x xi) f(x) dx."""
-    grid = f.grid
-    return SpectralSample(grid, mirror(grid, forward_half(grid, f.values)))
+    grid, half = f.grid, forward_half(f.grid, f.values)
+    return SpectralSample.of_half(grid, half, lambda: mirror(grid, half))
 
 
 def hermitian_defect(F):
@@ -160,11 +184,12 @@ def _require_hermitian(F):
 
 def inverse(F):
     """Inverse transform of a Hermitian-symmetric sample, returning the
-    real space-domain sample.  Rejects inputs whose symmetry defect
-    exceeds HERMITIAN_RTOL relative to the largest value, and reads only
-    the nonnegative half, so the asymmetry it allows does not enter."""
-    _require_hermitian(F)
-    return RealSample(F.grid, inverse_half(F.grid, gather(F)))
+    real space-domain sample: the inverse real FFT of its half.  A sample
+    built from a centered array is rejected when its symmetry defect
+    exceeds HERMITIAN_RTOL relative to its largest value."""
+    if not F.hermitian:
+        _require_hermitian(F)
+    return RealSample(F.grid, inverse_half(F.grid, F.half))
 
 
 def convolve(F, G):
@@ -178,8 +203,9 @@ def convolve(F, G):
 
 
 def l1_norm(F):
-    """Discrete L1 norm dxi * sum |F_k| of a frequency sample."""
-    return float(F.grid.dxi * np.sum(np.abs(F.values)))
+    """Discrete L1 norm dxi * sum |F_k| of a frequency sample, summed over
+    the centered grid in its order from |F| on the half."""
+    return float(F.grid.dxi * np.sum(mirror(F.grid, np.abs(F.half))))
 
 
 def linf_norm(f):

@@ -27,30 +27,27 @@ def band_limited_evaluator(F):
     """Callable x -> f(x) = (dxi/2pi) Re sum_k F_k exp(i x xi_k), summing
     only up to the last support node.  Exact for band-limited samples.
 
-    Each xi > 0 is paired with -xi, since Re F_{-k} e^{-i x xi_k} =
-    Re conj(F_{-k}) e^{i x xi_k}; the unpaired node -N/2 dxi is summed as
-    +N/2 dxi with coefficient conj(F_{-N/2}).  So only k = 0 .. top-1 is
-    summed, where c_k = 0 beyond top.  It is summed in blocks of
-    B = ceil(sqrt(N/2 + 1)) nodes,
+    The sum runs over F's nonnegative half, xi = m dxi: each xi > 0 stands
+    for itself and -xi, since Re F(-xi) e^{-i x xi} = Re conj F(-xi)
+    e^{i x xi}, so it carries weight 2, except the self-paired xi_max.
+    So only m = 0 .. top-1 is summed, where F is 0 beyond top.  It is
+    summed in blocks of B = ceil(sqrt(N/2 + 1)) nodes,
 
-        sum_k c_k e^{i x k dxi}
+        sum_m c_m e^{i x m dxi}
             = sum_q e^{i x qB dxi} (sum_r c_{qB+r} e^{i x r dxi}),
 
     from two tables of exponentials (points x B and points x Q, with
     Q = ceil(top/B)) and one matrix product, instead of one exponential
     per point and node.  B depends on the grid alone, so evaluators of
     two samples on one grid build the same tables."""
-    v, half = F.values, F.grid.n_points // 2
-    folded = np.empty(half + 1, dtype=complex)
-    folded[0] = v[half]
-    folded[1:half] = v[half + 1:] + np.conj(v[half - 1:0:-1])
-    folded[half] = np.conj(v[0])
-    support = np.flatnonzero(folded)
+    half, n = F.half, F.grid.n_points // 2
+    support = np.flatnonzero(half)
     top = int(support[-1]) + 1 if support.size else 0
-    block = math.isqrt(half) + 1  # ceil(sqrt(half + 1))
+    block = math.isqrt(n) + 1  # ceil(sqrt(n + 1))
     blocks = -(-top // block)
     coef = np.zeros(blocks * block, dtype=complex)
-    coef[:top] = folded[:top] * (F.grid.dxi / (2.0 * np.pi))
+    coef[:top] = half[:top] * (F.grid.dxi / (2.0 * np.pi))
+    coef[1:min(top, n)] *= 2.0
     coef = coef.reshape(blocks, block).T
     fine = np.arange(block) * F.grid.dxi
     coarse = np.arange(0, blocks * block, block) * F.grid.dxi

@@ -15,7 +15,8 @@ import numpy as np
 from .chebseries import ChebSeries, call_together
 from .errors import ConfigurationError, DomainError, FitError, NumericalError
 from .expr import compile_expression
-from .grid import RealSample, SpectralGrid, SpectralSample, forward, l1_norm
+from .grid import (RealSample, SpectralGrid, SpectralSample, forward,
+                   l1_norm, mirror)
 from .mollifier import smooth_step, smooth_step_deriv, smooth_step_deriv2
 
 P_EDGE_REL = 1e-14      # required smallness of p at the grid boundary
@@ -246,9 +247,10 @@ class CoordinateMap:
                 + np.maximum(x - hi, 0.0) / np.sqrt(self.ext.qb))
 
     def level(self, L, n):
-        """SpectralGrid(L, n), shared by the problems on it, p and its
-        transform floored at CLEAN_REL there, and whether that is
-        `resolved`; with the n/2-point level, only the midpoints are new."""
+        """p on SpectralGrid(L, n), its transform floored at CLEAN_REL
+        there, a sample on that grid shared by the problems on it, and
+        whether that is `resolved`; with the n/2-point level, only the
+        midpoints are new."""
         if (L, n) not in self.levels:
             grid = SpectralGrid(L, n)
             coarse = self.levels.get((L, n // 2))
@@ -258,11 +260,13 @@ class CoordinateMap:
                 # the finer grid's own odd nodes, not the coarse nodes +
                 # dx/2, so that every node rounds as on the full grid
                 mid = _forcing(self, grid.x[1::2] + self.x_shift)
-                p = np.stack((coarse[1], mid), axis=1).ravel()
-            p_hat = forward(RealSample(grid, p)).values
-            p_hat[below_floor(p_hat)] = 0.0
-            p.flags.writeable = p_hat.flags.writeable = False
-            self.levels[(L, n)] = (grid, p, p_hat, resolved(p_hat))
+                p = np.stack((coarse[0], mid), axis=1).ravel()
+            half = floored(forward(RealSample(grid, p)).half)
+            p.flags.writeable = half.flags.writeable = False
+            # floored after the mirror, zeros are 0.0 on both sides
+            p_hat = SpectralSample.of_half(
+                grid, half, lambda: floored(mirror(grid, half)))
+            self.levels[(L, n)] = (p, p_hat, resolved(half))
         return self.levels[(L, n)]
 
 
@@ -334,12 +338,17 @@ def below_floor(vals):
     return absv < CLEAN_REL * np.max(absv)
 
 
-def resolved(vals):
-    """True when the frequency samples vals, floored at CLEAN_REL, vanish
-    on the outer half of their range, |k - n/2| >= n/4."""
-    n = vals.size
-    outer = np.abs(np.arange(n) - n // 2) >= n // 4
-    return not np.any(vals[outer & ~below_floor(vals)])
+def floored(vals):
+    """vals, with the values below its floor set to 0 in place."""
+    vals[below_floor(vals)] = 0.0
+    return vals
+
+
+def resolved(half):
+    """True when the half of a frequency sample on n nodes, floored at
+    CLEAN_REL, vanishes on the outer half of its range, m >= n/4."""
+    quarter = (half.size - 1) // 2
+    return not np.any(half[quarter:][~below_floor(half)[quarter:]])
 
 
 def forcing_transform(cmap, grid):
@@ -350,15 +359,15 @@ def forcing_transform(cmap, grid):
     half of its frequency range, or until it reaches the grid's own N.
     The grids are nested (`CoordinateMap.level`), so p is evaluated
     at no more than N points, and only once per coefficient.  Returns that
-    level's grid and its floored p-hat values."""
+    level's floored p-hat."""
     L, n = grid.half_width, min(BASE_N, grid.n_points)
     while True:
-        level, p, p_hat, done = cmap.level(L, n)
+        p, p_hat, done = cmap.level(L, n)
         if done or n == grid.n_points:
             break
         n *= 2
     _require_vanishing_edges(p, cmap)  # at the final level's end nodes
-    return level, p_hat
+    return p_hat
 
 
 def fit_decay(p_hat):
@@ -368,7 +377,7 @@ def fit_decay(p_hat):
 
     Returns (gamma, mu); the degenerate p_hat == 0 case returns
     (0.0, inf)."""
-    absv = np.abs(p_hat.values)
+    absv = mirror(p_hat.grid, np.abs(p_hat.half))
     vmax = float(np.max(absv))
     if vmax == 0.0:
         return 0.0, np.inf
@@ -478,11 +487,11 @@ def build_problem(coefficient, lam, L=None, N=None):
     fit, on the coefficient's lambda-independent setup
     (`Coefficient.map`: extension, map, and p on nested grids).
 
-    With an explicit N the grid is `choose_grid`'s, and p-hat is padded
-    onto it.  Without one it is the level `forcing_transform` returns:
-    the coarsest that resolves p-hat, which stops growing with lambda, or
-    `choose_grid`'s own grid when p-hat never resolves (finite-difference
-    noise).  `fixed_point_solve` checks that the solution is resolved
+    With an explicit N the grid is `choose_grid`'s, and p-hat is
+    zero-extended onto it.  Without one it is the level `forcing_transform`
+    returns: the coarsest that resolves p-hat, which stops growing with
+    lambda, or `choose_grid`'s own grid when p-hat never resolves
+    (finite-difference noise).  `fixed_point_solve` checks that the solution is resolved
     there too.  Values of p_hat below the round-off floor are zeroed so
     the decay certificate is meaningful at every node."""
     if _finite(lam, "lambda") <= 0:
@@ -491,13 +500,15 @@ def build_problem(coefficient, lam, L=None, N=None):
     grid = choose_grid(cmap, lam, L=L, N=N)
     # after choose_grid, whose error names L too when no grid can be built
     check_lambda_square(lam)
-    level, level_hat = forcing_transform(cmap, grid)
+    p_hat = forcing_transform(cmap, grid)
     if N is None:
-        grid = level
-    vals = np.zeros(grid.n_points, dtype=complex)
-    start = (grid.n_points - level.n_points) // 2
-    vals[start:start + level.n_points] = level_hat
-    p_hat = SpectralSample(grid, vals)
+        grid = p_hat.grid
+    elif grid != p_hat.grid:  # zero-extended below the level's xi_max
+        n, level_hat = p_hat.grid.n_points, p_hat
+        half = np.zeros(grid.n_points // 2 + 1, dtype=complex)
+        half[:n // 2] = level_hat.half[:n // 2]
+        p_hat = SpectralSample.of_half(grid, half, lambda: np.pad(
+            level_hat.values, (grid.n_points - n) // 2))
     gamma, mu = fit_decay(p_hat)
     prob = CoefficientProblem(coefficient=coefficient, lam=float(lam),
                               map=cmap, grid=grid, p_hat=p_hat,

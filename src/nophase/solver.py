@@ -14,18 +14,16 @@ bhat gives sigma-hat, and by Wb's multiplier the phase correction.
 
 import warnings
 from dataclasses import dataclass
-from functools import cached_property
 
 import numpy as np
 
 from .convexp import exp2
 from .errors import ConfigurationError, ConvergenceError, DomainError
 from .grid import (RealSample, SpectralSample, _require_hermitian,
-                   forward_half, gather, inverse_half, l1_norm, linf_norm,
-                   mirror)
+                   forward_half, inverse_half, l1_norm, linf_norm, mirror)
 from .mollifier import smooth_step
 from .problem import (_finite, below_floor, check_lambda_square,
-                      decay_bound, resolved)
+                      decay_bound, floored, resolved)
 
 # absolute floor, relative to the largest magnitude in play, below which
 # a theoretical bound is unmeasurable in double precision
@@ -45,7 +43,8 @@ class Bump:
     vanishing denominator at |xi| = 2 lambda is never touched, and its odd
     partner -i xi bhat/(4 lambda^2 - xi^2), zero at the self-paired node
     xi_max, whose imaginary part the inverse real FFT drops: each on the
-    nonnegative half, where the fixed point runs, and on the centered grid."""
+    nonnegative half, where the solver runs; all three are even or odd in
+    xi, so the half holds them whole."""
 
     grid: object
     lam: float
@@ -53,14 +52,6 @@ class Bump:
     half_b: np.ndarray
     half_multiplier: np.ndarray
     half_odd_multiplier: np.ndarray
-
-    b_hat = cached_property(lambda self: SpectralSample(
-        self.grid, mirror(self.grid, self.half_b).astype(complex)))
-    multiplier = cached_property(
-        lambda self: mirror(self.grid, self.half_multiplier))
-    # + 0.0 makes the conjugates' imaginary -0.0 off the band 0.0 again
-    odd_multiplier = cached_property(
-        lambda self: mirror(self.grid, self.half_odd_multiplier) + 0.0)
 
 
 def make_bump(grid, lam):
@@ -83,19 +74,25 @@ def make_bump(grid, lam):
                 half_odd_multiplier=odd_multiplier)
 
 
-def apply_Wb(f, bump):
-    """Multiply by bhat(xi)/(4 lambda^2 - xi^2)."""
+def _require_bump_grid(f, bump):
     if f.grid != bump.grid:
         raise ConfigurationError("sample and bump live on different grids")
-    return SpectralSample(f.grid, f.values * bump.multiplier)
+
+
+def apply_Wb(f, bump):
+    """Multiply by bhat(xi)/(4 lambda^2 - xi^2), on the centered grid."""
+    _require_bump_grid(f, bump)
+    return SpectralSample(f.grid,
+                          f.values * mirror(f.grid, bump.half_multiplier))
 
 
 def apply_Wb_tilde(f, bump):
     """Multiply by -i xi bhat(xi)/(4 lambda^2 - xi^2), and by zero at the
-    self-paired node -xi_max (the bump's odd multiplier)."""
-    if f.grid != bump.grid:
-        raise ConfigurationError("sample and bump live on different grids")
-    return SpectralSample(f.grid, f.values * bump.odd_multiplier)
+    self-paired node -xi_max (the bump's odd multiplier), on the centered
+    grid."""
+    _require_bump_grid(f, bump)
+    return SpectralSample(f.grid,
+                          f.values * mirror(f.grid, bump.half_odd_multiplier))
 
 
 def _half_step(psi_half, bump):
@@ -111,12 +108,17 @@ def _half_step(psi_half, bump):
 
 
 def apply_R(psi, w_hat, bump):
-    """One application of the fixed-point map: the half step of the
-    solver's loop, laid out on the centered grid, plus w."""
-    _require_hermitian(apply_Wb(psi, bump))  # as `inverse` checks them
-    _require_hermitian(apply_Wb_tilde(psi, bump))
-    step = _half_step(gather(psi), bump)
-    return SpectralSample(psi.grid, mirror(psi.grid, step) + w_hat.values)
+    """One application of the fixed-point map: the half step on psi's
+    half, plus w's; its centered view, built on demand, is the step's
+    mirror plus w's view.  For psi built from a centered array, Wb psi
+    and Wt psi are checked first, as `inverse` checks them."""
+    _require_bump_grid(psi, bump)
+    if not psi.hermitian:
+        _require_hermitian(apply_Wb(psi, bump))
+        _require_hermitian(apply_Wb_tilde(psi, bump))
+    grid, step = psi.grid, _half_step(psi.half, bump)
+    return SpectralSample.of_half(grid, step + w_hat.half,
+                                  lambda: mirror(grid, step) + w_hat.values)
 
 
 @dataclass
@@ -140,15 +142,17 @@ def fixed_point_solve(w_hat, lam, tol=TOL, bump=None):
     not resolved a priori, so the converged psi must be, by the rule
     p-hat's level meets (`resolved`), or ConfigurationError is raised.
     A lambda that is not finite, or whose 4 lambda^2 or first Wb w / dx
-    (what `inverse` forms) overflows, is a DomainError naming it.  Wb w
-    and Wt w are checked once; then it iterates `apply_R`'s half step."""
+    (what `inverse` forms) overflows, is a DomainError naming it.  It
+    iterates `apply_R`, which checks w on the first step when w was
+    built from a centered array."""
     if _finite(tol, "tol") <= 0.0:
         raise DomainError("tol must be positive")
     check_lambda_square(_finite(lam, "lambda"))
+    grid = w_hat.grid
     if bump is None:
-        bump = make_bump(w_hat.grid, lam)
+        bump = make_bump(grid, lam)
     with np.errstate(over="ignore"):  # named below, not warned about
-        first = np.max(np.abs(w_hat.values) * bump.multiplier) / w_hat.grid.dx
+        first = np.max(np.abs(w_hat.half) * bump.half_multiplier) / grid.dx
     if np.isinf(first):
         raise DomainError(f"lambda={lam:g} is too small: the band multiplier "
                           f"times w overflows double precision")
@@ -159,20 +163,16 @@ def fixed_point_solve(w_hat, lam, tol=TOL, bump=None):
             stacklevel=2,
         )
     threshold = tol * max(w_l1, 1e-300)
-    _require_hermitian(apply_Wb(w_hat, bump))
-    _require_hermitian(apply_Wb_tilde(w_hat, bump))
-    grid, w_half = w_hat.grid, gather(w_hat)
-    psi_half, deltas = w_half, []
+    psi, deltas = w_hat, []
     for iteration in range(1, MAX_ITER + 1):
-        step = _half_step(psi_half, bump)
-        nxt = step + w_half
+        nxt = apply_R(psi, w_hat, bump)
         # the increment's modulus is even: its mirror is the whole grid's
-        delta = float(grid.dxi * np.sum(mirror(grid, np.abs(nxt - psi_half))))
+        delta = float(grid.dxi
+                      * np.sum(mirror(grid, np.abs(nxt.half - psi.half))))
         deltas.append(delta)
-        psi_half = nxt
+        psi = nxt
         if delta <= threshold:
-            psi = SpectralSample(grid, mirror(grid, step) + w_hat.values)
-            if grid.xi_max < 2.0 * _SQRT2 * lam and not resolved(psi.values):
+            if grid.xi_max < 2.0 * _SQRT2 * lam and not resolved(psi.half):
                 raise ConfigurationError(
                     "grid frequency range too small: the solution does not "
                     "vanish on the outer half of the grid; give grid N"
@@ -224,7 +224,9 @@ class SolveResult:
 
 def extract_solution(state, bump, prob):
     """Form sigma-hat = psi * bhat, the residual nu, the transform of the
-    phase correction delta-hat = Wb psi, and the checked bounds.
+    phase correction delta-hat = Wb psi, and the checked bounds, each on
+    the nonnegative half; the samples' centered views are built on demand
+    from psi's, with the full layout's bits.
 
     delta-hat is cut to its floor support: values below the floor p-hat
     has (CLEAN_REL times the largest) are zeroed.  The report's
@@ -236,27 +238,30 @@ def extract_solution(state, bump, prob):
     sigma-hat decay bound that the report checks,
     (1/2pi) int_{|xi| > xi_max} (1 + 2 Gamma/lambda) Gamma e^{-mu |xi|};
     it is 0 otherwise.  Once xi_max <= lambda, bhat is 1 at every node,
-    sigma-hat is psi and nu is zero by construction: the report marks nu
-    as not measured (nu_floor_limited) and keeps nu_bound."""
+    sigma-hat is psi and nu is zero by construction, so nu is not
+    transformed: the report marks it as not measured (nu_floor_limited)
+    and keeps nu_bound."""
     lam = bump.lam
     psi = state.psi
     grid = psi.grid
-    psi_half, b = gather(psi), bump.half_b
+    psi_half, b = psi.half, bump.half_b
     sigma_half = psi_half * b
-    nu = RealSample(grid, inverse_half(grid, sigma_half - psi_half))
+    unit = bool(np.all(b == 1.0))
+    nu = RealSample(grid, np.zeros(grid.n_points) if unit
+                    else inverse_half(grid, sigma_half - psi_half))
+    delta_half = psi_half * bump.half_multiplier
     # moduli are even in xi: sums take the mirror, in the centered order
-    abs_delta = mirror(grid, np.abs(psi_half * bump.half_multiplier))
-    cut = below_floor(abs_delta)
-    delta_tail = grid.dxi / (2.0 * np.pi) * float(np.sum(abs_delta[cut]))
-    delta_vals = apply_Wb(psi, bump).values
-    delta_vals[cut] = 0.0
+    spread = mirror(grid, np.abs(delta_half))
+    delta_tail = grid.dxi / (2.0 * np.pi) * float(np.sum(
+        spread[below_floor(spread)]))
+    floored(delta_half)
 
     hyp = prob.hypotheses
     gamma, mu = prob.gamma_fit, prob.mu_fit
     xi = bump.half_xi
     abs_sigma = np.abs(sigma_half)
     floor = BOUND_FLOOR_REL * max(float(np.max(abs_sigma)),
-                                  float(np.max(np.abs(prob.p_hat.values))),
+                                  float(np.max(np.abs(prob.p_hat.half))),
                                   1e-300)
 
     outside = xi >= _SQRT2 * lam
@@ -272,7 +277,7 @@ def extract_solution(state, bump, prob):
     nu_bound = (gamma / (2.0 * mu)) * (1.0 + 4.0 * gamma / lam) \
         * np.exp(-mu * lam)
     nu_floor = BOUND_FLOOR_REL * max(float(np.max(np.abs(psi_half))), 1e-300)
-    nu_floor_limited = nu_bound < nu_floor or bool(np.all(b == 1.0))
+    nu_floor_limited = nu_bound < nu_floor or unit
     nu_ok = bool(nu_inf <= NU_SLACK * nu_bound or nu_inf <= nu_floor)
     band_tail = (1.0 + 2.0 * gamma / lam) * gamma / (np.pi * mu) \
         * np.exp(-mu * grid.xi_max) if grid.xi_max < _SQRT2 * lam else 0.0
@@ -294,12 +299,12 @@ def extract_solution(state, bump, prob):
         delta_tail=delta_tail,
         band_tail=float(band_tail),
     )
-    # xi < 0 from psi's own values, so zeros keep the centered grid's signs
-    n, sigma = grid.n_points // 2, mirror(grid, sigma_half)
-    np.multiply(psi.values[1:n], b[n - 1:0:-1], out=sigma[1:n])
-    return SolveResult(psi=psi, sigma_hat=SpectralSample(grid, sigma), nu=nu,
-                       delta_hat=SpectralSample(grid, delta_vals),
-                       bounds_report=report)
+    sigma_hat = SpectralSample.of_half(
+        grid, sigma_half, lambda: psi.values * mirror(grid, b))
+    delta_hat = SpectralSample.of_half(
+        grid, delta_half, lambda: floored(apply_Wb(psi, bump).values))
+    return SolveResult(psi=psi, sigma_hat=sigma_hat, nu=nu,
+                       delta_hat=delta_hat, bounds_report=report)
 
 
 def solve_problem(prob):

@@ -130,7 +130,8 @@ def extract_on_full_grid(state, bump, prob):
     on the nonnegative half."""
     psi, lam = state.psi, bump.lam
     grid, xi = psi.grid, psi.grid.xi
-    sigma = psi.values * bump.b_hat.values.real
+    b = bump_on_full_grid(grid, lam)[0].real
+    sigma = psi.values * b
     nu = inverse(SpectralSample(grid, sigma - psi.values))
     delta = apply_Wb(psi, bump).values
     cut = below_floor(delta)
@@ -168,7 +169,7 @@ def extract_on_full_grid(state, bump, prob):
         nu_bound_ok=bool(nu_inf <= NU_SLACK * nu_bound
                          or nu_inf <= nu_floor),
         nu_floor_limited=bool(nu_bound < nu_floor
-                              or np.all(bump.b_hat.values == 1.0)),
+                              or np.all(b == 1.0)),
         delta_tail=delta_tail, band_tail=float(band_tail))
     return (SpectralSample(grid, sigma), nu, SpectralSample(grid, delta),
             report)

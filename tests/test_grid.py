@@ -115,6 +115,30 @@ class TestForward:
         assert hermitian_defect(F) <= 1e-12 * np.max(np.abs(F.values))
 
 
+class TestSpectralSample:
+    @pytest.mark.parametrize("L, n", [(5.0, 16), (8.0, 256), (21.1, 8192)])
+    def test_view_of_a_half_is_the_centered_transform(self, rng, L, n):
+        # the centered layout the transform was stored in: numpy's real
+        # FFT scaled by dx (-1)^m, conjugated onto xi < 0, and the
+        # self-paired -xi_max from its last entry
+        grid = SpectralGrid(L, n)
+        f = rng.standard_normal(n)
+        half = np.fft.rfft(f) * (grid.dx * (-1.0) ** np.arange(n // 2 + 1))
+        ref = np.concatenate((half[n // 2:], np.conj(half[n // 2 - 1:0:-1]),
+                              half[:n // 2]))
+        F = forward(RealSample(grid, f))
+        assert F.hermitian and F.half.shape == (n // 2 + 1,)
+        assert F.values.tobytes() == ref.tobytes()
+
+    @pytest.mark.parametrize("n", [16, 64, 1024])
+    def test_hermitian_array_gives_back_its_half(self, rng, n):
+        grid = SpectralGrid(5.0, n)
+        F = hermitian_sample(grid, rng, at_minus_xi_max=1.5)
+        assert not F.hermitian
+        np.testing.assert_array_equal(
+            F.half, np.concatenate((F.values[n // 2:], F.values[:1])))
+
+
 class TestInverse:
     def test_round_trip(self, rng):
         grid = SpectralGrid(20.0, 512)

@@ -5,9 +5,10 @@ import numpy as np
 import pytest
 from scipy.integrate import quad
 
+import nophase.grid
 import nophase.solver
 from conftest import make_constant_coefficient
-from nophase.phase import (band_limited_evaluator, build_phase,
+from nophase.phase import (band_limited_evaluator, build_phase, eval_basis,
                            interior_nodes, kummer_residual)
 from helpers import (apply_T, bump_on_full_grid, exp2_star_series,
                      extract_on_full_grid, invert_helmholtz, iterate_apply_R,
@@ -17,7 +18,7 @@ from nophase.errors import (ConfigurationError, ConvergenceError, DomainError,
                             MagnitudeError, SymmetryError)
 from nophase.grid import (RealSample, SpectralGrid, SpectralSample, convolve,
                           forward, hermitian_defect, inverse, l1_norm,
-                          linf_norm)
+                          linf_norm, mirror)
 from nophase.problem import (CoefficientProblem, build_problem, choose_grid,
                              decay_bound, fit_decay)
 from nophase.solver import (apply_R, apply_Wb, apply_Wb_tilde,
@@ -47,21 +48,22 @@ class TestBump:
         grid = band_grid(lam)
         bump = make_bump(grid, lam)
         core = np.abs(grid.xi) <= lam
-        assert np.max(np.abs(bump.b_hat.values[core] - 1.0)) <= 1e-14
+        b = mirror(grid, bump.half_b)
+        assert np.max(np.abs(b[core] - 1.0)) <= 1e-14
 
     def test_vanishes_beyond_band(self):
         lam = 10.0
         grid = band_grid(lam)
-        bump = make_bump(grid, lam)
+        b = mirror(grid, make_bump(grid, lam).half_b)
         outside = np.abs(grid.xi) >= SQRT2 * lam
-        assert np.all(bump.b_hat.values[outside] == 0.0)
+        assert np.all(b[outside] == 0.0)
         at_15 = np.argmin(np.abs(grid.xi - 1.5 * lam))
-        assert bump.b_hat.values[at_15] == 0.0
+        assert b[at_15] == 0.0
 
     def test_range(self):
         lam = 6.0
         grid = band_grid(lam)
-        b = make_bump(grid, lam).b_hat.values.real
+        b = mirror(grid, make_bump(grid, lam).half_b)
         assert np.all(b >= 0.0) and np.all(b <= 1.0)
 
     def test_resolution_guard(self, rng):
@@ -87,9 +89,11 @@ class TestBump:
         grid = SpectralGrid(8.0, 32)
         assert grid.xi_max <= lam
         unit = make_bump(grid, lam)
-        assert np.all(unit.b_hat.values == 1.0)
+        assert np.all(mirror(grid, unit.half_b) == 1.0)
         on = np.isin(full.grid.xi, grid.xi)
-        np.testing.assert_array_equal(unit.multiplier, full.multiplier[on])
+        np.testing.assert_array_equal(
+            mirror(grid, unit.half_multiplier),
+            mirror(full.grid, full.half_multiplier)[on])
 
     def test_exactly_even(self, sech_coefficient):
         # the four ladder grids, and one whose xi_max lies in the
@@ -100,12 +104,12 @@ class TestBump:
         cases.append((SpectralGrid(8.0, 256), 40.0))
         for grid, lam in cases:
             bump = make_bump(grid, lam)
-            b = bump.b_hat.values
+            b = mirror(grid, bump.half_b).astype(complex)
+            multiplier = mirror(grid, bump.half_multiplier)
             assert np.all(b.imag == 0.0)
             # index 0 (-xi_max) is self-paired; k pairs with N - k
             np.testing.assert_array_equal(b[1:], b[:0:-1])
-            np.testing.assert_array_equal(bump.multiplier[1:],
-                                          bump.multiplier[:0:-1])
+            np.testing.assert_array_equal(multiplier[1:], multiplier[:0:-1])
             assert np.all(b[np.abs(grid.xi) <= lam] == 1.0)
             assert np.all(b[np.abs(grid.xi) >= SQRT2 * lam] == 0.0)
         assert lam < grid.xi_max < SQRT2 * lam
@@ -400,7 +404,8 @@ class TestExtractSolution:
         kept = delta != 0.0
         assert np.all(np.abs(delta[kept] - full[kept])
                       <= 4e-16 * np.abs(full[kept]))
-        plateau = kept & (make_bump(prob.grid, lam).b_hat.values == 1.0)
+        plateau = kept & (mirror(prob.grid,
+                                 make_bump(prob.grid, lam).half_b) == 1.0)
         assert np.count_nonzero(plateau) > 0
         np.testing.assert_array_equal(delta[plateau], full[plateau])
 
@@ -507,10 +512,16 @@ class TestHalfSpectrum:
     def test_bump_is_the_full_grid_one(self, problems):
         for prob in problems:
             bump = make_bump(prob.grid, prob.lam)
-            b, multiplier, odd = bump_on_full_grid(prob.grid, prob.lam)
-            assert bump.b_hat.values.tobytes() == b.tobytes()
-            assert bump.multiplier.tobytes() == multiplier.tobytes()
-            assert bump.odd_multiplier.tobytes() == odd.tobytes()
+            grid = prob.grid
+            b, multiplier, odd = bump_on_full_grid(grid, prob.lam)
+            # the half laid out on the centered grid
+            assert mirror(grid, bump.half_b).astype(complex).tobytes() \
+                == b.tobytes()
+            assert mirror(grid, bump.half_multiplier).tobytes() \
+                == multiplier.tobytes()
+            # + 0.0 makes the conjugates' imaginary -0.0 off the band 0.0
+            assert (mirror(grid, bump.half_odd_multiplier) + 0.0).tobytes() \
+                == odd.tobytes()
 
     def test_loop_is_the_public_apply_R(self, problems):
         for prob in problems:
@@ -528,7 +539,8 @@ class TestHalfSpectrum:
             result = extract_solution(state, bump, prob)
             sigma, nu, delta, report = extract_on_full_grid(state, bump, prob)
             assert result.sigma_hat.values.tobytes() \
-                == (state.psi.values * bump.b_hat.values.real).tobytes() \
+                == (state.psi.values
+                    * mirror(prob.grid, bump.half_b)).tobytes() \
                 == sigma.values.tobytes()
             assert result.nu.values.tobytes() == nu.values.tobytes()
             assert result.delta_hat.values.tobytes() == delta.values.tobytes()
@@ -539,8 +551,9 @@ class TestHalfSpectrum:
         # on the transition grid the self-paired node -xi_max carries psi,
         # a cutoff strictly between 0 and 1, and a zero odd multiplier
         assert prob.lam < prob.grid.xi_max < SQRT2 * prob.lam
-        assert 0.0 < bump.b_hat.values[0].real < 1.0
-        assert state.psi.values[0] != 0.0 and bump.odd_multiplier[0] == 0.0
+        assert 0.0 < bump.half_b[-1] < 1.0
+        assert state.psi.values[0] != 0.0 \
+            and bump.half_odd_multiplier[-1] == 0.0
 
     def test_asymmetry_inside_the_band_refused_on_entry(self, rng):
         lam = 5.0
@@ -563,3 +576,34 @@ class TestHalfSpectrum:
         psi, deltas = iterate_apply_R(SpectralSample(grid, odd), bump)
         assert state.psi.values.tobytes() == psi.values.tobytes()
         assert state.iteration == len(deltas)
+
+    def test_solve_path_builds_no_view_and_checks_nothing(
+            self, sech_coefficient, monkeypatch):
+        # every sample on the path is built from a half, Hermitian by
+        # construction: nothing checks its symmetry or lays it out on the
+        # centered grid
+        calls = {"views": 0, "checks": 0}
+
+        def counting(original, key):
+            def call(*args):
+                calls[key] += 1
+                return original(*args)
+            return call
+
+        monkeypatch.setattr(nophase.grid, "centered_view", counting(
+            nophase.grid.centered_view, "views"))
+        check = counting(nophase.grid._require_hermitian, "checks")
+        for module in (nophase.grid, nophase.solver):
+            monkeypatch.setattr(module, "_require_hermitian", check)
+        t = interior_nodes(-3.0, 3.0)
+        for lam in (20.0, 80.0, 320.0, 1280.0):
+            prob = build_problem(sech_coefficient, lam)
+            result, _ = solve_problem(prob)
+            phase = build_phase(result, prob)
+            kummer_residual(phase, sech_coefficient.q, t)
+            eval_basis(phase, t)
+        assert calls == {"views": 0, "checks": 0}
+        # the counters see a view asked for (delta-hat's is built from
+        # psi's), and the check of a sample built from it
+        inverse(SpectralSample(prob.grid, result.delta_hat.values))
+        assert calls["views"] > 0 and calls["checks"] == 1
