@@ -27,7 +27,8 @@ its adaptive fits, and clenshaw_passes, the calls of the one Clenshaw
 kernel of `nophase.chebseries` (`clenshaw`, wrapped; `chebval` and
 every `ChebSeries` sum run through it) from `build_problem` through the
 oracle, each of which sums one stack of series at one point set.
-A last row,
+r_len and alpha_len are the coefficient counts of the phase's r and
+alpha, the lengths the checks sum.  A last row,
 "320-expression", times the same lambda = 320 oracle with q compiled
 from "1 + sech(t)**2", as the CLI runs it on a problem file, and q_us,
 the microseconds per point of that q alone on an array of 10 000 nodes
@@ -197,6 +198,8 @@ def one_pass(stages):
             "clenshaw_passes": stages.calls["clenshaw_passes"]
             - clenshaw_passes,
             "delta_degree": phase.delta_degree,
+            "r_len": len(phase.r_t.coef),
+            "alpha_len": len(phase.alpha_t.coef),
         }
         if lam == EXPRESSION_LAMBDA:
             expression_prob = dataclasses.replace(

@@ -19,6 +19,7 @@ from .errors import NumericalError
 TAIL_TOL = 1e-13      # coefficient-tail tolerance of ChebSeries.adaptive_fit
 MIN_N = 128           # its first node count
 MAX_N = 4096          # and its last
+CUT_REL = np.finfo(float).eps  # relative floor of the coefficients it keeps
 DEGREE_REL = 1e-12    # relative coefficient floor of degree_for_tail
 PIECE_DEGREE = 32     # degree of every piece of ChebSeries.adaptive_pieces
 MAX_ROUNDS = 40       # its bisection rounds
@@ -42,6 +43,14 @@ def values_to_coeffs(values_ascending):
     c[..., 0] *= 0.5
     c[..., -1] *= 0.5
     return c
+
+
+def last_above(c, rel):
+    """Index of the last coefficient (along the first axis of c) holding
+    an entry above rel * max|c|; 0 when every entry is 0."""
+    c = np.abs(c)
+    significant = np.nonzero(c > rel * np.max(c))[0]
+    return int(significant[-1]) if significant.size else 0
 
 
 def chebval(x, c):
@@ -155,12 +164,18 @@ class ChebSeries:
         """Double the node count from MIN_N until the coefficient tail
         drops below TAIL_TOL relative to the largest coefficient; raises
         NumericalError when n reaches MAX_N without passing that test.
+        The trailing coefficients that are each at most CUT_REL (machine
+        epsilon) times the largest, round-off that would only lengthen
+        every sum, are then dropped; at least one is kept, so a function
+        that is 0 at every node keeps one zero coefficient.  `values`
+        keeps all n+1 fitted values.
 
         MIN_N is 128 because the fits of delta, r and alpha' end at
         n >= 128 on every route measured (sech at lambda = 20 to 1280,
         exact, expression and finite-difference derivatives), so rounds
         at 16, 32 and 64 nodes only ever failed.  As the rounds are
-        nested, a fit that ends at n >= 128 is the same bit for bit.
+        nested, the kept coefficients of a fit that ends at n >= 128 are
+        the same bit for bit.
 
         The n-point Lobatto nodes are the even nodes of the 2n-point set,
         bit for bit, so each doubling calls f only at the new odd nodes
@@ -185,7 +200,8 @@ class ChebSeries:
             cmax = float(np.max(c))
             tail = float(np.max(c[-max(2, n // 8):]))
             if tail <= TAIL_TOL * cmax:
-                return series
+                keep = last_above(series.coef, CUT_REL) + 1
+                return cls(series.edges, series.coef[:keep], series.values)
             if n >= MAX_N:
                 raise NumericalError(
                     f"Chebyshev fit did not resolve the function with "
@@ -265,9 +281,7 @@ class ChebSeries:
     def degree_for_tail(self):
         """Smallest degree beyond which all coefficients are below
         DEGREE_REL * max|coef|."""
-        c = np.abs(self.coef)
-        significant = np.nonzero(c > DEGREE_REL * np.max(c))[0]
-        return int(significant[-1]) if significant.size else 0
+        return last_above(self.coef, DEGREE_REL)
 
 
 def call_together(functions, t):

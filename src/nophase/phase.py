@@ -8,7 +8,10 @@ band-limited correction delta is summed from its trigonometric series
 adaptive Chebyshev fit of delta(x(t)) over [a, b]; r, its derivatives and
 alpha are built from that series, because alpha grows linearly and is not
 periodic.  The fits of r and of alpha' read delta and r from the values
-those were fitted from, at the nodes they share.
+those were fitted from, at the nodes they share.  Each fit keeps its
+coefficients up to its round-off plateau (`ChebSeries.adaptive_fit`), so
+r, its derivatives and alpha are summed at their resolved length, which
+does not grow with lambda.
 """
 
 import math

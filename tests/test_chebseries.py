@@ -9,8 +9,8 @@ from scipy.fft import dct
 
 import nophase
 from nophase.chebseries import (ChebSeries, call_together, chebder, chebint,
-                                chebval, clenshaw, lobatto_nodes,
-                                values_to_coeffs)
+                                chebval, clenshaw, last_above,
+                                lobatto_nodes, values_to_coeffs)
 from nophase.errors import NumericalError
 
 LENGTHS = range(1, 301)  # coefficient counts the kernels are checked at
@@ -173,18 +173,22 @@ class TestChebSeries:
             return 1.0 / (1.0 + 100.0 * t * t)
 
         series = ChebSeries.adaptive_fit(f, -1.0, 2.0)
-        n = len(series.coef) - 1
+        n = len(series.values) - 1
         assert len(seen) > 2
         np.testing.assert_array_equal(np.sort(np.concatenate(seen)),
                                       lobatto_nodes(n, -1.0, 2.0))
-        # and the fit is the one-shot fit at the final nodes
-        np.testing.assert_array_equal(series.coef,
-                                      ChebSeries.fit(f, -1.0, 2.0, n).coef)
+        # and the kept coefficients are the one-shot fit's at the final
+        # nodes, each dropped one at most eps times the largest
+        full = ChebSeries.fit(f, -1.0, 2.0, n).coef
+        kept = len(series.coef)
+        np.testing.assert_array_equal(series.coef, full[:kept])
+        assert np.all(np.abs(full[kept:])
+                      <= np.finfo(float).eps * np.max(np.abs(full)))
 
     def test_sampled_reads_fit_values_at_nested_nodes(self):
         f = lambda t: np.exp(np.sin(3.0 * t))
         series = ChebSeries.adaptive_fit(f, -1.0, 2.0)
-        n = len(series.coef) - 1
+        n = len(series.values) - 1
         for level in (n, n // 4):
             t = lobatto_nodes(level, -1.0, 2.0)[1::2]
             np.testing.assert_array_equal(series.sampled(t), f(t))
@@ -193,6 +197,40 @@ class TestChebSeries:
         expect = series(t)
         expect[0::2] = f(t[0::2])
         np.testing.assert_array_equal(series.sampled(t), expect)
+
+    @pytest.mark.parametrize("f", [lambda t: np.exp(np.sin(3.0 * t)),
+                                   lambda t: 1e6 * np.exp(t) + 3.0],
+                             ids=["exp-sin", "scaled-exp"])
+    def test_cut_stays_near_the_uncut_fit(self, f):
+        # the dropped coefficients are round-off: the cut series differs
+        # from the fit at all n+1 nodes by at most their count times
+        # eps times the largest coefficient
+        series = ChebSeries.adaptive_fit(f, -1.0, 2.0)
+        full = ChebSeries.fit(f, -1.0, 2.0, len(series.values) - 1)
+        dropped = len(full.coef) - len(series.coef)
+        assert dropped > 0
+        t = np.linspace(-1.0, 2.0, 1000)
+        assert np.max(np.abs(series(t) - full(t))) \
+            <= dropped * np.finfo(float).eps * np.max(np.abs(full.coef))
+
+    def test_zero_function_keeps_one_coefficient(self):
+        # every coefficient of a function that is 0 at every node is 0,
+        # none above eps times the largest; one is kept all the same
+        series = ChebSeries.adaptive_fit(np.zeros_like, -1.0, 2.0)
+        assert series.coef.shape == (1, 1) and series.coef[0, 0] == 0.0
+        assert len(series.values) == 129
+        t = np.linspace(-1.0, 2.0, 7)
+        np.testing.assert_array_equal(series(t), np.zeros(7))
+        np.testing.assert_array_equal(series.deriv()(t), np.zeros(7))
+        np.testing.assert_array_equal(series.antideriv()(t), np.zeros(7))
+        assert series.degree_for_tail() == 0
+
+    def test_last_above(self):
+        c = np.array([[1.0], [-1e-13], [2e-16], [-4e-16], [0.0]])
+        assert last_above(c, 1e-12) == 0
+        assert last_above(c, np.finfo(float).eps) == 3
+        assert last_above(np.zeros((4, 1)), np.finfo(float).eps) == 0
+        assert ChebSeries(np.array([-1.0, 1.0]), c).degree_for_tail() == 0
 
     def test_antiderivative_vanishes_at_a(self):
         series = ChebSeries.adaptive_fit(lambda t: 1.0 / (1.0 + 25.0 * t * t),

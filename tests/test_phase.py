@@ -167,6 +167,45 @@ class TestBuildPhase:
         build_phase(result, prob)
         assert points == [1]
 
+    def test_resolved_length_flat_to_large_lambda(self, sech_coefficient):
+        # r and alpha are cut at their round-off plateau, which does not
+        # move with lambda: r keeps the same coefficient count at every
+        # lambda, and alpha within two, as its last kept coefficient
+        # lies close to eps times the largest
+        r_lens, alpha_lens = [], []
+        for lam in (80.0, 320.0, 1280.0, 1e4, 1e6, 1e8, 1e12):
+            prob, _, phase = solved_phase(sech_coefficient, lam)
+            r_lens.append(len(phase.r_t.coef))
+            alpha_lens.append(len(phase.alpha_t.coef))
+            assert phase.delta_degree == 66
+            if lam >= 320.0:
+                assert prob.grid.n_points == 8192
+            t = interior_nodes(phase.a, phase.b)
+            res = kummer_residual(phase, prob.coefficient.q, t)
+            assert np.max(np.abs(res)) <= 2e-15 * lam ** 2
+        assert len(set(r_lens)) == 1
+        assert max(alpha_lens) - min(alpha_lens) <= 2
+        assert max(r_lens + alpha_lens) <= 80
+
+    @pytest.mark.parametrize("lam", [80.0, 1e12])
+    def test_cut_phase_stays_near_the_uncut_fits(self, sech_coefficient,
+                                                 lam):
+        # r and alpha' differ from their fits at all n+1 nodes by at most
+        # the dropped count times eps times the largest coefficient
+        _, _, phase = solved_phase(sech_coefficient, lam)
+        speed = nophase.chebseries.ChebSeries.adaptive_fit(
+            lambda t: phase.dalpha_of_r(phase.r_t.sampled(t)),
+            phase.a, phase.b)
+        t = np.linspace(phase.a, phase.b, 1000)
+        for series in (phase.r_t, speed):
+            full = nophase.chebseries.ChebSeries.fit(
+                lambda _: series.values, phase.a, phase.b,
+                len(series.values) - 1)
+            dropped = len(full.coef) - len(series.coef)
+            assert dropped > 0
+            assert np.max(np.abs(series(t) - full(t))) \
+                <= dropped * np.finfo(float).eps * np.max(np.abs(full.coef))
+
 
 class TestEvalBasis:
     def test_initial_values(self, sech_coefficient):
