@@ -3,8 +3,9 @@ and of the three input routes for a constant q, one line each.  Two
 trees whose digests match give the same bits on these paths.
 
 - solve-ladder: q = 1 + sech^2 t on [-3, 3] (extension width 4) with
-  exact derivatives, at lambda = 20, 80, 320 and 1280: p-hat, delta-hat,
-  the Kummer residual and `eval_basis` at `interior_nodes(-3, 3)`.
+  exact derivatives, at lambda = 20, 80, 320 and 1280: the nonnegative
+  halves of p-hat and delta-hat (the state a solve computes on), the
+  Kummer residual and `eval_basis` at `interior_nodes(-3, 3)`.
 - verify-oracle: the four numbers `nophase verify` prints (phase-equation
   residual, basis errors u and v, nu_inf) at lambda = 320, for the same q
   given as expressions with dq and d2q, at the default oracle tolerance.
@@ -80,7 +81,7 @@ def solve_ladder():
         prob = build_problem(coeff, lam)
         result, _ = solve_problem(prob)
         phase = build_phase(result, prob)
-        parts += [prob.p_hat.values, result.delta_hat.values,
+        parts += [prob.p_hat.half, result.delta_hat.half,
                   kummer_residual(phase, coeff.q, nodes),
                   *eval_basis(phase, nodes)]
     return digest(parts)

@@ -13,20 +13,17 @@ with the grid N, the fixed-point iterations, the points at which q, q'
 and q'' are evaluated in `build_problem`, the points at which the oracle
 evaluates q, the oracle's microseconds per q point, and the points at
 which delta's trigonometric series is summed.  A point is one node of a
-q call, whether the call takes an array or a scalar.  Five call counts
+q call, whether the call takes an array or a scalar.  Four call counts
 follow: ffts, the numpy.fft calls inside `solve_problem` (the script
 wraps every transform of numpy.fft to count them), hermitian_checks, the
 calls of the symmetry check `nophase.grid._require_hermitian` inside
 `solve_problem` (wrapped in every nophase module that holds it),
-centered_views, the calls of the builder of a spectral sample's centered
-layout `nophase.grid.centered_view` from `solve_problem` through the
-checks (null on a tree that stores that layout and has no builder),
-fit_rounds, the
-`ChebSeries.fit` calls inside `build_phase`, one per doubling round of
-its adaptive fits, and clenshaw_passes, the calls of the one Clenshaw
-kernel of `nophase.chebseries` (`clenshaw`, wrapped; `chebval` and
-every `ChebSeries` sum run through it) from `build_problem` through the
-oracle, each of which sums one stack of series at one point set.
+fit_rounds, the `ChebSeries.fit` calls inside `build_phase`, one per
+doubling round of its adaptive fits, and clenshaw_passes, the calls of
+the one Clenshaw kernel of `nophase.chebseries` (`clenshaw`, wrapped;
+`chebval` and every `ChebSeries` sum run through it) from
+`build_problem` through the oracle, each of which sums one stack of
+series at one point set.
 r_len and alpha_len are the coefficient counts of the phase's r and
 alpha, the lengths the checks sum.  A last row,
 "320-expression", times the same lambda = 320 oracle with q compiled
@@ -86,8 +83,8 @@ class Stages:
     def __init__(self):
         self.ms = {}
         self.points = {"q_points": 0, "evaluator_points": 0}
-        self.calls = {"ffts": 0, "hermitian_checks": 0, "centered_views": 0,
-                      "fit_rounds": 0, "clenshaw_passes": 0}
+        self.calls = {"ffts": 0, "hermitian_checks": 0, "fit_rounds": 0,
+                      "clenshaw_passes": 0}
         self._install()
 
     def _timed(self, module, name):
@@ -124,10 +121,6 @@ class Stages:
             if name.startswith("nophase.") \
                     and getattr(module, "_require_hermitian", None) is check:
                 module._require_hermitian = counted
-        self.views = hasattr(nophase.grid, "centered_view")
-        if self.views:
-            nophase.grid.centered_view = self._call_counter(
-                nophase.grid.centered_view, "centered_views")
         nophase.chebseries.clenshaw = self._call_counter(
             nophase.chebseries.clenshaw, "clenshaw_passes")
         fit = ChebSeries.fit.__func__
@@ -158,7 +151,6 @@ def one_pass(stages):
         q_points = stages.points["q_points"]
         ffts = stages.calls["ffts"]
         checks = stages.calls["hermitian_checks"]
-        views = stages.calls["centered_views"]
         result, state = solve_problem(prob)
         t2 = time.perf_counter()
         ffts = stages.calls["ffts"] - ffts
@@ -170,7 +162,6 @@ def one_pass(stages):
         np.max(np.abs(kummer_residual(phase, coeff.q, nodes)))
         eval_basis(phase, nodes)
         t4 = time.perf_counter()
-        views = stages.calls["centered_views"] - views
         q_points_before = stages.points["q_points"]
         basis_error(phase, prob)
         t5 = time.perf_counter()
@@ -193,7 +184,6 @@ def one_pass(stages):
             "evaluator_points": stages.points["evaluator_points"],
             "ffts": ffts,
             "hermitian_checks": checks,
-            "centered_views": views if stages.views else None,
             "fit_rounds": fit_rounds,
             "clenshaw_passes": stages.calls["clenshaw_passes"]
             - clenshaw_passes,

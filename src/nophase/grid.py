@@ -15,10 +15,12 @@ directly and the round trip is exact to round-off.
 The space side is real, so its transform is Hermitian, F(-xi) =
 conj(F(xi)), and held whole by the nonnegative half xi = m dxi, m = 0 ..
 N/2 (the last is the self-paired node -xi_max): the half is the sample.
-The centered layout xi_k = (k - N/2)*dxi, k = 0 .. N-1, is a view of it,
-built on demand.  Every transform runs on the half kernels
-`forward_half`/`inverse_half`, numpy's real FFTs, which `forward` and
-`inverse` wrap into samples; `convolve` is their composition.
+The centered layout xi_k = (k - N/2)*dxi, k = 0 .. N-1, is its mirror,
+built on demand; a centered array given by a caller is checked for that
+symmetry once, where its sample is built, and folded into its half.
+Every transform runs on the half kernels `forward_half`/`inverse_half`,
+numpy's real FFTs, which `forward` and `inverse` wrap into samples;
+`convolve` is their composition.
 """
 
 from dataclasses import dataclass
@@ -94,41 +96,35 @@ class SpectralSample:
     """The transform F of a real function at the grid's frequency nodes,
     held as its nonnegative half `half`, F(m dxi) for m = 0 .. N/2.
 
-    Built from a half (`of_half`), it is Hermitian by construction
-    (`hermitian`), and its centered layout `values`, F at xi_k =
-    (k - N/2) dxi, is a view built on demand (`centered_view`).  Built
-    from a centered array, it keeps the array as `values`, checked for
-    symmetry where a transform needs it, and its half is the one whose
-    real series is the array's: (F(xi) + conj F(-xi))/2 at 0 < xi <
-    xi_max, and conj F(-xi_max) at the self-paired node."""
-
-    hermitian = False
+    Its centered layout `values`, F at xi_k = (k - N/2) dxi, is the
+    half's `mirror`, built on demand.  A sample built from a half
+    (`of_half`) is Hermitian by construction.  One built from a centered
+    array is checked for symmetry there, within HERMITIAN_RTOL of its
+    largest value (SymmetryError otherwise), keeps the array as its
+    `values`, and holds the fold whose real series is the array's:
+    (F(xi) + conj F(-xi))/2 at 0 < xi < xi_max, and conj F(-xi_max) at
+    the self-paired node."""
 
     def __init__(self, grid, values):
-        self.grid, self.values = grid, np.asarray(values, dtype=complex)
-        if self.values.shape != (grid.n_points,):
+        v = np.asarray(values, dtype=complex)
+        if v.shape != (grid.n_points,):
             raise ValueError("values length must equal n_points")
+        self.grid, self.__dict__["values"] = grid, v
+        _require_hermitian(self)
+        n = grid.n_points // 2
+        self.half = np.concatenate((v[n:n + 1], 0.5 * (v[n + 1:] + np.conj(
+            v[n - 1:0:-1])), np.conj(v[:1])))
 
     @classmethod
-    def of_half(cls, grid, half, view):
-        """The sample with half `half`, whose centered view is `view()`."""
+    def of_half(cls, grid, half):
+        """The sample whose nonnegative half is `half`."""
         sample = cls.__new__(cls)
-        sample.grid, sample.half, sample._view = grid, half, view
-        sample.hermitian = True
+        sample.grid, sample.half = grid, half
         return sample
 
     @cached_property
-    def half(self):
-        v, n = self.values, self.grid.n_points // 2
-        return np.concatenate((v[n:n + 1], 0.5 * (v[n + 1:] + np.conj(
-            v[n - 1:0:-1])), np.conj(v[:1])))
-
-    values = cached_property(lambda self: centered_view(self))
-
-
-def centered_view(F):
-    """The centered layout of a sample built from a half."""
-    return F._view()
+    def values(self):
+        return mirror(self.grid, self.half)
 
 
 def mirror(grid, half):
@@ -158,8 +154,7 @@ def inverse_half(grid, half):
 def forward(f):
     """Discrete Fourier transform of a real sample, matching the
     continuous convention F(xi) = int exp(-i x xi) f(x) dx."""
-    grid, half = f.grid, forward_half(f.grid, f.values)
-    return SpectralSample.of_half(grid, half, lambda: mirror(grid, half))
+    return SpectralSample.of_half(f.grid, forward_half(f.grid, f.values))
 
 
 def hermitian_defect(F):
@@ -183,12 +178,8 @@ def _require_hermitian(F):
 
 
 def inverse(F):
-    """Inverse transform of a Hermitian-symmetric sample, returning the
-    real space-domain sample: the inverse real FFT of its half.  A sample
-    built from a centered array is rejected when its symmetry defect
-    exceeds HERMITIAN_RTOL relative to its largest value."""
-    if not F.hermitian:
-        _require_hermitian(F)
+    """Inverse transform of a sample, returning the real space-domain
+    sample: the inverse real FFT of its half."""
     return RealSample(F.grid, inverse_half(F.grid, F.half))
 
 
@@ -196,8 +187,8 @@ def convolve(F, G):
     """(1/2pi) (F * G) computed as forward(inverse(F) . inverse(G)).
 
     Matches the transform-of-a-product convention; commutative to
-    round-off.  The space-side route keeps the cost at O(N log N).
-    Like `inverse`, it requires Hermitian-symmetric F and G."""
+    round-off.  The space-side route keeps the cost at O(N log N) and
+    runs on the halves of F and G."""
     _require_same_grid(F, G)
     return forward(RealSample(F.grid, inverse(F).values * inverse(G).values))
 

@@ -263,9 +263,7 @@ class CoordinateMap:
                 p = np.stack((coarse[0], mid), axis=1).ravel()
             half = floored(forward(RealSample(grid, p)).half)
             p.flags.writeable = half.flags.writeable = False
-            # floored after the mirror, zeros are 0.0 on both sides
-            p_hat = SpectralSample.of_half(
-                grid, half, lambda: floored(mirror(grid, half)))
+            p_hat = SpectralSample.of_half(grid, half)
             self.levels[(L, n)] = (p, p_hat, resolved(half))
         return self.levels[(L, n)]
 
@@ -504,11 +502,10 @@ def build_problem(coefficient, lam, L=None, N=None):
     if N is None:
         grid = p_hat.grid
     elif grid != p_hat.grid:  # zero-extended below the level's xi_max
-        n, level_hat = p_hat.grid.n_points, p_hat
+        n = p_hat.grid.n_points
         half = np.zeros(grid.n_points // 2 + 1, dtype=complex)
-        half[:n // 2] = level_hat.half[:n // 2]
-        p_hat = SpectralSample.of_half(grid, half, lambda: np.pad(
-            level_hat.values, (grid.n_points - n) // 2))
+        half[:n // 2] = p_hat.half[:n // 2]
+        p_hat = SpectralSample.of_half(grid, half)
     gamma, mu = fit_decay(p_hat)
     prob = CoefficientProblem(coefficient=coefficient, lam=float(lam),
                               map=cmap, grid=grid, p_hat=p_hat,

@@ -19,8 +19,8 @@ import numpy as np
 
 from .convexp import exp2
 from .errors import ConfigurationError, ConvergenceError, DomainError
-from .grid import (RealSample, SpectralSample, _require_hermitian,
-                   forward_half, inverse_half, l1_norm, linf_norm, mirror)
+from .grid import (RealSample, SpectralSample, forward_half, inverse_half,
+                   l1_norm, linf_norm, mirror)
 from .mollifier import smooth_step
 from .problem import (_finite, below_floor, check_lambda_square,
                       decay_bound, floored, resolved)
@@ -80,19 +80,16 @@ def _require_bump_grid(f, bump):
 
 
 def apply_Wb(f, bump):
-    """Multiply by bhat(xi)/(4 lambda^2 - xi^2), on the centered grid."""
+    """Multiply by bhat(xi)/(4 lambda^2 - xi^2), on the half."""
     _require_bump_grid(f, bump)
-    return SpectralSample(f.grid,
-                          f.values * mirror(f.grid, bump.half_multiplier))
+    return SpectralSample.of_half(f.grid, f.half * bump.half_multiplier)
 
 
 def apply_Wb_tilde(f, bump):
     """Multiply by -i xi bhat(xi)/(4 lambda^2 - xi^2), and by zero at the
-    self-paired node -xi_max (the bump's odd multiplier), on the centered
-    grid."""
+    self-paired node -xi_max (the bump's odd multiplier), on the half."""
     _require_bump_grid(f, bump)
-    return SpectralSample(f.grid,
-                          f.values * mirror(f.grid, bump.half_odd_multiplier))
+    return SpectralSample.of_half(f.grid, f.half * bump.half_odd_multiplier)
 
 
 def _half_step(psi_half, bump):
@@ -109,16 +106,10 @@ def _half_step(psi_half, bump):
 
 def apply_R(psi, w_hat, bump):
     """One application of the fixed-point map: the half step on psi's
-    half, plus w's; its centered view, built on demand, is the step's
-    mirror plus w's view.  For psi built from a centered array, Wb psi
-    and Wt psi are checked first, as `inverse` checks them."""
+    half, plus w's."""
     _require_bump_grid(psi, bump)
-    if not psi.hermitian:
-        _require_hermitian(apply_Wb(psi, bump))
-        _require_hermitian(apply_Wb_tilde(psi, bump))
-    grid, step = psi.grid, _half_step(psi.half, bump)
-    return SpectralSample.of_half(grid, step + w_hat.half,
-                                  lambda: mirror(grid, step) + w_hat.values)
+    return SpectralSample.of_half(
+        psi.grid, _half_step(psi.half, bump) + w_hat.half)
 
 
 @dataclass
@@ -143,8 +134,7 @@ def fixed_point_solve(w_hat, lam, tol=TOL, bump=None):
     p-hat's level meets (`resolved`), or ConfigurationError is raised.
     A lambda that is not finite, or whose 4 lambda^2 or first Wb w / dx
     (what `inverse` forms) overflows, is a DomainError naming it.  It
-    iterates `apply_R`, which checks w on the first step when w was
-    built from a centered array."""
+    iterates `apply_R` on the halves of psi and w."""
     if _finite(tol, "tol") <= 0.0:
         raise DomainError("tol must be positive")
     check_lambda_square(_finite(lam, "lambda"))
@@ -225,8 +215,7 @@ class SolveResult:
 def extract_solution(state, bump, prob):
     """Form sigma-hat = psi * bhat, the residual nu, the transform of the
     phase correction delta-hat = Wb psi, and the checked bounds, each on
-    the nonnegative half; the samples' centered views are built on demand
-    from psi's, with the full layout's bits.
+    the nonnegative half.
 
     delta-hat is cut to its floor support: values below the floor p-hat
     has (CLEAN_REL times the largest) are zeroed.  The report's
@@ -299,12 +288,11 @@ def extract_solution(state, bump, prob):
         delta_tail=delta_tail,
         band_tail=float(band_tail),
     )
-    sigma_hat = SpectralSample.of_half(
-        grid, sigma_half, lambda: psi.values * mirror(grid, b))
-    delta_hat = SpectralSample.of_half(
-        grid, delta_half, lambda: floored(apply_Wb(psi, bump).values))
-    return SolveResult(psi=psi, sigma_hat=sigma_hat, nu=nu,
-                       delta_hat=delta_hat, bounds_report=report)
+    return SolveResult(psi=psi,
+                       sigma_hat=SpectralSample.of_half(grid, sigma_half),
+                       nu=nu,
+                       delta_hat=SpectralSample.of_half(grid, delta_half),
+                       bounds_report=report)
 
 
 def solve_problem(prob):

@@ -17,8 +17,7 @@ from nophase.grid import (RealSample, SpectralSample, convolve, forward,
 from nophase.mollifier import smooth_step
 from nophase.problem import below_floor, check_hypotheses, decay_bound
 from nophase.solver import (BOUND_FLOOR_REL, MAX_ITER, NU_SLACK,
-                            SIGMA_SLACK, TOL, BoundsReport, apply_R,
-                            apply_Wb)
+                            SIGMA_SLACK, TOL, BoundsReport, apply_R)
 
 
 def zeros_spectral(grid):
@@ -130,10 +129,10 @@ def extract_on_full_grid(state, bump, prob):
     on the nonnegative half."""
     psi, lam = state.psi, bump.lam
     grid, xi = psi.grid, psi.grid.xi
-    b = bump_on_full_grid(grid, lam)[0].real
-    sigma = psi.values * b
+    b, multiplier, _ = bump_on_full_grid(grid, lam)
+    sigma = psi.values * b.real
     nu = inverse(SpectralSample(grid, sigma - psi.values))
-    delta = apply_Wb(psi, bump).values
+    delta = psi.values * multiplier
     cut = below_floor(delta)
     delta_tail = grid.dxi / (2.0 * np.pi) \
         * float(np.sum(np.abs(delta[cut])))

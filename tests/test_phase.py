@@ -63,14 +63,14 @@ class TestBandLimitedEvaluator:
             <= 1e-12 * max(1.0, np.max(np.abs(back.values)))
 
     def test_paired_sum_matches_full_sum(self):
-        # a real sample that is not symmetric, plus a value at the
-        # unpaired node -N/2 dxi, which has no +xi partner
+        # a real sample that is not symmetric, plus a real value at the
+        # self-paired node -N/2 dxi, which has no +xi partner
         grid = SpectralGrid(half_width=8.0, n_points=64)
         x = grid.x
         F = forward(RealSample(grid, x * np.exp(-x * x)
                                + np.exp(-(x - 1.0) ** 2)))
         values = F.values.copy()
-        values[0] = 0.3 - 0.7j
+        values[0] = 0.3
         F = SpectralSample(grid, values)
         t = np.linspace(-9.0, 9.0, 701)
         full = (grid.dxi / (2.0 * np.pi)) * np.real(
@@ -87,11 +87,13 @@ class TestBandLimitedEvaluator:
         half, block = n // 2, math.isqrt(n // 2) + 1
         top = {"1": 1, "B-1": block - 1, "B": block, "B+1": block + 1,
                "N/2+1": half + 1}[top]
-        k = np.arange(-half, half)
-        on = np.abs(k) < top if top <= half else np.ones(n, dtype=bool)
-        values = np.zeros(n, dtype=complex)
-        values[on] = [1, 1j] @ rng.standard_normal((2, np.count_nonzero(on)))
-        F = SpectralSample(grid, values)
+        # a random half, real at the self-paired 0 and xi_max
+        on = np.arange(half + 1) < top
+        coef = np.zeros(half + 1, dtype=complex)
+        coef[on] = [1, 1j] @ rng.standard_normal((2, np.count_nonzero(on)))
+        coef[[0, half]] = coef[[0, half]].real
+        F = SpectralSample.of_half(grid, coef)
+        values = F.values
         x = np.array([0.0, -25.125, 25.125, -25.25, 25.25, 50.25, -75.5,
                       100.5])
         direct = (grid.dxi / (2.0 * np.pi)) * np.real(

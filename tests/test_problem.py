@@ -377,7 +377,7 @@ class TestFitDecay:
     def test_too_few_nodes(self):
         grid = SpectralGrid(10.0, 64)
         vals = np.zeros(64, dtype=complex)
-        vals[30:34] = 1.0
+        vals[30:35] = [0.5, 1.0, 1.0, 1.0, 0.5]  # k = -2 .. 2
         with pytest.raises(FitError):
             fit_decay(SpectralSample(grid, vals))
 
