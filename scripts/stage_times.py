@@ -9,10 +9,12 @@ the fixed point (in all and per iteration), the extraction,
 `build_phase`, the checks (`kummer_residual` and `eval_basis` at the 400
 interior nodes, as solve-ladder runs them) and the DOP853 oracle (one
 `basis_error` at its default ORACLE_TOL, as `verify` and `sweep` run it),
-with the grid N, the fixed-point iterations, the points at which q, q'
-and q'' are evaluated in `build_problem`, the points at which the oracle
-evaluates q, the oracle's microseconds per q point, and the points at
-which delta's trigonometric series is summed.  A point is one node of a
+with the grid N, the fixed-point iterations and the ratios of their
+successive L1 increments (the measured contraction the solver stops
+on), the points at which q, q' and q'' are evaluated in
+`build_problem`, the points at which the oracle evaluates q, the
+oracle's microseconds per q point, and the points at which delta's
+trigonometric series is summed.  A point is one node of a
 q call, whether the call takes an array or a scalar.  Four call counts
 follow: ffts, the numpy.fft calls inside `solve_problem` (the script
 wraps every transform of numpy.fft to count them), hermitian_checks, the
@@ -179,6 +181,9 @@ def one_pass(stages):
             "oracle_ms": 1e3 * (t5 - t4),
             "grid_n": prob.grid.n_points,
             "iterations": state.iteration,
+            "increment_ratios": [
+                float(f"{b / a:.3g}")
+                for a, b in zip(state.l1_deltas, state.l1_deltas[1:])],
             "q_points": q_points,
             "oracle_q_points": stages.points["q_points"] - q_points_before,
             "evaluator_points": stages.points["evaluator_points"],

@@ -16,8 +16,9 @@ The space side is real, so its transform is Hermitian, F(-xi) =
 conj(F(xi)), and held whole by the nonnegative half xi = m dxi, m = 0 ..
 N/2 (the last is the self-paired node -xi_max): the half is the sample.
 The centered layout xi_k = (k - N/2)*dxi, k = 0 .. N-1, is its mirror,
-built on demand; a centered array given by a caller is checked for that
-symmetry once, where its sample is built, and folded into its half.
+built on demand; a centered array given by a caller is checked once,
+where its sample is built, for finite values and for that symmetry, and
+folded into its half.
 Every transform runs on the half kernels `forward_half`/`inverse_half`,
 numpy's real FFTs, which `forward` and `inverse` wrap into samples;
 `convolve` is their composition.
@@ -99,8 +100,9 @@ class SpectralSample:
     Its centered layout `values`, F at xi_k = (k - N/2) dxi, is the
     half's `mirror`, built on demand.  A sample built from a half
     (`of_half`) is Hermitian by construction.  One built from a centered
-    array is checked for symmetry there, within HERMITIAN_RTOL of its
-    largest value (SymmetryError otherwise), keeps the array as its
+    array is refused if a value is not finite (ValueError), then checked
+    for symmetry there, within HERMITIAN_RTOL of its largest value
+    (SymmetryError otherwise), keeps the array as its
     `values`, and holds the fold whose real series is the array's:
     (F(xi) + conj F(-xi))/2 at 0 < xi < xi_max, and conj F(-xi_max) at
     the self-paired node."""
@@ -109,6 +111,8 @@ class SpectralSample:
         v = np.asarray(values, dtype=complex)
         if v.shape != (grid.n_points,):
             raise ValueError("values length must equal n_points")
+        if not np.all(np.isfinite(v)):
+            raise ValueError("values must be finite")
         self.grid, self.__dict__["values"] = grid, v
         _require_hermitian(self)
         n = grid.n_points // 2

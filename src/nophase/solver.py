@@ -10,6 +10,13 @@ and bhat is a C-infinity cutoff equal to 1 on [-lambda, lambda] and
 supported inside (-sqrt(2) lambda, sqrt(2) lambda).  The fixed point is
 the transform of the band-limited solution density; multiplying it by
 bhat gives sigma-hat, and by Wb's multiplier the phase correction.
+
+The iteration stops once its L1 increment delta_k is at most TOL ||w||_1,
+or, from the second iteration on, once the measured contraction
+rho = delta_k / delta_{k-1} is below 1 and Banach's a-posteriori bound
+rho delta_k / (1 - rho) on the distance left to the fixed point is at
+most TOL ||w||_1.  The rate falls fast with lambda, so the second test
+saves the last step, whose increment would be round-off.
 """
 
 import warnings
@@ -31,7 +38,9 @@ BOUND_FLOOR_REL = 1e-14
 SIGMA_SLACK = 1.01
 NU_SLACK = 1.05
 MAX_ITER = 100  # fixed-point iterations before ConvergenceError
-TOL = 1e-14  # L1 increment, relative to ||w||_1, that stops the iteration
+# L1 increment, or its contraction estimate rho delta / (1 - rho),
+# relative to ||w||_1, that stops the iteration
+TOL = 1e-14
 
 _SQRT2 = np.sqrt(2.0)
 
@@ -123,8 +132,12 @@ class SolverState:
 
 
 def fixed_point_solve(w_hat, lam, tol=TOL, bump=None):
-    """Iterate psi_{n+1} = R[psi_n] from psi_0 = w until the L1 increment
-    drops below tol relative to ||w||_1, for at most MAX_ITER steps.
+    """Iterate psi_{n+1} = R[psi_n] from psi_0 = w, for at most MAX_ITER
+    steps, until the L1 increment delta_n drops below tol relative to
+    ||w||_1, or, with rho = delta_n / delta_{n-1} < 1 measured from the
+    second step on, until rho delta_n / (1 - rho), Banach's bound on the
+    distance left to the fixed point, does.  An increment that does not
+    shrink (rho >= 1) gives no bound.
 
     Convergence is guaranteed when ||w||_1 <= (pi/2) lambda^2; outside
     that ball the iteration proceeds with a warning.
@@ -161,7 +174,10 @@ def fixed_point_solve(w_hat, lam, tol=TOL, bump=None):
                       * np.sum(mirror(grid, np.abs(nxt.half - psi.half))))
         deltas.append(delta)
         psi = nxt
-        if delta <= threshold:
+        # Banach's a-posteriori bound at the measured contraction rho
+        rho = delta / deltas[-2] if iteration > 1 else 1.0
+        if delta <= threshold or (
+                rho < 1.0 and rho * delta / (1.0 - rho) <= threshold):
             if grid.xi_max < 2.0 * _SQRT2 * lam and not resolved(psi.half):
                 raise ConfigurationError(
                     "grid frequency range too small: the solution does not "

@@ -109,7 +109,10 @@ def bump_on_full_grid(grid, lam):
 
 def iterate_apply_R(w_hat, bump, tol=TOL):
     """psi and the L1 increments of the public `apply_R` iterated from w
-    on the centered grid, under `fixed_point_solve`'s stopping rule."""
+    on the centered grid, under `fixed_point_solve`'s stopping rule: the
+    increment delta_k is at most tol ||w||_1, or, from the second
+    iteration on, the ratio rho = delta_k / delta_{k-1} is below 1 and
+    rho delta_k / (1 - rho) is at most tol ||w||_1."""
     threshold = tol * max(l1_norm(w_hat), 1e-300)
     psi, deltas = w_hat, []
     for _ in range(MAX_ITER):
@@ -119,6 +122,10 @@ def iterate_apply_R(w_hat, bump, tol=TOL):
         psi = nxt
         if deltas[-1] <= threshold:
             return psi, deltas
+        if len(deltas) > 1:
+            rho = deltas[-1] / deltas[-2]
+            if rho < 1.0 and rho * deltas[-1] / (1.0 - rho) <= threshold:
+                return psi, deltas
     raise AssertionError("apply_R did not converge")
 
 

@@ -152,6 +152,16 @@ class TestSpectralSample:
         with pytest.raises(SymmetryError):
             SpectralSample(grid, grid.xi.astype(complex))
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, complex(0.0, np.inf)])
+    def test_non_finite_array_refused(self, rng, bad):
+        # a NaN defect compares False against the symmetry tolerance, and
+        # an infinite one is not above inf times it: refused by name first
+        grid = SpectralGrid(5.0, 64)
+        values = hermitian_sample(grid, rng, 1.5).values.copy()
+        values[grid.n_points // 2] = bad
+        with pytest.raises(ValueError, match="values must be finite"):
+            SpectralSample(grid, values)
+
 
 class TestInverse:
     def test_round_trip(self, rng):

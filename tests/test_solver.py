@@ -7,7 +7,7 @@ from scipy.integrate import quad
 
 import nophase.grid
 import nophase.solver
-from conftest import make_constant_coefficient
+from conftest import make_constant_coefficient, make_sech_coefficient
 from nophase.phase import (band_limited_evaluator, build_phase, eval_basis,
                            interior_nodes, kummer_residual)
 from helpers import (apply_T, bump_on_full_grid, exp2_star_series,
@@ -20,9 +20,9 @@ from nophase.grid import (HERMITIAN_RTOL, RealSample, SpectralGrid,
                           SpectralSample, convolve, forward,
                           hermitian_defect, inverse, l1_norm, linf_norm,
                           mirror)
-from nophase.problem import (CoefficientProblem, build_problem, choose_grid,
-                             decay_bound, fit_decay)
-from nophase.solver import (apply_R, apply_Wb, apply_Wb_tilde,
+from nophase.problem import (Coefficient, CoefficientProblem, build_problem,
+                             choose_grid, decay_bound, fit_decay)
+from nophase.solver import (TOL, apply_R, apply_Wb, apply_Wb_tilde,
                             extract_solution, fixed_point_solve, make_bump,
                             solve_problem)
 
@@ -243,7 +243,11 @@ class TestApplyR:
                                                   2 * grid.n_points))))
         nan = np.zeros(grid.n_points, dtype=complex)
         nan[half] = np.nan
-        cases.append((ValueError, SpectralSample(grid, nan)))
+        with pytest.raises(ValueError, match="values must be finite"):
+            SpectralSample(grid, nan)  # where the sample is built
+        # a half is not checked: its NaN is refused at the space side
+        cases.append((ValueError,
+                      SpectralSample.of_half(grid, nan[half - 1:])))
         for error, psi in cases:
             with pytest.raises(error):
                 self.composed(psi, w, bump)
@@ -321,6 +325,83 @@ class TestFixedPoint:
                 fixed_point_solve(w, lam)
             except ConvergenceError:
                 pass
+
+
+def sine_coefficient():
+    """q = 1 + 0.5 sin 3t on [-1, 2], with exact derivatives."""
+    return Coefficient.make(lambda t: 1.0 + 0.5 * np.sin(3.0 * t), -1.0, 2.0,
+                            dq=lambda t: 1.5 * np.cos(3.0 * t),
+                            d2q=lambda t: -4.5 * np.sin(3.0 * t))
+
+
+def exp_coefficient():
+    """q = exp(t) on [-1, 1], its own derivatives."""
+    return Coefficient.make(np.exp, -1.0, 1.0, dq=np.exp, d2q=np.exp)
+
+
+class TestStop:
+    # the iteration stops when its increment is within TOL ||w||_1, or
+    # when the measured contraction rho bounds the distance left to the
+    # fixed point, rho delta / (1 - rho), by that much
+
+    @pytest.mark.parametrize("make, lam", [
+        *((make_sech_coefficient, lam)
+          for lam in (15.0, 20.0, 40.0, 80.0, 320.0, 1280.0, 1e4)),
+        (sine_coefficient, 160.0), (exp_coefficient, 160.0)])
+    def test_one_more_step_moves_psi_within_tol(self, make, lam):
+        prob = build_problem(make(), lam)
+        bump = make_bump(prob.grid, prob.lam)
+        state = fixed_point_solve(prob.p_hat, prob.lam, bump=bump)
+        again = apply_R(state.psi, prob.p_hat, bump)
+        step = l1_norm(SpectralSample.of_half(
+            prob.grid, again.half - state.psi.half))
+        assert step <= TOL * l1_norm(prob.p_hat)
+
+    def test_ladder_iterations(self, sech_coefficient):
+        counts = [fixed_point_solve(prob.p_hat, prob.lam).iteration
+                  for prob in (build_problem(sech_coefficient, lam)
+                               for lam in (20.0, 80.0, 320.0, 1280.0))]
+        assert counts == [3, 2, 2, 2]
+
+    @staticmethod
+    def scripted(monkeypatch, ratio):
+        """A w with ||w||_1 = 1 and an apply_R whose k-th increment is
+        dxi 2^-39 ratio^(k-1), exactly: a power of two at xi = +-dxi."""
+        lam = 5.0
+        grid = band_grid(lam)
+        w = np.zeros(grid.n_points // 2 + 1, dtype=complex)
+        w[0] = 1.0 / grid.dxi
+        sizes = (2.0 ** -40 * ratio ** k for k in range(64))
+
+        def step(psi, w_hat, bump):
+            half = psi.half.copy()
+            half[1] += next(sizes)
+            return SpectralSample.of_half(grid, half)
+
+        monkeypatch.setattr(nophase.solver, "apply_R", step)
+        return SpectralSample.of_half(grid, w), lam
+
+    @pytest.mark.parametrize("ratio", [1.0, 2.0])
+    def test_no_stop_on_the_estimate_without_contraction(self, monkeypatch,
+                                                         ratio):
+        # rho >= 1 bounds nothing: its estimate is infinite or negative
+        w, lam = self.scripted(monkeypatch, ratio)
+        monkeypatch.setattr(nophase.solver, "MAX_ITER", 8)
+        with pytest.raises(ConvergenceError) as err:
+            fixed_point_solve(w, lam)
+        deltas = err.value.history
+        assert len(deltas) == 8 and deltas[0] > TOL
+        assert [b / a for a, b in zip(deltas, deltas[1:])] == [ratio] * 7
+
+    def test_stops_on_the_estimate(self, monkeypatch):
+        # rho = 1/32: the second increment is above TOL ||w||_1, its
+        # estimate rho delta / (1 - rho) below
+        w, lam = self.scripted(monkeypatch, 2.0 ** -5)
+        state = fixed_point_solve(w, lam)
+        rho = state.l1_deltas[1] / state.l1_deltas[0]
+        assert state.iteration == 2 and rho == 2.0 ** -5
+        assert rho * state.l1_deltas[1] / (1.0 - rho) <= TOL \
+            < state.l1_deltas[1]
 
 
 class TestApplyT:
