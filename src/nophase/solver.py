@@ -10,13 +10,12 @@ and bhat is a C-infinity cutoff equal to 1 on [-lambda, lambda] and
 supported inside (-sqrt(2) lambda, sqrt(2) lambda).  The fixed point is
 the transform of the band-limited solution density; multiplying it by
 bhat gives sigma-hat, and by Wb's multiplier the phase correction.
+lambda enters R only through bhat and its multipliers: `make_bump` takes
+and checks it, and the fixed point and extraction read it from the bump.
 
-The iteration stops once its L1 increment delta_k is at most TOL ||w||_1,
-or, from the second iteration on, once the measured contraction
-rho = delta_k / delta_{k-1} is below 1 and Banach's a-posteriori bound
-rho delta_k / (1 - rho) on the distance left to the fixed point is at
-most TOL ||w||_1.  The rate falls fast with lambda, so the second test
-saves the last step, whose increment would be round-off.
+The iteration stops on its L1 increment, or on Banach's a-posteriori
+bound at the measured contraction, within TOL ||w||_1 (`fixed_point_solve`);
+the rate falls fast with lambda, so the bound saves the last, round-off step.
 """
 
 import warnings
@@ -68,7 +67,14 @@ def make_bump(grid, lam):
     1 to 0 as xi crosses [c - alpha, c + alpha], c = (sqrt(2)+1) lambda/2
     and alpha = (sqrt(2)-1) lambda/4, and it is even.  On a grid with
     xi_max <= lambda it is 1 at every node, and the band multiplier is
-    1/(4 lambda^2 - xi^2)."""
+    1/(4 lambda^2 - xi^2).
+
+    This is where the lambda stage takes lambda: one that is not finite
+    and positive, or whose 4 lambda^2 or 1/(4 lambda^2) overflows, is a
+    DomainError naming it."""
+    if _finite(lam, "lambda") <= 0.0:
+        raise DomainError(f"lambda={lam:g} must be positive")
+    check_lambda_square(lam)
     c = 0.5 * (_SQRT2 * lam + lam)
     alpha = 0.25 * (_SQRT2 * lam - lam)
     xi = np.arange(grid.n_points // 2 + 1) * grid.dxi
@@ -123,37 +129,32 @@ def apply_R(psi, w_hat, bump):
 
 @dataclass
 class SolverState:
-    """Iterate and the L1 increment history."""
+    """The converged iterate, its L1 increments and the bump it ran on."""
 
     psi: SpectralSample
     iteration: int
     l1_deltas: list
-    converged: bool = False
+    bump: Bump
 
 
-def fixed_point_solve(w_hat, lam, tol=TOL, bump=None):
-    """Iterate psi_{n+1} = R[psi_n] from psi_0 = w, for at most MAX_ITER
-    steps, until the L1 increment delta_n drops below tol relative to
-    ||w||_1, or, with rho = delta_n / delta_{n-1} < 1 measured from the
-    second step on, until rho delta_n / (1 - rho), Banach's bound on the
-    distance left to the fixed point, does.  An increment that does not
-    shrink (rho >= 1) gives no bound.
+def fixed_point_solve(w_hat, bump):
+    """Iterate psi_{n+1} = R[psi_n] from psi_0 = w, at the bump's lambda
+    and on its grid, for at most MAX_ITER steps, until the L1 increment
+    delta_n is at most TOL ||w||_1, or, with rho = delta_n / delta_{n-1}
+    below 1 from the second step on, until Banach's bound
+    rho delta_n / (1 - rho) on the distance left to the fixed point is.
+    An increment that does not shrink (rho >= 1) gives no bound.
 
-    Convergence is guaranteed when ||w||_1 <= (pi/2) lambda^2; outside
-    that ball the iteration proceeds with a warning.
-
-    On a grid with xi_max < 2 sqrt(2) lambda the quadratic term Wt*Wt is
-    not resolved a priori, so the converged psi must be, by the rule
-    p-hat's level meets (`resolved`), or ConfigurationError is raised.
-    A lambda that is not finite, or whose 4 lambda^2 or first Wb w / dx
-    (what `inverse` forms) overflows, is a DomainError naming it.  It
-    iterates `apply_R` on the halves of psi and w."""
-    if _finite(tol, "tol") <= 0.0:
-        raise DomainError("tol must be positive")
-    check_lambda_square(_finite(lam, "lambda"))
-    grid = w_hat.grid
-    if bump is None:
-        bump = make_bump(grid, lam)
+    A w on another grid than the bump's is a ConfigurationError before
+    any arithmetic, and a first Wb w / dx (what `inverse` forms) that
+    overflows is a DomainError naming lambda.  Outside the ball
+    ||w||_1 <= (pi/2) lambda^2, where convergence is guaranteed, the
+    iteration proceeds with a warning.  On a grid with
+    xi_max < 2 sqrt(2) lambda the quadratic term Wt*Wt is not resolved a
+    priori, so the converged psi must be, by the rule p-hat's level meets
+    (`resolved`), or ConfigurationError is raised."""
+    _require_bump_grid(w_hat, bump)
+    grid, lam = bump.grid, bump.lam
     with np.errstate(over="ignore"):  # named below, not warned about
         first = np.max(np.abs(w_hat.half) * bump.half_multiplier) / grid.dx
     if np.isinf(first):
@@ -161,17 +162,13 @@ def fixed_point_solve(w_hat, lam, tol=TOL, bump=None):
                           f"times w overflows double precision")
     w_l1 = l1_norm(w_hat)
     if w_l1 > 0.5 * np.pi * lam ** 2:
-        warnings.warn(
-            "||w||_1 exceeds (pi/2) lambda^2: convergence is not certified",
-            stacklevel=2,
-        )
-    threshold = tol * max(w_l1, 1e-300)
+        warnings.warn("||w||_1 exceeds (pi/2) lambda^2: convergence is "
+                      "not certified", stacklevel=2)
+    threshold = TOL * max(w_l1, 1e-300)
     psi, deltas = w_hat, []
     for iteration in range(1, MAX_ITER + 1):
         nxt = apply_R(psi, w_hat, bump)
-        # the increment's modulus is even: its mirror is the whole grid's
-        delta = float(grid.dxi
-                      * np.sum(mirror(grid, np.abs(nxt.half - psi.half))))
+        delta = l1_norm(SpectralSample.of_half(grid, nxt.half - psi.half))
         deltas.append(delta)
         psi = nxt
         # Banach's a-posteriori bound at the measured contraction rho
@@ -184,9 +181,9 @@ def fixed_point_solve(w_hat, lam, tol=TOL, bump=None):
                     "vanish on the outer half of the grid; give grid N"
                 )
             return SolverState(psi=psi, iteration=iteration, l1_deltas=deltas,
-                               converged=True)
+                               bump=bump)
     raise ConvergenceError(
-        f"fixed-point iteration did not reach tol={tol} in {MAX_ITER} steps",
+        f"fixed-point iteration did not reach tol={TOL} in {MAX_ITER} steps",
         history=deltas,
     )
 
@@ -228,10 +225,10 @@ class SolveResult:
     bounds_report: BoundsReport
 
 
-def extract_solution(state, bump, prob):
+def extract_solution(state, prob):
     """Form sigma-hat = psi * bhat, the residual nu, the transform of the
     phase correction delta-hat = Wb psi, and the checked bounds, each on
-    the nonnegative half.
+    the nonnegative half, with the bump the state was solved with.
 
     delta-hat is cut to its floor support: values below the floor p-hat
     has (CLEAN_REL times the largest) are zeroed.  The report's
@@ -246,8 +243,8 @@ def extract_solution(state, bump, prob):
     sigma-hat is psi and nu is zero by construction, so nu is not
     transformed: the report marks it as not measured (nu_floor_limited)
     and keeps nu_bound."""
+    psi, bump = state.psi, state.bump
     lam = bump.lam
-    psi = state.psi
     grid = psi.grid
     psi_half, b = psi.half, bump.half_b
     sigma_half = psi_half * b
@@ -293,7 +290,7 @@ def extract_solution(state, bump, prob):
         w_l1_hypothesis_ok=hyp.w_l1_ok,
         certified=hyp.certified,
         iterations=state.iteration,
-        final_delta=state.l1_deltas[-1] if state.l1_deltas else 0.0,
+        final_delta=state.l1_deltas[-1],
         sigma_support_ok=sigma_support_ok,
         sigma_decay_ok=decay_ok,
         sigma_decay_floor_limited=floor_limited,
@@ -315,5 +312,5 @@ def solve_problem(prob):
     """Convenience wrapper: bump, iteration to TOL, extraction on
     prob.grid."""
     bump = make_bump(prob.grid, prob.lam)
-    state = fixed_point_solve(prob.p_hat, prob.lam, bump=bump)
-    return extract_solution(state, bump, prob), state
+    state = fixed_point_solve(prob.p_hat, bump)
+    return extract_solution(state, prob), state

@@ -107,13 +107,13 @@ def bump_on_full_grid(grid, lam):
     return b.astype(complex), multiplier, odd
 
 
-def iterate_apply_R(w_hat, bump, tol=TOL):
+def iterate_apply_R(w_hat, bump):
     """psi and the L1 increments of the public `apply_R` iterated from w
     on the centered grid, under `fixed_point_solve`'s stopping rule: the
-    increment delta_k is at most tol ||w||_1, or, from the second
+    increment delta_k is at most TOL ||w||_1, or, from the second
     iteration on, the ratio rho = delta_k / delta_{k-1} is below 1 and
-    rho delta_k / (1 - rho) is at most tol ||w||_1."""
-    threshold = tol * max(l1_norm(w_hat), 1e-300)
+    rho delta_k / (1 - rho) is at most TOL ||w||_1."""
+    threshold = TOL * max(l1_norm(w_hat), 1e-300)
     psi, deltas = w_hat, []
     for _ in range(MAX_ITER):
         nxt = apply_R(psi, w_hat, bump)

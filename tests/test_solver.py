@@ -67,12 +67,29 @@ class TestBump:
         b = mirror(grid, make_bump(grid, lam).half_b)
         assert np.all(b >= 0.0) and np.all(b <= 1.0)
 
+    @pytest.mark.parametrize("lam, named", [
+        (-40.0, "lambda=-40 must be positive"),
+        (0.0, "lambda=0 must be positive"),
+        (np.nan, "lambda must be a finite number, not nan"),
+        (np.inf, "lambda must be a finite number, not inf"),
+        (-np.inf, "lambda must be a finite number, not -inf"),
+        # lambda^2 of a Python float would raise a bare OverflowError
+        (1e154, "lambda=1e+154 is too large"),
+        (1e200, "lambda=1e+200 is too large"),
+        (1e-160, "lambda=1e-160 is too small"),
+    ], ids=["-40", "0", "nan", "inf", "-inf", "1e+154", "1e+200", "1e-160"])
+    def test_lambda_refused_by_name(self, lam, named):
+        # the lambda stage takes lambda here and nowhere else
+        with pytest.raises(DomainError, match=re.escape(named)):
+            make_bump(SpectralGrid(6.0, 64), lam)
+
     def test_resolution_guard(self, rng):
         # on a grid narrower than 2 sqrt(2) lambda the converged psi must
         # vanish on the outer half of the grid; this forcing fills it
         grid = SpectralGrid(8.0, 64)
         with pytest.raises(ConfigurationError, match="give grid N"):
-            fixed_point_solve(random_forcing(grid, rng, 1.0), 50.0)
+            fixed_point_solve(random_forcing(grid, rng, 1.0),
+                              make_bump(grid, 50.0))
 
     def test_self_paired_node_reaches_the_alias_check(self):
         # a smooth p-hat still large at -xi_max: Wt must keep that node
@@ -81,7 +98,7 @@ class TestBump:
         grid = SpectralGrid(8.0, 64)
         w = SpectralSample(grid, np.exp(-(grid.xi / 6.0) ** 2))
         with pytest.raises(ConfigurationError, match="give grid N"):
-            fixed_point_solve(w, 50.0)
+            fixed_point_solve(w, make_bump(grid, 50.0))
 
     def test_same_cutoff_on_its_plateau(self):
         # a grid inside [-lam, lam] over the same [-L, L) as a full one
@@ -259,18 +276,27 @@ class TestFixedPoint:
     def test_zero_forcing_converges_immediately(self):
         lam = 5.0
         grid = band_grid(lam)
-        state = fixed_point_solve(zeros_spectral(grid), lam)
-        assert state.converged
+        bump = make_bump(grid, lam)
+        state = fixed_point_solve(zeros_spectral(grid), bump)
+        assert state.bump is bump
         assert state.iteration == 1
         assert np.all(state.psi.values == 0.0)
 
-    @pytest.mark.parametrize("lam", [1e154, 1e200])
-    def test_lambda_too_large_is_named(self, lam):
-        # lambda^2 of a Python float would raise a bare OverflowError
-        grid = SpectralGrid(6.0, 64)
-        named = re.escape(f"lambda={lam:g} is too large")
-        with pytest.raises(DomainError, match=named):
-            fixed_point_solve(zeros_spectral(grid), lam)
+    @pytest.mark.parametrize("other", [SpectralGrid(8.0, 128),
+                                       SpectralGrid(6.0, 256)],
+                             ids=["N", "L"])
+    def test_bump_on_another_grid_refused(self, rng, monkeypatch, other):
+        # refused before the overflow probe and before any step of R
+        lam = 10.0
+        grid = band_grid(lam)
+        assert (grid.half_width, grid.n_points) == (8.0, 256)
+        steps = []
+        monkeypatch.setattr(nophase.solver, "apply_R",
+                            lambda *args: steps.append(args))
+        with pytest.raises(ConfigurationError, match="different grids"):
+            fixed_point_solve(random_forcing(grid, rng, 1.0),
+                              make_bump(other, lam))
+        assert steps == []
 
     def test_lambda_too_small_for_w_is_named(self):
         # w(0) = 10 times the multiplier 1/(4 lambda^2) ~ 1.7e308 at xi = 0
@@ -278,11 +304,12 @@ class TestFixedPoint:
         w = zeros_spectral(grid).values
         w[grid.n_points // 2] = 10.0
         with pytest.raises(DomainError, match=re.escape("lambda=3.8e-155")):
-            fixed_point_solve(SpectralSample(grid, w), 3.8e-155)
+            fixed_point_solve(SpectralSample(grid, w),
+                              make_bump(grid, 3.8e-155))
 
     def test_contraction_ratios(self, sech_coefficient):
         prob = build_problem(sech_coefficient, 40.0)
-        state = fixed_point_solve(prob.p_hat, prob.lam)
+        state = fixed_point_solve(prob.p_hat, make_bump(prob.grid, prob.lam))
         deltas = state.l1_deltas
         for a, b in zip(deltas[:-1], deltas[1:]):
             if a > 1e-13 * l1_norm(prob.p_hat):
@@ -299,20 +326,19 @@ class TestFixedPoint:
 
     def test_fixed_point_residual(self, sech_coefficient):
         prob = build_problem(sech_coefficient, 40.0)
-        tol = 1e-14
-        state = fixed_point_solve(prob.p_hat, prob.lam, tol=tol)
         bump = make_bump(prob.grid, prob.lam)
+        state = fixed_point_solve(prob.p_hat, bump)
         again = apply_R(state.psi, prob.p_hat, bump)
         resid = l1_norm(SpectralSample(
             prob.grid, again.values - state.psi.values))
-        assert resid <= 10.0 * tol * l1_norm(prob.p_hat)
+        assert resid <= 10.0 * TOL * l1_norm(prob.p_hat)
 
     def test_nonconvergence_raises_with_history(self, sech_coefficient,
                                                 monkeypatch):
         prob = build_problem(sech_coefficient, 40.0)
         monkeypatch.setattr(nophase.solver, "MAX_ITER", 2)
         with pytest.raises(ConvergenceError) as err:
-            fixed_point_solve(prob.p_hat, prob.lam, tol=1e-14)
+            fixed_point_solve(prob.p_hat, make_bump(prob.grid, prob.lam))
         assert len(err.value.history) == 2
 
     def test_warns_outside_ball(self, rng, monkeypatch):
@@ -322,7 +348,7 @@ class TestFixedPoint:
         monkeypatch.setattr(nophase.solver, "MAX_ITER", 5)
         with pytest.warns(UserWarning):
             try:
-                fixed_point_solve(w, lam)
+                fixed_point_solve(w, make_bump(grid, lam))
             except ConvergenceError:
                 pass
 
@@ -351,14 +377,15 @@ class TestStop:
     def test_one_more_step_moves_psi_within_tol(self, make, lam):
         prob = build_problem(make(), lam)
         bump = make_bump(prob.grid, prob.lam)
-        state = fixed_point_solve(prob.p_hat, prob.lam, bump=bump)
+        state = fixed_point_solve(prob.p_hat, bump)
         again = apply_R(state.psi, prob.p_hat, bump)
         step = l1_norm(SpectralSample.of_half(
             prob.grid, again.half - state.psi.half))
         assert step <= TOL * l1_norm(prob.p_hat)
 
     def test_ladder_iterations(self, sech_coefficient):
-        counts = [fixed_point_solve(prob.p_hat, prob.lam).iteration
+        counts = [fixed_point_solve(prob.p_hat,
+                                    make_bump(prob.grid, prob.lam)).iteration
                   for prob in (build_problem(sech_coefficient, lam)
                                for lam in (20.0, 80.0, 320.0, 1280.0))]
         assert counts == [3, 2, 2, 2]
@@ -379,16 +406,16 @@ class TestStop:
             return SpectralSample.of_half(grid, half)
 
         monkeypatch.setattr(nophase.solver, "apply_R", step)
-        return SpectralSample.of_half(grid, w), lam
+        return SpectralSample.of_half(grid, w), make_bump(grid, lam)
 
     @pytest.mark.parametrize("ratio", [1.0, 2.0])
     def test_no_stop_on_the_estimate_without_contraction(self, monkeypatch,
                                                          ratio):
         # rho >= 1 bounds nothing: its estimate is infinite or negative
-        w, lam = self.scripted(monkeypatch, ratio)
+        w, bump = self.scripted(monkeypatch, ratio)
         monkeypatch.setattr(nophase.solver, "MAX_ITER", 8)
         with pytest.raises(ConvergenceError) as err:
-            fixed_point_solve(w, lam)
+            fixed_point_solve(w, bump)
         deltas = err.value.history
         assert len(deltas) == 8 and deltas[0] > TOL
         assert [b / a for a, b in zip(deltas, deltas[1:])] == [ratio] * 7
@@ -396,8 +423,8 @@ class TestStop:
     def test_stops_on_the_estimate(self, monkeypatch):
         # rho = 1/32: the second increment is above TOL ||w||_1, its
         # estimate rho delta / (1 - rho) below
-        w, lam = self.scripted(monkeypatch, 2.0 ** -5)
-        state = fixed_point_solve(w, lam)
+        w, bump = self.scripted(monkeypatch, 2.0 ** -5)
+        state = fixed_point_solve(w, bump)
         rho = state.l1_deltas[1] / state.l1_deltas[0]
         assert state.iteration == 2 and rho == 2.0 ** -5
         assert rho * state.l1_deltas[1] / (1.0 - rho) <= TOL \
@@ -609,7 +636,7 @@ class TestHalfSpectrum:
     def test_loop_is_the_public_apply_R(self, problems):
         for prob in problems:
             bump = make_bump(prob.grid, prob.lam)
-            state = fixed_point_solve(prob.p_hat, prob.lam, bump=bump)
+            state = fixed_point_solve(prob.p_hat, bump)
             psi, deltas = iterate_apply_R(prob.p_hat, bump)
             assert state.psi.values.tobytes() == psi.values.tobytes()
             assert state.l1_deltas == deltas
@@ -618,8 +645,8 @@ class TestHalfSpectrum:
     def test_extraction_is_the_full_grid_one(self, problems):
         for prob in problems:
             bump = make_bump(prob.grid, prob.lam)
-            state = fixed_point_solve(prob.p_hat, prob.lam, bump=bump)
-            result = extract_solution(state, bump, prob)
+            state = fixed_point_solve(prob.p_hat, bump)
+            result = extract_solution(state, prob)
             sigma, nu, delta, report = extract_on_full_grid(state, bump, prob)
             # + 0.0 makes the views' conjugated -0.0 0.0, as in the bump's
             assert (result.sigma_hat.values + 0.0).tobytes() \
@@ -651,7 +678,8 @@ class TestHalfSpectrum:
             w = random_forcing(grid, rng, 1.0).values.copy()
             w[k] += amount  # no conjugate partner
             with pytest.raises(SymmetryError):
-                fixed_point_solve(SpectralSample(grid, w), lam)
+                fixed_point_solve(SpectralSample(grid, w),
+                                  make_bump(grid, lam))
 
     def test_asymmetry_outside_the_band_passes(self, rng):
         # an asymmetry within HERMITIAN_RTOL is accepted where w is
@@ -668,7 +696,7 @@ class TestHalfSpectrum:
             np.abs(odd))
         assert w_odd.values.tobytes() == odd.tobytes()
         bump = make_bump(grid, lam)
-        state = fixed_point_solve(w_odd, lam, bump=bump)
+        state = fixed_point_solve(w_odd, bump)
         psi, deltas = iterate_apply_R(
             SpectralSample.of_half(grid, w_odd.half), bump)
         assert state.psi.values.tobytes() == psi.values.tobytes()
