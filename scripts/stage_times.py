@@ -33,6 +33,13 @@ from "1 + sech(t)**2", as the CLI runs it on a problem file, and q_us,
 the microseconds per point of that q alone on an array of 10 000 nodes
 in [a, b]; oracle_us_per_q_point - q_us is the integrator's own share.
 
+After the timed passes, one more pass gives build_phase_peak_kb per
+lambda, the peak in kB that tracemalloc traces inside `build_phase`
+(traced apart, so that no time carries tracemalloc's overhead), and a
+row "640-fd" with that peak at lambda = 640 for q compiled from the same
+expression with no derivatives given (finite differences, as a sweep of
+a problem file without dq and d2q runs it) and its grid N.
+
 The bump is timed as `solve_problem` minus its fixed point and its
 extraction, so the script runs unchanged on trees that choose the bump
 differently.  Run it against the tree to measure:
@@ -45,6 +52,8 @@ import dataclasses
 import json
 import sys
 import time
+import tracemalloc
+import warnings
 
 import numpy as np
 
@@ -59,7 +68,9 @@ from nophase.expr import compile_expression
 from nophase.phase import interior_nodes
 
 LAMBDAS = (20.0, 80.0, 320.0, 1280.0)
+EXPRESSION = "1 + sech(t)**2"
 EXPRESSION_LAMBDA = 320.0
+FD_LAMBDA = 640.0
 Q_POINTS = 10_000
 FFTS = [name for name in np.fft.__all__
         if not name.endswith(("shift", "freq"))]  # the transforms
@@ -139,7 +150,7 @@ def one_pass(stages):
                              dq=stages.counted(dsech2, "q_points"),
                              d2q=stages.counted(d2sech2, "q_points"),
                              extension_width=4.0)
-    q_alone = compile_expression("1 + sech(t)**2")
+    q_alone = compile_expression(EXPRESSION)
     q_expression = stages.counted(q_alone, "q_points")
     nodes = interior_nodes(-3.0, 3.0)
     rows = {}
@@ -216,6 +227,34 @@ def one_pass(stages):
     return rows
 
 
+def build_phase_peaks():
+    """{row: {"build_phase_peak_kb": ...}} per lambda of LAMBDAS, and for
+    the row f"{FD_LAMBDA:g}-fd", the expression q without derivatives."""
+    sech = Coefficient.make(sech2, -3.0, 3.0, dq=dsech2, d2q=d2sech2,
+                            extension_width=4.0)
+    fd = Coefficient.make(compile_expression(EXPRESSION), -3.0, 3.0,
+                          extension_width=4.0)
+    cases = [(f"{lam:g}", sech, lam) for lam in LAMBDAS]
+    cases.append((f"{FD_LAMBDA:g}-fd", fd, FD_LAMBDA))
+    rows = {}
+    for row, coeff, lam in cases:
+        with warnings.catch_warnings():
+            # the finite-difference route is not certified at FD_LAMBDA
+            warnings.filterwarnings("ignore", "solvability hypotheses")
+            prob = build_problem(coeff, lam)
+            result, _ = solve_problem(prob)
+        tracemalloc.start()
+        try:
+            build_phase(result, prob)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        rows[row] = {"build_phase_peak_kb": round(peak / 1e3)}
+        if row.endswith("-fd"):
+            rows[row]["grid_n"] = prob.grid.n_points
+    return rows
+
+
 def main():
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--passes", type=int, default=15)
@@ -231,6 +270,8 @@ def main():
                     for k in keys}
         out[row]["oracle_us_per_q_point"] = round(
             1e3 * out[row]["oracle_ms"] / out[row]["oracle_q_points"], 3)
+    for row, peaks in build_phase_peaks().items():
+        out.setdefault(row, {}).update(peaks)
     print(json.dumps({"passes": args.passes, "stages": out}))
 
 

@@ -24,6 +24,7 @@ from .errors import DomainError
 
 INTERIOR_N = 400       # points of interior_nodes
 INTERIOR_TRIM = 0.05   # fraction of [a, b] it leaves out at each end
+EVAL_BLOCK = 32768     # (points x (B + Q)) table entries summed at once
 
 
 def band_limited_evaluator(F):
@@ -42,7 +43,15 @@ def band_limited_evaluator(F):
     from two tables of exponentials (points x B and points x Q, with
     Q = ceil(top/B)) and one matrix product, instead of one exponential
     per point and node.  B depends on the grid alone, so evaluators of
-    two samples on one grid build the same tables."""
+    two samples on one grid build the same tables.
+
+    The points are summed in runs of equal length (to within one) whose
+    two tables hold at most EVAL_BLOCK entries, so the working set does
+    not grow with the number of points, and each table is filled with the
+    cos and sin of its real angles (`_cis`).  Equal runs keep every run
+    as long as the call allows: a product of one to a few rows can take
+    another BLAS kernel (matrix-vector, small-matrix) that rounds
+    differently, so a point's value would depend on its run."""
     half, n = F.half, F.grid.n_points // 2
     support = np.flatnonzero(half)
     top = int(support[-1]) + 1 if support.size else 0
@@ -54,14 +63,31 @@ def band_limited_evaluator(F):
     coef = coef.reshape(blocks, block).T
     fine = np.arange(block) * F.grid.dxi
     coarse = np.arange(0, blocks * block, block) * F.grid.dxi
+    rows = max(1, EVAL_BLOCK // (block + blocks))
 
     def evaluate(x):
-        x = np.atleast_1d(np.asarray(x, dtype=float))
-        inner = np.exp(1j * np.outer(x, fine)).dot(coef)
-        return np.einsum("pq,pq->p", np.exp(1j * np.outer(x, coarse)),
-                         inner).real
+        x = np.atleast_1d(np.asarray(x, dtype=float)).ravel()
+        out = np.empty(x.size)
+        runs = -(-x.size // rows)
+        for i in range(runs):
+            lo, hi = i * x.size // runs, (i + 1) * x.size // runs
+            run = x[lo:hi]
+            inner = _cis(np.outer(run, fine)).dot(coef)
+            out[lo:hi] = np.einsum("pq,pq->p", _cis(np.outer(run, coarse)),
+                                   inner).real
+        return out
 
     return evaluate
+
+
+def _cis(theta):
+    """exp(i theta) for real theta, as cos and sin written into one
+    complex array: the bits of np.exp(1j * theta) without its complex
+    argument."""
+    out = np.empty(theta.shape, dtype=complex)
+    np.cos(theta, out=out.real)
+    np.sin(theta, out=out.imag)
+    return out
 
 
 @dataclass(frozen=True)
@@ -126,14 +152,21 @@ def build_phase(result, prob):
                    r_degree=r.degree_for_tail())
 
 
+def _points_in_interval(phase, t):
+    """t as a float array, or DomainError if a point lies outside [a, b]
+    by more than 1e-12 (b - a): the phase is fitted on [a, b] alone, and
+    its series grow without bound outside it."""
+    t = np.asarray(t, dtype=float)
+    slack = 1e-12 * (phase.b - phase.a)
+    if np.any(t < phase.a - slack) or np.any(t > phase.b + slack):
+        raise DomainError("evaluation point outside [a, b]")
+    return t
+
+
 def eval_basis(phase, t):
     """The pair u = cos(alpha)/sqrt(|alpha'|), v = sin(alpha)/sqrt(|alpha'|)."""
-    t_arr = np.asarray(t, dtype=float)
-    slack = 1e-12 * (phase.b - phase.a)
-    if np.any(t_arr < phase.a - slack) or np.any(t_arr > phase.b + slack):
-        raise DomainError("evaluation point outside [a, b]")
-    alpha, r = map(np.asarray,
-                   call_together((phase.alpha_t, phase.r_t), t_arr))
+    alpha, r = map(np.asarray, call_together(
+        (phase.alpha_t, phase.r_t), _points_in_interval(phase, t)))
     root = np.sqrt(np.abs(phase.dalpha_of_r(r)))
     return np.cos(alpha) / root, np.sin(alpha) / root
 
@@ -141,7 +174,7 @@ def eval_basis(phase, t):
 def basis_derivatives(phase, t):
     """(u, u', v, v') from alpha and r analytically."""
     alpha, r, dr = map(np.asarray, call_together(
-        (phase.alpha_t, phase.r_t, phase.dr_t), t))
+        (phase.alpha_t, phase.r_t, phase.dr_t), _points_in_interval(phase, t)))
     da = phase.dalpha_of_r(r)
     root = np.sqrt(da)
     u = np.cos(alpha) / root
@@ -160,7 +193,7 @@ def kummer_residual(phase, q, t_nodes):
         = (alpha')^2 - lambda^2 q + r''/4 - (r')^2/16.
 
     Theory predicts |residual| <= ||q||_inf ||nu||_inf / 4."""
-    t = np.asarray(t_nodes, dtype=float)
+    t = _points_in_interval(phase, t_nodes)
     r, dr, d2r = map(np.asarray, call_together(
         (phase.r_t, phase.dr_t, phase.d2r_t), t))
     da = phase.dalpha_of_r(r)

@@ -121,8 +121,9 @@ def _half_step(psi_half, bump):
 
 def apply_R(psi, w_hat, bump):
     """One application of the fixed-point map: the half step on psi's
-    half, plus w's."""
+    half, plus w's.  psi and w must both live on the bump's grid."""
     _require_bump_grid(psi, bump)
+    _require_bump_grid(w_hat, bump)
     return SpectralSample.of_half(
         psi.grid, _half_step(psi.half, bump) + w_hat.half)
 

@@ -3,10 +3,11 @@ exponentials' series oracle, the operator S of the integral equation, the
 Helmholtz inverse on both sides (the reference the solver's
 delta-hat = Wb psi is checked against), the fixed point and extraction
 on the whole centered grid (the references of the solver's half
-spectrum), the zero spectral sample, and the decay slope of the
-acceptance checks."""
+spectrum), the zero spectral sample, the decay slope of the acceptance
+checks, and the band-limited series summed at all points at once (the
+reference of the evaluator's runs)."""
 
-from math import factorial
+from math import factorial, isqrt
 
 import numpy as np
 
@@ -179,3 +180,28 @@ def extract_on_full_grid(state, bump, prob):
         delta_tail=delta_tail, band_tail=float(band_tail))
     return (SpectralSample(grid, sigma), nu, SpectralSample(grid, delta),
             report)
+
+
+def unblocked_evaluator(F):
+    """`band_limited_evaluator` with its two tables built for all points
+    at once, from np.exp of the imaginary angles: the sum the evaluator
+    runs in bounded point runs, which must give its bits."""
+    half, n = F.half, F.grid.n_points // 2
+    support = np.flatnonzero(half)
+    top = int(support[-1]) + 1 if support.size else 0
+    block = isqrt(n) + 1
+    blocks = -(-top // block)
+    coef = np.zeros(blocks * block, dtype=complex)
+    coef[:top] = half[:top] * (F.grid.dxi / (2.0 * np.pi))
+    coef[1:min(top, n)] *= 2.0
+    coef = coef.reshape(blocks, block).T
+    fine = np.arange(block) * F.grid.dxi
+    coarse = np.arange(0, blocks * block, block) * F.grid.dxi
+
+    def evaluate(x):
+        x = np.atleast_1d(np.asarray(x, dtype=float))
+        inner = np.exp(1j * np.outer(x, fine)).dot(coef)
+        return np.einsum("pq,pq->p", np.exp(1j * np.outer(x, coarse)),
+                         inner).real
+
+    return evaluate

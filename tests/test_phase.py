@@ -1,19 +1,22 @@
+import functools
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
 import nophase.chebseries
 import nophase.phase
-from conftest import make_constant_coefficient
+from conftest import make_constant_coefficient, make_sech_coefficient
 from nophase.errors import DomainError, MagnitudeError
+from nophase.expr import compile_expression
 from nophase.grid import (RealSample, SpectralGrid, SpectralSample, forward,
                           linf_norm)
-from helpers import apply_S
-from nophase.phase import (PhaseFunction, band_limited_evaluator,
+from helpers import apply_S, unblocked_evaluator
+from nophase.phase import (EVAL_BLOCK, PhaseFunction, band_limited_evaluator,
                            basis_derivatives, build_phase, eval_basis,
                            interior_nodes, kummer_residual)
-from nophase.problem import build_problem
+from nophase.problem import Coefficient, build_problem
 from nophase.solver import solve_problem
 
 
@@ -21,6 +24,25 @@ def solved_phase(coefficient, lam):
     prob = build_problem(coefficient, lam)
     result, _ = solve_problem(prob)
     return prob, result, build_phase(result, prob)
+
+
+@functools.cache
+def solved_delta(source):
+    """(delta-hat, its grid's half width) of q = 1 + sech^2 t on [-3, 3]:
+    with exact derivatives at lambda = source, or from the expression
+    without derivatives (finite differences) at lambda = 640 for "fd-640",
+    or of the constant q = 2.25 on [-1, 1] at lambda = 8 for "constant"."""
+    if source == "fd-640":
+        coefficient, lam = Coefficient.make(
+            compile_expression("1 + sech(t)**2"), -3.0, 3.0,
+            extension_width=4.0), 640.0
+    elif source == "constant":
+        coefficient, lam = make_constant_coefficient(2.25, -1.0, 1.0), 8.0
+    else:
+        coefficient, lam = make_sech_coefficient(), float(source)
+    prob = build_problem(coefficient, lam)
+    result, _ = solve_problem(prob)
+    return result.delta_hat, prob.grid.half_width
 
 
 class TestApplyS:
@@ -101,6 +123,49 @@ class TestBandLimitedEvaluator:
         mass = grid.dxi / (2.0 * np.pi) * np.sum(np.abs(values))
         assert np.max(np.abs(band_limited_evaluator(F)(x) - direct)) \
             <= 4.0 * np.finfo(float).eps * mass
+
+    @pytest.mark.filterwarnings("ignore:solvability hypotheses")
+    @pytest.mark.parametrize("source", ["20", "80", "320", "1280", "fd-640",
+                                        "constant"])
+    @pytest.mark.parametrize("count", ["1", "run-1", "run", "run+1",
+                                       "3run+5"])
+    def test_runs_give_the_one_call_bits(self, rng, source, count):
+        F, half_width = solved_delta(source)
+        if source == "constant":
+            assert not np.any(F.half)
+        n = F.grid.n_points // 2
+        block = math.isqrt(n) + 1
+        top = np.flatnonzero(F.half)[-1] + 1 if np.any(F.half) else 0
+        run = EVAL_BLOCK // (block + -(-top // block))
+        size = {"1": 1, "run-1": run - 1, "run": run, "run+1": run + 1,
+                "3run+5": 3 * run + 5}[count]
+        x = rng.uniform(-half_width, half_width, size)
+        assert np.array_equal(band_limited_evaluator(F)(x),
+                              unblocked_evaluator(F)(x))
+
+    @pytest.mark.parametrize("source", ["80", "constant"])
+    def test_scalar_point(self, source):
+        F, _ = solved_delta(source)
+        got = band_limited_evaluator(F)(0.375)
+        assert got.shape == (1,)
+        assert np.array_equal(got, unblocked_evaluator(F)(0.375))
+
+    def test_working_set_is_bounded(self):
+        # full support on N = 32768: B + Q = 129 + 128 table columns, so
+        # tables for all 2048 points at once would take 2048 x 257 x 16 B
+        # = 8.4 MB; one run's two tables hold at most EVAL_BLOCK entries
+        grid = SpectralGrid(10.0, 32768)
+        F = SpectralSample.of_half(
+            grid, np.ones(grid.n_points // 2 + 1, dtype=complex))
+        evaluate = band_limited_evaluator(F)
+        x = np.linspace(-10.0, 10.0, 2048)
+        tracemalloc.start()
+        try:
+            evaluate(x)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 2 * EVAL_BLOCK * np.dtype(complex).itemsize  # 1 MiB
 
 
 class TestBuildPhase:
@@ -245,6 +310,18 @@ class TestEvalBasis:
         _, _, phase = solved_phase(sech_coefficient, 20.0)
         with pytest.raises(DomainError):
             eval_basis(phase, np.array([phase.b + 0.5]))
+
+    @pytest.mark.parametrize("check", ["kummer_residual", "basis_derivatives"])
+    @pytest.mark.parametrize("t", [-3.5, 3.5, 5.0])
+    def test_other_checks_share_the_guard(self, sech_coefficient, check, t):
+        # unguarded, kummer_residual read 1.0e5 at 3.5 and inf at 5
+        prob, _, phase = solved_phase(sech_coefficient, 80.0)
+        calls = {"kummer_residual": lambda t: kummer_residual(
+                     phase, prob.coefficient.q, t),
+                 "basis_derivatives": lambda t: basis_derivatives(phase, t)}
+        calls[check](np.array([phase.a, phase.b]))  # the ends pass
+        with pytest.raises(DomainError, match="outside"):
+            calls[check](np.array([0.0, t]))
 
 
 class TestBasisDerivatives:

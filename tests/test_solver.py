@@ -217,6 +217,18 @@ class TestApplyR:
         got = apply_R(psi, w, bump).values
         assert np.max(np.abs(got - ref)) <= 1e-11
 
+    @pytest.mark.parametrize("other", [SpectralGrid(8.0, 128),
+                                       SpectralGrid(6.0, 256)],
+                             ids=["N", "L"])
+    def test_forcing_on_another_grid_refused(self, rng, other):
+        lam = 5.0
+        grid = band_grid(lam)
+        assert (grid.half_width, grid.n_points) == (8.0, 256)
+        bump = make_bump(grid, lam)
+        with pytest.raises(ConfigurationError, match="different grids"):
+            apply_R(zeros_spectral(grid), random_forcing(other, rng, 1.0),
+                    bump)
+
 
     @staticmethod
     def composed(psi, w, bump):
