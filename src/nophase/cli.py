@@ -9,14 +9,14 @@ Subcommands:
 The problem file sets q, [a, b], lambda, the extension width and the
 grid; --lambda overrides its lambda.  A constant q needs no dq or d2q:
 finite differences give it exact zeros.  Every solve iterates to the
-solver's TOL.  The sweep's JSON mirror carries each row's `certified`
-flag, which the CSV does not.
+solver's TOL.  The sweep's JSON mirror, not its CSV, carries each row's
+`certified`: the verdict `solve` exits on.
 
-Exit codes: 0 success; 1 certification failure (the solve finished but a
-certificate flag or a verify gate failed); 2 numerical failure or bad
-input, reported as one `error:` line without a traceback.  Numerical
-failures are non-convergence, an unresolvable grid, a decay fit that
-fails, a Chebyshev fit that does not resolve its function, an
+Exit codes: 0 success; 1 certification failure (the solve finished but
+its report is not `certified` or a verify gate failed); 2 numerical
+failure or bad input, reported as one `error:` line without a traceback.
+Numerical failures are non-convergence, an unresolvable grid, a decay
+fit that fails, a Chebyshev fit that does not resolve its function, an
 overflowing or asymmetric sample, an OverflowError and a MemoryError;
 bad input is a missing or unreadable file, malformed JSON, a missing q,
 a or b, an extension width whose square or whose [a - 3w, b + 3w] is not
@@ -24,10 +24,10 @@ finite, an unknown name in an expression or one nested too deeply, a q
 that is not finite and strictly positive on [a - 3w, b + 3w], a table q
 that is not two or more finite [t, q] pairs with increasing knots that
 cover that range, a lambda outside about 3.73e-155 to 6.7e153 or so
-small that the band multiplier times w overflows, a solve or
-sweep --out that is the problem file or a directory, or whose directory
-does not exist (refused before any solve), and a bad --oracle-tol.  Each
-warning is printed as one `warning:` line; the filters choose which.
+small that the band multiplier times w overflows, a solve or sweep --out
+that is the problem file or a directory, or whose directory does not
+exist (refused before any solve), and a bad --oracle-tol.  Each warning
+is printed as one `warning:` line; the filters choose which.
 """
 
 import argparse
@@ -73,12 +73,11 @@ def cmd_solve(args):
     else:
         json.dump(payload, sys.stdout, indent=2)
         print()
-    ok = (report.certified and report.sigma_support_ok
-          and report.sigma_decay_ok and report.nu_bound_ok)
+    failed = "".join(f" {name}=False" for name in report.failed_checks)
     print(f"solve: lambda={lam:g} iterations={report.iterations} "
-          f"nu_inf={report.nu_inf:.3e} certified={report.certified}",
+          f"nu_inf={report.nu_inf:.3e} certified={report.certified}{failed}",
           file=sys.stderr)
-    return EXIT_OK if ok else EXIT_CERTIFICATION
+    return EXIT_OK if report.certified else EXIT_CERTIFICATION
 
 
 def cmd_verify(args):

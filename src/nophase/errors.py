@@ -5,10 +5,6 @@ class NophaseError(Exception):
     """Base class for all errors raised by this package."""
 
 
-class GridMismatchError(NophaseError):
-    """Two samples that must share a grid were built on different grids."""
-
-
 class SymmetryError(NophaseError):
     """A frequency sample claimed to represent a real function is not
     Hermitian-symmetric within tolerance."""
@@ -20,6 +16,10 @@ class MagnitudeError(NophaseError):
 
 class ConfigurationError(NophaseError):
     """Grid geometry is inadequate for the requested operation."""
+
+
+class GridMismatchError(ConfigurationError):
+    """Two samples, or a sample and a bump, live on different grids."""
 
 
 class DomainError(NophaseError):

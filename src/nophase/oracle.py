@@ -6,8 +6,8 @@ import math
 
 import numpy as np
 
-from .errors import DomainError, NumericalError
-from .phase import basis_derivatives
+from .errors import NumericalError
+from .phase import _points_in_interval, basis_derivatives
 
 _MIN_RTOL = 2.5e-14  # DOP853's floor is 100 * machine epsilon
 CHECK_NODES = 400  # equispaced nodes of basis_error
@@ -107,13 +107,8 @@ def ode_oracle(prob, y0, dy0, t, tol=ORACLE_TOL):
     becomes too small or an error estimate that is not a number is a
     NumericalError."""
     check_tol(tol, "tol")
-    a = prob.coefficient.interval_a
-    b = prob.coefficient.interval_b
-    t = np.asarray(t, dtype=float)
-    slack = 1e-12 * (b - a)
-    if np.any(t < a - slack) or np.any(t > b + slack):
-        raise DomainError("oracle node outside [a, b]")
-    t = np.clip(t, a, b)
+    a, b = prob.coefficient.interval_a, prob.coefficient.interval_b
+    t = np.clip(_points_in_interval(t, a, b), a, b)
     if np.any(np.diff(t) < 0):
         raise ValueError("oracle nodes must be ascending")
     q = prob.coefficient.q

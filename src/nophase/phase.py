@@ -152,29 +152,30 @@ def build_phase(result, prob):
                    r_degree=r.degree_for_tail())
 
 
-def _points_in_interval(phase, t):
+def _points_in_interval(t, a, b):
     """t as a float array, or DomainError if a point lies outside [a, b]
     by more than 1e-12 (b - a): the phase is fitted on [a, b] alone, and
     its series grow without bound outside it."""
     t = np.asarray(t, dtype=float)
-    slack = 1e-12 * (phase.b - phase.a)
-    if np.any(t < phase.a - slack) or np.any(t > phase.b + slack):
+    slack = 1e-12 * (b - a)
+    if np.any(t < a - slack) or np.any(t > b + slack):
         raise DomainError("evaluation point outside [a, b]")
     return t
 
 
 def eval_basis(phase, t):
     """The pair u = cos(alpha)/sqrt(|alpha'|), v = sin(alpha)/sqrt(|alpha'|)."""
-    alpha, r = map(np.asarray, call_together(
-        (phase.alpha_t, phase.r_t), _points_in_interval(phase, t)))
+    t = _points_in_interval(t, phase.a, phase.b)
+    alpha, r = map(np.asarray, call_together((phase.alpha_t, phase.r_t), t))
     root = np.sqrt(np.abs(phase.dalpha_of_r(r)))
     return np.cos(alpha) / root, np.sin(alpha) / root
 
 
 def basis_derivatives(phase, t):
     """(u, u', v, v') from alpha and r analytically."""
+    t = _points_in_interval(t, phase.a, phase.b)
     alpha, r, dr = map(np.asarray, call_together(
-        (phase.alpha_t, phase.r_t, phase.dr_t), _points_in_interval(phase, t)))
+        (phase.alpha_t, phase.r_t, phase.dr_t), t))
     da = phase.dalpha_of_r(r)
     root = np.sqrt(da)
     u = np.cos(alpha) / root
@@ -193,7 +194,7 @@ def kummer_residual(phase, q, t_nodes):
         = (alpha')^2 - lambda^2 q + r''/4 - (r')^2/16.
 
     Theory predicts |residual| <= ||q||_inf ||nu||_inf / 4."""
-    t = _points_in_interval(phase, t_nodes)
+    t = _points_in_interval(t_nodes, phase.a, phase.b)
     r, dr, d2r = map(np.asarray, call_together(
         (phase.r_t, phase.dr_t, phase.d2r_t), t))
     da = phase.dalpha_of_r(r)

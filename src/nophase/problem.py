@@ -373,8 +373,8 @@ def fit_decay(p_hat):
     (|xi|, log |p_hat|) over nodes above the relative threshold, then
     inflate Gamma minimally so the bound holds at every nonzero node.
 
-    Returns (gamma, mu); the degenerate p_hat == 0 case returns
-    (0.0, inf)."""
+    Returns (gamma, mu); gamma is inf when the inflation overflows, and
+    the degenerate p_hat == 0 case returns (0.0, inf)."""
     absv = mirror(p_hat.grid, np.abs(p_hat.half))
     vmax = float(np.max(absv))
     if vmax == 0.0:
@@ -389,8 +389,9 @@ def fit_decay(p_hat):
     if mu <= 0.0:
         raise FitError("transform does not decay; cannot certify")
     nonzero = absv > 0.0
-    gamma = float(np.max(absv[nonzero]
-                         * np.exp(mu * np.abs(p_hat.grid.xi[nonzero]))))
+    with np.errstate(over="ignore"):  # inf, which the certificate refuses
+        gamma = float(np.max(absv[nonzero]
+                             * np.exp(mu * np.abs(p_hat.grid.xi[nonzero]))))
     return gamma, mu
 
 
@@ -403,7 +404,8 @@ def decay_bound(xi, gamma, mu):
 
 @dataclass(frozen=True)
 class HypothesisReport:
-    """Measured quantities and flags for the solvability hypotheses."""
+    """Measured quantities and flags for the solvability hypotheses;
+    `certified` is the two alone, one input to `BoundsReport.certified`."""
 
     w_l1: float
     lambda_ok: bool       # lambda > 2 max(1/mu, gamma)

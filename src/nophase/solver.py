@@ -19,14 +19,14 @@ the rate falls fast with lambda, so the bound saves the last, round-off step.
 """
 
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
 from .convexp import exp2
 from .errors import ConfigurationError, ConvergenceError, DomainError
-from .grid import (RealSample, SpectralSample, forward_half, inverse_half,
-                   l1_norm, linf_norm, mirror)
+from .grid import (RealSample, SpectralSample, _require_same_grid,
+                   forward_half, inverse_half, l1_norm, linf_norm, mirror)
 from .mollifier import smooth_step
 from .problem import (_finite, below_floor, check_lambda_square,
                       decay_bound, floored, resolved)
@@ -40,6 +40,8 @@ MAX_ITER = 100  # fixed-point iterations before ConvergenceError
 # L1 increment, or its contraction estimate rho delta / (1 - rho),
 # relative to ||w||_1, that stops the iteration
 TOL = 1e-14
+CHECKS = ("lambda_hypothesis_ok", "w_l1_hypothesis_ok", "sigma_support_ok",
+          "sigma_decay_ok", "nu_bound_ok")  # BoundsReport.certified's
 
 _SQRT2 = np.sqrt(2.0)
 
@@ -89,21 +91,16 @@ def make_bump(grid, lam):
                 half_odd_multiplier=odd_multiplier)
 
 
-def _require_bump_grid(f, bump):
-    if f.grid != bump.grid:
-        raise ConfigurationError("sample and bump live on different grids")
-
-
 def apply_Wb(f, bump):
     """Multiply by bhat(xi)/(4 lambda^2 - xi^2), on the half."""
-    _require_bump_grid(f, bump)
+    _require_same_grid(f, bump)
     return SpectralSample.of_half(f.grid, f.half * bump.half_multiplier)
 
 
 def apply_Wb_tilde(f, bump):
     """Multiply by -i xi bhat(xi)/(4 lambda^2 - xi^2), and by zero at the
     self-paired node -xi_max (the bump's odd multiplier), on the half."""
-    _require_bump_grid(f, bump)
+    _require_same_grid(f, bump)
     return SpectralSample.of_half(f.grid, f.half * bump.half_odd_multiplier)
 
 
@@ -122,8 +119,8 @@ def _half_step(psi_half, bump):
 def apply_R(psi, w_hat, bump):
     """One application of the fixed-point map: the half step on psi's
     half, plus w's.  psi and w must both live on the bump's grid."""
-    _require_bump_grid(psi, bump)
-    _require_bump_grid(w_hat, bump)
+    _require_same_grid(psi, bump)
+    _require_same_grid(w_hat, bump)
     return SpectralSample.of_half(
         psi.grid, _half_step(psi.half, bump) + w_hat.half)
 
@@ -146,7 +143,7 @@ def fixed_point_solve(w_hat, bump):
     rho delta_n / (1 - rho) on the distance left to the fixed point is.
     An increment that does not shrink (rho >= 1) gives no bound.
 
-    A w on another grid than the bump's is a ConfigurationError before
+    A w on another grid than the bump's is a GridMismatchError before
     any arithmetic, and a first Wb w / dx (what `inverse` forms) that
     overflows is a DomainError naming lambda.  Outside the ball
     ||w||_1 <= (pi/2) lambda^2, where convergence is guaranteed, the
@@ -154,7 +151,7 @@ def fixed_point_solve(w_hat, bump):
     xi_max < 2 sqrt(2) lambda the quadratic term Wt*Wt is not resolved a
     priori, so the converged psi must be, by the rule p-hat's level meets
     (`resolved`), or ConfigurationError is raised."""
-    _require_bump_grid(w_hat, bump)
+    _require_same_grid(w_hat, bump)
     grid, lam = bump.grid, bump.lam
     with np.errstate(over="ignore"):  # named below, not warned about
         first = np.max(np.abs(w_hat.half) * bump.half_multiplier) / grid.dx
@@ -189,11 +186,12 @@ def fixed_point_solve(w_hat, bump):
     )
 
 
-@dataclass
+@dataclass(frozen=True)
 class BoundsReport:
     """Runtime checks of the decay/support bounds against the fitted
     (Gamma, mu).  Bounds that fall below the double-precision floor are
-    checked against the floor instead and flagged."""
+    checked against the floor instead and flagged.  The verdict
+    `certified` is derived, not passed in: every check in CHECKS holds."""
 
     lam: float
     gamma: float
@@ -201,7 +199,7 @@ class BoundsReport:
     w_l1: float
     lambda_hypothesis_ok: bool
     w_l1_hypothesis_ok: bool
-    certified: bool
+    certified: bool = field(init=False)
     iterations: int
     final_delta: float
     sigma_support_ok: bool
@@ -213,6 +211,14 @@ class BoundsReport:
     nu_floor_limited: bool
     delta_tail: float     # mass of delta-hat cut below its floor
     band_tail: float      # bound on the mass of sigma-hat beyond xi_max
+
+    def __post_init__(self):
+        object.__setattr__(self, "certified", not self.failed_checks)
+
+    @property
+    def failed_checks(self):
+        """The names in CHECKS whose flag is False, in CHECKS' order."""
+        return [name for name in CHECKS if not getattr(self, name)]
 
 
 @dataclass
@@ -270,26 +276,28 @@ def extract_solution(state, prob):
     outside = xi >= _SQRT2 * lam
     sigma_support_ok = bool(np.all(abs_sigma[outside] == 0.0))
 
-    inside = ~outside
-    bound = (1.0 + 2.0 * gamma / lam) * decay_bound(xi[inside], gamma, mu)
-    decay_ok = bool(np.all((abs_sigma[inside] <= SIGMA_SLACK * bound)
-                           | (abs_sigma[inside] <= floor)))
+    sigma_in = abs_sigma[~outside]
+    with np.errstate(over="ignore", invalid="ignore"):  # inf/nan fail below
+        scale = 1.0 + 2.0 * gamma / lam
+        bound = scale * decay_bound(xi[~outside], gamma, mu)
+        nu_bound = (gamma / (2.0 * mu)) * (1.0 + 4.0 * gamma / lam) \
+            * np.exp(-mu * lam)
+        band_tail = scale * gamma / (np.pi * mu) * np.exp(-mu * grid.xi_max) \
+            if grid.xi_max < _SQRT2 * lam else 0.0
+    decay_ok = bool(np.all(np.isfinite(bound)) and np.all(
+        (sigma_in <= SIGMA_SLACK * bound) | (sigma_in <= floor)))
     floor_limited = not bool(np.all(bound >= floor))
 
     nu_inf = linf_norm(nu)
-    nu_bound = (gamma / (2.0 * mu)) * (1.0 + 4.0 * gamma / lam) \
-        * np.exp(-mu * lam)
     nu_floor = BOUND_FLOOR_REL * max(float(np.max(np.abs(psi_half))), 1e-300)
     nu_floor_limited = nu_bound < nu_floor or unit
-    nu_ok = bool(nu_inf <= NU_SLACK * nu_bound or nu_inf <= nu_floor)
-    band_tail = (1.0 + 2.0 * gamma / lam) * gamma / (np.pi * mu) \
-        * np.exp(-mu * grid.xi_max) if grid.xi_max < _SQRT2 * lam else 0.0
+    nu_ok = bool(np.isfinite(nu_bound)
+                 and (nu_inf <= NU_SLACK * nu_bound or nu_inf <= nu_floor))
 
     report = BoundsReport(
         lam=lam, gamma=gamma, mu=mu, w_l1=hyp.w_l1,
         lambda_hypothesis_ok=hyp.lambda_ok,
         w_l1_hypothesis_ok=hyp.w_l1_ok,
-        certified=hyp.certified,
         iterations=state.iteration,
         final_delta=state.l1_deltas[-1],
         sigma_support_ok=sigma_support_ok,

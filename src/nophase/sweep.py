@@ -21,10 +21,10 @@ CSV_COLUMNS = ["lambda", "iterations", "gamma", "mu", "nu_inf",
 
 @dataclass
 class SweepRow:
-    """One lambda of a sweep.  `certified` and `floor_limited` are the
-    solve's `BoundsReport.certified` and `nu_floor_limited`; they reach
-    the JSON mirror but not the CSV.  A row whose solve or check raised
-    holds the message in `error` and NaN or -1 elsewhere."""
+    """One lambda of a sweep.  `certified` is the solve's verdict, the one
+    `nophase solve` exits on, and `floor_limited` its `nu_floor_limited`;
+    they reach the JSON mirror but not the CSV.  A row whose solve or
+    check raised holds the message in `error` and NaN or -1 elsewhere."""
 
     lam: float
     iterations: int = -1

@@ -165,7 +165,7 @@ def extract_on_full_grid(state, bump, prob):
     report = BoundsReport(
         lam=lam, gamma=gamma, mu=mu, w_l1=hyp.w_l1,
         lambda_hypothesis_ok=hyp.lambda_ok, w_l1_hypothesis_ok=hyp.w_l1_ok,
-        certified=hyp.certified, iterations=state.iteration,
+        iterations=state.iteration,
         final_delta=state.l1_deltas[-1],
         sigma_support_ok=bool(np.all(abs_sigma[outside] == 0.0)),
         sigma_decay_ok=bool(np.all(
