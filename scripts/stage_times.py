@@ -33,12 +33,14 @@ from "1 + sech(t)**2", as the CLI runs it on a problem file, and q_us,
 the microseconds per point of that q alone on an array of 10 000 nodes
 in [a, b]; oracle_us_per_q_point - q_us is the integrator's own share.
 
-After the timed passes, one more pass gives build_phase_peak_kb per
-lambda, the peak in kB that tracemalloc traces inside `build_phase`
-(traced apart, so that no time carries tracemalloc's overhead), and a
-row "640-fd" with that peak at lambda = 640 for q compiled from the same
-expression with no derivatives given (finite differences, as a sweep of
-a problem file without dq and d2q runs it) and its grid N.
+After the timed passes, one more pass gives build_problem_peak_kb and
+build_phase_peak_kb per lambda, the peaks in kB that tracemalloc traces
+inside `build_problem` on a fresh coefficient (its map and every level
+of p-hat built in the call) and inside `build_phase` (traced apart, so
+that no time carries tracemalloc's overhead), and a row "640-fd" with
+both peaks at lambda = 640 for q compiled from the same expression with
+no derivatives given (finite differences, as a sweep of a problem file
+without dq and d2q runs it) and its grid N.
 
 The bump is timed as `solve_problem` minus its fixed point and its
 extraction, so the script runs unchanged on trees that choose the bump
@@ -227,29 +229,41 @@ def one_pass(stages):
     return rows
 
 
-def build_phase_peaks():
-    """{row: {"build_phase_peak_kb": ...}} per lambda of LAMBDAS, and for
-    the row f"{FD_LAMBDA:g}-fd", the expression q without derivatives."""
-    sech = Coefficient.make(sech2, -3.0, 3.0, dq=dsech2, d2q=d2sech2,
-                            extension_width=4.0)
-    fd = Coefficient.make(compile_expression(EXPRESSION), -3.0, 3.0,
-                          extension_width=4.0)
+def traced_peak_kb(f, *args):
+    """f(*args) and the peak in kB that tracemalloc traces inside it."""
+    tracemalloc.start()
+    try:
+        out = f(*args)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    return out, round(peak / 1e3)
+
+
+def peaks():
+    """{row: {"build_problem_peak_kb": ..., "build_phase_peak_kb": ...}}
+    per lambda of LAMBDAS, and for the row f"{FD_LAMBDA:g}-fd", the
+    expression q without derivatives, with its grid N."""
+    def sech():
+        return Coefficient.make(sech2, -3.0, 3.0, dq=dsech2, d2q=d2sech2,
+                                extension_width=4.0)
+
+    def fd():
+        return Coefficient.make(compile_expression(EXPRESSION), -3.0, 3.0,
+                                extension_width=4.0)
+
     cases = [(f"{lam:g}", sech, lam) for lam in LAMBDAS]
     cases.append((f"{FD_LAMBDA:g}-fd", fd, FD_LAMBDA))
     rows = {}
-    for row, coeff, lam in cases:
+    for row, make, lam in cases:
         with warnings.catch_warnings():
             # the finite-difference route is not certified at FD_LAMBDA
             warnings.filterwarnings("ignore", "solvability hypotheses")
-            prob = build_problem(coeff, lam)
+            prob, problem_kb = traced_peak_kb(build_problem, make(), lam)
             result, _ = solve_problem(prob)
-        tracemalloc.start()
-        try:
-            build_phase(result, prob)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        rows[row] = {"build_phase_peak_kb": round(peak / 1e3)}
+        _, phase_kb = traced_peak_kb(build_phase, result, prob)
+        rows[row] = {"build_problem_peak_kb": problem_kb,
+                     "build_phase_peak_kb": phase_kb}
         if row.endswith("-fd"):
             rows[row]["grid_n"] = prob.grid.n_points
     return rows
@@ -270,8 +284,8 @@ def main():
                     for k in keys}
         out[row]["oracle_us_per_q_point"] = round(
             1e3 * out[row]["oracle_ms"] / out[row]["oracle_q_points"], 3)
-    for row, peaks in build_phase_peaks().items():
-        out.setdefault(row, {}).update(peaks)
+    for row, traced in peaks().items():
+        out.setdefault(row, {}).update(traced)
     print(json.dumps({"passes": args.passes, "stages": out}))
 
 

@@ -22,6 +22,7 @@ MAX_N = 4096          # and its last
 CUT_REL = np.finfo(float).eps  # relative floor of the coefficients it keeps
 DEGREE_REL = 1e-12    # relative coefficient floor of degree_for_tail
 PIECE_DEGREE = 32     # degree of every piece of ChebSeries.adaptive_pieces
+SUM_BLOCK = 1 << 18   # gathered coefficients a piecewise sum holds at once
 MAX_ROUNDS = 40       # its bisection rounds
 MAX_PIECES = 1 << 14  # cap on its piece count
 
@@ -231,13 +232,25 @@ class ChebSeries:
 
     def __call__(self, t):
         """The series at t: one piece is summed by `chebval`, every
-        point of several by `clenshaw` on its own piece's coefficients."""
+        point of several by `clenshaw` on its own piece's coefficients.
+        Those are gathered for the points in equal runs, as few as hold
+        at most SUM_BLOCK gathered coefficients (2 MiB) each, so a call
+        that fits one run is one `clenshaw` pass."""
         t = np.asarray(t, dtype=float)
         edges = self.edges
         if len(edges) == 2:
             lo, hi = edges
             return chebval((2.0 * t - (lo + hi)) / (hi - lo),
                            self.coef[..., 0])
+        run = max(1, SUM_BLOCK // (self.coef.size // (len(edges) - 1)))
+        if t.size > run:
+            flat, stack = t.ravel(), self.coef.shape[1:-1]
+            out = np.empty(stack + flat.shape)
+            runs = -(-flat.size // run)
+            run = -(-flat.size // runs)
+            for start in range(0, flat.size, run):
+                out[..., start:start + run] = self(flat[start:start + run])
+            return out.reshape(stack + t.shape)
         idx = np.clip(np.searchsorted(edges, t, side="right") - 1,
                       0, len(edges) - 2)
         lo, hi = edges[idx], edges[idx + 1]

@@ -11,9 +11,10 @@ The step is the normalized antiderivative of the mollifier: a piecewise
 from quarters until resolved by `ChebSeries.adaptive_pieces`: 12 pieces),
 fitted once at import, integrated term by term and divided by its value
 at 1.  A call sums that series of degree 33 at the points strictly inside
-(-1, 1) in one Clenshaw pass over each point's own piece, whatever their
-count or the shape of u, so callers that need the step at two point sets
-stack them into one call.
+(-1, 1) in one Clenshaw pass over each point's own piece, whatever the
+shape of u (up to 7 710 points; more are summed in equal runs of at most
+`SUM_BLOCK` gathered coefficients), so callers that need the step at two
+point sets stack them into one call.
 """
 
 import numpy as np

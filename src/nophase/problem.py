@@ -16,7 +16,7 @@ from .chebseries import ChebSeries, call_together
 from .errors import ConfigurationError, DomainError, FitError, NumericalError
 from .expr import compile_expression
 from .grid import (RealSample, SpectralGrid, SpectralSample, forward,
-                   l1_norm, mirror)
+                   l1_norm)
 from .mollifier import smooth_step, smooth_step_deriv, smooth_step_deriv2
 
 P_EDGE_REL = 1e-14      # required smallness of p at the grid boundary
@@ -373,25 +373,38 @@ def fit_decay(p_hat):
     (|xi|, log |p_hat|) over nodes above the relative threshold, then
     inflate Gamma minimally so the bound holds at every nonzero node.
 
+    The fit is the least-squares line over the centered grid, taken on
+    the nonnegative half in closed form: every node there stands for two
+    nodes of the grid, xi and -xi, and so has weight 2, but for xi = 0
+    and the self-paired xi_max, which have weight 1.  The same weights
+    count the at least 8 usable nodes the fit needs, and Gamma's
+    inflation takes its maximum on the half, which holds every modulus
+    of the grid.  No LAPACK routine runs (np.polyfit's least squares
+    paged one in for two numbers).
+
     Returns (gamma, mu); gamma is inf when the inflation overflows, and
     the degenerate p_hat == 0 case returns (0.0, inf)."""
-    absv = mirror(p_hat.grid, np.abs(p_hat.half))
+    absv = np.abs(p_hat.half)
     vmax = float(np.max(absv))
     if vmax == 0.0:
         return 0.0, np.inf
-    usable = absv > FIT_THRESHOLD * vmax
-    if int(np.sum(usable)) < 8:
+    m = np.flatnonzero(absv > FIT_THRESHOLD * vmax)
+    weight = np.where((m == 0) | (m == absv.size - 1), 1.0, 2.0)
+    total = float(np.sum(weight))
+    if total < 8:
         raise FitError("fewer than 8 usable nodes for the decay fit")
-    xi_abs = np.abs(p_hat.grid.xi[usable])
-    logv = np.log(absv[usable])
-    slope, _ = np.polyfit(xi_abs, logv, 1)
+    xi = m * p_hat.grid.dxi
+    logv = np.log(absv[m])
+    xi_c = xi - np.sum(weight * xi) / total
+    slope = np.sum(weight * xi_c * (logv - np.sum(weight * logv) / total)) \
+        / np.sum(weight * xi_c * xi_c)
     mu = -float(slope)
     if mu <= 0.0:
         raise FitError("transform does not decay; cannot certify")
-    nonzero = absv > 0.0
+    nonzero = np.flatnonzero(absv)
     with np.errstate(over="ignore"):  # inf, which the certificate refuses
         gamma = float(np.max(absv[nonzero]
-                             * np.exp(mu * np.abs(p_hat.grid.xi[nonzero]))))
+                             * np.exp(mu * (nonzero * p_hat.grid.dxi))))
     return gamma, mu
 
 

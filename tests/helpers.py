@@ -4,19 +4,23 @@ Helmholtz inverse on both sides (the reference the solver's
 delta-hat = Wb psi is checked against), the fixed point and extraction
 on the whole centered grid (the references of the solver's half
 spectrum), the zero spectral sample, the decay slope of the acceptance
-checks, and the band-limited series summed at all points at once (the
-reference of the evaluator's runs)."""
+checks, the decay fit on the mirrored moduli (the reference of the
+half-spectrum fit), the band-limited series summed at all points at once
+(the reference of the evaluator's runs), and a piecewise Chebyshev
+series summed at all points at once (the reference of its runs)."""
 
 from math import factorial, isqrt
 
 import numpy as np
 
+from nophase.chebseries import clenshaw
 from nophase.convexp import _exp_ready
-from nophase.errors import ConfigurationError, MagnitudeError
+from nophase.errors import ConfigurationError, FitError, MagnitudeError
 from nophase.grid import (RealSample, SpectralSample, convolve, forward,
-                          inverse, l1_norm, linf_norm)
+                          inverse, l1_norm, linf_norm, mirror)
 from nophase.mollifier import smooth_step
-from nophase.problem import below_floor, check_hypotheses, decay_bound
+from nophase.problem import (FIT_THRESHOLD, below_floor, check_hypotheses,
+                             decay_bound)
 from nophase.solver import (BOUND_FLOOR_REL, MAX_ITER, NU_SLACK,
                             SIGMA_SLACK, TOL, BoundsReport, apply_R)
 
@@ -93,6 +97,29 @@ def fit_slope(lams, values):
     return float(slope)
 
 
+def mirrored_fit_decay(p_hat):
+    """`fit_decay` as it ran on the mirrored moduli of the whole centered
+    grid, with numpy's polyfit (an SVD least squares) for the line."""
+    absv = mirror(p_hat.grid, np.abs(p_hat.half))
+    vmax = float(np.max(absv))
+    if vmax == 0.0:
+        return 0.0, np.inf
+    usable = absv > FIT_THRESHOLD * vmax
+    if int(np.sum(usable)) < 8:
+        raise FitError("fewer than 8 usable nodes for the decay fit")
+    xi_abs = np.abs(p_hat.grid.xi[usable])
+    logv = np.log(absv[usable])
+    slope, _ = np.polyfit(xi_abs, logv, 1)
+    mu = -float(slope)
+    if mu <= 0.0:
+        raise FitError("transform does not decay; cannot certify")
+    nonzero = absv > 0.0
+    with np.errstate(over="ignore"):
+        gamma = float(np.max(absv[nonzero]
+                             * np.exp(mu * np.abs(p_hat.grid.xi[nonzero]))))
+    return gamma, mu
+
+
 def bump_on_full_grid(grid, lam):
     """The cutoff, the band multiplier and its odd partner evaluated at
     every node of the centered grid, as `make_bump` evaluated them before
@@ -134,7 +161,8 @@ def extract_on_full_grid(state, bump, prob):
     """sigma-hat = psi bhat, nu = inverse(sigma-hat - psi), delta-hat =
     Wb psi cut at its floor, and the bounds report, each formed from the
     whole centered grid as `extract_solution` formed them before it ran
-    on the nonnegative half."""
+    on the nonnegative half.  A bound that is not finite (an overflowing
+    Gamma) fails its check, as in the solver."""
     psi, lam = state.psi, bump.lam
     grid, xi = psi.grid, psi.grid.xi
     b, multiplier, _ = bump_on_full_grid(grid, lam)
@@ -152,29 +180,32 @@ def extract_on_full_grid(state, bump, prob):
                                   float(np.max(np.abs(prob.p_hat.values))),
                                   1e-300)
     outside = np.abs(xi) >= np.sqrt(2.0) * lam
-    bound = (1.0 + 2.0 * gamma / lam) * decay_bound(xi[~outside], gamma, mu)
+    with np.errstate(over="ignore", invalid="ignore"):  # inf/nan fail below
+        bound = (1.0 + 2.0 * gamma / lam) \
+            * decay_bound(xi[~outside], gamma, mu)
+        nu_bound = (gamma / (2.0 * mu)) * (1.0 + 4.0 * gamma / lam) \
+            * np.exp(-mu * lam)
+        band_tail = 0.0
+        if grid.xi_max < np.sqrt(2.0) * lam:
+            band_tail = (1.0 + 2.0 * gamma / lam) * gamma / (np.pi * mu) \
+                * np.exp(-mu * grid.xi_max)
     nu_inf = linf_norm(nu)
-    nu_bound = (gamma / (2.0 * mu)) * (1.0 + 4.0 * gamma / lam) \
-        * np.exp(-mu * lam)
     nu_floor = BOUND_FLOOR_REL * max(float(np.max(np.abs(psi.values))),
                                      1e-300)
-    band_tail = 0.0
-    if grid.xi_max < np.sqrt(2.0) * lam:
-        band_tail = (1.0 + 2.0 * gamma / lam) * gamma / (np.pi * mu) \
-            * np.exp(-mu * grid.xi_max)
     report = BoundsReport(
         lam=lam, gamma=gamma, mu=mu, w_l1=hyp.w_l1,
         lambda_hypothesis_ok=hyp.lambda_ok, w_l1_hypothesis_ok=hyp.w_l1_ok,
         iterations=state.iteration,
         final_delta=state.l1_deltas[-1],
         sigma_support_ok=bool(np.all(abs_sigma[outside] == 0.0)),
-        sigma_decay_ok=bool(np.all(
+        sigma_decay_ok=bool(np.all(np.isfinite(bound)) and np.all(
             (abs_sigma[~outside] <= SIGMA_SLACK * bound)
             | (abs_sigma[~outside] <= floor))),
         sigma_decay_floor_limited=not bool(np.all(bound >= floor)),
         nu_inf=nu_inf, nu_bound=float(nu_bound),
-        nu_bound_ok=bool(nu_inf <= NU_SLACK * nu_bound
-                         or nu_inf <= nu_floor),
+        nu_bound_ok=bool(np.isfinite(nu_bound)
+                         and (nu_inf <= NU_SLACK * nu_bound
+                              or nu_inf <= nu_floor)),
         nu_floor_limited=bool(nu_bound < nu_floor
                               or np.all(b == 1.0)),
         delta_tail=delta_tail, band_tail=float(band_tail))
@@ -205,3 +236,17 @@ def unblocked_evaluator(F):
                          inner).real
 
     return evaluate
+
+
+def unblocked_sum(series, t):
+    """A piecewise `ChebSeries` at t with every point's piece
+    coefficients gathered at once and summed in one `clenshaw` pass: the
+    sum the series runs in bounded point runs, which must give its
+    bits."""
+    t = np.asarray(t, dtype=float)
+    edges = series.edges
+    idx = np.clip(np.searchsorted(edges, t, side="right") - 1,
+                  0, len(edges) - 2)
+    lo, hi = edges[idx], edges[idx + 1]
+    return clenshaw((2.0 * t - (lo + hi)) / (hi - lo),
+                    np.take(series.coef, idx, axis=-1))

@@ -1,7 +1,8 @@
 """The verdict of a solve: `BoundsReport.certified` holds when every
 check named in `CHECKS` holds, `nophase solve` exits on it and names the
 checks that fail, a sweep row carries the same verdict, and a bound that
-overflows fails its check without a numpy warning."""
+overflows fails its check without a numpy warning, in the solver and in
+its full-grid reference."""
 
 import dataclasses
 import json
@@ -12,6 +13,7 @@ import pytest
 import nophase.cli
 import nophase.sweep
 from conftest import make_sech_coefficient
+from helpers import extract_on_full_grid
 from nophase.cli import EXIT_CERTIFICATION, EXIT_OK, main
 from nophase.problem import build_problem
 from nophase.solver import (CHECKS, BoundsReport, extract_solution,
@@ -113,11 +115,13 @@ class TestBoundsThatOverflow:
 
     @pytest.mark.parametrize("gamma", [1e200, float("inf")])
     def test_extraction_fails_the_bounds_quietly(self, sech_problem, gamma):
-        state = fixed_point_solve(sech_problem.p_hat,
-                                  make_bump(sech_problem.grid, 40.0))
+        bump = make_bump(sech_problem.grid, 40.0)
+        state = fixed_point_solve(sech_problem.p_hat, bump)
         prob = dataclasses.replace(sech_problem, gamma_fit=gamma)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             report = extract_solution(state, prob).bounds_report
         assert report.failed_checks == ["lambda_hypothesis_ok",
                                         "sigma_decay_ok", "nu_bound_ok"]
+        # and the full-grid reference judges them the same way
+        assert extract_on_full_grid(state, bump, prob)[3] == report

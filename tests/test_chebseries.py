@@ -1,6 +1,7 @@
 import os
 import subprocess
 import sys
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -8,10 +9,15 @@ from numpy.polynomial import chebyshev as C
 from scipy.fft import dct
 
 import nophase
-from nophase.chebseries import (ChebSeries, call_together, chebder, chebint,
-                                chebval, clenshaw, last_above,
-                                lobatto_nodes, values_to_coeffs)
+import nophase.chebseries
+from conftest import make_sech_coefficient
+from helpers import unblocked_sum
+from nophase.chebseries import (PIECE_DEGREE, SUM_BLOCK, ChebSeries,
+                                call_together, chebder, chebint, chebval,
+                                clenshaw, last_above, lobatto_nodes,
+                                values_to_coeffs)
 from nophase.errors import NumericalError
+from nophase.problem import build_map
 
 LENGTHS = range(1, 301)  # coefficient counts the kernels are checked at
 
@@ -157,6 +163,109 @@ class TestPiecewiseCheb:
         np.testing.assert_array_equal(pc(t[:500].reshape(5, 100)),
                                       want[:500].reshape(5, 100))
         assert pc(t[7]) == want[7] and np.shape(pc(t[7])) == ()
+
+
+class TestSummedInRuns:
+    # a piecewise sum gathers the coefficients of at most SUM_BLOCK
+    # entries at once; every point keeps the bits of the one-call sum
+
+    @pytest.fixture
+    def edges(self, rng):
+        return np.sort(np.concatenate(([-1.0, 2.0],
+                                       rng.uniform(-1.0, 2.0, 40))))
+
+    @staticmethod
+    def size(count, run):
+        return {"run-1": run - 1, "run": run, "run+1": run + 1,
+                "3run+5": 3 * run + 5}[count]
+
+    @pytest.mark.parametrize("count", ["run-1", "run", "run+1", "3run+5"])
+    @pytest.mark.parametrize("layout", ["sorted", "unsorted", "2-D"])
+    def test_runs_give_the_one_call_bits(self, rng, edges, count, layout):
+        pc = ChebSeries(edges, rng.standard_normal((33, len(edges) - 1)))
+        run = SUM_BLOCK // 33
+        t = rng.uniform(-1.5, 2.5, self.size(count, run))
+        if layout == "sorted":
+            t.sort()
+        elif layout == "2-D":
+            t = np.stack((t, t[::-1]))
+        got = pc(t)
+        assert got.shape == t.shape
+        assert np.array_equal(got, unblocked_sum(pc, t))
+
+    @pytest.mark.parametrize("count", ["run-1", "run", "run+1", "3run+5"])
+    def test_stack_gives_the_one_call_bits(self, rng, edges, count):
+        # call_together's stack of two series, one a degree shorter
+        pieces = len(edges) - 1
+        long, short = (ChebSeries(edges, rng.standard_normal((k, pieces)))
+                       for k in (34, 33))
+        stacked = ChebSeries(edges, np.stack(
+            (long.coef, np.concatenate((short.coef, np.zeros((1, pieces))))),
+            axis=1))
+        t = rng.uniform(-1.5, 2.5, self.size(count, SUM_BLOCK // 68))
+        want = unblocked_sum(stacked, t)
+        got = call_together((long, short), t)
+        assert np.array_equal(got[0], want[0])
+        assert np.array_equal(got[1], want[1])
+
+    def test_scalar_point(self, rng, edges):
+        pc = ChebSeries(edges, rng.standard_normal((33, len(edges) - 1)))
+        got = pc(np.float64(0.25))
+        assert np.shape(got) == () and got == unblocked_sum(pc, 0.25)
+
+    @pytest.fixture
+    def passes(self, monkeypatch):
+        """The point count and coefficient shape of every `clenshaw`
+        pass, in order."""
+        seen = []
+        kernel = nophase.chebseries.clenshaw
+
+        def counted(x, c):
+            seen.append((np.size(x), np.shape(c)))
+            return kernel(x, c)
+
+        monkeypatch.setattr(nophase.chebseries, "clenshaw", counted)
+        return seen
+
+    def test_passes_hold_at_most_the_block(self, rng, edges, passes):
+        # the fewest equal runs: 3 runs + 5 points take four passes
+        pc = ChebSeries(edges, rng.standard_normal((33, len(edges) - 1)))
+        run = SUM_BLOCK // 33
+        for n, count in ((run, 1), (run + 1, 2), (3 * run + 5, 4)):
+            passes.clear()
+            pc(rng.uniform(-1.0, 2.0, n))
+            sizes = [size for size, _ in passes]
+            assert len(sizes) == count and sum(sizes) == n
+            assert max(sizes) == sizes[0] == -(-n // count)
+            assert 33 * sizes[0] <= SUM_BLOCK
+
+    def test_map_sums_stay_one_pass(self, passes):
+        # the largest piecewise sums of an exact-derivative solve up to
+        # N = 8 192: the Newton steps of the inverse map (x(t) and x'(t)
+        # stacked at each node of its last round) and t(x) at a level's
+        # 4 096 new nodes
+        cmap = build_map(make_sech_coefficient())
+        nodes = (PIECE_DEGREE + 1) * cmap.t_series.coef.shape[-1]
+        stacked = [size for size, shape in passes if len(shape) == 3]
+        assert nodes == 594 and stacked and set(stacked) == {nodes}
+        passes.clear()
+        cmap.t_of_x(np.linspace(cmap.x_lo, cmap.x_hi, 4096))
+        assert passes == [(4096, (33, 4096))]
+
+    def test_gather_is_bounded(self):
+        # t(x) at a level's 8 192 new nodes and more: the coefficients
+        # of 16 384 points gathered at once took 4.3 MB
+        cmap = build_map(make_sech_coefficient())
+        x = np.linspace(cmap.x_lo - 1.0, cmap.x_hi + 1.0, 16384)
+        want = cmap.t_of_x(x)
+        tracemalloc.start()
+        try:
+            got = cmap.t_of_x(x)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert np.array_equal(got, want)
+        assert peak <= 8 * SUM_BLOCK + 48 * x.size, peak
 
 
 class TestChebSeries:

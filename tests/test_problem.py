@@ -1,8 +1,10 @@
 import gc
 import json
+import math
 import os
 import subprocess
 import sys
+import warnings
 import weakref
 
 import numpy as np
@@ -15,6 +17,7 @@ import nophase.problem
 import nophase.solver
 from conftest import (d2sech2, dsech2, make_constant_coefficient,
                       make_sech_coefficient, sech2)
+from helpers import mirrored_fit_decay
 from nophase.errors import ConfigurationError, DomainError, FitError
 from nophase.expr import compile_expression
 from nophase.grid import SpectralGrid, SpectralSample, forward
@@ -24,6 +27,33 @@ from nophase.problem import (CLEAN_REL, Coefficient, ExtendedCoefficient,
                              fit_decay, load_problem_file,
                              problem_config_from_dict, schwarzian_p)
 from nophase.solver import solve_problem
+from nophase.sweep import sweep_point
+
+
+def make_fd_coefficient():
+    """The sech q as an expression without derivatives: the
+    finite-difference route, whose p-hat is noisy at every node."""
+    return Coefficient.make(compile_expression("1 + sech(t)**2"),
+                            -3.0, 3.0, extension_width=4.0)
+
+
+@pytest.fixture(scope="module")
+def fit_levels():
+    """(route, N, p-hat) on every level of the ladder's solves (exact
+    derivatives, lambda = 20 to 1280: N = 1 024 to 8 192) and of a
+    finite-difference solve at lambda = 640 (N = 1 024 to 32 768)."""
+    exact, fd = make_sech_coefficient(), make_fd_coefficient()
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")  # fd is uncertified at 640
+        for lam in (20.0, 80.0, 320.0, 1280.0):
+            build_problem(exact, lam)
+        build_problem(fd, 640.0)
+    levels = [(route, n, p_hat)
+              for route, coeff in (("exact", exact), ("fd", fd))
+              for (_, n), (_, p_hat, _) in sorted(coeff.map.levels.items())]
+    assert [n for _, n, _ in levels] \
+        == [1024, 2048, 4096, 8192] + [1024 << k for k in range(6)]
+    return levels
 
 
 class TestCoefficient:
@@ -261,8 +291,7 @@ class TestForcingTransform:
         # finite-difference derivatives leave noise at every p-hat node, so
         # p is sampled at every node of the problem's grid, as a direct
         # transform would
-        coeff = Coefficient.make(compile_expression("1 + sech(t)**2"),
-                                 -3.0, 3.0, extension_width=4.0)
+        coeff = make_fd_coefficient()
         prob = build_problem(coeff, 40.0)
         assert prob.grid.n_points == 2048
         np.testing.assert_array_equal(prob.p_hat.values,
@@ -347,8 +376,7 @@ class TestForcingTransform:
     def test_noisy_forcing_keeps_the_lambda_grid(self):
         # finite-difference noise never lets p-hat's base level resolve,
         # so a large lambda keeps the 2 sqrt(2) lambda grid
-        coeff = Coefficient.make(compile_expression("1 + sech(t)**2"),
-                                 -3.0, 3.0, extension_width=4.0)
+        coeff = make_fd_coefficient()
         prob = build_problem(coeff, 1280.0)
         assert prob.grid == choose_grid(prob.map, 1280.0)
         assert prob.grid.n_points == 65536
@@ -386,6 +414,51 @@ class TestFitDecay:
         vals = np.exp(0.2 * np.abs(grid.xi)).astype(complex)
         with pytest.raises(FitError):
             fit_decay(SpectralSample(grid, vals))
+
+    def test_half_spectrum_fit_is_the_mirrored_one(self, fit_levels):
+        # mu to 2e-15 relative, Gamma to 2 ulps of polyfit on the mirror
+        for route, n, p_hat in fit_levels:
+            gamma, mu = fit_decay(p_hat)
+            want_gamma, want_mu = mirrored_fit_decay(p_hat)
+            assert abs(mu - want_mu) <= 2e-15 * want_mu, (route, n)
+            assert abs(gamma - want_gamma) <= 2 * math.ulp(want_gamma), \
+                (route, n)
+
+    @pytest.mark.parametrize("usable, count", [
+        ((1, 2, 3, 4), 8), ((0, 1, 2, 3), 7),
+        ((0, 1, 2, 3, 32), 8), ((1, 2, 3, 32), 7)])
+    def test_usable_nodes_counted_on_the_mirror(self, usable, count):
+        # xi = 0 and the self-paired xi_max are one node of the centered
+        # grid each, every other node of the half two
+        grid = SpectralGrid(10.0, 64)
+        half = np.zeros(33, dtype=complex)
+        half[list(usable)] = np.exp(-0.3 * np.array(usable))
+        p_hat = SpectralSample.of_half(grid, half)
+        assert np.count_nonzero(p_hat.values) == count
+        if count < 8:
+            for fit in (fit_decay, mirrored_fit_decay):
+                with pytest.raises(FitError, match="fewer than 8"):
+                    fit(p_hat)
+        else:  # both find the line |p_hat| = exp(-0.3 m)
+            for fit in (fit_decay, mirrored_fit_decay):
+                gamma, mu = fit(p_hat)
+                assert mu == pytest.approx(0.3 / grid.dxi, rel=1e-14)
+                assert gamma == pytest.approx(1.0, rel=1e-14)
+
+    def test_no_lapack_least_squares(self, monkeypatch):
+        # polyfit's SVD least squares paged LAPACK in for two numbers
+        def refused(*args, **kwargs):
+            raise AssertionError("numpy.linalg.lstsq called")
+
+        lstsq = np.linalg.lstsq
+        for module in list(sys.modules.values()):
+            if vars(module).get("lstsq") is lstsq:  # polyfit's own import
+                monkeypatch.setattr(module, "lstsq", refused)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")  # uncertified solves
+            for coeff in (make_sech_coefficient(), make_fd_coefficient()):
+                build_problem(coeff, 80.0)
+            sweep_point(make_fd_coefficient(), 20.0)
 
 
 class TestHypotheses:
