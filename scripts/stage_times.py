@@ -4,8 +4,9 @@ Solves q = 1 + sech^2 t on [-3, 3] (extension width 4, exact
 derivatives) at lambda = 20, 80, 320, 1280 on one fresh Coefficient per
 pass, as perfbench's solve-ladder workload does, and prints one JSON
 object.  Per lambda it gives the median over the timed passes (one
-untimed warm-up pass first) of the ms spent in `build_problem`, the bump,
-the fixed point (in all and per iteration), the extraction,
+untimed warm-up pass first) of the ms spent in `build_problem`, the bump
+(`make_bump`), the fixed point (`fixed_point_solve`, in all and per
+iteration), the extraction (`extract_solution`),
 `build_phase`, the checks (`kummer_residual` and `eval_basis` at the 400
 interior nodes, as solve-ladder runs them) and the DOP853 oracle (one
 `basis_error` at its default ORACLE_TOL, as `verify` and `sweep` run it),
@@ -16,12 +17,12 @@ on), the points at which q, q' and q'' are evaluated in
 oracle's microseconds per q point, and the points at which delta's
 trigonometric series is summed.  A point is one node of a
 q call, whether the call takes an array or a scalar.  Four call counts
-follow: ffts, the numpy.fft calls inside `solve_problem` (the script
-wraps every transform of numpy.fft to count them), hermitian_checks, the
-calls of the symmetry check `nophase.grid._require_hermitian` inside
-`solve_problem` (wrapped in every nophase module that holds it),
-fit_rounds, the `ChebSeries.fit` calls inside `build_phase`, one per
-doubling round of its adaptive fits, and clenshaw_passes, the calls of
+follow: ffts, the numpy.fft calls inside the bump, the fixed point and
+the extraction (the script wraps every transform of numpy.fft to count
+them), hermitian_checks, the calls of the symmetry check
+`nophase.grid._require_hermitian` inside the same three calls (wrapped
+in `nophase.grid`, its only caller), fit_rounds, the `ChebSeries.fit`
+calls inside `build_phase`, one per doubling round of its adaptive fits, and clenshaw_passes, the calls of
 the one Clenshaw kernel of `nophase.chebseries` (`clenshaw`, wrapped;
 `chebval` and every `ChebSeries` sum run through it) from
 `build_problem` through the oracle, each of which sums one stack of
@@ -42,9 +43,8 @@ both peaks at lambda = 640 for q compiled from the same expression with
 no derivatives given (finite differences, as a sweep of a problem file
 without dq and d2q runs it) and its grid N.
 
-The bump is timed as `solve_problem` minus its fixed point and its
-extraction, so the script runs unchanged on trees that choose the bump
-differently.  Run it against the tree to measure:
+The three calls of the lambda stage are each timed with perf_counter as
+the script makes them.  Run it against the tree to measure:
 
     PYTHONPATH=src python scripts/stage_times.py --passes 15
 """
@@ -52,7 +52,6 @@ differently.  Run it against the tree to measure:
 import argparse
 import dataclasses
 import json
-import sys
 import time
 import tracemalloc
 import warnings
@@ -62,10 +61,11 @@ import numpy as np
 import nophase.chebseries
 import nophase.grid
 import nophase.phase
-import nophase.solver
 from nophase.chebseries import ChebSeries
 from nophase import (Coefficient, basis_error, build_phase, build_problem,
-                     eval_basis, kummer_residual, solve_problem)
+                     eval_basis, fixed_point_solve, kummer_residual,
+                     make_bump, solve_problem)
+from nophase.solver import extract_solution
 from nophase.expr import compile_expression
 from nophase.phase import interior_nodes
 
@@ -93,26 +93,14 @@ def d2sech2(t):
 
 
 class Stages:
-    """Counters and timers around the solver and evaluator functions."""
+    """Counters around the transforms, the symmetry check, the series
+and the evaluator."""
 
     def __init__(self):
-        self.ms = {}
         self.points = {"q_points": 0, "evaluator_points": 0}
         self.calls = {"ffts": 0, "hermitian_checks": 0, "fit_rounds": 0,
                       "clenshaw_passes": 0}
         self._install()
-
-    def _timed(self, module, name):
-        original = getattr(module, name)
-
-        def call(*args, **kwargs):
-            start = time.perf_counter()
-            try:
-                return original(*args, **kwargs)
-            finally:
-                self.ms[name] = 1e3 * (time.perf_counter() - start)
-
-        setattr(module, name, call)
 
     def counted(self, f, key):
         def call(t):
@@ -130,18 +118,12 @@ class Stages:
         for name in FFTS:
             setattr(np.fft, name,
                     self._call_counter(getattr(np.fft, name), "ffts"))
-        check = nophase.grid._require_hermitian
-        counted = self._call_counter(check, "hermitian_checks")
-        for name, module in list(sys.modules.items()):
-            if name.startswith("nophase.") \
-                    and getattr(module, "_require_hermitian", None) is check:
-                module._require_hermitian = counted
+        nophase.grid._require_hermitian = self._call_counter(
+            nophase.grid._require_hermitian, "hermitian_checks")
         nophase.chebseries.clenshaw = self._call_counter(
             nophase.chebseries.clenshaw, "clenshaw_passes")
         fit = ChebSeries.fit.__func__
         ChebSeries.fit = classmethod(self._call_counter(fit, "fit_rounds"))
-        self._timed(nophase.solver, "fixed_point_solve")
-        self._timed(nophase.solver, "extract_solution")
         evaluator = nophase.phase.band_limited_evaluator
         nophase.phase.band_limited_evaluator = \
             lambda F: self.counted(evaluator(F), "evaluator_points")
@@ -166,7 +148,11 @@ def one_pass(stages):
         q_points = stages.points["q_points"]
         ffts = stages.calls["ffts"]
         checks = stages.calls["hermitian_checks"]
-        result, state = solve_problem(prob)
+        bump = make_bump(prob.grid, prob.lam)
+        t_bump = time.perf_counter()
+        state = fixed_point_solve(prob.p_hat, bump)
+        t_fixed = time.perf_counter()
+        result = extract_solution(state, prob)
         t2 = time.perf_counter()
         ffts = stages.calls["ffts"] - ffts
         checks = stages.calls["hermitian_checks"] - checks
@@ -180,15 +166,12 @@ def one_pass(stages):
         q_points_before = stages.points["q_points"]
         basis_error(phase, prob)
         t5 = time.perf_counter()
-        solve_ms = 1e3 * (t2 - t1)
         rows[f"{lam:g}"] = {
             "build_problem_ms": 1e3 * (t1 - t0),
-            "bump_ms": solve_ms - stages.ms["fixed_point_solve"]
-            - stages.ms["extract_solution"],
-            "fixed_point_ms": stages.ms["fixed_point_solve"],
-            "fixed_point_iter_ms": stages.ms["fixed_point_solve"]
-            / state.iteration,
-            "extract_ms": stages.ms["extract_solution"],
+            "bump_ms": 1e3 * (t_bump - t1),
+            "fixed_point_ms": 1e3 * (t_fixed - t_bump),
+            "fixed_point_iter_ms": 1e3 * (t_fixed - t_bump) / state.iteration,
+            "extract_ms": 1e3 * (t2 - t_fixed),
             "build_phase_ms": 1e3 * (t3 - t2),
             "checks_ms": 1e3 * (t4 - t3),
             "oracle_ms": 1e3 * (t5 - t4),

@@ -17,7 +17,7 @@ from .phase import (PhaseFunction, band_limited_evaluator,
                     basis_derivatives, build_phase, eval_basis,
                     kummer_residual)
 from .problem import (Coefficient, CoefficientProblem, build_problem,
-                      check_hypotheses, load_problem_file)
+                      load_problem_file)
 from .solver import (BoundsReport, SolveResult, fixed_point_solve,
                      make_bump, solve_problem)
 from .sweep import run_sweep

@@ -232,6 +232,12 @@ class CoordinateMap:
         map's anchor."""
         return 0.5 * (self.x_lo + self.x_hi)
 
+    @property
+    def covering_half_width(self):
+        """The default grid half-width L: a grid centered on x_shift
+        covers [x_lo, x_hi], the support of p, with margin."""
+        return 1.3 * (0.5 * (self.x_hi - self.x_lo)) + 1.0
+
     def x_of_t(self, t):
         t = np.asarray(t, dtype=float)
         lo, hi = self.ext.lo, self.ext.hi
@@ -313,10 +319,9 @@ def _require_vanishing_edges(p, cmap):
     its largest value, or the periodic grid cuts its support."""
     edge = max(abs(p[0]), abs(p[-1]))
     if edge > P_EDGE_REL * float(np.max(np.abs(p))):
-        suggested = 1.3 * max(abs(cmap.x_lo), abs(cmap.x_hi)) + 1.0
         raise ConfigurationError(
             f"grid half-width too small: p does not vanish at the "
-            f"boundary; use L >= {suggested:.2f}"
+            f"boundary; use L >= {cmap.covering_half_width:.2f}"
         )
 
 
@@ -416,54 +421,37 @@ def decay_bound(xi, gamma, mu):
 
 
 @dataclass(frozen=True)
-class HypothesisReport:
-    """Measured quantities and flags for the solvability hypotheses;
-    `certified` is the two alone, one input to `BoundsReport.certified`."""
-
-    w_l1: float
-    lambda_ok: bool       # lambda > 2 max(1/mu, gamma)
-    w_l1_ok: bool         # ||w||_1 <= (pi/2) lambda^2
-
-    @property
-    def certified(self):
-        return self.lambda_ok and self.w_l1_ok
-
-
-@dataclass(frozen=True)
 class CoefficientProblem:
-    """Everything the solver needs for one (q, lambda) instance."""
+    """One (q, lambda) instance: what `build_problem` measures, with the
+    coefficient's map, p-hat's grid, w_l1 = ||p-hat||_1 (summed once) and
+    the solvability conditions lambda_ok, lambda > 2 max(1/mu, Gamma),
+    and w_l1_ok, w_l1 <= (pi/2) lambda^2.  For p-hat == 0 (Gamma = 0,
+    mu = inf) the lambda condition is lambda > 0."""
 
     coefficient: Coefficient
     lam: float
-    map: CoordinateMap
-    grid: SpectralGrid
     p_hat: SpectralSample
     gamma_fit: float
     mu_fit: float
 
-    hypotheses = cached_property(lambda self: check_hypotheses(self))
-
-
-def check_hypotheses(prob):
-    """Evaluate both solvability conditions.  The solver refuses to
-    certify bounds when either flag is false but may still iterate.  For
-    p-hat == 0 (Gamma = 0, mu = inf) the lambda condition is lambda > 0."""
-    w_l1 = l1_norm(prob.p_hat)
-    lambda_ok = prob.lam > 2.0 * max(1.0 / prob.mu_fit, prob.gamma_fit)
-    w_l1_ok = w_l1 <= 0.5 * np.pi * prob.lam ** 2
-    return HypothesisReport(w_l1=w_l1, lambda_ok=bool(lambda_ok),
-                            w_l1_ok=bool(w_l1_ok))
+    map = property(lambda self: self.coefficient.map)
+    grid = property(lambda self: self.p_hat.grid)
+    w_l1 = cached_property(lambda self: l1_norm(self.p_hat))
+    lambda_ok = property(lambda self: bool(
+        self.lam > 2.0 * max(1.0 / self.mu_fit, self.gamma_fit)))
+    w_l1_ok = property(lambda self: bool(
+        self.w_l1 <= 0.5 * np.pi * self.lam ** 2))
 
 
 def choose_grid(cmap, lam, L=None, N=None):
-    """Grid geometry: L covers the support of p with margin, 1.3 times
-    the half-length of [x_lo, x_hi] plus 1; N keeps xi_max comfortably
-    above 2 sqrt(2) lambda, where the iteration is resolved whatever its
-    forcing.  An explicit N must meet that bound; without one, the grid
-    caps the levels `forcing_transform` tries, and DomainError names
-    lambda and L when the N they need is not finite."""
+    """Grid geometry: L covers the support of p with margin (the map's
+    `covering_half_width`); N keeps xi_max comfortably above 2 sqrt(2)
+    lambda, where the iteration is resolved whatever its forcing.  An
+    explicit N must meet that bound; without one, the grid caps the
+    levels `forcing_transform` tries, and DomainError names lambda and L
+    when the N they need is not finite."""
     if L is None:
-        L = 1.3 * (0.5 * (cmap.x_hi - cmap.x_lo)) + 1.0
+        L = cmap.covering_half_width
     if N is None:
         # Python floats overflow to inf without a numpy warning
         need = 2.0 * float(L) * 2.0 * math.sqrt(2.0) * 1.15 * float(lam) \
@@ -514,18 +502,15 @@ def build_problem(coefficient, lam, L=None, N=None):
     # after choose_grid, whose error names L too when no grid can be built
     check_lambda_square(lam)
     p_hat = forcing_transform(cmap, grid)
-    if N is None:
-        grid = p_hat.grid
-    elif grid != p_hat.grid:  # zero-extended below the level's xi_max
+    if N is not None and grid != p_hat.grid:  # zero-extended below xi_max
         n = p_hat.grid.n_points
         half = np.zeros(grid.n_points // 2 + 1, dtype=complex)
         half[:n // 2] = p_hat.half[:n // 2]
         p_hat = SpectralSample.of_half(grid, half)
     gamma, mu = fit_decay(p_hat)
     prob = CoefficientProblem(coefficient=coefficient, lam=float(lam),
-                              map=cmap, grid=grid, p_hat=p_hat,
-                              gamma_fit=gamma, mu_fit=mu)
-    if not prob.hypotheses.certified:
+                              p_hat=p_hat, gamma_fit=gamma, mu_fit=mu)
+    if not (prob.lambda_ok and prob.w_l1_ok):
         warnings.warn(
             f"solvability hypotheses not satisfied at lambda={lam:g}; the "
             f"solve may still converge but its bounds are uncertified",

@@ -265,7 +265,6 @@ def extract_solution(state, prob):
         spread[below_floor(spread)]))
     floored(delta_half)
 
-    hyp = prob.hypotheses
     gamma, mu = prob.gamma_fit, prob.mu_fit
     xi = bump.half_xi
     abs_sigma = np.abs(sigma_half)
@@ -295,9 +294,9 @@ def extract_solution(state, prob):
                  and (nu_inf <= NU_SLACK * nu_bound or nu_inf <= nu_floor))
 
     report = BoundsReport(
-        lam=lam, gamma=gamma, mu=mu, w_l1=hyp.w_l1,
-        lambda_hypothesis_ok=hyp.lambda_ok,
-        w_l1_hypothesis_ok=hyp.w_l1_ok,
+        lam=lam, gamma=gamma, mu=mu, w_l1=prob.w_l1,
+        lambda_hypothesis_ok=prob.lambda_ok,
+        w_l1_hypothesis_ok=prob.w_l1_ok,
         iterations=state.iteration,
         final_delta=state.l1_deltas[-1],
         sigma_support_ok=sigma_support_ok,

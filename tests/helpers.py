@@ -19,8 +19,7 @@ from nophase.errors import ConfigurationError, FitError, MagnitudeError
 from nophase.grid import (RealSample, SpectralSample, convolve, forward,
                           inverse, l1_norm, linf_norm, mirror)
 from nophase.mollifier import smooth_step
-from nophase.problem import (FIT_THRESHOLD, below_floor, check_hypotheses,
-                             decay_bound)
+from nophase.problem import FIT_THRESHOLD, below_floor, decay_bound
 from nophase.solver import (BOUND_FLOOR_REL, MAX_ITER, NU_SLACK,
                             SIGMA_SLACK, TOL, BoundsReport, apply_R)
 
@@ -173,7 +172,6 @@ def extract_on_full_grid(state, bump, prob):
     delta_tail = grid.dxi / (2.0 * np.pi) \
         * float(np.sum(np.abs(delta[cut])))
     delta[cut] = 0.0
-    hyp = check_hypotheses(prob)
     gamma, mu = prob.gamma_fit, prob.mu_fit
     abs_sigma = np.abs(sigma)
     floor = BOUND_FLOOR_REL * max(float(np.max(abs_sigma)),
@@ -193,8 +191,8 @@ def extract_on_full_grid(state, bump, prob):
     nu_floor = BOUND_FLOOR_REL * max(float(np.max(np.abs(psi.values))),
                                      1e-300)
     report = BoundsReport(
-        lam=lam, gamma=gamma, mu=mu, w_l1=hyp.w_l1,
-        lambda_hypothesis_ok=hyp.lambda_ok, w_l1_hypothesis_ok=hyp.w_l1_ok,
+        lam=lam, gamma=gamma, mu=mu, w_l1=prob.w_l1,
+        lambda_hypothesis_ok=prob.lambda_ok, w_l1_hypothesis_ok=prob.w_l1_ok,
         iterations=state.iteration,
         final_delta=state.l1_deltas[-1],
         sigma_support_ok=bool(np.all(abs_sigma[outside] == 0.0)),

@@ -1,3 +1,4 @@
+import dataclasses
 import gc
 import json
 import math
@@ -14,17 +15,16 @@ from scipy.integrate import quad
 from scipy.interpolate import CubicSpline
 
 import nophase.problem
-import nophase.solver
 from conftest import (d2sech2, dsech2, make_constant_coefficient,
                       make_sech_coefficient, sech2)
 from helpers import mirrored_fit_decay
 from nophase.errors import ConfigurationError, DomainError, FitError
 from nophase.expr import compile_expression
 from nophase.grid import SpectralGrid, SpectralSample, forward
-from nophase.problem import (CLEAN_REL, Coefficient, ExtendedCoefficient,
-                             TableInterpolant, build_map, build_problem,
-                             check_hypotheses, choose_grid, decay_bound,
-                             fit_decay, load_problem_file,
+from nophase.problem import (CLEAN_REL, Coefficient, CoefficientProblem,
+                             ExtendedCoefficient, TableInterpolant,
+                             build_map, build_problem, choose_grid,
+                             decay_bound, fit_decay, load_problem_file,
                              problem_config_from_dict, schwarzian_p)
 from nophase.solver import solve_problem
 from nophase.sweep import sweep_point
@@ -333,17 +333,21 @@ class TestForcingTransform:
         assert second.grid is first.grid
         assert calls == []
 
+    @pytest.mark.filterwarnings("ignore:solvability hypotheses")
     def test_hypotheses_checked_once_per_problem(self, monkeypatch):
+        # ||p-hat||_1 is summed once across build, solve and extraction,
+        # whether the lambda condition holds (80) or fails first (2)
         calls = []
-        check = nophase.problem.check_hypotheses
-        counted = lambda prob: calls.append(1) or check(prob)  # noqa: E731
-        monkeypatch.setattr(nophase.problem, "check_hypotheses", counted)
-        monkeypatch.setattr(nophase.solver, "check_hypotheses", counted,
-                            raising=False)
-        prob = build_problem(make_sech_coefficient(), 80.0)
-        result, _ = solve_problem(prob)
-        assert calls == [1]
-        assert result.bounds_report.w_l1 == check(prob).w_l1
+        l1_norm = nophase.problem.l1_norm
+        monkeypatch.setattr(nophase.problem, "l1_norm",
+                            lambda F: calls.append(1) or l1_norm(F))
+        for lam in (2.0, 80.0):
+            calls.clear()
+            prob = build_problem(make_sech_coefficient(), lam)
+            result, _ = solve_problem(prob)
+            assert calls == [1], lam
+            assert result.bounds_report.w_l1 == prob.w_l1 \
+                == l1_norm(prob.p_hat)
 
     def test_dropped_coefficient_frees_its_setup(self):
         # the extension refers to a copy of the coefficient, not to the
@@ -465,18 +469,64 @@ class TestHypotheses:
     def test_constant_coefficient_degenerate(self):
         prob = build_problem(make_constant_coefficient(), 5.0)
         assert prob.gamma_fit == 0.0
-        assert check_hypotheses(prob).certified
+        assert prob.lambda_ok is True and prob.w_l1_ok is True
 
     def test_sech_certified_at_large_lambda(self, sech_coefficient):
         prob = build_problem(sech_coefficient, 50.0)
-        report = check_hypotheses(prob)
-        assert report.lambda_ok and report.w_l1_ok
+        assert prob.lambda_ok is True and prob.w_l1_ok is True
         assert prob.lam > 2.0 * max(1.0 / prob.mu_fit, prob.gamma_fit)
+        assert prob.w_l1 <= 0.5 * np.pi * prob.lam ** 2
 
     def test_small_lambda_uncertified(self, sech_coefficient):
         with pytest.warns(UserWarning):
             prob = build_problem(sech_coefficient, 2.0)
-        assert not check_hypotheses(prob).certified
+        assert prob.lambda_ok is False and prob.w_l1_ok is True
+
+    @pytest.mark.parametrize("route, lam", [
+        ("exact", 0.5), ("exact", 2.0), ("exact", 4.0), ("exact", 20.0),
+        ("exact", 80.0), ("fd", 300.0), ("fd", 319.9)])
+    def test_warning_is_the_reports_hypotheses(self, route, lam):
+        # build_problem warns exactly when the report fails a hypothesis
+        coeff = make_sech_coefficient() if route == "exact" \
+            else make_fd_coefficient()
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            prob = build_problem(coeff, lam)
+        warned = any("solvability hypotheses" in str(w.message)
+                     for w in caught)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")  # the solver's own ||w||_1
+            report = solve_problem(prob)[0].bounds_report
+        failed = {"lambda_hypothesis_ok", "w_l1_hypothesis_ok"} \
+            & set(report.failed_checks)
+        assert warned == bool(failed)
+        assert (report.lambda_hypothesis_ok, report.w_l1_hypothesis_ok) \
+            == (prob.lambda_ok, prob.w_l1_ok)
+
+
+class TestHeldOnce:
+    # a problem keeps what build_problem measures; its map and grid are
+    # its coefficient's and its p-hat's, so no copy can drift
+
+    def test_replaced_coefficient_brings_its_map(self, sech_coefficient):
+        prob = build_problem(sech_coefficient, 80.0)
+        other = make_sech_coefficient(extension_width=3.0)
+        replaced = dataclasses.replace(prob, coefficient=other)
+        assert replaced.map is other.map
+        assert prob.map is sech_coefficient.map
+
+    @pytest.mark.parametrize("lam, N, n", [
+        (320.0, None, 8192), (20.0, 1024, 1024), (320.0, 65536, 65536)],
+        ids=["automatic", "explicit", "zero-extended"])
+    def test_grid_is_the_forcings(self, sech_coefficient, lam, N, n):
+        prob = build_problem(sech_coefficient, lam, N=N)
+        assert prob.grid is prob.p_hat.grid
+        assert prob.grid.n_points == n
+        assert prob.grid.half_width == prob.map.covering_half_width
+
+    def test_fields_are_the_measured_five(self):
+        assert [f.name for f in dataclasses.fields(CoefficientProblem)] \
+            == ["coefficient", "lam", "p_hat", "gamma_fit", "mu_fit"]
 
 
 class TestChooseGrid:
@@ -489,6 +539,23 @@ class TestChooseGrid:
         cmap = build_map(sech_coefficient)
         grid = choose_grid(cmap, 40.0)
         assert grid.xi_max >= 2.0 * np.sqrt(2.0) * 40.0
+
+    @pytest.mark.filterwarnings("ignore:solvability hypotheses")
+    def test_refusal_suggests_the_default_half_width(self):
+        # the grid is centered on x_shift, so a map off-center in x needs
+        # no more than the default: L = 2 already solves here
+        coeff = Coefficient.make(compile_expression("1 + 0.5*sin(3*t)"),
+                                 0.0, 1.0, extension_width=0.5)
+        with pytest.raises(ConfigurationError) as refused:
+            build_problem(coeff, 50.0, L=1.5)
+        default = choose_grid(coeff.map, 50.0).half_width
+        suggested = float(str(refused.value).rsplit("L >= ", 1)[1])
+        assert suggested == round(default, 2)
+        assert default == coeff.map.covering_half_width
+        prob = build_problem(coeff, 50.0, L=suggested)
+        assert prob.grid.half_width == suggested
+        result, _ = solve_problem(prob)
+        assert np.isfinite(result.bounds_report.nu_inf)
 
 
 class TestProblemFiles:

@@ -1,6 +1,7 @@
 """The record scripts run against the package as it is: scripts/stage_times.py
-prints every stage row with its keys, and scripts/digests.py the six
-digests, so an API change cannot silently break them."""
+prints every stage row with its keys, scripts/digests.py the six
+digests, and scripts/surface.py its six lines, so an API change cannot
+silently break them."""
 
 import json
 import os
@@ -54,3 +55,14 @@ def test_digests_prints_the_six():
     assert [name for name, _ in lines] == list(DIGESTS)
     assert all(len(value) == 64 and int(value, 16) >= 0
                for _, value in lines)
+
+
+def test_surface_prints_its_six_lines():
+    lines = run_script("surface.py").splitlines()
+    counts = ("lines", "definitions", "defaulted parameters", "cli options")
+    assert len(lines) == 6
+    for line, name in zip(lines, counts):
+        label, value = line.rsplit(" ", 1)
+        assert label == name and int(value) > 0, line
+    assert lines[4:] == ["scipy modules none",
+                         "numpy.polynomial modules none"]

@@ -617,8 +617,8 @@ def transition_problem(coefficient):
     grid = SpectralGrid(8.0, 256)
     w = SpectralSample(grid, 200.0 * np.exp(-1.5 * np.abs(grid.xi)))
     gamma, mu = fit_decay(w)
-    return CoefficientProblem(coefficient=coefficient, lam=40.0, map=None,
-                              grid=grid, p_hat=w, gamma_fit=gamma, mu_fit=mu)
+    return CoefficientProblem(coefficient=coefficient, lam=40.0, p_hat=w,
+                              gamma_fit=gamma, mu_fit=mu)
 
 
 class TestHalfSpectrum:
