@@ -14,6 +14,9 @@ with the grid N, the fixed-point iterations and the ratios of their
 successive L1 increments (the measured contraction the solver stops
 on), the points at which q, q' and q'' are evaluated in
 `build_problem`, the points at which the oracle evaluates q, the
+passes of the oracle's step loop (oracle_steps: its q calls less the
+two before the loop, at the lane ends and for the first steps, so that
+oracle_ms / oracle_steps is the cost of one pass), the
 oracle's microseconds per q point, and the points at which delta's
 trigonometric series is summed.  A point is one node of a
 q call, whether the call takes an array or a scalar.  Four call counts
@@ -98,6 +101,7 @@ and the evaluator."""
 
     def __init__(self):
         self.points = {"q_points": 0, "evaluator_points": 0}
+        self.point_calls = dict.fromkeys(self.points, 0)
         self.calls = {"ffts": 0, "hermitian_checks": 0, "fit_rounds": 0,
                       "clenshaw_passes": 0}
         self._install()
@@ -105,6 +109,7 @@ and the evaluator."""
     def counted(self, f, key):
         def call(t):
             self.points[key] += np.size(t)
+            self.point_calls[key] += 1
             return f(t)
         return call
 
@@ -164,6 +169,7 @@ def one_pass(stages):
         eval_basis(phase, nodes)
         t4 = time.perf_counter()
         q_points_before = stages.points["q_points"]
+        q_calls_before = stages.point_calls["q_points"]
         basis_error(phase, prob)
         t5 = time.perf_counter()
         rows[f"{lam:g}"] = {
@@ -182,6 +188,8 @@ def one_pass(stages):
                 for a, b in zip(state.l1_deltas, state.l1_deltas[1:])],
             "q_points": q_points,
             "oracle_q_points": stages.points["q_points"] - q_points_before,
+            "oracle_steps": stages.point_calls["q_points"]
+            - q_calls_before - 2,
             "evaluator_points": stages.points["evaluator_points"],
             "ffts": ffts,
             "hermitian_checks": checks,

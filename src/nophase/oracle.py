@@ -139,11 +139,6 @@ def ode_oracle(prob, y0, dy0, t, tol=ORACLE_TOL):
     return y, dy
 
 
-def _rhs(y, c):
-    """(y', y'') stacked on (y, y') for y'' = c y, per lane."""
-    return np.concatenate((y[2:], c * y[:2]))
-
-
 def _transfer_matrices(q, lam, ends, q_ends, tol):
     """The (len(ends) - 1, 2, 2) transfer matrices of y'' = -lam^2 q y
     from each node of `ends` to the next, each interval one lane of
@@ -155,7 +150,12 @@ def _transfer_matrices(q, lam, ends, q_ends, tol):
     start, so that both are of one size in the error norm; the second
     is divided by omega at the end.  dop853's stiffness test is left
     out: h lam sqrt(q) stays far below its threshold of 6.1 on this
-    oscillatory equation."""
+    oscillatory equation.
+
+    The live lanes are the columns of one state table (x, xend, hmax, cx,
+    lane index, next step, y), updated in place and compacted by one
+    gather.  Stage s is Y_s and k_s = (Y_s', c_s Y_s) in one (12, 6, n)
+    buffer, formed in place by the pair's operations in their order."""
     atol, rtol = tol, max(tol, _MIN_RTOL)
     neg_lam2 = -lam ** 2
     x, xend = ends[:-1], ends[1:]
@@ -170,69 +170,77 @@ def _transfer_matrices(q, lam, ends, q_ends, tol):
     hmax = xend - x
 
     # HINIT: an explicit Euler step estimates the second derivative
-    f0 = _rhs(y, cx)
+    f0 = np.concatenate((y[2:], cx * y[:2]))
     sk = atol + rtol * np.abs(y)
     dnf = np.sum((f0 / sk) ** 2, axis=0)
     dny = np.sum((y / sk) ** 2, axis=0)
     h = np.where((dnf <= 1e-10) | (dny <= 1e-10), 1e-6,
                  np.sqrt(dny / dnf) * 0.01)
     h = np.minimum(h, hmax)
-    f1 = _rhs(y + h * f0, neg_lam2 * np.asarray(q(x + h), dtype=float))
+    y1, c1 = y + h * f0, neg_lam2 * np.asarray(q(x + h), dtype=float)
+    f1 = np.concatenate((y1[2:], c1 * y1[:2]))
     der2 = np.sqrt(np.sum(((f1 - f0) / sk) ** 2, axis=0)) / h
     der12 = np.maximum(np.abs(der2), np.sqrt(dnf))
     h1 = np.where(der12 <= 1e-15, np.maximum(1e-6, np.abs(h) * 1e-3),
                   (0.01 / der12) ** 0.125)
     h = np.minimum(np.minimum(100.0 * h, h1), hmax)
 
+    table = np.vstack((x, xend, hmax, cx, np.arange(lanes), h, y))
     end = np.empty((4, lanes))
-    live = np.arange(lanes)
     reject = np.zeros(lanes, dtype=bool)
-    while live.size:
-        n = live.size
-        if np.any(0.1 * h <= np.abs(x) * _UROUND):
-            raise NumericalError(
-                "reference integrator failed: step size becomes too small")
-        last = x + 1.01 * h - xend > 0.0
-        h = np.where(last, xend - x, h)
-        nodes = x + _C[1:, None] * h  # the last row is x + h
-        c = neg_lam2 * np.asarray(q(nodes.ravel()),
-                                  dtype=float).reshape(11, n)
-        k = np.empty((12, 4, n))
-        k[0] = _rhs(y, cx)
-        for s, row in enumerate(_A_ROWS, start=1):
-            ys = y + h * (row @ k[:s].reshape(s, -1)).reshape(4, n)
-            k[s, :2] = ys[2:]
-            np.multiply(c[s - 1], ys[:2], out=k[s, 2:])
-        increment, err3, err5 = (_WEIGHTS @ k.reshape(12, -1)).reshape(
-            3, 4, n)
-        y_new = y + h * increment
-        sk = atol + rtol * np.maximum(np.abs(y), np.abs(y_new))
-        err3 = np.sum((err3 / sk) ** 2, axis=0)
-        err5 = np.sum((err5 / sk) ** 2, axis=0)
-        deno = err5 + 0.01 * err3
-        deno[deno <= 0.0] = 1.0
-        err = h * err5 * np.sqrt(1.0 / (4.0 * deno))
-        if np.any(np.isnan(err)):
-            raise NumericalError(
-                "reference integrator failed: error estimate is not a number")
-        # the next step is h / fac, at most 1 / fac1 times smaller, and
-        # after an accepted step at most fac2 times larger
-        fac = np.minimum(1.0 / _FAC1, err ** 0.125 / _SAFE)
-        accept = err <= 1.0
-        h_accepted = np.minimum(h / np.maximum(1.0 / _FAC2, fac), hmax)
-        h_accepted = np.where(reject, np.minimum(h_accepted, h), h_accepted)
-        h = np.where(accept, h_accepted, h / fac)
-        x = np.where(accept, nodes[-1], x)
-        y = np.where(accept, y_new, y)
-        cx = np.where(accept, c[-1], cx)
-        reject = ~accept
-        done = accept & last
-        if np.any(done):
-            end[:, live[done]] = y[:, done]
-            keep = ~done
-            live, x, xend, hmax, h, cx, reject, y = (
-                live[keep], x[keep], xend[keep], hmax[keep], h[keep],
-                cx[keep], reject[keep], y[:, keep])
+    while n := table.shape[1]:
+        (x, xend, hmax, cx, lane, h), y = table[:6], table[6:]
+        stages = np.empty((12, 6, n))
+        k = stages.reshape(12, 6 * n)[:, 2 * n:]  # (12, 4n): every k_s
+        sums = [(row, k[:s], stages[s, :4], stages[s, :4].reshape(-1),
+                 stages[s, 4:]) for s, row in enumerate(_A_ROWS, start=1)]
+        done = np.zeros(n, dtype=bool)
+        while not done.any():  # steps until a lane finishes
+            if (0.1 * h <= np.abs(x) * _UROUND).any():
+                raise NumericalError(
+                    "reference integrator failed: step size becomes too small")
+            last = x + 1.01 * h - xend > 0.0
+            step = np.where(last, xend - x, h)
+            nodes = x + _C[1:, None] * step  # the last row is x + step
+            # never written into: q may return a view of the nodes
+            c = neg_lam2 * np.asarray(q(nodes.ravel()),
+                                      dtype=float).reshape(11, n)
+            stages[0, :4] = y
+            np.multiply(cx, y[:2], out=stages[0, 4:])
+            for (row, ks, ys, flat, cy), cs in zip(sums, c):
+                np.matmul(row, ks, out=flat)
+                ys *= step
+                ys += y
+                np.multiply(cs, ys[:2], out=cy)
+            product = (_WEIGHTS @ k).reshape(3, 4, n)
+            y_new, estimates = product[0], product[1:]
+            y_new *= step
+            y_new += y
+            sk = atol + rtol * np.maximum(np.abs(y), np.abs(y_new))
+            estimates /= sk
+            estimates *= estimates
+            err3, err5 = estimates.sum(axis=1)
+            deno = err5 + 0.01 * err3
+            deno[deno <= 0.0] = 1.0
+            err = step * err5 * np.sqrt(1.0 / (4.0 * deno))
+            if np.isnan(err).any():
+                raise NumericalError("reference integrator failed: "
+                                     "error estimate is not a number")
+            # the next step is step / fac, at most 1 / fac1 times
+            # smaller, and after an accepted step at most fac2 times larger
+            fac = np.minimum(1.0 / _FAC1, err ** 0.125 / _SAFE)
+            accept = err <= 1.0
+            h_accepted = np.minimum(step / np.maximum(1.0 / _FAC2, fac), hmax)
+            np.minimum(h_accepted, step, out=h_accepted, where=reject)
+            np.divide(step, fac, out=h)
+            np.copyto(h, h_accepted, where=accept)
+            np.copyto(x, nodes[-1], where=accept)
+            np.copyto(cx, c[-1], where=accept)
+            np.copyto(y, y_new, where=accept)
+            reject = ~accept
+            done = accept & last
+        end[:, lane[done].astype(int)] = y[:, done]
+        table, reject = table[:, ~done], reject[~done]
     return np.stack((end[0], end[1] / omega, end[2], end[3] / omega),
                     axis=-1).reshape(lanes, 2, 2)
 

@@ -160,9 +160,8 @@ class ExtendedCoefficient:
         return qv + (self.qa - qv) * sl + (self.qb - qv) * sr
 
     def jet(self, t):
-        """q, q' and q'' at the points t, from one evaluation of each
-        smooth step and of the base q, q', q''; a scalar t is taken as a
-        single point."""
+        """q, q', q'' at the points t (a scalar is one point): one call of
+        the base q, q', q'' each, and one of the steps and each derivative."""
         t = np.atleast_1d(np.asarray(t, dtype=float))
         qv, sl, sr = self._blend(t)
         q = qv + (self.qa - qv) * sl + (self.qb - qv) * sr
@@ -173,15 +172,13 @@ class ExtendedCoefficient:
             ti, qv, sl, sr = t[inside], qv[inside], sl[inside], sr[inside]
             dqv = self.base.dq(ti)
             d2qv = self.base.d2q(ti)
-            ul, ur = self._steps(ti)
-            dsl = -smooth_step_deriv(ul) / self.w
-            dsr = smooth_step_deriv(ur) / self.w
-            d2sl = smooth_step_deriv2(ul) / self.w ** 2
-            d2sr = smooth_step_deriv2(ur) / self.w ** 2
+            u = np.stack(self._steps(ti))
+            dul, dsr = smooth_step_deriv(u) / self.w  # sl' is -dul
+            d2sl, d2sr = smooth_step_deriv2(u) / self.w ** 2
             dq[inside] = (dqv * (1.0 - sl - sr)
-                          + (self.qa - qv) * dsl + (self.qb - qv) * dsr)
+                          - (self.qa - qv) * dul + (self.qb - qv) * dsr)
             d2q[inside] = (d2qv * (1.0 - sl - sr)
-                           - 2.0 * dqv * (dsl + dsr)
+                           - 2.0 * dqv * (dsr - dul)
                            + (self.qa - qv) * d2sl + (self.qb - qv) * d2sr)
         return q, dq, d2q
 
@@ -252,6 +249,20 @@ class CoordinateMap:
                 + np.minimum(x - lo, 0.0) / np.sqrt(self.ext.qa)
                 + np.maximum(x - hi, 0.0) / np.sqrt(self.ext.qb))
 
+    @cached_property
+    def forcing_support(self):
+        """(x0, x1): [x_lo, x_hi] padded until t(x0) <= ext.lo and
+        t(x1) >= ext.hi.  t is nondecreasing past x_lo and x_hi, so outside
+        (x0, x1) q' = q'' = 0 and p = 0 / q = +0.0, q checked positive."""
+        pad = 2.0 ** -40 * (self.x_hi - self.x_lo)
+        while True:
+            x0, x1 = self.x_lo - pad, self.x_hi + pad
+            t0, t1 = self.t_of_x(np.array([x0, x1]))
+            if t0 <= self.ext.lo and t1 >= self.ext.hi:
+                self.ext.require_positive(self.ext.q(np.array([t0, t1])))
+                return x0, x1
+            pad *= 2.0
+
     def level(self, L, n):
         """p on SpectralGrid(L, n), its transform floored at CLEAN_REL
         there, a sample on that grid shared by the problems on it, and
@@ -307,11 +318,15 @@ def build_map(coeff):
 
 
 def _forcing(cmap, x):
-    """p = (1/q)(5/4 (q'/q)^2 - q''/q) evaluated at t(x)."""
-    qv, dqv, d2qv = cmap.ext.jet(cmap.t_of_x(x))
+    """p = (1/q)(5/4 (q'/q)^2 - q''/q) evaluated at t(x) inside the map's
+    `forcing_support`, and exactly +0.0 outside it."""
+    inside = (x > cmap.forcing_support[0]) & (x < cmap.forcing_support[1])
+    qv, dqv, d2qv = cmap.ext.jet(cmap.t_of_x(x[inside]))
     cmap.ext.require_positive(qv)
     ratio = dqv / qv
-    return (1.25 * ratio * ratio - d2qv / qv) / qv
+    p = np.zeros_like(x)
+    p[inside] = (1.25 * ratio * ratio - d2qv / qv) / qv
+    return p
 
 
 def _require_vanishing_edges(p, cmap):

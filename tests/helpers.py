@@ -6,8 +6,11 @@ on the whole centered grid (the references of the solver's half
 spectrum), the zero spectral sample, the decay slope of the acceptance
 checks, the decay fit on the mirrored moduli (the reference of the
 half-spectrum fit), the band-limited series summed at all points at once
-(the reference of the evaluator's runs), and a piecewise Chebyshev
-series summed at all points at once (the reference of its runs)."""
+(the reference of the evaluator's runs), a piecewise Chebyshev series
+summed at all points at once (the reference of its runs), the forcing p
+evaluated at every node (the reference of its evaluation on the support
+alone), and the DOP853 lanes stepped on separate arrays (the reference
+of the oracle's state table and stage buffer)."""
 
 from math import factorial, isqrt
 
@@ -15,10 +18,13 @@ import numpy as np
 
 from nophase.chebseries import clenshaw
 from nophase.convexp import _exp_ready
-from nophase.errors import ConfigurationError, FitError, MagnitudeError
+from nophase.errors import (ConfigurationError, FitError, MagnitudeError,
+                            NumericalError)
 from nophase.grid import (RealSample, SpectralSample, convolve, forward,
                           inverse, l1_norm, linf_norm, mirror)
 from nophase.mollifier import smooth_step
+from nophase.oracle import (_A_ROWS, _C, _FAC1, _FAC2, _MIN_RTOL, _SAFE,
+                            _UROUND, _WEIGHTS)
 from nophase.problem import FIT_THRESHOLD, below_floor, decay_bound
 from nophase.solver import (BOUND_FLOOR_REL, MAX_ITER, NU_SLACK,
                             SIGMA_SLACK, TOL, BoundsReport, apply_R)
@@ -248,3 +254,104 @@ def unblocked_sum(series, t):
     lo, hi = edges[idx], edges[idx + 1]
     return clenshaw((2.0 * t - (lo + hi)) / (hi - lo),
                     np.take(series.coef, idx, axis=-1))
+
+
+def forcing_at_every_node(cmap, x):
+    """p = (1/q)(5/4 (q'/q)^2 - q''/q) at t(x) for every x, inside the
+    map's `forcing_support` or not: the sum `problem._forcing` makes on
+    the support alone, which must give its bits."""
+    qv, dqv, d2qv = cmap.ext.jet(cmap.t_of_x(x))
+    cmap.ext.require_positive(qv)
+    ratio = dqv / qv
+    return (1.25 * ratio * ratio - d2qv / qv) / qv
+
+
+def _rhs(y, c):
+    """(y', y'') stacked on (y, y') for y'' = c y, per lane."""
+    return np.concatenate((y[2:], c * y[:2]))
+
+
+def transfer_matrices_reference(q, lam, ends, q_ends, tol):
+    """`oracle._transfer_matrices` with every lane array its own and a
+    new array for every stage sum: the same DOP853 lanes, which the
+    oracle's state table and stage buffer must reproduce bit for bit,
+    with the same q calls."""
+    atol, rtol = tol, max(tol, _MIN_RTOL)
+    neg_lam2 = -lam ** 2
+    x, xend = ends[:-1], ends[1:]
+    lanes = x.size
+    if lanes == 0:
+        return np.empty((0, 2, 2))
+    omega = lam * np.sqrt(np.maximum(q_ends[:-1], 0.0))
+    omega[~(omega > 0.0)] = 1.0  # q not positive there: left unscaled
+    y = np.zeros((4, lanes))
+    y[0], y[3] = 1.0, omega
+    cx = neg_lam2 * q_ends[:-1]
+    hmax = xend - x
+
+    # HINIT: an explicit Euler step estimates the second derivative
+    f0 = _rhs(y, cx)
+    sk = atol + rtol * np.abs(y)
+    dnf = np.sum((f0 / sk) ** 2, axis=0)
+    dny = np.sum((y / sk) ** 2, axis=0)
+    h = np.where((dnf <= 1e-10) | (dny <= 1e-10), 1e-6,
+                 np.sqrt(dny / dnf) * 0.01)
+    h = np.minimum(h, hmax)
+    f1 = _rhs(y + h * f0, neg_lam2 * np.asarray(q(x + h), dtype=float))
+    der2 = np.sqrt(np.sum(((f1 - f0) / sk) ** 2, axis=0)) / h
+    der12 = np.maximum(np.abs(der2), np.sqrt(dnf))
+    h1 = np.where(der12 <= 1e-15, np.maximum(1e-6, np.abs(h) * 1e-3),
+                  (0.01 / der12) ** 0.125)
+    h = np.minimum(np.minimum(100.0 * h, h1), hmax)
+
+    end = np.empty((4, lanes))
+    live = np.arange(lanes)
+    reject = np.zeros(lanes, dtype=bool)
+    while live.size:
+        n = live.size
+        if np.any(0.1 * h <= np.abs(x) * _UROUND):
+            raise NumericalError(
+                "reference integrator failed: step size becomes too small")
+        last = x + 1.01 * h - xend > 0.0
+        h = np.where(last, xend - x, h)
+        nodes = x + _C[1:, None] * h  # the last row is x + h
+        c = neg_lam2 * np.asarray(q(nodes.ravel()),
+                                  dtype=float).reshape(11, n)
+        k = np.empty((12, 4, n))
+        k[0] = _rhs(y, cx)
+        for s, row in enumerate(_A_ROWS, start=1):
+            ys = y + h * (row @ k[:s].reshape(s, -1)).reshape(4, n)
+            k[s, :2] = ys[2:]
+            np.multiply(c[s - 1], ys[:2], out=k[s, 2:])
+        increment, err3, err5 = (_WEIGHTS @ k.reshape(12, -1)).reshape(
+            3, 4, n)
+        y_new = y + h * increment
+        sk = atol + rtol * np.maximum(np.abs(y), np.abs(y_new))
+        err3 = np.sum((err3 / sk) ** 2, axis=0)
+        err5 = np.sum((err5 / sk) ** 2, axis=0)
+        deno = err5 + 0.01 * err3
+        deno[deno <= 0.0] = 1.0
+        err = h * err5 * np.sqrt(1.0 / (4.0 * deno))
+        if np.any(np.isnan(err)):
+            raise NumericalError(
+                "reference integrator failed: error estimate is not a number")
+        # the next step is h / fac, at most 1 / fac1 times smaller, and
+        # after an accepted step at most fac2 times larger
+        fac = np.minimum(1.0 / _FAC1, err ** 0.125 / _SAFE)
+        accept = err <= 1.0
+        h_accepted = np.minimum(h / np.maximum(1.0 / _FAC2, fac), hmax)
+        h_accepted = np.where(reject, np.minimum(h_accepted, h), h_accepted)
+        h = np.where(accept, h_accepted, h / fac)
+        x = np.where(accept, nodes[-1], x)
+        y = np.where(accept, y_new, y)
+        cx = np.where(accept, c[-1], cx)
+        reject = ~accept
+        done = accept & last
+        if np.any(done):
+            end[:, live[done]] = y[:, done]
+            keep = ~done
+            live, x, xend, hmax, h, cx, reject, y = (
+                live[keep], x[keep], xend[keep], hmax[keep], h[keep],
+                cx[keep], reject[keep], y[:, keep])
+    return np.stack((end[0], end[1] / omega, end[2], end[3] / omega),
+                    axis=-1).reshape(lanes, 2, 2)

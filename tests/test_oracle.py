@@ -10,11 +10,12 @@ import numpy as np
 import pytest
 
 import nophase
-from conftest import make_constant_coefficient
+from conftest import make_constant_coefficient, sech2
+from helpers import transfer_matrices_reference
 from liouville import liouville_green, undo_liouville_green
 from nophase.errors import DomainError, NumericalError
 from nophase import oracle
-from nophase.oracle import CHECK_NODES, basis_error, ode_oracle
+from nophase.oracle import CHECK_NODES, ORACLE_TOL, basis_error, ode_oracle
 from nophase.phase import basis_derivatives, build_phase
 from nophase.problem import (Coefficient, build_problem,
                              problem_config_from_dict)
@@ -299,6 +300,88 @@ class TestCompiledIntegrator:
         y, dy = ode_oracle(prob, y0, dy0, t, tol=tol)
         assert np.max(np.abs(y[:, 1:] - ref[:2])) <= 1e-11
         assert np.max(np.abs(dy[:, 1:] - ref[2:])) <= 1e-11 * lam
+
+
+class TestSteppedInPlace:
+    """The lanes' state table and stage buffer against the loop that
+    builds every stage anew (`transfer_matrices_reference`): the same q
+    calls, of the same sizes, the same transfer matrices to the bit,
+    and the same failures at the same call."""
+
+    @staticmethod
+    def both(q, lam, ends, tol=ORACLE_TOL):
+        """[(matrices or the NumericalError raised, q-call sizes)] of the
+        oracle's loop and of the reference."""
+        runs = []
+        for transfer in (oracle._transfer_matrices,
+                         transfer_matrices_reference):
+            sizes = []
+
+            def recorded(s):
+                sizes.append(np.size(s))
+                return q(s)
+
+            q_ends = np.asarray(q(ends), dtype=float)
+            try:
+                out = transfer(recorded, lam, ends, q_ends, tol)
+            except NumericalError as error:
+                out = error
+            runs.append((out, sizes))
+        return runs
+
+    def assert_same(self, q, lam, ends, tol=ORACLE_TOL):
+        (out, sizes), (ref, ref_sizes) = self.both(q, lam, ends, tol)
+        assert sizes == ref_sizes and len(sizes) > 2
+        assert np.array_equal(out, ref)
+
+    @pytest.mark.parametrize("lam", [20.0, 80.0, 320.0, 1280.0])
+    def test_expression_route(self, lam):
+        # the verify path's q, at basis_error's nodes
+        q = problem_config_from_dict(
+            {"q": "1 + sech(t)**2", "a": -3.0, "b": 3.0}).coefficient.q
+        self.assert_same(q, lam, np.linspace(-3.0, 3.0, CHECK_NODES))
+
+    def test_uneven_lanes(self, rng):
+        # lanes of many lengths, which finish at many different steps
+        ends = np.concatenate(([-3.0], np.sort(rng.uniform(-3.0, 3.0, 60)),
+                               [3.0]))
+        self.assert_same(sech2, 80.0, ends, tol=1e-10)
+
+    @pytest.mark.parametrize("lam", [10.0, 200.0])
+    def test_q_that_returns_its_argument(self, lam):
+        # q(t) = t on [1, 2] gives back the stage nodes it is called
+        # with, so a write into q's result would move them
+        def q(t):
+            return t
+
+        self.assert_same(q, lam, np.linspace(1.0, 2.0, 101))
+
+    def test_read_only_q(self):
+        # a write into q's result raises here
+        def q(t):
+            out = sech2(t)
+            out.flags.writeable = False
+            return out
+
+        self.assert_same(q, 320.0, np.linspace(-3.0, 3.0, CHECK_NODES))
+
+    @pytest.mark.parametrize("value, message", [
+        (1e20, "step size becomes too small"),
+        (np.nan, "error estimate is not a number")])
+    def test_failure_at_the_same_call(self, value, message):
+        # q takes `value` only between two nodes, so the lanes start from
+        # finite values and a step inside one lane meets it
+        def q(s):
+            return np.where((s > 0.501) & (s < 0.502), value, sech2(s))
+
+        ends = np.linspace(-3.0, 3.0, CHECK_NODES)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            (out, sizes), (ref, ref_sizes) = self.both(q, 40.0, ends)
+        assert isinstance(out, NumericalError)
+        assert str(out) == str(ref) == (
+            f"reference integrator failed: {message}")
+        assert sizes == ref_sizes and len(sizes) > 2
 
 
 def _basis_problem(coefficient, lam):

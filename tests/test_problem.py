@@ -14,10 +14,11 @@ import scipy.interpolate
 from scipy.integrate import quad
 from scipy.interpolate import CubicSpline
 
+import nophase.chebseries
 import nophase.problem
 from conftest import (d2sech2, dsech2, make_constant_coefficient,
                       make_sech_coefficient, sech2)
-from helpers import mirrored_fit_decay
+from helpers import forcing_at_every_node, mirrored_fit_decay
 from nophase.errors import ConfigurationError, DomainError, FitError
 from nophase.expr import compile_expression
 from nophase.grid import SpectralGrid, SpectralSample, forward
@@ -246,6 +247,91 @@ class TestSchwarzianP:
         grid = SpectralGrid(6.0, 1024)  # too narrow: p nonzero at the edge
         with pytest.raises(ConfigurationError):
             schwarzian_p(cmap, grid)
+
+
+SUPPORT_ROUTES = {
+    # t(x_lo) = ext.lo, t(x_hi) 1.8e-15 past ext.hi
+    "sech-exact": make_sech_coefficient,
+    "sech-fd": make_fd_coefficient,
+    # t(x_hi) 8.9e-16 short of ext.hi
+    "sine": lambda: problem_config_from_dict(
+        {"q": "1 + 0.5*sin(3*t)", "a": -1.0, "b": 2.0}).coefficient,
+    # t(x_lo) 4.4e-16 past ext.lo, inside the extension
+    "exp": lambda: problem_config_from_dict(
+        {"q": "exp(t)", "a": -1.0, "b": 1.0}).coefficient,
+}
+
+
+def nodes_about_the_ends(cmap):
+    """x at and within a few ulps of x_lo and x_hi, and 1e-15 to 1e-13
+    relative beyond them."""
+    ends = np.array([cmap.x_lo, cmap.x_hi])
+    ulps = [np.nextafter(ends, s) for s in (-np.inf, np.inf)]
+    steps = np.geomspace(1e-15, 1e-13, 9)[:, None] * np.maximum(
+        1.0, np.abs(ends))
+    return np.concatenate([ends, *ulps, (ends + steps).ravel(),
+                           (ends - steps).ravel()])
+
+
+class TestForcingSupport:
+    """p is evaluated only inside the map's `forcing_support` and is
+    exactly +0.0 outside it, with the bits of the evaluation at every
+    node (`forcing_at_every_node`)."""
+
+    @pytest.mark.parametrize("route", SUPPORT_ROUTES)
+    def test_bits_of_every_node(self, route):
+        cmap = SUPPORT_ROUTES[route]().map
+        x0, x1 = cmap.forcing_support
+        t0, t1 = cmap.t_of_x(np.array([x0, x1]))
+        assert t0 <= cmap.ext.lo and t1 >= cmap.ext.hi
+        assert x0 <= cmap.x_lo and x1 >= cmap.x_hi
+        assert max(cmap.x_lo - x0, x1 - cmap.x_hi) <= 1e-9 * (x1 - x0)
+        L = cmap.covering_half_width
+        half = 0.5 * (cmap.x_hi - cmap.x_lo)
+        for grid in (SpectralGrid(L, 1024), SpectralGrid(L, 8192),
+                     SpectralGrid(half, 64), SpectralGrid(2.0 * half, 64)):
+            x = grid.x + cmap.x_shift
+            for points in (x, x[1::2], nodes_about_the_ends(cmap)):
+                p = nophase.problem._forcing(cmap, points)
+                assert p.tobytes() \
+                    == forcing_at_every_node(cmap, points).tobytes()
+
+    def test_jet_sees_the_support_alone(self, monkeypatch):
+        cmap = make_sech_coefficient().map
+        x = choose_grid(cmap, 320.0).x + cmap.x_shift
+        x0, x1 = cmap.forcing_support
+        jet, seen = cmap.ext.jet, []
+
+        def counted(t):
+            seen.append(np.size(t))
+            return jet(t)
+
+        monkeypatch.setattr(cmap.ext, "jet", counted)
+        p = nophase.problem._forcing(cmap, x)
+        inside = (x > x0) & (x < x1)
+        assert seen == [np.count_nonzero(inside)] and seen[0] < 0.8 * x.size
+        assert np.all(p[~inside] == 0.0)
+        assert not np.any(np.signbit(p[~inside]))
+
+    def test_pad_grows_until_t_leaves_the_extension(self):
+        # t(x) moved down by 0.01 reaches ext.hi only about
+        # 0.01 sqrt(q(b)) past x_hi, far beyond the first pad of
+        # 2^-40 (x_hi - x_lo); on the way the right step is below 1 and
+        # p is not 0
+        cmap = make_sech_coefficient().map
+        coef = cmap.t_series.coef.copy()
+        coef[0] -= 0.01
+        moved = dataclasses.replace(
+            cmap, t_series=nophase.chebseries.ChebSeries(
+                cmap.t_series.edges, coef), levels={})
+        x0, x1 = moved.forcing_support
+        assert moved.t_of_x(np.array([x1]))[0] >= moved.ext.hi
+        assert x1 - moved.x_hi >= 0.01 * np.sqrt(moved.ext.qb)
+        x = np.concatenate([moved.x_hi + np.linspace(0.0, 0.02, 201),
+                            nodes_about_the_ends(moved)])
+        p = nophase.problem._forcing(moved, x)
+        assert np.any(p[x > moved.x_hi] != 0.0)
+        assert p.tobytes() == forcing_at_every_node(moved, x).tobytes()
 
 
 def full_grid_transform(prob):

@@ -19,8 +19,8 @@ LADDER_KEYS = {
     "build_problem_ms", "bump_ms", "fixed_point_ms", "fixed_point_iter_ms",
     "extract_ms", "build_phase_ms", "checks_ms", "oracle_ms", "grid_n",
     "iterations", "increment_ratios", "q_points", "oracle_q_points",
-    "evaluator_points", "ffts", "hermitian_checks", "fit_rounds",
-    "clenshaw_passes", "delta_degree", "r_len", "alpha_len",
+    "oracle_steps", "evaluator_points", "ffts", "hermitian_checks",
+    "fit_rounds", "clenshaw_passes", "delta_degree", "r_len", "alpha_len",
     "oracle_us_per_q_point", "build_problem_peak_kb", "build_phase_peak_kb"}
 DIGESTS = ("solve-ladder", "verify-oracle", "sweep-cli",
            "constant-expression", "constant-table", "constant-callable")
@@ -47,6 +47,10 @@ def test_stage_times_prints_every_row():
     for row in (*LADDER_ROWS, "640-fd"):
         assert stages[row]["build_problem_peak_kb"] > 0
         assert stages[row]["build_phase_peak_kb"] > 0
+    # the oracle's step loop runs, and its passes grow with lambda, as
+    # the waves to follow do: a loop that stopped early would fail this
+    steps = [stages[row]["oracle_steps"] for row in ("80", "320", "1280")]
+    assert 0 < steps[0] <= steps[1] <= steps[2], steps
 
 
 def test_digests_prints_the_six():
