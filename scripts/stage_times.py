@@ -19,14 +19,12 @@ two before the loop, at the lane ends and for the first steps, so that
 oracle_ms / oracle_steps is the cost of one pass), the
 oracle's microseconds per q point, and the points at which delta's
 trigonometric series is summed.  A point is one node of a
-q call, whether the call takes an array or a scalar.  Four call counts
+q call, whether the call takes an array or a scalar.  Three call counts
 follow: ffts, the numpy.fft calls inside the bump, the fixed point and
 the extraction (the script wraps every transform of numpy.fft to count
-them), hermitian_checks, the calls of the symmetry check
-`nophase.grid._require_hermitian` inside the same three calls (wrapped
-in `nophase.grid`, its only caller), fit_rounds, the `ChebSeries.fit`
-calls inside `build_phase`, one per doubling round of its adaptive fits, and clenshaw_passes, the calls of
-the one Clenshaw kernel of `nophase.chebseries` (`clenshaw`, wrapped;
+them), fit_rounds, the `ChebSeries.fit` calls inside `build_phase`,
+one per doubling round of its adaptive fits, and clenshaw_passes, the
+calls of the one Clenshaw kernel of `nophase.chebseries` (`clenshaw`, wrapped;
 `chebval` and every `ChebSeries` sum run through it) from
 `build_problem` through the oracle, each of which sums one stack of
 series at one point set.
@@ -62,7 +60,6 @@ import warnings
 import numpy as np
 
 import nophase.chebseries
-import nophase.grid
 import nophase.phase
 from nophase.chebseries import ChebSeries
 from nophase import (Coefficient, basis_error, build_phase, build_problem,
@@ -96,14 +93,12 @@ def d2sech2(t):
 
 
 class Stages:
-    """Counters around the transforms, the symmetry check, the series
-and the evaluator."""
+    """Counters around the transforms, the series and the evaluator."""
 
     def __init__(self):
         self.points = {"q_points": 0, "evaluator_points": 0}
         self.point_calls = dict.fromkeys(self.points, 0)
-        self.calls = {"ffts": 0, "hermitian_checks": 0, "fit_rounds": 0,
-                      "clenshaw_passes": 0}
+        self.calls = {"ffts": 0, "fit_rounds": 0, "clenshaw_passes": 0}
         self._install()
 
     def counted(self, f, key):
@@ -123,8 +118,6 @@ and the evaluator."""
         for name in FFTS:
             setattr(np.fft, name,
                     self._call_counter(getattr(np.fft, name), "ffts"))
-        nophase.grid._require_hermitian = self._call_counter(
-            nophase.grid._require_hermitian, "hermitian_checks")
         nophase.chebseries.clenshaw = self._call_counter(
             nophase.chebseries.clenshaw, "clenshaw_passes")
         fit = ChebSeries.fit.__func__
@@ -152,7 +145,6 @@ def one_pass(stages):
         t1 = time.perf_counter()
         q_points = stages.points["q_points"]
         ffts = stages.calls["ffts"]
-        checks = stages.calls["hermitian_checks"]
         bump = make_bump(prob.grid, prob.lam)
         t_bump = time.perf_counter()
         state = fixed_point_solve(prob.p_hat, bump)
@@ -160,7 +152,6 @@ def one_pass(stages):
         result = extract_solution(state, prob)
         t2 = time.perf_counter()
         ffts = stages.calls["ffts"] - ffts
-        checks = stages.calls["hermitian_checks"] - checks
         fit_rounds = stages.calls["fit_rounds"]
         phase = build_phase(result, prob)
         t3 = time.perf_counter()
@@ -192,7 +183,6 @@ def one_pass(stages):
             - q_calls_before - 2,
             "evaluator_points": stages.points["evaluator_points"],
             "ffts": ffts,
-            "hermitian_checks": checks,
             "fit_rounds": fit_rounds,
             "clenshaw_passes": stages.calls["clenshaw_passes"]
             - clenshaw_passes,

@@ -17,7 +17,7 @@ its report is not `certified` or a verify gate failed); 2 numerical
 failure or bad input, reported as one `error:` line without a traceback.
 Numerical failures are non-convergence, an unresolvable grid, a decay
 fit that fails, a Chebyshev fit that does not resolve its function, an
-overflowing or asymmetric sample, an OverflowError and a MemoryError;
+overflowing sample, an OverflowError and a MemoryError;
 bad input is a missing or unreadable file, malformed JSON, a missing q,
 a or b, an extension width whose square or whose [a - 3w, b + 3w] is not
 finite, an unknown name in an expression or one nested too deeply, a q

@@ -34,9 +34,9 @@ class FitError(NophaseError):
 class ConvergenceError(NophaseError):
     """An iteration failed to converge.  Carries the increment history."""
 
-    def __init__(self, message, history=None):
+    def __init__(self, message, history):
         super().__init__(message)
-        self.history = list(history) if history is not None else []
+        self.history = list(history)
 
 
 class NumericalError(NophaseError):

@@ -15,7 +15,7 @@ import numpy as np
 from .chebseries import ChebSeries, call_together
 from .errors import ConfigurationError, DomainError, FitError, NumericalError
 from .expr import compile_expression
-from .grid import (RealSample, SpectralGrid, SpectralSample, forward,
+from .grid import (RealSample, SpectralGrid, SpectralSample, forward_half,
                    l1_norm)
 from .mollifier import smooth_step, smooth_step_deriv, smooth_step_deriv2
 
@@ -77,7 +77,7 @@ def _fd_derivatives(q, h, lo, hi):
 class Coefficient:
     """The coefficient q on [a, b] with its first two derivatives.
 
-    q must be evaluable on [a - 3w, b + 3w] where w is the extension
+    q must be evaluable on [lo, hi] = [a - 3w, b + 3w], w the extension
     width; the smooth blend to constants lives there.  `make` fills in a
     derivative that is not given with 8th-order finite differences of q,
     whatever q is: a callable, an expression, or a table's interpolant.
@@ -90,6 +90,8 @@ class Coefficient:
     interval_a: float
     interval_b: float
     extension_width: float
+    lo = property(lambda self: self.interval_a - 3.0 * self.extension_width)
+    hi = property(lambda self: self.interval_b + 3.0 * self.extension_width)
 
     @classmethod
     def make(cls, q, a, b, dq=None, d2q=None, extension_width=None):
@@ -102,7 +104,9 @@ class Coefficient:
             w = _finite(extension_width, "extension_width")
             if w <= 0.0:
                 raise DomainError("extension_width must be positive")
-        lo, hi = a - 3.0 * w, b + 3.0 * w
+        coeff = cls(q=q, dq=dq, d2q=d2q, interval_a=a, interval_b=b,
+                    extension_width=w)
+        lo, hi = coeff.lo, coeff.hi
         if not (math.isfinite(w * w) and math.isfinite(lo)
                 and math.isfinite(hi)):
             raise DomainError(
@@ -111,10 +115,9 @@ class Coefficient:
                 f"[{lo:g}, {hi:g}] must be finite")
         if dq is None or d2q is None:
             fd_dq, fd_d2q = _fd_derivatives(q, 1e-3 * (b - a), lo, hi)
-            dq = dq if dq is not None else fd_dq
-            d2q = d2q if d2q is not None else fd_d2q
-        return cls(q=q, dq=dq, d2q=d2q, interval_a=a, interval_b=b,
-                   extension_width=w)
+            coeff = replace(coeff, dq=dq if dq is not None else fd_dq,
+                            d2q=d2q if d2q is not None else fd_d2q)
+        return coeff
 
     @cached_property
     def map(self):
@@ -136,9 +139,7 @@ class ExtendedCoefficient:
         # a copy without the map, which keeps this: no reference cycle
         self.base = replace(coeff)
         a, b, w = coeff.interval_a, coeff.interval_b, coeff.extension_width
-        self.lo = a - 3.0 * w
-        self.hi = b + 3.0 * w
-        self.w = w
+        self.lo, self.hi, self.w = coeff.lo, coeff.hi, w
         self.qa = float(np.asarray(coeff.q(np.array(a))))
         self.qb = float(np.asarray(coeff.q(np.array(b))))
         self._ul_center = a - 2.0 * w    # left step argument ((center-t)/w)
@@ -150,21 +151,20 @@ class ExtendedCoefficient:
         return ul, ur
 
     def _blend(self, t):
-        """The base q at t clipped into [lo, hi], and the left and right
-        smooth steps at t, from one smooth_step call."""
+        """q + (q(a) - q) sl + (q(b) - q) sr at t, and the base q at t
+        clipped into [lo, hi] and the smooth steps sl, sr it is formed of."""
         sl, sr = smooth_step(np.stack(self._steps(t)))
-        return self.base.q(np.clip(t, self.lo, self.hi)), sl, sr
+        qv = self.base.q(np.clip(t, self.lo, self.hi))
+        return qv + (self.qa - qv) * sl + (self.qb - qv) * sr, qv, sl, sr
 
     def q(self, t):
-        qv, sl, sr = self._blend(np.asarray(t, dtype=float))
-        return qv + (self.qa - qv) * sl + (self.qb - qv) * sr
+        return self._blend(np.asarray(t, dtype=float))[0]
 
     def jet(self, t):
         """q, q', q'' at the points t (a scalar is one point): one call of
         the base q, q', q'' each, and one of the steps and each derivative."""
         t = np.atleast_1d(np.asarray(t, dtype=float))
-        qv, sl, sr = self._blend(t)
-        q = qv + (self.qa - qv) * sl + (self.qb - qv) * sr
+        q, qv, sl, sr = self._blend(t)
         dq = np.zeros_like(t)
         d2q = np.zeros_like(t)
         inside = (t > self.lo) & (t < self.hi)
@@ -264,21 +264,18 @@ class CoordinateMap:
             pad *= 2.0
 
     def level(self, L, n):
-        """p on SpectralGrid(L, n), its transform floored at CLEAN_REL
-        there, a sample on that grid shared by the problems on it, and
-        whether that is `resolved`; with the n/2-point level, only the
-        midpoints are new."""
+        """p on SpectralGrid(L, n), evaluated where the n/2-point level has
+        no node, its RealSample's transform floored at CLEAN_REL, a sample
+        shared by the grid's problems, and whether it is `resolved`."""
         if (L, n) not in self.levels:
             grid = SpectralGrid(L, n)
             coarse = self.levels.get((L, n // 2))
-            if coarse is None:
-                p = schwarzian_p(self, grid).values
-            else:
-                # the finer grid's own odd nodes, not the coarse nodes +
-                # dx/2, so that every node rounds as on the full grid
-                mid = _forcing(self, grid.x[1::2] + self.x_shift)
-                p = np.stack((coarse[0], mid), axis=1).ravel()
-            half = floored(forward(RealSample(grid, p)).half)
+            # x[1::2], not coarse + dx/2, so nodes round as on the full grid
+            x = grid.x if coarse is None else grid.x[1::2]
+            p = _forcing(self, x + self.x_shift)
+            if coarse is not None:
+                p = np.stack((coarse[0], p), axis=1).ravel()
+            half = floored(forward_half(grid, RealSample(grid, p).values))
             p.flags.writeable = half.flags.writeable = False
             p_hat = SpectralSample.of_half(grid, half)
             self.levels[(L, n)] = (p, p_hat, resolved(half))
@@ -329,26 +326,6 @@ def _forcing(cmap, x):
     return p
 
 
-def _require_vanishing_edges(p, cmap):
-    """p at the first and last grid nodes must be below P_EDGE_REL times
-    its largest value, or the periodic grid cuts its support."""
-    edge = max(abs(p[0]), abs(p[-1]))
-    if edge > P_EDGE_REL * float(np.max(np.abs(p))):
-        raise ConfigurationError(
-            f"grid half-width too small: p does not vanish at the "
-            f"boundary; use L >= {cmap.covering_half_width:.2f}"
-        )
-
-
-def schwarzian_p(cmap, grid):
-    """The forcing p as a function of x at the grid's space nodes:
-    p(x_j) = (1/q)(5/4 (q'/q)^2 - q''/q) evaluated at t(x_j + x_shift),
-    with the map's x_shift."""
-    p = _forcing(cmap, grid.x + cmap.x_shift)
-    _require_vanishing_edges(p, cmap)
-    return RealSample(grid, p)
-
-
 def below_floor(vals):
     """Mask of the values below CLEAN_REL times the largest; no value is
     below the floor of an all-zero array."""
@@ -384,7 +361,10 @@ def forcing_transform(cmap, grid):
         if done or n == grid.n_points:
             break
         n *= 2
-    _require_vanishing_edges(p, cmap)  # at the final level's end nodes
+    if max(abs(p[0]), abs(p[-1])) > P_EDGE_REL * float(np.max(np.abs(p))):
+        raise ConfigurationError(
+            f"grid half-width too small: p does not vanish at the "
+            f"boundary; use L >= {cmap.covering_half_width:.2f}")
     return p_hat
 
 
@@ -485,6 +465,12 @@ def choose_grid(cmap, lam, L=None, N=None):
     return grid
 
 
+def check_lambda(lam):
+    """DomainError naming lambda unless it is a finite positive number."""
+    if _finite(lam, "lambda") <= 0.0:
+        raise DomainError(f"lambda={lam:g} must be positive")
+
+
 def check_lambda_square(lam):
     """DomainError naming lambda unless 4 lambda^2 and 1/(4 lambda^2),
     the band multiplier at xi = 0, are finite doubles: lambda between
@@ -510,8 +496,7 @@ def build_problem(coefficient, lam, L=None, N=None):
     (finite-difference noise).  `fixed_point_solve` checks that the solution is resolved
     there too.  Values of p_hat below the round-off floor are zeroed so
     the decay certificate is meaningful at every node."""
-    if _finite(lam, "lambda") <= 0:
-        raise DomainError("lambda must be positive")
+    check_lambda(lam)
     cmap = coefficient.map
     grid = choose_grid(cmap, lam, L=L, N=N)
     # after choose_grid, whose error names L too when no grid can be built
@@ -642,13 +627,11 @@ def problem_config_from_dict(data):
                              extension_width=data.get("extension_width"))
     if isinstance(q, TableInterpolant):
         # the interpolant is not extrapolated past its knots
-        lo = coeff.interval_a - 3.0 * coeff.extension_width
-        hi = coeff.interval_b + 3.0 * coeff.extension_width
         first, last = q.knots[0], q.knots[-1]
-        if not (first <= lo and last >= hi):
+        if not (first <= coeff.lo and last >= coeff.hi):
             raise DomainError(
-                f"table q must cover [a - 3w, b + 3w] = [{lo:g}, {hi:g}]; "
-                f"its knots span [{first:g}, {last:g}]")
+                f"table q must cover [a - 3w, b + 3w] = [{coeff.lo:g}, "
+                f"{coeff.hi:g}]; its knots span [{first:g}, {last:g}]")
     gridspec = data.get("grid", {})
     if not isinstance(gridspec, dict):
         raise DomainError("grid must be an object with keys L and N")

@@ -28,7 +28,7 @@ from .errors import ConfigurationError, ConvergenceError, DomainError
 from .grid import (RealSample, SpectralSample, _require_same_grid,
                    forward_half, inverse_half, l1_norm, linf_norm, mirror)
 from .mollifier import smooth_step
-from .problem import (_finite, below_floor, check_lambda_square,
+from .problem import (below_floor, check_lambda, check_lambda_square,
                       decay_bound, floored, resolved)
 
 # absolute floor, relative to the largest magnitude in play, below which
@@ -74,8 +74,7 @@ def make_bump(grid, lam):
     This is where the lambda stage takes lambda: one that is not finite
     and positive, or whose 4 lambda^2 or 1/(4 lambda^2) overflows, is a
     DomainError naming it."""
-    if _finite(lam, "lambda") <= 0.0:
-        raise DomainError(f"lambda={lam:g} must be positive")
+    check_lambda(lam)
     check_lambda_square(lam)
     c = 0.5 * (_SQRT2 * lam + lam)
     alpha = 0.25 * (_SQRT2 * lam - lam)
@@ -130,9 +129,9 @@ class SolverState:
     """The converged iterate, its L1 increments and the bump it ran on."""
 
     psi: SpectralSample
-    iteration: int
     l1_deltas: list
     bump: Bump
+    iteration = property(lambda self: len(self.l1_deltas))
 
 
 def fixed_point_solve(w_hat, bump):
@@ -158,10 +157,11 @@ def fixed_point_solve(w_hat, bump):
     if np.isinf(first):
         raise DomainError(f"lambda={lam:g} is too small: the band multiplier "
                           f"times w overflows double precision")
-    w_l1 = l1_norm(w_hat)
-    if w_l1 > 0.5 * np.pi * lam ** 2:
-        warnings.warn("||w||_1 exceeds (pi/2) lambda^2: convergence is "
-                      "not certified", stacklevel=2)
+    w_l1, ball = l1_norm(w_hat), 0.5 * np.pi * lam ** 2
+    if w_l1 > ball:
+        warnings.warn(f"||w||_1 = {w_l1:.3g} exceeds (pi/2) lambda^2 = "
+                      f"{ball:.3g} at lambda={lam:g}: convergence is not "
+                      f"certified", stacklevel=2)
     threshold = TOL * max(w_l1, 1e-300)
     psi, deltas = w_hat, []
     for iteration in range(1, MAX_ITER + 1):
@@ -178,12 +178,9 @@ def fixed_point_solve(w_hat, bump):
                     "grid frequency range too small: the solution does not "
                     "vanish on the outer half of the grid; give grid N"
                 )
-            return SolverState(psi=psi, iteration=iteration, l1_deltas=deltas,
-                               bump=bump)
-    raise ConvergenceError(
-        f"fixed-point iteration did not reach tol={TOL} in {MAX_ITER} steps",
-        history=deltas,
-    )
+            return SolverState(psi=psi, l1_deltas=deltas, bump=bump)
+    raise ConvergenceError(f"fixed-point iteration did not reach tol={TOL} "
+                           f"in {MAX_ITER} steps", deltas)
 
 
 @dataclass(frozen=True)

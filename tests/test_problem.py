@@ -3,6 +3,7 @@ import gc
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 import warnings
@@ -21,12 +22,12 @@ from conftest import (d2sech2, dsech2, make_constant_coefficient,
 from helpers import forcing_at_every_node, mirrored_fit_decay
 from nophase.errors import ConfigurationError, DomainError, FitError
 from nophase.expr import compile_expression
-from nophase.grid import SpectralGrid, SpectralSample, forward
+from nophase.grid import RealSample, SpectralGrid, SpectralSample, forward
 from nophase.problem import (CLEAN_REL, Coefficient, CoefficientProblem,
                              ExtendedCoefficient, TableInterpolant,
                              build_map, build_problem, choose_grid,
-                             decay_bound, fit_decay, load_problem_file,
-                             problem_config_from_dict, schwarzian_p)
+                             decay_bound, fit_decay, forcing_transform,
+                             load_problem_file, problem_config_from_dict)
 from nophase.solver import solve_problem
 from nophase.sweep import sweep_point
 
@@ -99,6 +100,20 @@ class TestCoefficient:
             lambda t: np.full_like(np.asarray(t, dtype=float), 2.0), -1.0, 1.0)
         t = np.linspace(-4.0, 4.0, 801)     # all of [a - 3w, b + 3w]
         assert np.all(c.dq(t) == 0.0) and np.all(c.d2q(t) == 0.0)
+
+    def test_extension_interval_stated_once(self):
+        # [lo, hi] = [a - 3w, b + 3w] is the extension's, and the range
+        # a table q must cover
+        coeff = make_sech_coefficient(a=-1.0, b=2.0, extension_width=0.5)
+        assert (coeff.lo, coeff.hi) == (-2.5, 3.5)
+        assert (coeff.lo, coeff.hi) == (coeff.map.ext.lo, coeff.map.ext.hi)
+        knots = np.linspace(-2.0, 3.0, 11)
+        with pytest.raises(DomainError, match=re.escape(
+                f"cover [a - 3w, b + 3w] = [{coeff.lo:g}, {coeff.hi:g}]; "
+                f"its knots span [-2, 3]")):
+            problem_config_from_dict({
+                "q": np.stack([knots, sech2(knots)], axis=1).tolist(),
+                "a": -1.0, "b": 2.0, "extension_width": 0.5})
 
     def test_flat_stencils_get_exact_zeros(self):
         def q(t):
@@ -198,8 +213,8 @@ class TestSchwarzianP:
         c = make_constant_coefficient(2.5, 0.0, 1.0)
         cmap = build_map(c)
         grid = SpectralGrid(8.0, 256)
-        p = schwarzian_p(cmap, grid)
-        assert np.max(np.abs(p.values)) <= 1e-13
+        p = forcing_at_every_node(cmap, grid.x + cmap.x_shift)
+        assert np.max(np.abs(p)) <= 1e-13
 
     def test_exponential_closed_form(self):
         # q = e^{2t}: (q'/q)^2 = 4 and q''/q = 4, so p = 1/q = e^{-2t}
@@ -217,10 +232,10 @@ class TestSchwarzianP:
         fd = Coefficient.make(sech2, -3.0, 3.0, extension_width=4.0)
         cmap = build_map(analytic)
         grid = choose_grid(cmap, 10.0)
-        pa = schwarzian_p(cmap, grid)
+        pa = forcing_at_every_node(cmap, grid.x + cmap.x_shift)
         cmap_fd = build_map(fd)
-        pf = schwarzian_p(cmap_fd, grid)
-        assert np.max(np.abs(pa.values - pf.values)) <= 1e-8
+        pf = forcing_at_every_node(cmap_fd, grid.x + cmap_fd.x_shift)
+        assert np.max(np.abs(pa - pf)) <= 1e-8
 
     def test_schwarzian_identity(self, sech_coefficient):
         # p(x) = 2 {t, x}, the Schwarzian derivative of the inverse map,
@@ -245,8 +260,9 @@ class TestSchwarzianP:
     def test_boundary_guard(self, sech_coefficient):
         cmap = build_map(sech_coefficient)
         grid = SpectralGrid(6.0, 1024)  # too narrow: p nonzero at the edge
-        with pytest.raises(ConfigurationError):
-            schwarzian_p(cmap, grid)
+        with pytest.raises(ConfigurationError,
+                           match="p does not vanish at the boundary"):
+            forcing_transform(cmap, grid)
 
 
 SUPPORT_ROUTES = {
@@ -336,7 +352,8 @@ class TestForcingSupport:
 
 def full_grid_transform(prob):
     """p-hat from p at every node of the problem's own grid, floored."""
-    p = schwarzian_p(prob.map, prob.grid)
+    cmap, grid = prob.map, prob.grid
+    p = RealSample(grid, forcing_at_every_node(cmap, grid.x + cmap.x_shift))
     vals = forward(p).values
     vals[np.abs(vals) < CLEAN_REL * np.max(np.abs(vals))] = 0.0
     return vals
@@ -405,6 +422,18 @@ class TestForcingTransform:
         assert prob.grid.n_points == 8192
         assert seen == []
         assert len(maps) == 1
+
+    def test_one_level_builds_one_sample(self, monkeypatch):
+        # the first level is built as every finer one: its values are
+        # checked finite once, in the RealSample its transform reads
+        built = []
+        real_sample = nophase.problem.RealSample
+        monkeypatch.setattr(nophase.problem, "RealSample",
+                            lambda *args: built.append(1)
+                            or real_sample(*args))
+        prob = build_problem(make_sech_coefficient(), 20.0)
+        assert list(prob.map.levels) == [(prob.grid.half_width, 1024)]
+        assert len(built) == 1
 
     def test_levels_keep_their_grid_and_resolution(self, monkeypatch):
         # a second lambda on the same level shares its grid, with the

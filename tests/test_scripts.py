@@ -19,8 +19,8 @@ LADDER_KEYS = {
     "build_problem_ms", "bump_ms", "fixed_point_ms", "fixed_point_iter_ms",
     "extract_ms", "build_phase_ms", "checks_ms", "oracle_ms", "grid_n",
     "iterations", "increment_ratios", "q_points", "oracle_q_points",
-    "oracle_steps", "evaluator_points", "ffts", "hermitian_checks",
-    "fit_rounds", "clenshaw_passes", "delta_degree", "r_len", "alpha_len",
+    "oracle_steps", "evaluator_points", "ffts", "fit_rounds",
+    "clenshaw_passes", "delta_degree", "r_len", "alpha_len",
     "oracle_us_per_q_point", "build_problem_peak_kb", "build_phase_peak_kb"}
 DIGESTS = ("solve-ladder", "verify-oracle", "sweep-cli",
            "constant-expression", "constant-table", "constant-callable")

@@ -22,9 +22,9 @@ from nophase.grid import (HERMITIAN_RTOL, RealSample, SpectralGrid,
                           mirror)
 from nophase.problem import (Coefficient, CoefficientProblem, build_problem,
                              choose_grid, decay_bound, fit_decay)
-from nophase.solver import (TOL, apply_R, apply_Wb, apply_Wb_tilde,
-                            extract_solution, fixed_point_solve, make_bump,
-                            solve_problem)
+from nophase.solver import (TOL, SolverState, apply_R, apply_Wb,
+                            apply_Wb_tilde, extract_solution,
+                            fixed_point_solve, make_bump, solve_problem)
 
 SQRT2 = np.sqrt(2.0)
 
@@ -82,6 +82,15 @@ class TestBump:
         # the lambda stage takes lambda here and nowhere else
         with pytest.raises(DomainError, match=re.escape(named)):
             make_bump(SpectralGrid(6.0, 64), lam)
+
+    def test_problem_and_bump_refuse_in_one_text(self):
+        # the rule lambda > 0 is stated once (`check_lambda`)
+        coeff = make_constant_coefficient()
+        for refuse in (lambda: build_problem(coeff, -1.0),
+                       lambda: make_bump(SpectralGrid(6.0, 64), -1.0)):
+            with pytest.raises(DomainError,
+                               match=r"^lambda=-1 must be positive$"):
+                refuse()
 
     def test_resolution_guard(self, rng):
         # on a grid narrower than 2 sqrt(2) lambda the converged psi must
@@ -352,6 +361,11 @@ class TestFixedPoint:
         with pytest.raises(ConvergenceError) as err:
             fixed_point_solve(prob.p_hat, make_bump(prob.grid, prob.lam))
         assert len(err.value.history) == 2
+
+    def test_state_holds_no_count(self):
+        # the iteration count is the increments' (`SolverState.iteration`)
+        assert [f.name for f in dataclasses.fields(SolverState)] \
+            == ["psi", "l1_deltas", "bump"]
 
     def test_warns_outside_ball(self, rng, monkeypatch):
         lam = 3.0

@@ -546,6 +546,26 @@ class TestCliSweep:
             "warning: solvability hypotheses not satisfied at lambda=300",
             "warning: solvability hypotheses not satisfied at lambda=319.9"]
 
+    def test_ball_warning_on_every_row(self, tmp_path, capsys):
+        # ||p-hat||_1 = 3.57 exceeds (pi/2) lambda^2 at every lambda here
+        # (0.39, 0.57, 0.77); the text names lambda, so the warnings
+        # registry, which shows a text once, shows one per row
+        path = tmp_path / "sech.json"
+        path.write_text(json.dumps({
+            "q": "1 + sech(t)**2", "dq": "-(exp(t) - exp(-t))*sech(t)**3",
+            "d2q": "((exp(t) - exp(-t))**2 - 2)*sech(t)**4",
+            "a": -3.0, "b": 3.0, "extension_width": 4.0,
+        }))
+        main(["sweep", str(path), "--lambdas", "0.5,0.6,0.7",
+              "--out", str(tmp_path / "sweep.csv")])
+        ball = [line for line in capsys.readouterr().err.splitlines()
+                if line.startswith("warning: ||w||_1")]
+        assert len(ball) == 3, ball
+        assert [line.split(": convergence")[0] for line in ball] == [
+            f"warning: ||w||_1 = 3.57 exceeds (pi/2) lambda^2 = {side} at "
+            f"lambda={lam}" for lam, side in
+            (("0.5", "0.393"), ("0.6", "0.565"), ("0.7", "0.77"))]
+
     def test_non_finite_lambda_is_a_failed_row(self, constant_problem,
                                                tmp_path, capsys):
         out = tmp_path / "sweep.csv"
