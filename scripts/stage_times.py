@@ -45,7 +45,8 @@ no derivatives given (finite differences, as a sweep of a problem file
 without dq and d2q runs it) and its grid N.
 
 The three calls of the lambda stage are each timed with perf_counter as
-the script makes them.  Run it against the tree to measure:
+the script makes them.  q, its derivatives and its expression are
+scripts/digests.py's.  Run it against the tree to measure:
 
     PYTHONPATH=src python scripts/stage_times.py --passes 15
 """
@@ -68,28 +69,14 @@ from nophase import (Coefficient, basis_error, build_phase, build_problem,
 from nophase.solver import extract_solution
 from nophase.expr import compile_expression
 from nophase.phase import interior_nodes
+from digests import Q_EXPR, d2sech2, dsech2, sech2
 
 LAMBDAS = (20.0, 80.0, 320.0, 1280.0)
-EXPRESSION = "1 + sech(t)**2"
 EXPRESSION_LAMBDA = 320.0
 FD_LAMBDA = 640.0
 Q_POINTS = 10_000
 FFTS = [name for name in np.fft.__all__
         if not name.endswith(("shift", "freq"))]  # the transforms
-
-
-def sech2(t):
-    return 1.0 + 1.0 / np.cosh(np.asarray(t, dtype=float)) ** 2
-
-
-def dsech2(t):
-    t = np.asarray(t, dtype=float)
-    return -2.0 * np.sinh(t) / np.cosh(t) ** 3
-
-
-def d2sech2(t):
-    t = np.asarray(t, dtype=float)
-    return (4.0 * np.sinh(t) ** 2 - 2.0) / np.cosh(t) ** 4
 
 
 class Stages:
@@ -132,7 +119,7 @@ def one_pass(stages):
                              dq=stages.counted(dsech2, "q_points"),
                              d2q=stages.counted(d2sech2, "q_points"),
                              extension_width=4.0)
-    q_alone = compile_expression(EXPRESSION)
+    q_alone = compile_expression(Q_EXPR)
     q_expression = stages.counted(q_alone, "q_points")
     nodes = interior_nodes(-3.0, 3.0)
     rows = {}
@@ -230,7 +217,7 @@ def peaks():
                                 extension_width=4.0)
 
     def fd():
-        return Coefficient.make(compile_expression(EXPRESSION), -3.0, 3.0,
+        return Coefficient.make(compile_expression(Q_EXPR), -3.0, 3.0,
                                 extension_width=4.0)
 
     cases = [(f"{lam:g}", sech, lam) for lam in LAMBDAS]

@@ -4,7 +4,7 @@ Subcommands:
   solve    build and solve a problem, write a bounds report as JSON
   verify   solve and cross-check against an independent ODE integrator
   sweep    run a list of lambdas and write per-lambda metrics as CSV
-  selftest run the invariant test suite of a source checkout
+  selftest run a source checkout's invariant tests; refused outside one
 
 The problem file sets q, [a, b], lambda, the extension width and the
 grid; --lambda overrides its lambda.  A constant q needs no dq or d2q:
@@ -125,10 +125,10 @@ def _tests_dir():
     import pathlib
 
     here = pathlib.Path(__file__).resolve()
-    for parent in here.parents:
-        candidate = parent / "tests"
-        if candidate.is_dir():
-            return str(candidate)
+    if here.parts[-3:-1] == ("src", "nophase"):
+        tests = here.parents[2] / "tests"
+        if (tests / "test_acceptance.py").is_file():
+            return str(tests)
     raise NumericalError("test suite not found alongside the package")
 
 

@@ -46,10 +46,10 @@ def _fd_derivatives(q, h, lo, hi):
     """8th-order centered differences of q with step h at t in [lo, hi],
     where q must be evaluable; the points t +- kh are clipped into it.
     Near the ends the clipped values are wrong, but the extension's
-    weight on them is flat to every order there
-    (`ExtendedCoefficient.jet`).  d2q is exactly 0 where the stencil's
-    nine values of q are equal, as its weights cancel only in exact
-    arithmetic; dq's are exact there, so a constant q gets exact zeros."""
+    weight on them is flat to every order there (`Coefficient.jet`).
+    d2q is exactly 0 where the stencil's nine values of q are equal, as
+    its weights cancel only in exact arithmetic; dq's are exact there,
+    so a constant q gets exact zeros."""
     def at(t, k):
         return q(np.clip(t + k * h, lo, hi))
 
@@ -75,13 +75,18 @@ def _fd_derivatives(q, h, lo, hi):
 
 @dataclass(frozen=True)
 class Coefficient:
-    """The coefficient q on [a, b] with its first two derivatives.
+    """The coefficient q on [a, b] with its first two derivatives, and its
+    extension to the real line.
 
     q must be evaluable on [lo, hi] = [a - 3w, b + 3w], w the extension
     width; the smooth blend to constants lives there.  `make` fills in a
     derivative that is not given with 8th-order finite differences of q,
     whatever q is: a callable, an expression, or a table's interpolant.
     They are exact zeros where q is constant (`_fd_derivatives`).
+
+    `extended` and `jet` blend q to q(a), q(b) over [a-3w, a-w] and
+    [b+w, b+3w] with the C-infinity smooth step: constant outside
+    [lo, hi], the extension agrees with q on [a-w, b+w].
     """
 
     q: object
@@ -92,6 +97,10 @@ class Coefficient:
     extension_width: float
     lo = property(lambda self: self.interval_a - 3.0 * self.extension_width)
     hi = property(lambda self: self.interval_b + 3.0 * self.extension_width)
+    qa = cached_property(
+        lambda self: float(np.asarray(self.q(np.array(self.interval_a)))))
+    qb = cached_property(
+        lambda self: float(np.asarray(self.q(np.array(self.interval_b)))))
 
     @classmethod
     def make(cls, q, a, b, dq=None, d2q=None, extension_width=None):
@@ -126,55 +135,39 @@ class Coefficient:
         the coefficient is."""
         return build_map(self)
 
-
-class ExtendedCoefficient:
-    """q blended to the constants q(a), q(b) outside [a, b].
-
-    The blend runs over [a-3w, a-w] on the left and [b+w, b+3w] on the
-    right using the C-infinity smooth step, so the extension is constant
-    outside [a-3w, b+3w] and agrees with q on [a-w, b+w].
-    """
-
-    def __init__(self, coeff: Coefficient):
-        # a copy without the map, which keeps this: no reference cycle
-        self.base = replace(coeff)
-        a, b, w = coeff.interval_a, coeff.interval_b, coeff.extension_width
-        self.lo, self.hi, self.w = coeff.lo, coeff.hi, w
-        self.qa = float(np.asarray(coeff.q(np.array(a))))
-        self.qb = float(np.asarray(coeff.q(np.array(b))))
-        self._ul_center = a - 2.0 * w    # left step argument ((center-t)/w)
-        self._ur_center = b + 2.0 * w    # right step argument ((t-center)/w)
-
     def _steps(self, t):
-        ul = (self._ul_center - t) / self.w
-        ur = (t - self._ur_center) / self.w
+        w = self.extension_width
+        ul = (self.interval_a - 2.0 * w - t) / w
+        ur = (t - (self.interval_b + 2.0 * w)) / w
         return ul, ur
 
     def _blend(self, t):
-        """q + (q(a) - q) sl + (q(b) - q) sr at t, and the base q at t
-        clipped into [lo, hi] and the smooth steps sl, sr it is formed of."""
+        """q + (q(a) - q) sl + (q(b) - q) sr at t, and q at t clipped
+        into [lo, hi] and the smooth steps sl, sr it is formed of."""
         sl, sr = smooth_step(np.stack(self._steps(t)))
-        qv = self.base.q(np.clip(t, self.lo, self.hi))
+        qv = self.q(np.clip(t, self.lo, self.hi))
         return qv + (self.qa - qv) * sl + (self.qb - qv) * sr, qv, sl, sr
 
-    def q(self, t):
+    def extended(self, t):
+        """The extension of q at t."""
         return self._blend(np.asarray(t, dtype=float))[0]
 
     def jet(self, t):
-        """q, q', q'' at the points t (a scalar is one point): one call of
-        the base q, q', q'' each, and one of the steps and each derivative."""
+        """Extended q, q', q'' at the points t (a scalar is one point): one
+        call of q, q', q'' each, and one of the steps and each derivative."""
         t = np.atleast_1d(np.asarray(t, dtype=float))
         q, qv, sl, sr = self._blend(t)
         dq = np.zeros_like(t)
         d2q = np.zeros_like(t)
         inside = (t > self.lo) & (t < self.hi)
         if np.any(inside):
+            w = self.extension_width
             ti, qv, sl, sr = t[inside], qv[inside], sl[inside], sr[inside]
-            dqv = self.base.dq(ti)
-            d2qv = self.base.d2q(ti)
+            dqv = self.dq(ti)
+            d2qv = self.d2q(ti)
             u = np.stack(self._steps(ti))
-            dul, dsr = smooth_step_deriv(u) / self.w  # sl' is -dul
-            d2sl, d2sr = smooth_step_deriv2(u) / self.w ** 2
+            dul, dsr = smooth_step_deriv(u) / w  # sl' is -dul
+            d2sl, d2sr = smooth_step_deriv2(u) / w ** 2
             dq[inside] = (dqv * (1.0 - sl - sr)
                           - (self.qa - qv) * dul + (self.qb - qv) * dsr)
             d2q[inside] = (d2qv * (1.0 - sl - sr)
@@ -191,7 +184,7 @@ class ExtendedCoefficient:
                 f"[a - 3w, b + 3w] = [{self.lo:g}, {self.hi:g}]")
 
     def sqrt_q(self, t):
-        qv = self.q(t)
+        qv = self.extended(t)
         self.require_positive(qv)
         return np.sqrt(qv)
 
@@ -199,7 +192,8 @@ class ExtendedCoefficient:
 @dataclass(frozen=True)
 class CoordinateMap:
     """The monotone change of variables x(t) = int_a^t sqrt(q) and its
-    inverse, built on the extended coefficient.
+    inverse, built on the coefficient's extension: `ext`, a copy of the
+    coefficient without its map.
 
     Both directions are `ChebSeries` of bisected pieces, on [ext.lo,
     ext.hi] (the end edges of x_series) and [x_lo, x_hi] = [x(ext.lo),
@@ -209,7 +203,7 @@ class CoordinateMap:
     The map also keeps p on the nested grids of `forcing_transform`, per
     (L, n) and extended on demand (`level`)."""
 
-    ext: ExtendedCoefficient
+    ext: Coefficient
     x_series: ChebSeries
     t_series: ChebSeries
     levels: dict = field(default_factory=dict, repr=False, compare=False)
@@ -259,7 +253,8 @@ class CoordinateMap:
             x0, x1 = self.x_lo - pad, self.x_hi + pad
             t0, t1 = self.t_of_x(np.array([x0, x1]))
             if t0 <= self.ext.lo and t1 >= self.ext.hi:
-                self.ext.require_positive(self.ext.q(np.array([t0, t1])))
+                self.ext.require_positive(
+                    self.ext.extended(np.array([t0, t1])))
                 return x0, x1
             pad *= 2.0
 
@@ -293,8 +288,8 @@ def build_map(coeff):
     the pieces of x(t) so that it inherits their resolution of any kinks
     in q, from values found by Newton's method at its Lobatto nodes; each
     Newton step sums x(t) and x'(t) in one pass (`call_together`)."""
-    ext = ExtendedCoefficient(coeff)
-    a, b, w = coeff.interval_a, coeff.interval_b, ext.w
+    ext = replace(coeff)  # a copy without the map: no reference cycle
+    a, b, w = coeff.interval_a, coeff.interval_b, coeff.extension_width
     breaks = np.array([ext.lo, a - w, b + w, ext.hi])
     speed = ChebSeries.adaptive_pieces(ext.sqrt_q, breaks, tol=MAP_TOL)
     x_series = speed.antideriv(anchor=a)
@@ -583,9 +578,9 @@ class ProblemConfig:
     """Parsed contents of a problem definition JSON file."""
 
     coefficient: Coefficient
-    lam: float = None
-    grid_L: float = None
-    grid_N: int = None
+    lam: float
+    grid_L: float
+    grid_N: int
 
 
 def load_problem_file(path):

@@ -24,10 +24,10 @@ from nophase.errors import ConfigurationError, DomainError, FitError
 from nophase.expr import compile_expression
 from nophase.grid import RealSample, SpectralGrid, SpectralSample, forward
 from nophase.problem import (CLEAN_REL, Coefficient, CoefficientProblem,
-                             ExtendedCoefficient, TableInterpolant,
-                             build_map, build_problem, choose_grid,
-                             decay_bound, fit_decay, forcing_transform,
-                             load_problem_file, problem_config_from_dict)
+                             TableInterpolant, build_map, build_problem,
+                             choose_grid, decay_bound, fit_decay,
+                             forcing_transform, load_problem_file,
+                             problem_config_from_dict)
 from nophase.solver import solve_problem
 from nophase.sweep import sweep_point
 
@@ -131,35 +131,52 @@ class TestCoefficient:
 
 
 class TestExtendedCoefficient:
+    """The coefficient's extension: `extended` and `jet`."""
+
     def test_agrees_inside(self, sech_coefficient):
-        ext = ExtendedCoefficient(sech_coefficient)
+        ext = sech_coefficient
         t = np.linspace(-3.0 - 4.0, 3.0 + 4.0, 41)  # [a-w, b+w]
-        assert np.max(np.abs(ext.q(t) - sech2(t))) <= 1e-14
+        assert np.max(np.abs(ext.extended(t) - sech2(t))) <= 1e-14
         assert np.max(np.abs(ext.jet(t)[1] - dsech2(t))) <= 1e-14
 
     def test_constant_outside(self, sech_coefficient):
-        ext = ExtendedCoefficient(sech_coefficient)
+        ext = sech_coefficient
         t = np.array([-30.0, -16.0, 16.0, 30.0])
-        assert np.allclose(ext.q(t[:2]), sech2(-3.0), atol=1e-15)
-        assert np.allclose(ext.q(t[2:]), sech2(3.0), atol=1e-15)
+        assert np.allclose(ext.extended(t[:2]), sech2(-3.0), atol=1e-15)
+        assert np.allclose(ext.extended(t[2:]), sech2(3.0), atol=1e-15)
         _, dq, d2q = ext.jet(t)
         assert np.all(dq == 0.0)
         assert np.all(d2q == 0.0)
 
     def test_blend_derivative_consistency(self, sech_coefficient):
-        ext = ExtendedCoefficient(sech_coefficient)
+        ext = sech_coefficient
         t = np.linspace(-14.9, 14.9, 401)  # spans both blend regions
         h = 1e-6
-        fd1 = (ext.q(t + h) - ext.q(t - h)) / (2 * h)
+        fd1 = (ext.extended(t + h) - ext.extended(t - h)) / (2 * h)
         _, dq, d2q = ext.jet(t)
         assert np.max(np.abs(fd1 - dq)) <= 1e-7
         fd2 = (ext.jet(t + h)[1] - ext.jet(t - h)[1]) / (2 * h)
         assert np.max(np.abs(fd2 - d2q)) <= 1e-6
 
     def test_positive_square_root(self, sech_coefficient):
-        ext = ExtendedCoefficient(sech_coefficient)
+        ext = sech_coefficient
         t = np.linspace(-15.0, 15.0, 301)
         assert np.all(ext.sqrt_q(t) > 0.0)
+
+    @pytest.mark.parametrize("make", [make_sech_coefficient,
+                                      make_fd_coefficient],
+                             ids=["sech-exact", "expression-fd"])
+    def test_is_the_maps(self, make):
+        # the map's `ext` is a copy of the coefficient without the map,
+        # whose extension has the coefficient's bits everywhere
+        coeff = make()
+        ext = coeff.map.ext
+        assert ext == coeff and ext is not coeff
+        assert "map" not in vars(ext)
+        t = np.linspace(coeff.lo - 1.0, coeff.hi + 1.0, 2001)
+        assert coeff.extended(t).tobytes() == ext.extended(t).tobytes()
+        for mine, maps in zip(coeff.jet(t), ext.jet(t)):
+            assert mine.tobytes() == maps.tobytes()
 
 
 class TestCoordinateMap:
@@ -316,13 +333,14 @@ class TestForcingSupport:
         cmap = make_sech_coefficient().map
         x = choose_grid(cmap, 320.0).x + cmap.x_shift
         x0, x1 = cmap.forcing_support
-        jet, seen = cmap.ext.jet, []
+        jet, seen = Coefficient.jet, []
 
-        def counted(t):
+        def counted(ext, t):
             seen.append(np.size(t))
-            return jet(t)
+            return jet(ext, t)
 
-        monkeypatch.setattr(cmap.ext, "jet", counted)
+        # on the class: a frozen Coefficient refuses setattr
+        monkeypatch.setattr(Coefficient, "jet", counted)
         p = nophase.problem._forcing(cmap, x)
         inside = (x > x0) & (x < x1)
         assert seen == [np.count_nonzero(inside)] and seen[0] < 0.8 * x.size

@@ -681,11 +681,20 @@ class TestCliPlumbing:
     def test_tests_directory_found(self):
         assert os.path.isdir(_tests_dir())
 
-    def test_selftest_outside_a_checkout(self, tmp_path):
+    @pytest.mark.parametrize("layout", ["bare", "stray-tests"])
+    def test_selftest_outside_a_checkout(self, tmp_path, layout):
         # an installed package has no tests/ beside it; a copy of the
-        # package outside the checkout stands in for one
+        # package outside the checkout stands in for one.  A tests/
+        # directory above the copy is not its suite either: only
+        # <root>/src/nophase beside <root>/tests/test_acceptance.py is
+        site = tmp_path
+        if layout == "stray-tests":
+            site = tmp_path / "site"
+            (tmp_path / "tests").mkdir()
+            (tmp_path / "tests" / "test_unrelated.py").write_text(
+                "def test_unrelated():\n    pass\n")
         shutil.copytree(pathlib.Path(nophase.sweep.__file__).parent,
-                        tmp_path / "nophase",
+                        site / "nophase",
                         ignore=shutil.ignore_patterns("__pycache__"))
         # the copy, not the checkout, must be imported, or selftest would
         # run this suite again
@@ -693,8 +702,8 @@ class TestCliPlumbing:
                   "assert nophase.__file__.startswith(sys.argv[1]); "
                   "sys.exit(nophase.cli.main(['selftest']))")
         done = subprocess.run(
-            [sys.executable, "-c", script, str(tmp_path)], cwd=tmp_path,
-            env={**os.environ, "PYTHONPATH": str(tmp_path)},
+            [sys.executable, "-c", script, str(site)], cwd=site,
+            env={**os.environ, "PYTHONPATH": str(site)},
             capture_output=True, text=True, timeout=120)
         assert done.returncode == EXIT_NUMERICAL
         assert done.stderr.splitlines() == [
